@@ -1,7 +1,7 @@
 """Numerical certification of singular extremals in minimum-time problems.
 
-Subpackages cover system backends (matrix groups and coordinate charts),
-extremal integration and necessary conditions, singular-surface geometry
+Subpackages cover control-affine systems on matrix groups, extremal
+integration and necessary conditions, singular-surface geometry
 with the dominating Hamiltonian certificate, second-variation coercivity
 tests, an empirical falsifier, and a small CLI.
 """

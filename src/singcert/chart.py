@@ -8,13 +8,13 @@ functions x_{R+1}..x_n annihilate the controlled algebra exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .algebra import commutator, pairing
-from .systems import ChartSystem, MatrixGroupSystem
+from .algebra import pairing
+from .systems import MatrixGroupSystem
 
 
 class OutOfChartError(RuntimeError):
@@ -41,8 +41,10 @@ class GroupChart:
         if self.basepoint is None:
             self.basepoint = np.eye(d)
         self.n = len(self.frame_algebra)
-        # flattened frame at the origin, reused by lstsq solves
-        self._b0 = np.array([b.ravel() for b in self.frame_algebra]).T
+        # pseudo-inverse of the flattened frame at the origin: chart
+        # components of an algebra element, used by the falsifier
+        self.b_pinv = np.linalg.pinv(
+            np.array([b.ravel() for b in self.frame_algebra]).T)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -68,19 +70,6 @@ class GroupChart:
                 e = expm(x[j] * self.frame_algebra[j])
                 c = e @ c
                 c_inv = c_inv @ expm(-x[j] * self.frame_algebra[j])
-        return out
-
-    def frame_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact partials dv_j/dx_k = [v_j, v_k] for k < j, zero otherwise.
-
-        Returns an (n, n, d, d) array indexed [j, k].
-        """
-        v = self.frame(x)
-        d = v[0].shape[0]
-        out = np.zeros((self.n, self.n, d, d))
-        for j in range(self.n):
-            for k in range(j):
-                out[j, k] = commutator(v[j], v[k])
         return out
 
     def solve_in_frame(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -152,90 +141,12 @@ def dubins_adapted_chart(system: MatrixGroupSystem,
     trajectory is the x_n coordinate axis.
     """
     m = system.m
-    frame = list(system.controlled)
-    for i in range(m):
-        for j in range(i + 1, m):
-            frame.append(commutator(system.controlled[i], system.controlled[j]))
-    r = len(frame)
+    r = m + m * (m - 1) // 2
     if r != system.R:
         raise ValueError("controlled algebra is not depth-2 spanned")
-    for i in range(m):
-        frame.append(commutator(system.drift, system.controlled[i]))
-    frame.append(system.drift)
-    chart = GroupChart(system, frame, r, basepoint)
+    chart = GroupChart(system, system.full_algebra_basis(), r, basepoint)
     p_hat = np.zeros(chart.n)
     p_hat[-1] = 1.0
     chart.p_hat = p_hat
     return chart
 
-
-@dataclass
-class FlowChart:
-    """Adapted chart on the chart backend, built from evaluable fields.
-
-    Forward map composes numerically integrated flows; inverse is a damped
-    Newton with a finite-difference Jacobian.
-    """
-
-    system: ChartSystem
-    frame_fields: list
-    R: int
-    basepoint: np.ndarray
-    p_hat: np.ndarray = None
-    steps_per_unit: int = field(default=64)
-
-    def __post_init__(self):
-        self.n = len(self.frame_fields)
-        self.basepoint = np.asarray(self.basepoint, dtype=float)
-
-    def _flow(self, fn, z: np.ndarray, s: float) -> np.ndarray:
-        if s == 0.0:
-            return z.copy()
-        steps = max(4, int(abs(s) * self.steps_per_unit))
-        h = s / steps
-        for _ in range(steps):
-            k1 = np.asarray(fn(z))
-            k2 = np.asarray(fn(z + 0.5 * h * k1))
-            k3 = np.asarray(fn(z + 0.5 * h * k2))
-            k4 = np.asarray(fn(z + h * k3))
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return z
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = self.basepoint.copy()
-        for j in range(self.n - 1, -1, -1):
-            z = self._flow(self.frame_fields[j], z, x[j])
-        return z
-
-    def jacobian(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        jac = np.zeros((self.system.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h
-            jac[:, j] = (self.forward(x + e) - self.forward(x - e)) / (2 * h)
-        return jac
-
-    def inverse(self, q: np.ndarray, x0: np.ndarray | None = None,
-                tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
-        x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-        q = np.asarray(q, dtype=float)
-        r = float(np.max(np.abs(self.forward(x) - q)))
-        for _ in range(max_iter):
-            if r <= tol:
-                return x
-            jac = self.jacobian(x)
-            step, *_ = np.linalg.lstsq(jac, q - self.forward(x), rcond=None)
-            damp = 1.0
-            for _ in range(30):
-                cand = x + damp * step
-                r_new = float(np.max(np.abs(self.forward(cand) - q)))
-                if r_new < r:
-                    x, r = cand, r_new
-                    break
-                damp *= 0.5
-            else:
-                raise OutOfChartError("Newton stalled during chart inversion")
-        if r <= tol:
-            return x
-        raise OutOfChartError("chart inversion did not converge")

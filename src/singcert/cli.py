@@ -6,6 +6,9 @@ Commands:
   dubins --N --space [--emit-config]  print a ready-made Dubins config
 
 Exit status: 0 certified, 2 refuted or failed checks, 1 operational error.
+A stage that breaks down numerically still yields a report (verdict
+"error", written as usual) and exit status 1; in a sweep, any such run
+makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ def _read_config(path: str) -> dict:
 
 
 def _verdict_status(verdict: str) -> int:
+    if verdict == "error":
+        return 1
     return 0 if verdict in ("optimality certified", "no checks requested") else 2
 
 
@@ -78,7 +83,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
             if not reports:
                 return 0
-            return max(_verdict_status(r["verdict"]) for r in reports)
+            codes = {_verdict_status(r["verdict"]) for r in reports}
+            return 1 if 1 in codes else max(codes)
         if args.command == "dubins":
             config = load_config({
                 "system": {"kind": "dubins", "space_form": args.space,

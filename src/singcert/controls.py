@@ -1,9 +1,8 @@
-"""Control signal representations on a time grid."""
+"""Control signal representations."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class ZeroControl:
@@ -28,27 +27,3 @@ class CallableControl:
     def __call__(self, t):
         return np.atleast_1d(np.asarray(self.fn(t), dtype=float))
 
-
-class GridControl:
-    """Piecewise-cubic control interpolating samples on a grid.
-
-    Parameters
-    ----------
-    grid : increasing time samples
-    values : (len(grid), m) control samples
-    """
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != grid.size:
-            values = values.T
-        self.grid = grid
-        self.values = values
-        self.m = values.shape[1]
-        self.is_zero = bool(np.all(values == 0.0))
-        self._spline = CubicSpline(grid, values, axis=0)
-
-    def __call__(self, t):
-        t = np.clip(t, self.grid[0], self.grid[-1])
-        return np.asarray(self._spline(t), dtype=float)

@@ -90,14 +90,12 @@ def needle_variation(u_hat, s_bar: float, t_vec, eps: float, horizon: float,
 
 
 def driftless_endpoint(system: MatrixGroupSystem, needle: NeedleVariation,
-                       eps: float | None = None,
-                       steps_per_piece: int = 32) -> np.ndarray:
+                       eps: float | None = None) -> np.ndarray:
     """Endpoint of zeta' = zeta sum nu_i A_i under the (scaled) overlay.
 
     Piecewise-constant controls integrate exactly as a product of matrix
     exponentials; eps = None integrates the unscaled base word on [0, 2].
     """
-    del steps_per_piece
     r = len(needle.channels)
     g = np.eye(system.d)
     scale = 1.0 if eps is None else eps
@@ -215,14 +213,13 @@ class TargetSpec:
         self.log_radius = log_radius
         chart = dubins_adapted_chart(system)
         self.R = chart.R
-        self._b_pinv = np.linalg.pinv(
-            np.array([b.ravel() for b in chart.frame_algebra]).T)
+        self.b_pinv = chart.b_pinv
 
     def residual(self, q: np.ndarray) -> float:
         rel = self.q_f_inv @ q
         if np.linalg.norm(rel - np.eye(rel.shape[0])) >= self.log_radius:
             return np.inf
-        x = self._b_pinv @ _quick_log(rel).ravel()
+        x = self.b_pinv @ _quick_log(rel).ravel()
         return float(np.max(np.abs(x[self.R:])))
 
     def arrival_time(self, grid: np.ndarray, states: list) -> float:
@@ -234,15 +231,13 @@ class TargetSpec:
 
 def graph_distance(system: MatrixGroupSystem, grid: np.ndarray, states: list,
                    ref_grid: np.ndarray, ref_states: list,
-                   b_pinv: np.ndarray | None = None) -> float:
+                   b_pinv: np.ndarray) -> float:
     """Max over time of the left-invariant chart distance to the reference.
 
-    The reference state is held at its endpoints outside its own support.
+    ``b_pinv`` maps a flattened algebra element to its chart components at
+    the origin (``GroupChart.b_pinv``). The reference state is held at its
+    endpoints outside its own support.
     """
-    if b_pinv is None:
-        b_pinv = np.linalg.pinv(np.array(
-            [b.ravel() for b in
-             dubins_adapted_chart(system).frame_algebra]).T)
     worst = 0.0
     for t, q in zip(grid, states):
         k = int(np.clip(np.searchsorted(ref_grid, t), 0, len(ref_states) - 1))
@@ -276,8 +271,6 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     scan_horizon = t_hat * (1.0 + horizon_pad)
     ref_grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
     ref_states = _integrate(system, u_hat, ref_grid, q0)
-    b_pinv = np.linalg.pinv(np.array(
-        [b.ravel() for b in dubins_adapted_chart(system).frame_algebra]).T)
     children = np.random.SeedSequence(seed).spawn(n_samples)
 
     records = []
@@ -325,7 +318,7 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         states = _integrate(system, control, grid, q0)
         arrival = target.arrival_time(grid, states)
         dist = graph_distance(system, grid, states, ref_grid, ref_states,
-                              b_pinv)
+                              target.b_pinv)
         record = {
             "sample": idx,
             "family": family,

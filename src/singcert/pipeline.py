@@ -4,7 +4,10 @@ The pipeline runs the verification stages in dependency order: necessary
 conditions, second-variation coercivity (two independent methods), the
 field-of-extremals certificate, and the empirical falsifier. A hard
 failure skips the remaining stages; a falsifier counterexample overrides
-every other verdict.
+every other verdict. A stage that breaks down numerically (chart
+inversion, projection onto Sigma, a singular linear solve) is recorded
+with status "error", the remaining stages are skipped, and the overall
+verdict is "error".
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import scipy
 import jsonschema
 
 from . import __version__
-from .chart import dubins_adapted_chart
+from .chart import OutOfChartError, dubins_adapted_chart
 from .controls import ZeroControl
 from .extremal import (
     Tolerances,
@@ -31,7 +34,12 @@ from .extremal import (
     trajectory_to_csv,
 )
 from .falsifier import TargetSpec, competitor_sweep, report_to_csv
-from .geometry import GroupGeometry, certificate_check, flow_samples_to_csv
+from .geometry import (
+    GroupGeometry,
+    ProjectionError,
+    certificate_check,
+    flow_samples_to_csv,
+)
 from .secondvar import (
     assemble_lq,
     conjugate_point_test,
@@ -41,6 +49,9 @@ from .secondvar import (
 from .systems import build_dubins_system
 
 SCHEMA_VERSION = 1
+
+# numerical breakdowns a stage reports as status "error" instead of raising
+STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -153,7 +164,7 @@ def load_config(doc: dict) -> dict:
 
 
 def thread_pool_size() -> int:
-    """Worker cap for sample-parallel stages, from SINGCERT_THREADS."""
+    """SINGCERT_THREADS as echoed in the report; no stage uses it yet."""
     raw = os.environ.get("SINGCERT_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -199,58 +210,64 @@ def run_check(config: dict) -> dict:
             timings[stage] = 0.0
             continue
         started = time.perf_counter()
-        if stage == "conditions":
-            report = condition_battery(trajectory,
-                                       dubins_boundary_tangents(system),
-                                       tol=tolerances)
-            stages[stage] = {"status": "passed" if report.passed else "failed",
-                             "report": report.as_dict()}
-            hard_failure = not report.passed
-            if csv_dir:
-                trajectory_to_csv(trajectory,
-                                  os.path.join(csv_dir, "trajectory.csv"))
-        elif stage == "coercivity":
-            lq = assemble_lq(system, trajectory, chart)
-            gal = galerkin_coercivity(lq, config["galerkin_k"][0])
-            conj = conjugate_point_test(lq, rho_grid=config["rho_grid"])
-            passed = gal.coercive or conj.coercive
-            stages[stage] = {"status": "passed" if passed else "failed",
-                             "galerkin": gal.as_dict(),
-                             "conjugate_point": conj.as_dict(),
-                             "verdicts_agree": gal.verdict == conj.verdict}
-            hard_failure = not passed
-            if csv_dir:
-                det_trace_to_csv(conj, os.path.join(csv_dir, "det_trace.csv"))
-        elif stage == "certificate":
-            cert_cfg = config["certificate"]
-            cert_grid = np.linspace(0.0, config["horizon"],
-                                    cert_cfg["grid_points"])
-            report = certificate_check(
-                system, trajectory, rho=cert_cfg["rho"],
-                lambda_radius=cert_cfg["lambda_radius"], grid=cert_grid,
-                n_samples=cert_cfg["n_samples"], seed=cert_cfg["seed"])
-            stages[stage] = {
-                "status": "passed" if report.certified else "failed",
-                "report": report.as_dict()}
-            hard_failure = not report.certified
-            if csv_dir:
-                geom = GroupGeometry(system)
-                samples = geom.super_hamiltonian_flow(trajectory.points[0],
-                                                      cert_grid)
-                flow_samples_to_csv(geom, samples,
-                                    os.path.join(csv_dir, "flow.csv"))
-        elif stage == "falsifier":
-            fals_cfg = config["falsifier"]
-            target = TargetSpec(system, trajectory.points[-1].q)
-            report = competitor_sweep(
-                system, trajectory, target,
-                n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],
-                seed=fals_cfg["seed"], dt=fals_cfg["dt"])
-            stages[stage] = {
-                "status": "failed" if report.refuted else "passed",
-                "report": report.as_dict()}
-            if csv_dir:
-                report_to_csv(report, os.path.join(csv_dir, "sweep.csv"))
+        try:
+            if stage == "conditions":
+                report = condition_battery(trajectory,
+                                           dubins_boundary_tangents(system),
+                                           tol=tolerances)
+                stages[stage] = {"status": "passed" if report.passed else "failed",
+                                 "report": report.as_dict()}
+                hard_failure = not report.passed
+                if csv_dir:
+                    trajectory_to_csv(trajectory,
+                                      os.path.join(csv_dir, "trajectory.csv"))
+            elif stage == "coercivity":
+                lq = assemble_lq(system, trajectory, chart)
+                gal = galerkin_coercivity(lq, config["galerkin_k"][0])
+                conj = conjugate_point_test(lq, rho_grid=config["rho_grid"])
+                passed = gal.coercive or conj.coercive
+                stages[stage] = {"status": "passed" if passed else "failed",
+                                 "galerkin": gal.as_dict(),
+                                 "conjugate_point": conj.as_dict(),
+                                 "verdicts_agree": gal.verdict == conj.verdict}
+                hard_failure = not passed
+                if csv_dir:
+                    det_trace_to_csv(conj, os.path.join(csv_dir, "det_trace.csv"))
+            elif stage == "certificate":
+                cert_cfg = config["certificate"]
+                cert_grid = np.linspace(0.0, config["horizon"],
+                                        cert_cfg["grid_points"])
+                report = certificate_check(
+                    system, trajectory, rho=cert_cfg["rho"],
+                    lambda_radius=cert_cfg["lambda_radius"], grid=cert_grid,
+                    n_samples=cert_cfg["n_samples"], seed=cert_cfg["seed"])
+                stages[stage] = {
+                    "status": "passed" if report.certified else "failed",
+                    "report": report.as_dict()}
+                hard_failure = not report.certified
+                if csv_dir:
+                    geom = GroupGeometry(system)
+                    samples = geom.super_hamiltonian_flow(trajectory.points[0],
+                                                          cert_grid)
+                    flow_samples_to_csv(geom, samples,
+                                        os.path.join(csv_dir, "flow.csv"))
+            elif stage == "falsifier":
+                fals_cfg = config["falsifier"]
+                target = TargetSpec(system, trajectory.points[-1].q)
+                report = competitor_sweep(
+                    system, trajectory, target,
+                    n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],
+                    seed=fals_cfg["seed"], dt=fals_cfg["dt"])
+                stages[stage] = {
+                    "status": "failed" if report.refuted else "passed",
+                    "report": report.as_dict()}
+                if csv_dir:
+                    report_to_csv(report, os.path.join(csv_dir, "sweep.csv"))
+        except STAGE_ERRORS as exc:
+            stages[stage] = {"status": "error",
+                             "error": {"type": type(exc).__name__,
+                                       "message": str(exc)}}
+            hard_failure = True
         timings[stage] = (time.perf_counter() - started
                           if config["record_timings"] else 0.0)
 
@@ -270,6 +287,8 @@ def run_check(config: dict) -> dict:
 def _overall_verdict(config: dict, stages: dict) -> str:
     if not config["checks"]:
         return "no checks requested"
+    if any(st.get("status") == "error" for st in stages.values()):
+        return "error"
     fals = stages.get("falsifier")
     if fals and fals.get("status") == "failed":
         return "refuted"

@@ -56,45 +56,6 @@ def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
 
 
 @dataclass
-class PullbackData:
-    """Pull-back fields g_t^i and their time derivatives along the flow."""
-
-    grid: np.ndarray
-    g_alg: np.ndarray          # (T, m, d, d) Ad_M A_i
-    gdot_alg: np.ndarray       # (T, m, d, d) Ad_M [A_u, A_i]
-    g_chart: np.ndarray        # (T, n, m)
-    gdot_chart: np.ndarray     # (T, n, m)
-    gdot_jac: np.ndarray       # (T, m, n, n) chart Jacobians of gdot fields
-
-
-def pullback_fields(system: MatrixGroupSystem, trajectory: ExtremalTrajectory,
-                    chart: GroupChart) -> PullbackData:
-    """Exact pull-back data on the trajectory grid."""
-    grid = trajectory.grid
-    m, d, n = system.m, system.d, chart.n
-    origin = np.zeros(n)
-    g_alg = np.zeros((grid.size, m, d, d))
-    gdot_alg = np.zeros((grid.size, m, d, d))
-    g_chart = np.zeros((grid.size, n, m))
-    gdot_chart = np.zeros((grid.size, n, m))
-    gdot_jac = np.zeros((grid.size, m, n, n))
-    for k, t in enumerate(grid):
-        mk = trajectory.flow_cache[k]
-        mk_inv = np.linalg.inv(mk)
-        u = trajectory.controls[k]
-        a_u = system.drift + sum(u[i] * system.controlled[i] for i in range(m))
-        for i in range(m):
-            ad_ai = mk @ system.controlled[i] @ mk_inv
-            ad_br = mk @ commutator(a_u, system.controlled[i]) @ mk_inv
-            g_alg[k, i] = ad_ai
-            gdot_alg[k, i] = ad_br
-            g_chart[k, :, i] = chart.field_components(ad_ai, origin)
-            gdot_chart[k, :, i] = chart.field_components(ad_br, origin)
-            gdot_jac[k, i] = chart_field_jacobian(chart, ad_br)
-    return PullbackData(grid, g_alg, gdot_alg, g_chart, gdot_chart, gdot_jac)
-
-
-@dataclass
 class SecondVariationProblem:
     """LQ data (Z, C, a, E) of the extended second variation."""
 
@@ -114,9 +75,11 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 chart: GroupChart, rho: float = 0.0) -> SecondVariationProblem:
     """Assemble the LQ second-variation data in the adapted chart.
 
-    For the zero reference control all time dependence is evaluated through
-    exact exponentials; otherwise grid data is interpolated cubically.
+    The reference control must be zero; all time dependence is then
+    evaluated through exact exponentials.
     """
+    if not getattr(extremal.u_hat, "is_zero", False):
+        raise ValueError("assemble_lq requires a zero reference control")
     n, m = chart.n, system.m
     p_hat = chart.p_hat
     e_mat = np.zeros((n, chart.R))
@@ -130,75 +93,41 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     words = [[(i + 1, (j + 1, 0)) for j in range(m)] for i in range(m)]
     bracket_mats = [[system.bracket_matrix(w) for w in row] for row in words]
 
-    if getattr(extremal.u_hat, "is_zero", False):
-        a0 = system.drift
-        cache: dict = {}
+    a0 = system.drift
+    cache: dict = {}
 
-        def lq_data(t):
-            # the three coefficient blocks share the same transport, and the
-            # deciders revisit the same time points; memoize per t
-            if t not in cache:
-                mk = expm(t * a0)
-                mk_inv = expm(-t * a0)
-                z = np.zeros((n, m))
-                c = np.zeros((m, m))
-                a = np.zeros((m, n))
-                for i in range(m):
-                    ad_br = mk @ commutator(a0, system.controlled[i]) @ mk_inv
-                    z[:, i] = chart.field_components(ad_br, origin)
-                    a[i] = -(p_hat @ chart_field_jacobian(chart, ad_br))
-                    for j in range(m):
-                        c[i, j] = -pairing(
-                            p0, mk @ bracket_mats[i][j] @ mk_inv)
-                cache[t] = (z, c, a)
-            return cache[t]
-
-        def z_fn(t):
-            return lq_data(t)[0]
-
-        def c_fn(t):
-            return lq_data(t)[1]
-
-        def a_fn(t):
-            return lq_data(t)[2]
-    else:
-        from scipy.interpolate import CubicSpline
-
-        data = pullback_fields(system, extremal, chart)
-        grid = extremal.grid
-        c_grid = np.zeros((grid.size, m, m))
-        a_grid = np.zeros((grid.size, m, n))
-        for k in range(grid.size):
-            pk = extremal.points[k].p
+    def lq_data(t):
+        # the three coefficient blocks share the same transport, and the
+        # deciders revisit the same time points; memoize per t
+        if t not in cache:
+            mk = expm(t * a0)
+            mk_inv = expm(-t * a0)
+            z = np.zeros((n, m))
+            c = np.zeros((m, m))
+            a = np.zeros((m, n))
             for i in range(m):
+                ad_br = mk @ commutator(a0, system.controlled[i]) @ mk_inv
+                z[:, i] = chart.field_components(ad_br, origin)
+                a[i] = -(p_hat @ chart_field_jacobian(chart, ad_br))
                 for j in range(m):
-                    c_grid[k, i, j] = -pairing(pk, bracket_mats[i][j])
-                a_grid[k, i] = -(p_hat @ data.gdot_jac[k, i])
-        z_sp = CubicSpline(grid, data.gdot_chart, axis=0)
-        c_sp = CubicSpline(grid, c_grid, axis=0)
-        a_sp = CubicSpline(grid, a_grid, axis=0)
-        z_fn, c_fn, a_fn = z_sp, c_sp, a_sp
+                    c[i, j] = -pairing(
+                        p0, mk @ bracket_mats[i][j] @ mk_inv)
+            cache[t] = (z, c, a)
+        return cache[t]
+
+    def z_fn(t):
+        return lq_data(t)[0]
+
+    def c_fn(t):
+        return lq_data(t)[1]
+
+    def a_fn(t):
+        return lq_data(t)[2]
 
     return SecondVariationProblem(
         horizon=extremal.horizon, n=n, m=m, R=chart.R,
         z_fn=z_fn, c_fn=c_fn, a_fn=a_fn, e_mat=e_mat, p_hat=p_hat,
         rho=float(rho))
-
-
-def goh_transform(grid, delta_u):
-    """Goh variables: w_i(t) = int_t^T delta_u_i, backward trapezoid.
-
-    Returns (epsilon = w(0), w samples on the grid).
-    """
-    grid = np.asarray(grid, dtype=float)
-    delta_u = np.atleast_2d(np.asarray(delta_u, dtype=float))
-    if delta_u.shape[0] != grid.size:
-        delta_u = delta_u.T
-    w = np.zeros_like(delta_u)
-    for k in range(grid.size - 2, -1, -1):
-        h = grid[k + 1] - grid[k]
-        w[k] = w[k + 1] + 0.5 * h * (delta_u[k] + delta_u[k + 1])
-    return w[0].copy(), w
 
 
 @dataclass

@@ -1,19 +1,13 @@
-"""Control-affine system backends.
+"""Control-affine systems on matrix groups.
 
-Two backends are supported:
-
-* :class:`MatrixGroupSystem` -- left-invariant dynamics on a matrix group,
-  with exact commutator brackets. The generalized Dubins family on the three
-  space forms is built by :func:`build_dubins_system`.
-* :class:`ChartSystem` -- dynamics given by evaluable vector fields in a
-  single coordinate chart, with a user-supplied bracket oracle and a
-  finite-difference fallback.
+:class:`MatrixGroupSystem` models left-invariant dynamics on a matrix group,
+with exact commutator brackets. The generalized Dubins family on the three
+space forms is built by :func:`build_dubins_system`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,10 +76,6 @@ class MatrixGroupSystem:
     def epsilon(self) -> int:
         return EPSILON[self.space_form]
 
-    @property
-    def is_group(self) -> bool:
-        return True
-
     def bracket_matrix(self, word) -> np.ndarray:
         """Matrix of the bracket word, cached."""
         key = word
@@ -94,14 +84,6 @@ class MatrixGroupSystem:
             cached = resolve_word(word, self.drift, list(self.controlled))
             self._bracket_cache[key] = cached
         return cached
-
-    def structure_residual(self, a: np.ndarray) -> float:
-        """Membership residual of a matrix in the structure algebra."""
-        if self.space_form is SpaceForm.EUCLIDEAN:
-            return algebra.euclidean_residual(a)
-        if self.space_form is SpaceForm.SPHERE:
-            return algebra.so_residual(a)
-        return algebra.lorentz_residual(a)
 
     def group_residual(self, g: np.ndarray) -> float:
         """Deviation of g from the structure group (max norm)."""
@@ -300,253 +282,3 @@ def verify_structure_properties(
 
     return PropertyReport(tuple(checks))
 
-
-# ---------------------------------------------------------------------------
-# Chart backend
-# ---------------------------------------------------------------------------
-
-Monomial = tuple[float, tuple[int, ...]]
-
-
-class PolynomialField:
-    """Vector field with polynomial components, supporting exact brackets.
-
-    Each component is a list of (coefficient, exponent-tuple) monomials.
-    """
-
-    def __init__(self, components: list[list[Monomial]], n: int):
-        self.n = n
-        self.components = [
-            [(float(c), tuple(int(e) for e in ex)) for c, ex in comp]
-            for comp in components
-        ]
-        if len(self.components) != n:
-            raise ValueError("component count must equal the state dimension")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n)
-        for i, comp in enumerate(self.components):
-            for c, ex in comp:
-                out[i] += c * math.prod(x[k] ** e for k, e in enumerate(ex) if e)
-        return out
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        jac = np.zeros((self.n, self.n))
-        for i, comp in enumerate(self.components):
-            for c, ex in comp:
-                for k, e in enumerate(ex):
-                    if e == 0:
-                        continue
-                    term = c * e * x[k] ** (e - 1)
-                    for kk, ee in enumerate(ex):
-                        if kk == k or ee == 0:
-                            continue
-                        term *= x[kk] ** ee
-                    jac[i, k] += term
-        return jac
-
-    def bracket(self, other: "PolynomialField") -> "PolynomialField":
-        """Exact Lie bracket [self, other] = D(other) self - D(self) other."""
-
-        def poly_mul(a: list[Monomial], b: list[Monomial]) -> list[Monomial]:
-            acc: dict[tuple[int, ...], float] = {}
-            for ca, ea in a:
-                for cb, eb in b:
-                    ex = tuple(x + y for x, y in zip(ea, eb))
-                    acc[ex] = acc.get(ex, 0.0) + ca * cb
-            return [(c, e) for e, c in acc.items() if c != 0.0]
-
-        def partial(comp: list[Monomial], k: int) -> list[Monomial]:
-            out = []
-            for c, ex in comp:
-                if ex[k] == 0:
-                    continue
-                nex = list(ex)
-                nex[k] -= 1
-                out.append((c * ex[k], tuple(nex)))
-            return out
-
-        comps = []
-        for i in range(self.n):
-            acc: list[Monomial] = []
-            for k in range(self.n):
-                acc += poly_mul(partial(other.components[i], k), self.components[k])
-                acc += [
-                    (-c, e)
-                    for c, e in poly_mul(partial(self.components[i], k), other.components[k])
-                ]
-            merged: dict[tuple[int, ...], float] = {}
-            for c, e in acc:
-                merged[e] = merged.get(e, 0.0) + c
-            comps.append([(c, e) for e, c in merged.items() if c != 0.0])
-        return PolynomialField(comps, self.n)
-
-
-class FDBracketField:
-    """Finite-difference fallback bracket of two evaluable fields.
-
-    Uses central differences with the declared step; ``error_estimate``
-    reports the step-halving discrepancy at a point.
-    """
-
-    def __init__(self, f, g, n: int, h: float = 1e-5):
-        self.f, self.g, self.n, self.h = f, g, n, h
-
-    def _jac(self, fn, x, h):
-        jac = np.zeros((self.n, self.n))
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            jac[:, k] = (np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h)
-        return jac
-
-    def _value(self, x, h):
-        x = np.asarray(x, dtype=float)
-        return self._jac(self.g, x, h) @ np.asarray(self.f(x)) - self._jac(
-            self.f, x, h
-        ) @ np.asarray(self.g(x))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._value(x, self.h)
-
-    def error_estimate(self, x: np.ndarray) -> float:
-        return float(
-            np.max(np.abs(self._value(x, self.h) - self._value(x, self.h / 2)))
-        )
-
-
-class UnresolvableWordError(KeyError):
-    pass
-
-
-class ChartSystem:
-    """Control-affine system given by fields in one coordinate chart.
-
-    Parameters
-    ----------
-    n : state dimension
-    fields : list of m + 1 evaluable fields [f0, f1, ..., fm]
-    brackets : optional map from bracket words to evaluable fields; words not
-        present are derived exactly for polynomial fields, otherwise by the
-        finite-difference fallback.
-    fd_step : step for the finite-difference fallback
-    """
-
-    def __init__(self, n: int, fields: list, brackets: dict | None = None,
-                 fd_step: float = 1e-5):
-        if len(fields) < 2:
-            raise ValueError("need a drift and at least one controlled field")
-        self.n = int(n)
-        self.fields = list(fields)
-        self.bracket_oracle = dict(brackets or {})
-        self.fd_step = fd_step
-        self.uses_fd_fallback = False
-
-    @property
-    def m(self) -> int:
-        return len(self.fields) - 1
-
-    @property
-    def is_group(self) -> bool:
-        return False
-
-    def field_fn(self, word):
-        """Resolve a bracket word to an evaluable field."""
-        if isinstance(word, (int, np.integer)):
-            return self.fields[word]
-        if word in self.bracket_oracle:
-            return self.bracket_oracle[word]
-        a, b = word
-        fa, fb = self.field_fn(a), self.field_fn(b)
-        if isinstance(fa, PolynomialField) and isinstance(fb, PolynomialField):
-            out = fa.bracket(fb)
-        else:
-            out = FDBracketField(fa, fb, self.n, self.fd_step)
-            self.uses_fd_fallback = True
-        self.bracket_oracle[word] = out
-        return out
-
-    def controlled_closure(self, basepoint: np.ndarray, rtol: float = 1e-10):
-        """Bracket closure of the controlled fields, evaluated at a point.
-
-        Returns (words, R); assumes the distribution has constant rank near
-        the basepoint.
-        """
-        x0 = np.asarray(basepoint, dtype=float)
-        words: list = []
-        rows: list[np.ndarray] = []
-
-        def try_add(word) -> bool:
-            val = np.asarray(self.field_fn(word)(x0))
-            cand = rows + [val]
-            if numerical_rank(np.array(cand), rtol) > len(rows):
-                rows.append(val)
-                words.append(word)
-                return True
-            return False
-
-        for i in range(1, self.m + 1):
-            try_add(i)
-        frontier = list(words)
-        while frontier:
-            new = []
-            for wj in frontier:
-                for wk in list(words):
-                    if wk == wj:
-                        continue
-                    w = (wk, wj)
-                    if try_add(w):
-                        new.append(w)
-            frontier = new
-        return words, len(words)
-
-
-# ---------------------------------------------------------------------------
-# JSON ingestion
-# ---------------------------------------------------------------------------
-
-def system_from_json(doc: dict):
-    """Build a system from its JSON description.
-
-    ``{"kind": "dubins", "space": ..., "N": ...}`` or
-    ``{"kind": "chart", "n": ..., "fields": {...}, "brackets": {...}}`` where
-    each field is a list of per-component monomial lists ``[coeff, exponents]``.
-    """
-    kind = doc.get("kind")
-    if kind == "dubins":
-        return build_dubins_system(SpaceForm(doc["space"]), int(doc["N"]))
-    if kind == "chart":
-        n = int(doc["n"])
-        raw = doc["fields"]
-        names = sorted(raw.keys(), key=lambda s: int(s.lstrip("f")))
-        expected = [f"f{i}" for i in range(len(names))]
-        if names != expected:
-            raise ValueError(f"field names must be f0..f{len(names) - 1}, got {names}")
-        fields = [
-            PolynomialField([[(c, tuple(e)) for c, e in comp] for comp in raw[name]], n)
-            for name in expected
-        ]
-        brackets = {}
-        for key, comps in (doc.get("brackets") or {}).items():
-            word = _parse_word(key)
-            brackets[word] = PolynomialField(
-                [[(c, tuple(e)) for c, e in comp] for comp in comps], n
-            )
-        return ChartSystem(n, fields, brackets)
-    raise ValueError(f"unknown system kind: {kind!r}")
-
-
-def _parse_word(text: str):
-    """Parse '[1,2]' or '[0,[0,1]]' into a nested bracket word."""
-    import json as _json
-
-    def conv(obj):
-        if isinstance(obj, int):
-            return obj
-        if isinstance(obj, list) and len(obj) == 2:
-            return (conv(obj[0]), conv(obj[1]))
-        raise ValueError(f"bad bracket word {text!r}")
-
-    return conv(_json.loads(text))

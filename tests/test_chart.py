@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singcert.algebra import commutator, pairing
-from singcert.chart import FlowChart, GroupChart, OutOfChartError, dubins_adapted_chart
-from singcert.systems import ChartSystem, PolynomialField, build_dubins_system
+from singcert.algebra import pairing
+from singcert.chart import OutOfChartError, dubins_adapted_chart
+from singcert.systems import build_dubins_system
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +43,6 @@ def test_frame_matches_fd_of_forward(chart3):
         e[j] = h
         col = (chart.forward(x + e) - chart.forward(x - e)) / (2 * h)
         assert np.allclose(col, g @ v[j], atol=1e-8)
-
-
-def test_frame_jacobian_exact_vs_fd(chart3):
-    """dv_j/dx_k = [v_j, v_k] for k < j matches central differences."""
-    _, chart = chart3
-    rng = np.random.default_rng(4)
-    x = 0.1 * rng.standard_normal(chart.n)
-    jac = chart.frame_jacobian(x)
-    h = 1e-6
-    for k in range(chart.n):
-        e = np.zeros(chart.n)
-        e[k] = h
-        vp = chart.frame(x + e)
-        vm = chart.frame(x - e)
-        for j in range(chart.n):
-            fd = (vp[j] - vm[j]) / (2 * h)
-            assert np.allclose(fd, jac[j, k], atol=1e-8), (j, k)
 
 
 def test_inverse_roundtrip(chart3):
@@ -131,13 +114,13 @@ def test_field_components_unit_vectors_at_origin(chart3):
         assert np.allclose(c, expect, atol=1e-12)
 
 
-def test_flow_chart_roundtrip():
-    """Chart-backend chart inverts its own forward map."""
-    f1 = PolynomialField([[(1.0, (0, 0))], []], 2)
-    f2 = PolynomialField([[], [(1.0, (0, 0)), (0.5, (2, 0))]], 2)
-    sys_ = ChartSystem(2, [PolynomialField([[], []], 2), f1, f2])
-    chart = FlowChart(sys_, [f1, f2], R=1, basepoint=np.zeros(2))
-    x = np.array([0.2, -0.1])
-    q = chart.forward(x)
-    back = chart.inverse(q)
-    assert np.max(np.abs(back - x)) <= 1e-8
+def test_frame_pseudo_inverse(chart3):
+    """The chart frame is the system's algebra basis; b_pinv inverts it."""
+    sys_, chart = chart3
+    basis = sys_.full_algebra_basis()
+    assert len(chart.frame_algebra) == len(basis) == chart.n
+    for j, (b, f) in enumerate(zip(basis, chart.frame_algebra)):
+        assert np.array_equal(b, f)
+        expect = np.zeros(chart.n)
+        expect[j] = 1.0
+        assert np.allclose(chart.b_pinv @ b.ravel(), expect, atol=1e-12)

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from singcert import pipeline
+from singcert.chart import OutOfChartError
 from singcert.cli import main
+from singcert.geometry import ProjectionError
 from singcert.pipeline import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -19,6 +23,9 @@ FAST = {
     "falsifier": {"n_samples": 6},
     "galerkin_k": [8],
 }
+
+VERDICTS = {"optimality certified", "checks passed, not certified",
+            "not certified", "refuted", "no checks requested", "error"}
 
 
 def test_defaults_materialized():
@@ -44,6 +51,8 @@ def test_bad_values_rejected():
         load_config({"dt": -0.1})
     with pytest.raises(ConfigError):
         load_config({"system": {"kind": "dubins", "N": 2}})
+    with pytest.raises(ConfigError):
+        load_config({"system": {"kind": "chart"}})
 
 
 def test_empty_checks_is_echo_only():
@@ -170,3 +179,42 @@ def test_verdict_hierarchy_mixed_stages():
     assert report["verdict"] == "checks passed, not certified"
     full = run_check(FAST)
     assert full["verdict"] == "optimality certified"
+
+
+@pytest.mark.parametrize(
+    "exc", [OutOfChartError, ProjectionError, np.linalg.LinAlgError])
+def test_stage_error_contained(monkeypatch, tmp_path, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc("numerical breakdown")
+
+    monkeypatch.setattr(pipeline, "certificate_check", broken)
+    cfg = {**FAST, "checks": ["conditions", "certificate", "falsifier"]}
+    report = run_check(cfg)
+    assert report["stages"]["conditions"]["status"] == "passed"
+    assert report["stages"]["certificate"] == {
+        "status": "error",
+        "error": {"type": exc.__name__, "message": "numerical breakdown"}}
+    assert report["stages"]["falsifier"]["status"] == "skipped"
+    assert report["verdict"] == "error"
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["check", str(cfg_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "error"
+    code = main(["sweep", str(cfg_path), "--param", "K", "--values", "8"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)[0]["verdict"] == "error"
+
+
+def test_sphere_run_ends_in_verdict():
+    """A curved space form yields a report, never a traceback."""
+    report = run_check({
+        "system": {"kind": "dubins", "space_form": "sphere", "N": 3},
+        "galerkin_k": [4],
+        "certificate": {"n_samples": 8, "grid_points": 5},
+        "checks": ["conditions", "coercivity", "certificate"]})
+    assert report["verdict"] in VERDICTS
+    for entry in report["stages"].values():
+        assert entry["status"] in {"passed", "failed", "skipped", "error"}
+        if entry["status"] == "error":
+            assert set(entry["error"]) == {"type", "message"}

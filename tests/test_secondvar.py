@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import ZeroControl
+from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
 from singcert.secondvar import (
     SecondVariationProblem,
@@ -16,10 +17,8 @@ from singcert.secondvar import (
     det_trace_to_csv,
     galerkin_assemble,
     galerkin_coercivity,
-    goh_transform,
     iota_equivalence_check,
     lq_hamiltonian,
-    pullback_fields,
 )
 from singcert.systems import build_dubins_system
 
@@ -67,36 +66,48 @@ def test_chart_jacobian_matches_fd(setup):
     assert np.max(np.abs(exact - fd)) <= 1e-9
 
 
-def test_pullback_gdot_constant_euclidean(setup):
+def test_pullback_gdot_constant_euclidean(setup, lq):
     """Flat Dubins: the pulled-back gdot fields are the constant f_{0i}."""
     sys_, chart, traj = setup
-    data = pullback_fields(sys_, traj, chart)
-    for k in range(0, traj.grid.size, 20):
+    for t in traj.grid[::20]:
+        z = lq.z_fn(t)
         for i in range(sys_.m):
             expect = np.zeros(chart.n)
             expect[chart.R + i] = 1.0
-            assert np.max(np.abs(data.gdot_chart[k, :, i] - expect)) <= 1e-12
+            assert np.max(np.abs(z[:, i] - expect)) <= 1e-12
 
 
-def test_pullback_gdot_is_time_derivative(setup):
-    sys_, chart, traj = setup
-    data = pullback_fields(sys_, traj, chart)
-    dt = traj.grid[1] - traj.grid[0]
-    for k in (10, 50, 90):
-        fd = (data.g_alg[k + 1] - data.g_alg[k - 1]) / (2 * dt)
-        assert np.max(np.abs(fd - data.gdot_alg[k])) <= 1e-4
+def test_pullback_gdot_is_time_derivative():
+    """Z(t) e_i is the time derivative of the pulled-back field Ad_M(t) A_i."""
+    h = 1e-4
+    for space in ("euclidean", "sphere"):
+        sys_ = build_dubins_system(space, 3)
+        chart = dubins_adapted_chart(sys_)
+        traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                                  ZeroControl(sys_.m),
+                                  np.linspace(0.0, 1.0, 11))
+        lq = assemble_lq(sys_, traj, chart)
+        origin = np.zeros(chart.n)
+
+        def pulled_back(t, i):
+            mk = expm(t * sys_.drift)
+            return chart.field_components(
+                mk @ sys_.controlled[i] @ np.linalg.inv(mk), origin)
+
+        for t in (0.1, 0.5, 0.9):
+            z = lq.z_fn(t)
+            for i in range(sys_.m):
+                fd = (pulled_back(t + h, i) - pulled_back(t - h, i)) / (2 * h)
+                assert np.max(np.abs(fd - z[:, i])) <= 1e-7, (space, t, i)
 
 
-def test_goh_transform_linear_control():
-    grid = np.linspace(0.0, 1.0, 401)
-    du = np.stack([2 * grid, np.cos(grid)], axis=1)
-    eps, w = goh_transform(grid, du)
-    # w_i(t) = int_t^1 du_i: 1 - t^2 and sin(1) - sin(t)
-    assert eps[0] == pytest.approx(1.0, abs=1e-5)
-    assert eps[1] == pytest.approx(np.sin(1.0), abs=1e-5)
-    k = 100
-    assert w[k, 0] == pytest.approx(1.0 - grid[k] ** 2, abs=1e-5)
-    assert w[k, 1] == pytest.approx(np.sin(1.0) - np.sin(grid[k]), abs=1e-5)
+def test_assemble_lq_rejects_nonzero_reference(setup):
+    sys_, chart, _ = setup
+    control = CallableControl(lambda t: np.full(sys_.m, 0.1), sys_.m)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_), control,
+                              np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError):
+        assemble_lq(sys_, traj, chart)
 
 
 def test_lq_data_dubins(lq, setup):

@@ -1,15 +1,12 @@
-"""Tests for the system backends and the Dubins family construction."""
+"""Tests for the matrix-group system and the Dubins family construction."""
 
 import numpy as np
 import pytest
 
 from singcert.algebra import commutator, jacobi_residual, numerical_rank
 from singcert.systems import (
-    ChartSystem,
-    PolynomialField,
     SpaceForm,
     build_dubins_system,
-    system_from_json,
     verify_structure_properties,
 )
 
@@ -96,84 +93,3 @@ def test_group_projection_roundtrip(space):
     fixed = sys_.project_to_group(noisy)
     assert sys_.group_residual(fixed) <= 1e-12
     assert np.max(np.abs(fixed - g)) <= 1e-6
-
-
-def test_polynomial_field_eval_and_jacobian():
-    # f(x) = (x0*x1, x0^2 + 3)
-    f = PolynomialField([[(1.0, (1, 1))], [(1.0, (2, 0)), (3.0, (0, 0))]], 2)
-    x = np.array([2.0, 5.0])
-    assert np.allclose(f(x), [10.0, 7.0])
-    assert np.allclose(f.jacobian(x), [[5.0, 2.0], [4.0, 0.0]])
-
-
-def test_polynomial_bracket_exact():
-    """[f, g] for linear fields matches the matrix commutator."""
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-    def linfield(mat):
-        return PolynomialField(
-            [[(mat[i, k], tuple(int(k == j) for j in range(2))) for k in range(2)]
-             for i in range(2)],
-            2,
-        )
-
-    fa, fb = linfield(a), linfield(b)
-    br = fa.bracket(fb)
-    expect = b @ a - a @ b  # [Ax, Bx] = (BA - AB) x
-    x = np.array([0.7, -0.3])
-    assert np.allclose(br(x), expect @ x, atol=1e-14)
-
-
-def test_chart_system_fd_fallback_flagged():
-    def f0(x):
-        return np.array([np.sin(x[1]), 0.0])
-
-    def f1(x):
-        return np.array([0.0, 1.0])
-
-    sys_ = ChartSystem(2, [f0, f1])
-    br = sys_.field_fn((1, 0))
-    x = np.array([0.2, 0.4])
-    # [f1, f0] = Df0 f1 = (cos(x1), 0)
-    assert np.allclose(br(x), [np.cos(0.4), 0.0], atol=1e-8)
-    assert sys_.uses_fd_fallback
-    assert br.error_estimate(x) <= 1e-8
-
-
-def test_chart_controlled_closure():
-    """Heisenberg-type fields close with one depth-2 bracket."""
-    f1 = PolynomialField([[(1.0, (0, 0, 0))], [], []], 3)
-    f2 = PolynomialField([[], [(1.0, (0, 0, 0))], [(1.0, (1, 0, 0))]], 3)
-    f0 = PolynomialField([[], [], []], 3)
-    sys_ = ChartSystem(3, [f0, f1, f2])
-    words, r = sys_.controlled_closure(np.zeros(3))
-    assert r == 3
-    assert words[:2] == [1, 2]
-
-
-def test_system_from_json_dubins():
-    sys_ = system_from_json({"kind": "dubins", "space": "sphere", "N": 3})
-    assert sys_.space_form is SpaceForm.SPHERE
-    assert sys_.N == 3
-
-
-def test_system_from_json_chart_with_brackets():
-    doc = {
-        "kind": "chart",
-        "n": 2,
-        "fields": {
-            "f0": [[], []],
-            "f1": [[[1.0, [0, 0]]], []],
-            "f2": [[], [[1.0, [1, 0]]]],
-        },
-        "brackets": {"[1,2]": [[], [[1.0, [0, 0]]]]},
-    }
-    sys_ = system_from_json(doc)
-    val = sys_.field_fn((1, 2))(np.array([0.0, 0.0]))
-    assert np.allclose(val, [0.0, 1.0])
-
-
-def test_system_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        system_from_json({"kind": "mystery"})
