@@ -111,23 +111,6 @@ def so_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a + a.T)))
 
 
-def lorentz_residual(a: np.ndarray) -> float:
-    """Membership residual in so(1, d-1): max-norm of A^T J + J A."""
-    d = a.shape[0]
-    j = np.eye(d)
-    j[0, 0] = -1.0
-    return float(np.max(np.abs(a.T @ j + j @ a)))
-
-
-def euclidean_residual(a: np.ndarray) -> float:
-    """Membership residual in the Euclidean-group algebra block pattern.
-
-    Elements look like [[0, 0], [v, S]] with S antisymmetric.
-    """
-    top = float(np.max(np.abs(a[0, :])))
-    return max(top, so_residual(a[1:, 1:]))
-
-
 def pairing(p: np.ndarray, a: np.ndarray) -> float:
     """Trace pairing <p, A> = trace(p^T A) on the ambient matrix space."""
     return float(np.tensordot(p, a, axes=2))

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .algebra import pairing
+from .numerics import damped_newton
 from .systems import MatrixGroupSystem
 
 
@@ -85,36 +86,27 @@ class GroupChart:
                 radius: float = np.inf) -> np.ndarray:
         """Damped Newton solve of forward(x) = q.
 
-        Iterates leaving the ball of the given radius report out-of-chart.
+        Iterates outside the ball of the given radius, the start included,
+        report out-of-chart.
         """
         x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
 
+        def inside(xv):
+            if np.linalg.norm(xv) > radius:
+                raise OutOfChartError("iterate left the chart validity radius")
+            return xv
+
         def residual(xv):
             rel = np.linalg.solve(self.forward(xv), q)
-            e = logm(rel)
-            e = np.real(e)
-            return e, float(np.max(np.abs(e)))
+            return np.real(logm(rel)), None
 
-        e, r = residual(x)
-        for _ in range(max_iter):
-            if r <= tol:
-                return x
-            step = self.solve_in_frame(x, e)
-            damp = 1.0
-            for _ in range(30):
-                cand = x + damp * step
-                e_new, r_new = residual(cand)
-                if r_new < r:
-                    x, e, r = cand, e_new, r_new
-                    break
-                damp *= 0.5
-            else:
-                raise OutOfChartError("Newton stalled during chart inversion")
-            if np.linalg.norm(x) > radius:
-                raise OutOfChartError("iterate left the chart validity radius")
-        if r <= tol:
-            return x
-        raise OutOfChartError("chart inversion did not converge")
+        def direction(xv, e, _):
+            return self.solve_in_frame(inside(xv), e)
+
+        x, _, _ = damped_newton(
+            residual, direction, x, tol, max_iter, 30,
+            lambda msg: OutOfChartError(f"{msg} during chart inversion"))
+        return inside(x)
 
     def covector_to_chart(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Chart momentum y_j = <p, v_j(x)>."""

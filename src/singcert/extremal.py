@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import commutator, numerical_rank, pairing, span_contains
-from .controls import ZeroControl
+from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
 
 
@@ -50,14 +50,6 @@ class LegendreForm:
         return float(np.max(np.abs(self.entries - self.entries.T)))
 
 
-def _rk4_step(m: np.ndarray, rhs_at, t: float, h: float) -> np.ndarray:
-    k1 = m @ rhs_at(t)
-    k2 = (m + 0.5 * h * k1) @ rhs_at(t + 0.5 * h)
-    k3 = (m + 0.5 * h * k2) @ rhs_at(t + 0.5 * h)
-    k4 = (m + h * k3) @ rhs_at(t + h)
-    return m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def reference_flow(system: MatrixGroupSystem, u_hat, grid) -> list[np.ndarray]:
     """Solve M' = M (A0 + sum u_i A_i), M(0) = I on the time grid.
 
@@ -69,20 +61,13 @@ def reference_flow(system: MatrixGroupSystem, u_hat, grid) -> list[np.ndarray]:
     if getattr(u_hat, "is_zero", False):
         return [expm(t * a0) for t in grid]
 
-    def rhs_at(t):
+    def rhs(t, m):
         u = u_hat(t)
-        return a0 + sum(u[i] * system.controlled[i] for i in range(system.m))
+        return m @ (a0 + sum(u[i] * system.controlled[i]
+                             for i in range(system.m)))
 
-    out = [np.eye(system.d)]
-    m = out[0]
-    for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        if h <= 0:
-            raise ValueError("grid must be strictly increasing")
-        m = _rk4_step(m, rhs_at, grid[k], h)
-        m = system.project_to_group(m)
-        out.append(m)
-    return out
+    return rk4_flow(rhs, grid, np.eye(system.d),
+                    lambda t, m: system.project_to_group(m))
 
 
 def coadjoint_transport(p0: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chart import dubins_adapted_chart
+from .chart import GroupChart, dubins_adapted_chart
 from .controls import CallableControl
 from .extremal import ExtremalTrajectory, reference_flow
 from .systems import MatrixGroupSystem
@@ -205,13 +205,13 @@ class TargetSpec:
     """
 
     def __init__(self, system: MatrixGroupSystem, q_f: np.ndarray,
-                 tol: float = 1e-6, log_radius: float = 0.9):
+                 chart: GroupChart, tol: float = 1e-6,
+                 log_radius: float = 0.9):
         self.system = system
         self.q_f = q_f
         self.q_f_inv = np.linalg.inv(q_f)
         self.tol = tol
         self.log_radius = log_radius
-        chart = dubins_adapted_chart(system)
         self.R = chart.R
         self.b_pinv = chart.b_pinv
 

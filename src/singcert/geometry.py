@@ -15,8 +15,9 @@ from scipy.linalg import expm
 from scipy.stats import qmc
 
 from .algebra import commutator, pairing
-from .chart import GroupChart, dubins_adapted_chart
+from .chart import GroupChart
 from .extremal import ExtremalPoint, ExtremalTrajectory, legendre_form
+from .numerics import damped_newton, rk4_flow
 from .systems import MatrixGroupSystem
 
 
@@ -102,50 +103,44 @@ class GroupGeometry:
         return ExtremalPoint(q=q, p=p, t=point.t, u=point.u)
 
     def _phi_system(self, p: np.ndarray, theta: np.ndarray):
-        """Residual Phi_i(theta) = <p, Ad_e A_0i> and its exact Jacobian."""
+        """Residual Phi_i(theta) = <p, Ad_e A_0i>, its exact Jacobian, and
+        d_ad(B, j), the derivative of Ad_e B along theta_j."""
         t_mat = sum(theta[i] * self.ai[i] for i in range(self.m))
         e = expm(t_mat)
         e_inv = expm(-t_mat)
         ad_a0i = [e @ a @ e_inv for a in self.a0i]
         phi = np.array([pairing(p, v) for v in ad_a0i])
-        jac = np.zeros((self.m, self.m))
-        for j in range(self.m):
-            de = _dexp(t_mat, self.ai[j])
-            de_inv = -e_inv @ de @ e_inv
-            for i in range(self.m):
-                w = de @ self.a0i[i] @ e_inv + e @ self.a0i[i] @ de_inv
-                jac[i, j] = pairing(p, w)
-        return phi, jac, e, e_inv, ad_a0i
+        des = [_dexp(t_mat, a) for a in self.ai]
+        de_invs = [-e_inv @ de @ e_inv for de in des]
+
+        def d_ad(b, j):
+            return des[j] @ b @ e_inv + e @ b @ de_invs[j]
+
+        jac = np.array([[pairing(p, d_ad(a, j)) for j in range(self.m)]
+                        for a in self.a0i])
+        return phi, jac, e, e_inv, ad_a0i, d_ad
 
     def solve_theta(self, p: np.ndarray, theta0: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 50):
-        """Damped Newton for the multipliers theta with F_0i(psi) = 0."""
+        """Damped Newton for the multipliers theta with F_0i(psi) = 0.
+
+        Returns (theta, residual, Newton steps taken).
+        """
         theta = (np.zeros(self.m) if theta0 is None
                  else np.asarray(theta0, dtype=float).copy())
-        phi, jac, *_ = self._phi_system(p, theta)
-        res = float(np.max(np.abs(phi)))
-        iters = 0
-        while res > tol:
-            if iters >= max_iter:
-                raise ProjectionError(
-                    f"projection Newton did not converge (residual {res:.3e})")
+
+        def residual(th):
+            phi, jac, *_ = self._phi_system(p, th)
+            return phi, jac
+
+        def direction(_th, phi, jac):
             try:
-                step = np.linalg.solve(jac, -phi)
+                return np.linalg.solve(jac, -phi)
             except np.linalg.LinAlgError as exc:
                 raise ProjectionError("projection Jacobian breakdown") from exc
-            damp = 1.0
-            for _ in range(25):
-                cand = theta + damp * step
-                phi_c, jac_c, *_ = self._phi_system(p, cand)
-                res_c = float(np.max(np.abs(phi_c)))
-                if res_c < res:
-                    theta, phi, jac, res = cand, phi_c, jac_c, res_c
-                    break
-                damp *= 0.5
-            else:
-                raise ProjectionError("projection Newton stalled")
-            iters += 1
-        return theta, res, iters
+
+        return damped_newton(residual, direction, theta, tol, max_iter, 25,
+                             lambda msg: ProjectionError(f"projection {msg}"))
 
     def phi_projection(self, point: ExtremalPoint,
                        theta0: np.ndarray | None = None) -> ProjectionResult:
@@ -175,28 +170,15 @@ class GroupGeometry:
         Phi(p, theta(p)) = 0.
         """
         theta, _, _ = self.solve_theta(p, theta0)
-        phi, jac, e, e_inv, ad_a0i = self._phi_system(p, theta)
-        t_mat = sum(theta[i] * self.ai[i] for i in range(self.m))
+        _, jac, e, e_inv, ad_a0i, d_ad = self._phi_system(p, theta)
         v0 = e @ self.a0 @ e_inv
         # c_j = <p, d/dtheta_j Ad_e A_0>
-        c = np.zeros(self.m)
-        for j in range(self.m):
-            de = _dexp(t_mat, self.ai[j])
-            de_inv = -e_inv @ de @ e_inv
-            w = de @ self.a0 @ e_inv + e @ self.a0 @ de_inv
-            c[j] = pairing(p, w)
+        c = np.array([pairing(p, d_ad(self.a0, j)) for j in range(self.m)])
         dcoef = np.linalg.solve(jac.T, c)
         grad = v0 - sum(dcoef[i] * ad_a0i[i] for i in range(self.m))
         return grad, theta
 
     # -- super-Hamiltonian flow --------------------------------------------
-
-    def _flow_rhs(self, g: np.ndarray, p: np.ndarray, u: np.ndarray,
-                  theta0: np.ndarray):
-        mh, theta = self.grad_h0(p, theta0)
-        if u is not None and np.any(u != 0.0):
-            mh = mh + sum(u[i] * self.ai[i] for i in range(self.m))
-        return g @ mh, mh.T @ p - p @ mh.T, theta
 
     def super_hamiltonian_flow(self, point: ExtremalPoint, grid,
                                u_hat=None, sigma_tol: float = 1e-6,
@@ -207,28 +189,29 @@ class GroupGeometry:
         aborts if a Sigma-initialized sample drifts off Sigma.
         """
         grid = np.asarray(grid, dtype=float)
-        g, p = point.q.copy(), point.p.copy()
         theta = np.zeros(self.m)
-        out = [ExtremalPoint(q=g, p=p, t=float(grid[0]))]
-        for k in range(grid.size - 1):
-            h = grid[k + 1] - grid[k]
-            u = None if u_hat is None else u_hat(grid[k])
-            uh = None if u_hat is None else u_hat(grid[k] + 0.5 * h)
-            u1 = None if u_hat is None else u_hat(grid[k + 1])
-            dg1, dp1, theta = self._flow_rhs(g, p, u, theta)
-            dg2, dp2, _ = self._flow_rhs(g + 0.5 * h * dg1, p + 0.5 * h * dp1,
-                                         uh, theta)
-            dg3, dp3, _ = self._flow_rhs(g + 0.5 * h * dg2, p + 0.5 * h * dp2,
-                                         uh, theta)
-            dg4, dp4, _ = self._flow_rhs(g + h * dg3, p + h * dp3, u1, theta)
-            g = g + (h / 6.0) * (dg1 + 2 * dg2 + 2 * dg3 + dg4)
-            p = p + (h / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-            if monitor_sigma and self.sigma_residual(p) > sigma_tol:
+
+        def rhs(t, y):
+            # each multiplier solve warm-starts from the previous one
+            nonlocal theta
+            g, p = y
+            mh, theta = self.grad_h0(p, theta)
+            u = None if u_hat is None else u_hat(t)
+            if u is not None and np.any(u != 0.0):
+                mh = mh + sum(u[i] * self.ai[i] for i in range(self.m))
+            return np.array([g @ mh, mh.T @ p - p @ mh.T])
+
+        def sigma_monitor(t, y):
+            if self.sigma_residual(y[1]) > sigma_tol:
                 raise ProjectionError(
-                    f"Sigma drift {self.sigma_residual(p):.3e} above "
-                    f"tolerance at t = {grid[k + 1]:.6f}")
-            out.append(ExtremalPoint(q=g, p=p, t=float(grid[k + 1])))
-        return out
+                    f"Sigma drift {self.sigma_residual(y[1]):.3e} above "
+                    f"tolerance at t = {t:.6f}")
+            return y
+
+        states = rk4_flow(rhs, grid, np.array([point.q, point.p]),
+                          sigma_monitor if monitor_sigma else None)
+        return [ExtremalPoint(q=y[0], p=y[1], t=float(t))
+                for t, y in zip(grid, states)]
 
     # -- chi Hessian cross-check -------------------------------------------
 
@@ -281,10 +264,11 @@ def hamiltonian_direction(p: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
-                      rho: float, lambda_radius: float = 0.1,
-                      grid=None, n_samples: int = 128, seed: int = 0,
-                      fd_step: float = 1e-5, margin: float = 1e-3,
-                      chart: GroupChart | None = None) -> CertificateReport:
+                      chart: GroupChart, rho: float,
+                      lambda_radius: float = 0.1, grid=None,
+                      n_samples: int = 128, seed: int = 0,
+                      fd_step: float = 1e-5,
+                      margin: float = 1e-3) -> CertificateReport:
     """Field-of-extremals certificate via the dominating Hamiltonian flow.
 
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart,
@@ -293,8 +277,6 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     value of the base projection.
     """
     geom = GroupGeometry(system)
-    if chart is None:
-        chart = dubins_adapted_chart(system)
     n = chart.n
     r_dim = chart.R
     if grid is None:

@@ -1,0 +1,64 @@
+"""The two solvers every stage shares: classical RK4 and damped Newton."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
+    """Classical RK4 for y' = f(t, y) on a strictly increasing grid.
+
+    Returns the states on the grid, y0 first. after_step(t, y), when
+    given, sees each new state at its grid time and returns the state to
+    keep (a projection) or raises (a monitor).
+    """
+    grid = np.asarray(grid, dtype=float)
+    y = y0
+    out = [y]
+    for k in range(grid.size - 1):
+        t = grid[k]
+        h = grid[k + 1] - t
+        if h <= 0:
+            raise ValueError("grid must be strictly increasing")
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if after_step is not None:
+            y = after_step(grid[k + 1], y)
+        out.append(y)
+    return out
+
+
+def damped_newton(residual, direction, x: np.ndarray, tol: float,
+                  max_iter: int, halvings: int, fail):
+    """Newton iteration with step halving on a max-norm residual.
+
+    residual(x) returns (f, aux), the residual array and what else
+    direction(x, f, aux) needs to give the Newton step. A step is taken at
+    the first of `halvings` halvings that lowers max|f|; NaN never counts
+    as converged. fail(message) returns the exception to raise when no
+    halving lowers max|f| or max_iter steps leave it above tol.
+    Returns (x, max|f|, steps taken).
+    """
+    f, aux = residual(x)
+    r = float(np.max(np.abs(f)))
+    iters = 0
+    while not r <= tol:
+        if iters >= max_iter:
+            raise fail(f"Newton did not converge (residual {r:.3e})")
+        step = direction(x, f, aux)
+        damp = 1.0
+        for _ in range(halvings):
+            cand = x + damp * step
+            f_c, aux_c = residual(cand)
+            r_c = float(np.max(np.abs(f_c)))
+            if r_c < r:
+                x, f, aux, r = cand, f_c, aux_c, r_c
+                break
+            damp *= 0.5
+        else:
+            raise fail("Newton stalled")
+        iters += 1
+    return x, r, iters

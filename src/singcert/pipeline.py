@@ -81,9 +81,12 @@ CONFIG_SCHEMA = {
                 "sglc_min_margin": {"type": "number"},
             },
         },
-        "rho_grid": {"type": "array", "items": {"type": "number"}},
+        "rho_grid": {"type": "array", "items": {"type": "number"},
+                     "minItems": 1},
+        # one K per run; the K sweep runs several
         "galerkin_k": {"type": "array",
-                       "items": {"type": "integer", "minimum": 4}},
+                       "items": {"type": "integer", "minimum": 4},
+                       "minItems": 1, "maxItems": 1},
         "certificate": {
             "type": "object",
             "additionalProperties": False,
@@ -238,7 +241,7 @@ def run_check(config: dict) -> dict:
                 cert_grid = np.linspace(0.0, config["horizon"],
                                         cert_cfg["grid_points"])
                 report = certificate_check(
-                    system, trajectory, rho=cert_cfg["rho"],
+                    system, trajectory, chart, rho=cert_cfg["rho"],
                     lambda_radius=cert_cfg["lambda_radius"], grid=cert_grid,
                     n_samples=cert_cfg["n_samples"], seed=cert_cfg["seed"])
                 stages[stage] = {
@@ -253,7 +256,7 @@ def run_check(config: dict) -> dict:
                                         os.path.join(csv_dir, "flow.csv"))
             elif stage == "falsifier":
                 fals_cfg = config["falsifier"]
-                target = TargetSpec(system, trajectory.points[-1].q)
+                target = TargetSpec(system, trajectory.points[-1].q, chart)
                 report = competitor_sweep(
                     system, trajectory, target,
                     n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],

@@ -18,6 +18,7 @@ from .algebra import commutator, pairing
 from .chart import GroupChart
 from .extremal import ExtremalPoint, ExtremalTrajectory
 from .geometry import GroupGeometry
+from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -298,31 +299,20 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho: float,
     """Det of the base projection of the transported L'' subspace."""
     n, m, r = problem.n, problem.m, problem.R
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
-    x = np.eye(n)
     omega = np.zeros((n, n))
     for j in range(r, n):
         omega[j, j] = -rho
 
-    def rhs(t, om, xx):
+    def rhs(t, y):
+        om, xx = y
         z_t = problem.z_fn(t)
         a_t = problem.a_fn(t)
         l_inv = np.linalg.inv(-problem.c_fn(t))
         b = l_inv @ (z_t.T @ om + a_t @ xx)
-        return -a_t.T @ b, z_t @ b
+        return np.array([-a_t.T @ b, z_t @ b])
 
-    dets = np.zeros(grid.size)
-    dets[0] = np.linalg.det(x)
-    for k in range(n_steps):
-        h = grid[k + 1] - grid[k]
-        t = grid[k]
-        do1, dx1 = rhs(t, omega, x)
-        do2, dx2 = rhs(t + 0.5 * h, omega + 0.5 * h * do1, x + 0.5 * h * dx1)
-        do3, dx3 = rhs(t + 0.5 * h, omega + 0.5 * h * do2, x + 0.5 * h * dx2)
-        do4, dx4 = rhs(t + h, omega + h * do3, x + h * dx3)
-        omega = omega + (h / 6.0) * (do1 + 2 * do2 + 2 * do3 + do4)
-        x = x + (h / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
-        dets[k + 1] = np.linalg.det(x)
-    return grid, dets
+    states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
+    return grid, np.array([np.linalg.det(y[1]) for y in states])
 
 
 def conjugate_point_test(problem: SecondVariationProblem,

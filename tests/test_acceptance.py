@@ -156,7 +156,7 @@ def test_criterion_6_geometry_suite(dub3, chart3, extremal3):
 
 
 def test_criterion_7_certificate(dub3, chart3, extremal3, lq3):
-    report = certificate_check(dub3, extremal3, rho=1.0,
+    report = certificate_check(dub3, extremal3, chart3, rho=1.0,
                                grid=np.linspace(0.0, 1.0, 33))
     assert report.certified
     assert report.min_singular_value > 0.0
@@ -167,8 +167,8 @@ def test_criterion_7_certificate(dub3, chart3, extremal3, lq3):
     assert equiv["min_order"] >= 1.8
 
 
-def test_criterion_8_falsifier(dub3, extremal3):
-    target = TargetSpec(dub3, extremal3.points[-1].q)
+def test_criterion_8_falsifier(dub3, chart3, extremal3):
+    target = TargetSpec(dub3, extremal3.points[-1].q, chart3)
     sweep = competitor_sweep(dub3, extremal3, target, n_samples=200,
                              radius=0.1, seed=0)
     assert sweep.verdict == "no counterexample"
@@ -178,7 +178,7 @@ def test_criterion_8_falsifier(dub3, extremal3):
     p0 = dubins_initial_covector(dub3)
     loop = adjoint_trajectory(dub3, p0, u_loop,
                               np.linspace(0.0, 2.0 * np.pi, 129))
-    loop_target = TargetSpec(dub3, loop.points[-1].q)
+    loop_target = TargetSpec(dub3, loop.points[-1].q, chart3)
     refutation = competitor_sweep(dub3, loop, loop_target, n_samples=9,
                                   radius=0.1, seed=1)
     assert refutation.refuted

@@ -81,12 +81,6 @@ def test_span_contains_residual():
 def test_structure_residuals():
     e1, _, _ = so3_basis()
     assert algebra.so_residual(e1) == 0.0
-    j_elem = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert algebra.lorentz_residual(j_elem) <= 1e-15
-    eucl = np.zeros((3, 3))
-    eucl[1, 0] = 1.0
-    assert algebra.euclidean_residual(eucl) == 0.0
-    assert algebra.euclidean_residual(eucl.T) == 1.0
 
 
 def test_trace_pairing():

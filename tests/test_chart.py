@@ -62,6 +62,15 @@ def test_inverse_out_of_chart(chart3):
         chart.inverse(far, radius=0.5)
 
 
+def test_inverse_radius_checks_converging_step(chart3):
+    """The iterate Newton converges to is held to the radius too."""
+    _, chart = chart3
+    x_true = np.full(chart.n, 0.05)
+    with pytest.raises(OutOfChartError):
+        chart.inverse(chart.forward(x_true), x0=x_true * (1 - 1e-9),
+                      radius=np.linalg.norm(x_true) - 1e-10)
+
+
 def test_controlled_flows_fix_transverse_coordinates(chart3):
     """L_f x_i = 0 for f in the controlled algebra and i > R, exactly."""
     sys_, chart = chart3

@@ -53,6 +53,11 @@ def test_bad_values_rejected():
         load_config({"system": {"kind": "dubins", "N": 2}})
     with pytest.raises(ConfigError):
         load_config({"system": {"kind": "chart"}})
+    # arrays the pipeline cannot run: no K, no rho, more than one K
+    for doc in ({"galerkin_k": []}, {"rho_grid": []},
+                {"galerkin_k": [8, 16]}):
+        with pytest.raises(ConfigError):
+            load_config(doc)
 
 
 def test_empty_checks_is_echo_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from singcert.chart import dubins_adapted_chart
 from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
 from singcert.falsifier import (
@@ -137,7 +138,7 @@ def test_pullback_displacement_first_order(dub3):
 
 def test_target_spec_reference_endpoint(dub3, extremal3):
     q_f = extremal3.points[-1].q
-    target = TargetSpec(dub3, q_f)
+    target = TargetSpec(dub3, q_f, dubins_adapted_chart(dub3))
     assert target.residual(q_f) <= 1e-14
     # displacing along a controlled direction stays on the orbit
     moved = q_f @ expm(0.2 * dub3.controlled[0])
@@ -148,7 +149,7 @@ def test_target_spec_reference_endpoint(dub3, extremal3):
 
 
 def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
-    target = TargetSpec(dub3, extremal3.points[-1].q)
+    target = TargetSpec(dub3, extremal3.points[-1].q, dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=3,
                               radius=0.0, seed=5)
     assert report.verdict == "no counterexample"
@@ -156,7 +157,7 @@ def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
 
 
 def test_sweep_certified_arc_not_falsified(dub3, extremal3):
-    target = TargetSpec(dub3, extremal3.points[-1].q)
+    target = TargetSpec(dub3, extremal3.points[-1].q, dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=60,
                               radius=0.1, seed=7)
     assert report.verdict == "no counterexample"
@@ -164,7 +165,7 @@ def test_sweep_certified_arc_not_falsified(dub3, extremal3):
 
 
 def test_sweep_deterministic(dub3, extremal3):
-    target = TargetSpec(dub3, extremal3.points[-1].q)
+    target = TargetSpec(dub3, extremal3.points[-1].q, dubins_adapted_chart(dub3))
     a = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
                          seed=9)
     b = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
@@ -180,7 +181,7 @@ def test_sweep_refutes_manufactured_loop(dub3):
     p0 = dubins_initial_covector(dub3)
     traj = adjoint_trajectory(dub3, p0, u_loop, grid)
     assert np.max(np.abs(traj.points[-1].q - np.eye(dub3.d))) <= 1e-6
-    target = TargetSpec(dub3, traj.points[-1].q)
+    target = TargetSpec(dub3, traj.points[-1].q, dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, traj, target, n_samples=9, radius=0.1,
                               seed=11)
     assert report.refuted
@@ -189,7 +190,7 @@ def test_sweep_refutes_manufactured_loop(dub3):
 
 
 def test_report_csv(tmp_path, dub3, extremal3):
-    target = TargetSpec(dub3, extremal3.points[-1].q)
+    target = TargetSpec(dub3, extremal3.points[-1].q, dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=6,
                               radius=0.05, seed=3)
     path = tmp_path / "sweep.csv"

@@ -222,7 +222,7 @@ def test_sigma_flow_stays_on_sigma(setup):
 
 def test_certificate_dubins_rho_one(setup):
     sys_, _, traj = setup
-    report = certificate_check(sys_, traj, rho=1.0,
+    report = certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=1.0,
                                grid=np.linspace(0, 1, 51))
     assert report.certified
     assert report.min_singular_value > 0.0
@@ -234,7 +234,7 @@ def test_certificate_rho_independent_for_dubins(setup):
     """In the exponential-product chart the Dubins cross-term matrix
     vanishes, so even rho = 0 keeps the base projection invertible."""
     sys_, _, traj = setup
-    report = certificate_check(sys_, traj, rho=0.0,
+    report = certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=0.0,
                                grid=np.linspace(0, 1, 26))
     assert report.min_singular_value > 0.5
 
