@@ -103,7 +103,7 @@ class GroupChart:
         def direction(xv, e, _):
             return self.solve_in_frame(inside(xv), e)
 
-        x, _, _ = damped_newton(
+        x, *_ = damped_newton(
             residual, direction, x, tol, max_iter, 30,
             lambda msg: OutOfChartError(f"{msg} during chart inversion"))
         return inside(x)
@@ -118,10 +118,6 @@ class GroupChart:
         stack = np.array([b.ravel() for b in v])
         p, *_ = np.linalg.lstsq(stack, np.asarray(y, dtype=float), rcond=None)
         return p.reshape(v[0].shape)
-
-    def field_components(self, algebra_elem: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Chart components of the left-invariant field g A at the point x."""
-        return self.solve_in_frame(x, algebra_elem)
 
 
 def dubins_adapted_chart(system: MatrixGroupSystem,

@@ -139,7 +139,7 @@ def driftless_scaling_check(system: MatrixGroupSystem, t_vec,
     lin = sum((needle.t_vec[k] - needle.t_bar[k])
               * system.controlled[needle.channels[k]]
               for k in range(len(needle.channels)))
-    base = chart.field_components(lin, np.zeros(chart.n))
+    base = chart.solve_in_frame(np.zeros(chart.n), lin)
     rows = []
     for eps in eps_grid:
         end = driftless_endpoint(system, needle, eps=eps)
@@ -336,34 +336,6 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     return FalsificationReport(
         n_samples=n_samples, min_arrival=min_arrival, radius=radius,
         horizon=t_hat, verdict=verdict, records=records, witness=witness)
-
-
-def pullback_displacement(system: MatrixGroupSystem,
-                          needle: NeedleVariation,
-                          n_steps: int = 64) -> np.ndarray:
-    """Chart coordinates of the window pull-back displacement.
-
-    Integrates the full dynamics across the needle window starting at the
-    reference state, then pulls back by the reference window flow. To
-    first order the result is eps times the driftless word displacement.
-    """
-    s_bar = needle.s_bar
-    bounds = needle.piece_boundaries() - s_bar
-    fine = [np.linspace(x, y, n_steps // (len(bounds) - 1) + 2)[:-1]
-            for x, y in zip(bounds[:-1], bounds[1:])]
-    grid = np.unique(np.concatenate(fine + [[bounds[-1]]]))
-    perturbed = reference_flow(
-        system, CallableControl(
-            lambda s: np.asarray(needle(s_bar + s), dtype=float), system.m),
-        grid)[-1]
-    reference = reference_flow(
-        system, CallableControl(
-            lambda s: np.asarray(needle.u_hat(s_bar + s), dtype=float),
-            system.m),
-        grid)[-1]
-    rel = np.linalg.inv(reference) @ perturbed
-    chart = dubins_adapted_chart(system)
-    return chart.inverse(rel)
 
 
 def report_to_csv(report: FalsificationReport, path) -> None:

@@ -124,18 +124,18 @@ class GroupGeometry:
                     tol: float = 1e-12, max_iter: int = 50):
         """Damped Newton for the multipliers theta with F_0i(psi) = 0.
 
-        Returns (theta, residual, Newton steps taken).
+        Returns (theta, residual, Newton steps taken, _phi_system at theta).
         """
         theta = (np.zeros(self.m) if theta0 is None
                  else np.asarray(theta0, dtype=float).copy())
 
         def residual(th):
-            phi, jac, *_ = self._phi_system(p, th)
-            return phi, jac
+            phi_sys = self._phi_system(p, th)
+            return phi_sys[0], phi_sys
 
-        def direction(_th, phi, jac):
+        def direction(_th, phi, phi_sys):
             try:
-                return np.linalg.solve(jac, -phi)
+                return np.linalg.solve(phi_sys[1], -phi)
             except np.linalg.LinAlgError as exc:
                 raise ProjectionError("projection Jacobian breakdown") from exc
 
@@ -148,7 +148,7 @@ class GroupGeometry:
         if np.max(np.linalg.eigvalsh(0.5 * (lf + lf.T))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
-        theta, res, iters = self.solve_theta(point.p, theta0)
+        theta, res, iters, _ = self.solve_theta(point.p, theta0)
         return ProjectionResult(theta, self.psi(point, theta), iters, res)
 
     # -- dominating Hamiltonian and gap ------------------------------------
@@ -169,8 +169,8 @@ class GroupGeometry:
         the multiplier sensitivities coming from the implicit equation
         Phi(p, theta(p)) = 0.
         """
-        theta, _, _ = self.solve_theta(p, theta0)
-        _, jac, e, e_inv, ad_a0i, d_ad = self._phi_system(p, theta)
+        theta, _, _, phi_sys = self.solve_theta(p, theta0)
+        _, jac, e, e_inv, ad_a0i, d_ad = phi_sys
         v0 = e @ self.a0 @ e_inv
         # c_j = <p, d/dtheta_j Ad_e A_0>
         c = np.array([pairing(p, d_ad(self.a0, j)) for j in range(self.m)])
@@ -181,9 +181,9 @@ class GroupGeometry:
     # -- super-Hamiltonian flow --------------------------------------------
 
     def super_hamiltonian_flow(self, point: ExtremalPoint, grid,
-                               u_hat=None, sigma_tol: float = 1e-6,
+                               sigma_tol: float = 1e-6,
                                monitor_sigma: bool = False):
-        """Integrate the canonical flow of H_t = H_0 + sum u_i F_i.
+        """Integrate the canonical flow of H_0 along a zero reference control.
 
         Returns the list of flowed points on the grid. With monitor_sigma,
         aborts if a Sigma-initialized sample drifts off Sigma.
@@ -196,9 +196,6 @@ class GroupGeometry:
             nonlocal theta
             g, p = y
             mh, theta = self.grad_h0(p, theta)
-            u = None if u_hat is None else u_hat(t)
-            if u is not None and np.any(u != 0.0):
-                mh = mh + sum(u[i] * self.ai[i] for i in range(self.m))
             return np.array([g @ mh, mh.T @ p - p @ mh.T])
 
         def sigma_monitor(t, y):
@@ -274,8 +271,10 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart,
     verifies it sits inside Sigma, transports a tangent basis by finite
     differences of the nonlinear flow, and tracks the smallest singular
-    value of the base projection.
+    value of the base projection. The reference control must be zero.
     """
+    if not getattr(extremal.u_hat, "is_zero", False):
+        raise ValueError("certificate_check requires a zero reference control")
     geom = GroupGeometry(system)
     n = chart.n
     r_dim = chart.R
@@ -304,7 +303,7 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
             x = np.zeros(n)
             x[k] = sign * fd_step
             pt = ExtremalPoint(q=chart.forward(x), p=lambda_lift(x), t=0.0)
-            flows.append(geom.super_hamiltonian_flow(pt, grid, extremal.u_hat))
+            flows.append(geom.super_hamiltonian_flow(pt, grid))
 
     svals = np.zeros(grid.size)
     warm = [np.zeros(n) for _ in range(2 * n)]

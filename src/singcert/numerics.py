@@ -40,7 +40,7 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
     the first of `halvings` halvings that lowers max|f|; NaN never counts
     as converged. fail(message) returns the exception to raise when no
     halving lowers max|f| or max_iter steps leave it above tol.
-    Returns (x, max|f|, steps taken).
+    Returns (x, max|f|, steps taken, aux at x).
     """
     f, aux = residual(x)
     r = float(np.max(np.abs(f)))
@@ -61,4 +61,4 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
         else:
             raise fail("Newton stalled")
         iters += 1
-    return x, r, iters
+    return x, r, iters, aux

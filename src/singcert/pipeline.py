@@ -157,12 +157,24 @@ def _merge(defaults, override):
     return copy.deepcopy(override)
 
 
+def _non_finite(obj) -> bool:
+    """Whether a parsed JSON value holds NaN or an infinity anywhere."""
+    if isinstance(obj, dict):
+        return any(_non_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_non_finite(v) for v in obj)
+    return isinstance(obj, float) and not np.isfinite(obj)
+
+
 def load_config(doc: dict) -> dict:
     """Validate a config document and materialize all defaults."""
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+    # Python's json reads NaN and Infinity, which the schema lets through
+    if _non_finite(doc):
+        raise ConfigError("config holds a NaN or infinite number")
     return _merge(DEFAULT_CONFIG, doc)
 
 
@@ -306,19 +318,25 @@ def _overall_verdict(config: dict, stages: dict) -> str:
 
 def run_sweep(config: dict, parameter: str, values) -> list:
     """Re-run the pipeline across a one-parameter family of configs."""
+    kind = {"N": int, "horizon": float, "rho": float, "K": int}.get(parameter)
+    if kind is None:
+        raise ConfigError(f"unknown sweep parameter: {parameter}")
+    try:
+        values = [kind(v) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for sweep parameter {parameter}: "
+                          f"{exc}") from exc
     reports = []
     for value in values:
         variant = copy.deepcopy(config)
         if parameter == "N":
-            variant.setdefault("system", {})["N"] = int(value)
+            variant.setdefault("system", {})["N"] = value
         elif parameter == "horizon":
-            variant["horizon"] = float(value)
+            variant["horizon"] = value
         elif parameter == "rho":
-            variant.setdefault("certificate", {})["rho"] = float(value)
-        elif parameter == "K":
-            variant["galerkin_k"] = [int(value)]
+            variant.setdefault("certificate", {})["rho"] = value
         else:
-            raise ConfigError(f"unknown sweep parameter: {parameter}")
+            variant["galerkin_k"] = [value]
         reports.append(run_check(variant))
     return reports
 

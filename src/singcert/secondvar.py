@@ -31,7 +31,7 @@ def chart_field_jacobian(chart: GroupChart, algebra_elem: np.ndarray) -> np.ndar
     With W = sum_j c_j(x) v_j(x) and dv_j/dx_k = [v_j, v_k], the partials
     solve 0 = sum_j (dc_j/dx_k) B_j + sum_{j > k} c_j [B_j, B_k].
     """
-    c0 = chart.field_components(algebra_elem, np.zeros(chart.n))
+    c0 = chart.solve_in_frame(np.zeros(chart.n), algebra_elem)
     jac = np.zeros((chart.n, chart.n))
     for k in range(chart.n):
         acc = np.zeros_like(algebra_elem)
@@ -39,7 +39,7 @@ def chart_field_jacobian(chart: GroupChart, algebra_elem: np.ndarray) -> np.ndar
             if c0[j] != 0.0:
                 acc = acc + c0[j] * commutator(chart.frame_algebra[j],
                                                chart.frame_algebra[k])
-        jac[:, k] = -chart.field_components(acc, np.zeros(chart.n))
+        jac[:, k] = -chart.solve_in_frame(np.zeros(chart.n), acc)
     return jac
 
 
@@ -50,8 +50,8 @@ def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
     for k in range(chart.n):
         e = np.zeros(chart.n)
         e[k] = h
-        cp = chart.field_components(algebra_elem, e)
-        cm = chart.field_components(algebra_elem, -e)
+        cp = chart.solve_in_frame(e, algebra_elem)
+        cm = chart.solve_in_frame(-e, algebra_elem)
         jac[:, k] = (cp - cm) / (2 * h)
     return jac
 
@@ -76,44 +76,46 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 chart: GroupChart, rho: float = 0.0) -> SecondVariationProblem:
     """Assemble the LQ second-variation data in the adapted chart.
 
-    The reference control must be zero; all time dependence is then
-    evaluated through exact exponentials.
+    The reference control must be zero. Every coefficient is then linear
+    in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra element, so
+    the linear maps are tabulated once, in the coordinates of the chart
+    frame (a basis of the whole algebra): `ad` has the coordinates of
+    [A_0, B_k] as columns, Z(0) is its first m columns, row k of `rows` is
+    -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k> and c0 holds the
+    coordinates of [A_i, [A_j, A_0]]. With T = expm(t ad),
+    Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and a(t) = Z(t)^T rows.
     """
     if not getattr(extremal.u_hat, "is_zero", False):
         raise ValueError("assemble_lq requires a zero reference control")
     n, m = chart.n, system.m
     p_hat = chart.p_hat
+    frame = chart.frame_algebra
     e_mat = np.zeros((n, chart.R))
     origin = np.zeros(n)
     for j in range(chart.R):
-        e_mat[:, j] = chart.field_components(chart.frame_algebra[j], origin)
+        e_mat[:, j] = chart.solve_in_frame(origin, frame[j])
     if np.linalg.cond(e_mat[: chart.R, :]) > 1e8:
         raise RuntimeError("controlled-algebra basis degenerate at basepoint")
 
-    p0 = extremal.points[0].p
-    words = [[(i + 1, (j + 1, 0)) for j in range(m)] for i in range(m)]
-    bracket_mats = [[system.bracket_matrix(w) for w in row] for row in words]
-
     a0 = system.drift
+    p0 = extremal.points[0].p
+    ad = np.array([chart.solve_in_frame(origin, commutator(a0, b))
+                   for b in frame]).T
+    z0 = ad[:, :m]
+    rows = np.array([-(p_hat @ chart_field_jacobian(chart, b))
+                     for b in frame])
+    pi0 = np.array([pairing(p0, b) for b in frame])
+    c0 = np.array([[chart.solve_in_frame(
+        origin, system.bracket_matrix((i + 1, (j + 1, 0))))
+        for j in range(m)] for i in range(m)])
     cache: dict = {}
 
     def lq_data(t):
-        # the three coefficient blocks share the same transport, and the
-        # deciders revisit the same time points; memoize per t
+        # the deciders revisit the same time points; memoize per t
         if t not in cache:
-            mk = expm(t * a0)
-            mk_inv = expm(-t * a0)
-            z = np.zeros((n, m))
-            c = np.zeros((m, m))
-            a = np.zeros((m, n))
-            for i in range(m):
-                ad_br = mk @ commutator(a0, system.controlled[i]) @ mk_inv
-                z[:, i] = chart.field_components(ad_br, origin)
-                a[i] = -(p_hat @ chart_field_jacobian(chart, ad_br))
-                for j in range(m):
-                    c[i, j] = -pairing(
-                        p0, mk @ bracket_mats[i][j] @ mk_inv)
-            cache[t] = (z, c, a)
+            transport = expm(t * ad)
+            z = transport @ z0
+            cache[t] = (z, -(c0 @ (pi0 @ transport)), z.T @ rows)
         return cache[t]
 
     def z_fn(t):

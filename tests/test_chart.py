@@ -117,7 +117,7 @@ def test_field_components_unit_vectors_at_origin(chart3):
     """Pushing frame generators through the chart gives unit vectors at 0."""
     _, chart = chart3
     for j, b in enumerate(chart.frame_algebra):
-        c = chart.field_components(b, np.zeros(chart.n))
+        c = chart.solve_in_frame(np.zeros(chart.n), b)
         expect = np.zeros(chart.n)
         expect[j] = 1.0
         assert np.allclose(c, expect, atol=1e-12)

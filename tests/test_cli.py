@@ -58,6 +58,12 @@ def test_bad_values_rejected():
                 {"galerkin_k": [8, 16]}):
         with pytest.raises(ConfigError):
             load_config(doc)
+    # numbers Python's json reads but the pipeline cannot run
+    for doc in ({"horizon": float("nan")}, {"horizon": float("inf")}):
+        with pytest.raises(ConfigError):
+            load_config(doc)
+    with pytest.raises(ConfigError):
+        run_sweep({}, "N", ["abc"])
 
 
 def test_empty_checks_is_echo_only():

@@ -13,7 +13,6 @@ from singcert.falsifier import (
     driftless_endpoint,
     driftless_scaling_check,
     needle_variation,
-    pullback_displacement,
     report_to_csv,
 )
 from singcert.systems import build_dubins_system
@@ -113,27 +112,6 @@ def test_scaling_check_abelian_exact(dub3):
 def test_scaling_check_rejects_tiny_eps(dub3):
     with pytest.raises(ValueError):
         driftless_scaling_check(dub3, np.zeros(dub3.R), eps_grid=[1e-4])
-
-
-def test_pullback_displacement_first_order(dub3):
-    """Terminal pull-back displacement = eps * word displacement + o(eps)."""
-    t_vec = np.array([0.06, -0.04, 0.05])
-    t_bar = np.array([0.02, 0.02, 0.02])
-    from singcert.chart import dubins_adapted_chart
-    chart = dubins_adapted_chart(dub3)
-    base_needle = needle_variation(zero_u(dub3.m), 0.2, t_vec, 0.1,
-                                   horizon=1.0, m=dub3.m, t_bar=t_bar)
-    lin = sum((t_vec[k] - t_bar[k]) * dub3.controlled[base_needle.channels[k]]
-              for k in range(3))
-    base = chart.field_components(lin, np.zeros(chart.n))
-    errs, epss = [], [0.2, 0.1, 0.05]
-    for eps in epss:
-        needle = needle_variation(zero_u(dub3.m), 0.2, t_vec, eps,
-                                  horizon=1.0, m=dub3.m, t_bar=t_bar)
-        disp = pullback_displacement(dub3, needle)
-        errs.append(np.linalg.norm(disp - eps * base))
-    order = np.polyfit(np.log(epss), np.log(errs), 1)[0]
-    assert order >= 1.8
 
 
 def test_target_spec_reference_endpoint(dub3, extremal3):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from singcert.algebra import pairing
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import ZeroControl
+from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import (
     ExtremalPoint,
     adjoint_trajectory,
@@ -174,8 +174,8 @@ def test_theta_derivative_pairing(setup):
     h = 1e-5
     for j in range(2):
         dp = hamiltonian_direction(pt.p, geom.ai[j])
-        tp, _, _ = geom.solve_theta(pt.p + h * dp)
-        tm, _, _ = geom.solve_theta(pt.p - h * dp)
+        tp, *_ = geom.solve_theta(pt.p + h * dp)
+        tm, *_ = geom.solve_theta(pt.p - h * dp)
         d_theta = (tp - tm) / (2 * h)
         expect = np.zeros(2)
         expect[j] = -1.0
@@ -185,7 +185,7 @@ def test_theta_derivative_pairing(setup):
 def test_super_hamiltonian_reproduces_reference(setup):
     sys_, geom, traj = setup
     flowed = geom.super_hamiltonian_flow(traj.points[0], traj.grid,
-                                         traj.u_hat, monitor_sigma=True)
+                                         monitor_sigma=True)
     for k in range(0, 101, 20):
         assert np.max(np.abs(flowed[k].p - traj.points[k].p)) <= 1e-8
         assert np.max(np.abs(flowed[k].q - traj.points[k].q)) <= 1e-8
@@ -237,6 +237,15 @@ def test_certificate_rho_independent_for_dubins(setup):
     report = certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=0.0,
                                grid=np.linspace(0, 1, 26))
     assert report.min_singular_value > 0.5
+
+
+def test_certificate_rejects_nonzero_reference(setup):
+    sys_, _, _ = setup
+    control = CallableControl(lambda t: np.full(sys_.m, 0.1), sys_.m)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_), control,
+                              np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError):
+        certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=1.0)
 
 
 def test_flow_csv(tmp_path, setup):

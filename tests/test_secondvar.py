@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
@@ -91,14 +92,47 @@ def test_pullback_gdot_is_time_derivative():
 
         def pulled_back(t, i):
             mk = expm(t * sys_.drift)
-            return chart.field_components(
-                mk @ sys_.controlled[i] @ np.linalg.inv(mk), origin)
+            return chart.solve_in_frame(
+                origin, mk @ sys_.controlled[i] @ np.linalg.inv(mk))
 
         for t in (0.1, 0.5, 0.9):
             z = lq.z_fn(t)
             for i in range(sys_.m):
                 fd = (pulled_back(t + h, i) - pulled_back(t - h, i)) / (2 * h)
                 assert np.max(np.abs(fd - z[:, i])) <= 1e-7, (space, t, i)
+
+
+def direct_lq(sys_, chart, p0, t):
+    """Z, C, a at one time node by the per-node formula: conjugate by
+    expm(+-t A0), take frame coordinates at the chart origin, apply the
+    chart Jacobian and pair with p0."""
+    mk, mk_inv = expm(t * sys_.drift), expm(-t * sys_.drift)
+    origin = np.zeros(chart.n)
+    m = sys_.m
+    z, c, a = np.zeros((chart.n, m)), np.zeros((m, m)), np.zeros((m, chart.n))
+    for i in range(m):
+        ad_br = mk @ commutator(sys_.drift, sys_.controlled[i]) @ mk_inv
+        z[:, i] = chart.solve_in_frame(origin, ad_br)
+        a[i] = -(chart.p_hat @ chart_field_jacobian(chart, ad_br))
+        for j in range(m):
+            c[i, j] = -pairing(p0, mk @ sys_.bracket_matrix(
+                (i + 1, (j + 1, 0))) @ mk_inv)
+    return z, c, a
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+@pytest.mark.parametrize("n_dim", [3, 4])
+def test_tabulated_lq_matches_direct_formula(space, n_dim):
+    """The once-per-chart tables reproduce the per-node formula."""
+    sys_ = build_dubins_system(space, n_dim)
+    chart = dubins_adapted_chart(sys_)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                              ZeroControl(sys_.m), np.linspace(0.0, 1.0, 11))
+    lq = assemble_lq(sys_, traj, chart)
+    for t in (0.0, 0.37, 1.0):
+        z, c, a = direct_lq(sys_, chart, traj.points[0].p, t)
+        for got, want in ((lq.z_fn(t), z), (lq.c_fn(t), c), (lq.a_fn(t), a)):
+            assert np.max(np.abs(got - want)) <= 1e-12, (space, n_dim, t)
 
 
 def test_assemble_lq_rejects_nonzero_reference(setup):
