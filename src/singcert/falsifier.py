@@ -3,9 +3,12 @@
 Competitor trajectories are sampled from three families: needle-like
 control variations realizing prescribed displacements inside the
 controlled-algebra orbit, band-limited random control perturbations, and
-re-timed copies of the reference control. Each competitor is integrated
-and its earliest arrival at the target manifold is recorded; an arrival
-strictly earlier than the reference horizon is a counterexample witness.
+re-timed copies of the reference control. Competitors whose grids have
+the same length are integrated together as one stacked RK4 flow; each
+competitor's earliest arrival at the target manifold is recorded, and an
+arrival strictly earlier than the reference horizon is a counterexample
+witness. Arrival and graph distance use one exact series logarithm on
+each competitor's whole stack of states.
 """
 
 from __future__ import annotations
@@ -16,9 +19,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chart import GroupChart, dubins_adapted_chart
-from .controls import CallableControl
 from .extremal import ExtremalTrajectory, reference_flow
+from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
+
+# cos/sin mode pairs of a band-limited competitor
+_BAND_MODES = 4
+# relative size of the last term kept by the series logarithm
+_ROUNDOFF = np.finfo(float).eps
 
 
 @dataclass
@@ -106,15 +114,26 @@ def driftless_endpoint(system: MatrixGroupSystem, needle: NeedleVariation,
     return g
 
 
-def _quick_log(mat: np.ndarray, terms: int = 12) -> np.ndarray:
-    """Matrix logarithm by power series, valid near the identity."""
-    x = mat - np.eye(mat.shape[0])
-    out = np.zeros_like(x)
-    power = np.eye(mat.shape[0])
-    for k in range(1, terms + 1):
-        power = power @ x
-        out = out + ((-1.0) ** (k + 1) / k) * power
-    return out
+def _quick_log(mat: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a matrix or of a (..., d, d) stack of them.
+
+    log g = 2 artanh(Z) with Z = (g - I)(g + I)^-1, the odd power series
+    summed until its terms fall below roundoff. The series converges when
+    every eigenvalue of g has positive real part, as it has for
+    ||g - I|| < 1; the callers stay inside radius 0.9.
+    """
+    eye = np.eye(mat.shape[-1])
+    z = np.linalg.solve(mat + eye, mat - eye)
+    z2 = z @ z
+    power = z
+    out = z
+    for k in range(3, 2000, 2):
+        power = power @ z2
+        term = power / k
+        out = out + term
+        if np.max(np.abs(term)) <= _ROUNDOFF * np.max(np.abs(out)):
+            return 2.0 * out
+    raise np.linalg.LinAlgError("matrix logarithm series did not converge")
 
 
 def driftless_scaling_check(system: MatrixGroupSystem, t_vec,
@@ -215,43 +234,153 @@ class TargetSpec:
         self.R = chart.R
         self.b_pinv = chart.b_pinv
 
-    def residual(self, q: np.ndarray) -> float:
-        rel = self.q_f_inv @ q
-        if np.linalg.norm(rel - np.eye(rel.shape[0])) >= self.log_radius:
-            return np.inf
-        x = self.b_pinv @ _quick_log(rel).ravel()
-        return float(np.max(np.abs(x[self.R:])))
+    def residual(self, q: np.ndarray):
+        """Largest annihilator coordinate of q_f^-1 q (inf outside the log
+        radius): a float for one matrix, an array for a (T, d, d) stack."""
+        rel = self.q_f_inv @ np.asarray(q, dtype=float)
+        flat = rel.reshape(-1, *rel.shape[-2:])
+        out = np.full(flat.shape[0], np.inf)
+        near = np.linalg.norm(flat - np.eye(flat.shape[-1]),
+                              axis=(1, 2)) < self.log_radius
+        if np.any(near):
+            logs = _quick_log(flat[near]).reshape(-1, self.b_pinv.shape[1])
+            x = logs @ self.b_pinv.T
+            out[near] = np.max(np.abs(x[:, self.R:]), axis=1)
+        return float(out[0]) if rel.ndim == 2 else out
 
-    def arrival_time(self, grid: np.ndarray, states: list) -> float:
-        for t, q in zip(grid, states):
-            if self.residual(q) <= self.tol:
-                return float(t)
-        return np.inf
+    def arrival_time(self, grid: np.ndarray, states: np.ndarray) -> float:
+        """Earliest grid time whose state in the (T, d, d) stack meets the
+        target; inf if none does."""
+        hits = np.flatnonzero(self.residual(states) <= self.tol)
+        return float(grid[hits[0]]) if hits.size else np.inf
 
 
-def graph_distance(system: MatrixGroupSystem, grid: np.ndarray, states: list,
-                   ref_grid: np.ndarray, ref_states: list,
-                   b_pinv: np.ndarray) -> float:
+def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
+                   ref_inv: np.ndarray, b_pinv: np.ndarray) -> float:
     """Max over time of the left-invariant chart distance to the reference.
 
-    ``b_pinv`` maps a flattened algebra element to its chart components at
-    the origin (``GroupChart.b_pinv``). The reference state is held at its
-    endpoints outside its own support.
+    ``states`` is the (T, d, d) stack on ``grid``; ``ref_inv`` holds the
+    inverses of the reference states on ``ref_grid``. ``b_pinv`` maps a
+    flattened algebra element to its chart components at the origin
+    (``GroupChart.b_pinv``). The reference state is held at its endpoints
+    outside its own support.
     """
-    worst = 0.0
-    for t, q in zip(grid, states):
-        k = int(np.clip(np.searchsorted(ref_grid, t), 0, len(ref_states) - 1))
-        rel = np.linalg.inv(ref_states[k]) @ q
-        if np.linalg.norm(rel - np.eye(rel.shape[0])) >= 0.9:
-            return np.inf
-        worst = max(worst, float(np.linalg.norm(b_pinv @ _quick_log(rel).ravel())))
-    return worst
+    k = np.clip(np.searchsorted(ref_grid, grid), 0, len(ref_inv) - 1)
+    rel = ref_inv[k] @ states
+    if np.any(np.linalg.norm(rel - np.eye(rel.shape[-1]), axis=(1, 2)) >= 0.9):
+        return np.inf
+    x = _quick_log(rel).reshape(len(rel), -1) @ b_pinv.T
+    return float(np.max(np.linalg.norm(x, axis=1)))
 
 
-def _integrate(system: MatrixGroupSystem, control, grid: np.ndarray,
-               q0: np.ndarray):
-    cache = reference_flow(system, control, grid)
-    return [q0 @ mk for mk in cache]
+@dataclass
+class _Competitor:
+    """One sampled competitor: its grid and how its control departs from
+    u_hat. A needle adds its overlay; a band adds the cos/sin modes of the
+    horizon with coefficients ``coeff`` (2 _BAND_MODES, m); a retimed copy
+    plays u_hat(min(s / stretch, t_hat)). With none set it is u_hat."""
+
+    family: str
+    seed: list
+    grid: np.ndarray = None
+    needle: NeedleVariation | None = None
+    coeff: np.ndarray | None = None
+    stretch: float | None = None
+
+
+def _sample_competitors(system: MatrixGroupSystem, u_hat, t_hat: float,
+                        scan_horizon: float, n_samples: int, radius: float,
+                        seed: int, dt: float) -> list[_Competitor]:
+    """Draw the competitors in order, each from its own SeedSequence child."""
+    t_bar = 0.05 * np.ones(system.R)
+    out = []
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        rng = np.random.default_rng(child)
+        comp = _Competitor(("needle", "band", "retimed")[idx % 3],
+                           [int(v) for v in child.spawn_key])
+        if comp.family == "needle" or radius == 0.0:
+            eps = radius * rng.uniform(0.3, 1.0)
+            if radius != 0.0:
+                s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
+                t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
+                comp.needle = needle_variation(u_hat, s_bar, t_vec, eps,
+                                               scan_horizon, system.m,
+                                               t_bar=t_bar)
+        elif comp.family == "band":
+            coeff = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
+            comp.coeff = coeff / max(1.0, np.linalg.norm(coeff))
+        else:
+            comp.stretch = 1.0 + radius * rng.uniform(-0.1, 0.1)
+        comp.grid = _integration_grid(scan_horizon, dt, comp.needle,
+                                      include=(t_hat,))
+        out.append(comp)
+    return out
+
+
+def _needle_overlays(s, s_bar, eps, t_vec, t_bar, channels, m):
+    """NeedleVariation.overlay row by row: needle k at its own time s[k]."""
+    r = channels.shape[1]
+    out = np.zeros((s.size, m))
+    local = s - s_bar
+    inside = (local >= 0.0) & (local <= 2.0 * eps ** 2)
+    sig = local / eps ** 2
+    first = inside & (sig >= 0.0) & (sig <= 1.0)
+    rows = np.flatnonzero(first)
+    k = np.minimum((sig[rows] * r).astype(int), r - 1)
+    out[rows, channels[rows, k]] = r * t_vec[rows, k] / eps[rows]
+    rows = np.flatnonzero(inside & ~first & (sig <= 2.0))
+    k = r - 1 - np.minimum(((sig[rows] - 1.0) * r).astype(int), r - 1)
+    out[rows, channels[rows, k]] = -r * t_bar[rows, k] / eps[rows]
+    return out
+
+
+def _stacked_control(members: list[_Competitor], u_hat, t_hat: float, m: int):
+    """The members' controls as one function: (S,) times -> (S, m)."""
+    needles = [i for i, c in enumerate(members) if c.needle is not None]
+    bands = [i for i, c in enumerate(members) if c.coeff is not None]
+    retimed = [i for i, c in enumerate(members) if c.stretch is not None]
+    coeff = np.array([members[i].coeff for i in bands])
+    stretch = np.array([members[i].stretch for i in retimed])
+    needle_args = [np.array([getattr(members[i].needle, key) for i in needles])
+                   for key in ("s_bar", "eps", "t_vec", "t_bar", "channels")]
+    zero = getattr(u_hat, "is_zero", False)
+
+    def control(t):
+        if zero:
+            out = np.zeros((t.size, m))
+        else:
+            s = t.copy()
+            s[retimed] = np.minimum(t[retimed] / stretch, t_hat)
+            out = np.array([np.asarray(u_hat(v), dtype=float) for v in s])
+        if bands:
+            tb = t[bands, None]
+            for k in range(_BAND_MODES):
+                phase = 2.0 * np.pi * (k + 1) * tb / t_hat
+                out[bands] += coeff[:, 2 * k] * np.cos(phase)
+                out[bands] += coeff[:, 2 * k + 1] * np.sin(phase)
+        if needles:
+            out[needles] += _needle_overlays(t[needles], *needle_args, m)
+        return out
+
+    return control
+
+
+def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
+                   u_hat, t_hat: float) -> np.ndarray:
+    """M' = M (A0 + sum u_i A_i), M(0) = I, for members whose grids have one
+    length, as one RK4 flow of the (S, d, d) stack; returns (T, S, d, d)."""
+    control = _stacked_control(members, u_hat, t_hat, system.m)
+    a0 = system.drift
+
+    def rhs(t, y):
+        u = control(t)
+        return y @ (a0 + sum(u[:, i, None, None] * system.controlled[i]
+                             for i in range(system.m)))
+
+    grid = np.stack([c.grid for c in members], axis=1)
+    y0 = np.repeat(np.eye(system.d)[None], len(members), axis=0)
+    return np.array(rk4_flow(rhs, grid, y0,
+                             lambda t, y: system.project_to_group(y)))
 
 
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
@@ -270,59 +399,35 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     u_hat = extremal.u_hat
     scan_horizon = t_hat * (1.0 + horizon_pad)
     ref_grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
-    ref_states = _integrate(system, u_hat, ref_grid, q0)
-    children = np.random.SeedSequence(seed).spawn(n_samples)
+    ref_inv = np.linalg.inv(q0 @ np.array(reference_flow(system, u_hat,
+                                                         ref_grid)))
+    competitors = _sample_competitors(system, u_hat, t_hat, scan_horizon,
+                                      n_samples, radius, seed, dt)
+
+    # one stacked flow per grid length: the base grid (band, retimed,
+    # radius 0) and, generically, one refined length for the needles
+    by_length: dict = {}
+    for idx, comp in enumerate(competitors):
+        by_length.setdefault(comp.grid.size, []).append(idx)
+    arrivals = np.full(n_samples, np.inf)
+    dists = np.full(n_samples, np.inf)
+    for idxs in by_length.values():
+        members = [competitors[i] for i in idxs]
+        states = q0 @ _stacked_flows(system, members, u_hat, t_hat)
+        for j, (idx, comp) in enumerate(zip(idxs, members)):
+            arrivals[idx] = target.arrival_time(comp.grid, states[:, j])
+            dists[idx] = graph_distance(comp.grid, states[:, j], ref_grid,
+                                        ref_inv, target.b_pinv)
 
     records = []
     min_arrival = np.inf
     witness = None
-    t_bar = 0.05 * np.ones(system.R)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        family = ("needle", "band", "retimed")[idx % 3]
-        needle = None
-        if family == "needle" or radius == 0.0:
-            eps = radius * rng.uniform(0.3, 1.0)
-            if radius == 0.0:
-                control = CallableControl(
-                    lambda s: np.asarray(u_hat(s), dtype=float), system.m)
-            else:
-                s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
-                t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
-                needle = needle_variation(u_hat, s_bar, t_vec, eps,
-                                          scan_horizon, system.m, t_bar=t_bar)
-                control = needle
-        elif family == "band":
-            n_modes = 4
-            coeff = radius * rng.standard_normal((2 * n_modes, system.m))
-            coeff /= max(1.0, np.linalg.norm(coeff))
-
-            def control_fn(s, coeff=coeff):
-                out = np.asarray(u_hat(s), dtype=float).copy()
-                for k in range(n_modes):
-                    phase = 2.0 * np.pi * (k + 1) * s / t_hat
-                    out += coeff[2 * k] * np.cos(phase)
-                    out += coeff[2 * k + 1] * np.sin(phase)
-                return out
-
-            control = CallableControl(control_fn, system.m)
-        else:
-            stretch = 1.0 + radius * rng.uniform(-0.1, 0.1)
-
-            def control_fn(s, stretch=stretch):
-                return np.asarray(u_hat(min(s / stretch, t_hat)), dtype=float)
-
-            control = CallableControl(control_fn, system.m)
-
-        grid = _integration_grid(scan_horizon, dt, needle, include=(t_hat,))
-        states = _integrate(system, control, grid, q0)
-        arrival = target.arrival_time(grid, states)
-        dist = graph_distance(system, grid, states, ref_grid, ref_states,
-                              target.b_pinv)
+    for idx, comp in enumerate(competitors):
+        arrival, dist = arrivals[idx], dists[idx]
         record = {
             "sample": idx,
-            "family": family,
-            "seed": list(int(v) for v in child.spawn_key),
+            "family": comp.family,
+            "seed": comp.seed,
             "arrival": float(arrival) if np.isfinite(arrival) else None,
             "graph_distance": float(dist) if np.isfinite(dist) else None,
         }

@@ -8,23 +8,29 @@ import numpy as np
 def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
     """Classical RK4 for y' = f(t, y) on a strictly increasing grid.
 
-    Returns the states on the grid, y0 first. after_step(t, y), when
-    given, sees each new state at its grid time and returns the state to
-    keep (a projection) or raises (a monitor).
+    Returns the states on the grid, y0 first. A (T,) grid steps the whole
+    state at once. A (T, S) grid steps each of the S members along the
+    leading axis of y0 on its own column of times: f and after_step then
+    get the (S,) member times, and each member's step broadcasts over its
+    trailing state axes. after_step(t, y), when given, sees each new
+    state at its grid time and returns the state to keep (a projection)
+    or raises (a monitor).
     """
     grid = np.asarray(grid, dtype=float)
+    trailing = (1,) * (np.ndim(y0) - grid.ndim + 1)
     y = y0
     out = [y]
-    for k in range(grid.size - 1):
+    for k in range(grid.shape[0] - 1):
         t = grid[k]
         h = grid[k + 1] - t
-        if h <= 0:
+        if np.any(h <= 0):
             raise ValueError("grid must be strictly increasing")
+        hy = h if grid.ndim == 1 else h.reshape(h.shape + trailing)
         k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = f(t + 0.5 * h, y + 0.5 * hy * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * hy * k2)
+        k4 = f(t + h, y + hy * k3)
+        y = y + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if after_step is not None:
             y = after_step(grid[k + 1], y)
         out.append(y)

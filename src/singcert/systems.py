@@ -103,29 +103,33 @@ class MatrixGroupSystem:
         )
 
     def project_to_group(self, g: np.ndarray) -> np.ndarray:
-        """Re-project a near-group matrix onto the structure group."""
+        """Re-project a near-group matrix, or a (..., d, d) stack of them,
+        onto the structure group."""
         if self.space_form is SpaceForm.SPHERE:
             u, _, vt = np.linalg.svd(g)
             return u @ vt
         if self.space_form is SpaceForm.EUCLIDEAN:
             out = g.copy()
-            out[0, :] = 0.0
-            out[0, 0] = 1.0
-            u, _, vt = np.linalg.svd(out[1:, 1:])
-            out[1:, 1:] = u @ vt
+            out[..., 0, :] = 0.0
+            out[..., 0, 0] = 1.0
+            u, _, vt = np.linalg.svd(out[..., 1:, 1:])
+            out[..., 1:, 1:] = u @ vt
             return out
-        # J-orthogonal (Lorentz) polar-type correction: X <- (X + J X^-T J)/2.
-        d = g.shape[0]
+        # J-orthogonal (Lorentz) polar-type correction: X <- (X + J X^-T J)/2,
+        # each member of a stack stopping on its own
+        d = g.shape[-1]
         j = np.eye(d)
         j[0, 0] = -1.0
-        x = g.copy()
+        x = g.reshape(-1, d, d).copy()
+        active = np.arange(x.shape[0])
         for _ in range(40):
-            y = 0.5 * (x + j @ np.linalg.inv(x).T @ j)
-            if np.max(np.abs(y - x)) < 1e-15:
-                x = y
+            xa = x[active]
+            y = 0.5 * (xa + j @ np.swapaxes(np.linalg.inv(xa), -1, -2) @ j)
+            x[active] = y
+            active = active[~(np.max(np.abs(y - xa), axis=(-2, -1)) < 1e-15)]
+            if active.size == 0:
                 break
-            x = y
-        return x
+        return x.reshape(g.shape)
 
     def full_algebra_basis(self) -> list[np.ndarray]:
         """Basis of Lie(G) ordered A_1..A_m, [A_i,A_j] i<j, [A0,A_i], A0."""

@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
+from scipy.optimize import brentq
 
 from singcert.chart import dubins_adapted_chart
 from singcert.controls import CallableControl, ZeroControl
-from singcert.extremal import adjoint_trajectory, dubins_initial_covector
+from singcert.extremal import (
+    adjoint_trajectory,
+    dubins_initial_covector,
+    reference_flow,
+)
 from singcert.falsifier import (
     TargetSpec,
+    _quick_log,
+    _sample_competitors,
+    _stacked_flows,
     competitor_sweep,
     driftless_endpoint,
     driftless_scaling_check,
@@ -176,3 +184,81 @@ def test_report_csv(tmp_path, dub3, extremal3):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 7
     assert lines[0] == "sample,family,arrival,graph_distance"
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_quick_log_matches_logm_near_radius(space):
+    """At ||g - I|| = 0.8, inside the arrival test's log radius 0.9, the
+    series log agrees with scipy's logm to roundoff, one matrix or a stack."""
+    sys_ = build_dubins_system(space, 4)
+    rng = np.random.default_rng(4)
+    basis = sys_.full_algebra_basis()
+    stack = []
+    for _ in range(3):
+        x = sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
+        scale = brentq(lambda a: np.linalg.norm(expm(a * x) - np.eye(sys_.d))
+                       - 0.8, 0.0, 2.0 / np.linalg.norm(x))
+        stack.append(expm(scale * x))
+    stack = np.array(stack)
+    for g in stack:
+        assert np.linalg.norm(g - np.eye(sys_.d)) == pytest.approx(0.8)
+        assert np.max(np.abs(_quick_log(g) - logm(g).real)) <= 1e-12
+    each = np.array([_quick_log(g) for g in stack])
+    assert np.max(np.abs(_quick_log(stack) - each)) <= 1e-14
+
+
+def _serial_control(comp, u_hat, t_hat, m):
+    """The competitor's control evaluated one time at a time."""
+    if comp.needle is not None:
+        return comp.needle
+    if comp.coeff is not None:
+        def fn(s):
+            out = np.asarray(u_hat(s), dtype=float).copy()
+            for k in range(len(comp.coeff) // 2):
+                phase = 2.0 * np.pi * (k + 1) * s / t_hat
+                out += comp.coeff[2 * k] * np.cos(phase)
+                out += comp.coeff[2 * k + 1] * np.sin(phase)
+            return out
+    elif comp.stretch is not None:
+        def fn(s):
+            return np.asarray(u_hat(min(s / comp.stretch, t_hat)), dtype=float)
+    else:
+        fn = u_hat
+    return CallableControl(fn, m)
+
+
+@pytest.mark.parametrize("space,u_hat", [
+    ("sphere", None), ("hyperbolic", None),
+    ("sphere", lambda s: np.array([0.3 * np.sin(4.0 * s), 0.2, -0.1]))])
+def test_stacked_flows_match_serial(space, u_hat):
+    """Each member of a stacked competitor flow equals the flow of its own
+    control on its own grid, integrated alone."""
+    sys_ = build_dubins_system(space, 4)
+    u_hat = ZeroControl(sys_.m) if u_hat is None else CallableControl(u_hat,
+                                                                      sys_.m)
+    t_hat = 1.0
+    comps = _sample_competitors(sys_, u_hat, t_hat, 1.1, 9, 0.1, 2, 0.02)
+    by_length = {}
+    for comp in comps:
+        by_length.setdefault(comp.grid.size, []).append(comp)
+    assert sorted(len(v) for v in by_length.values()) == [3, 6]
+    for members in by_length.values():
+        stacked = _stacked_flows(sys_, members, u_hat, t_hat)
+        for j, comp in enumerate(members):
+            alone = reference_flow(sys_, _serial_control(comp, u_hat, t_hat,
+                                                         sys_.m), comp.grid)
+            assert np.max(np.abs(stacked[:, j] - np.array(alone))) <= 1e-12
+    assert {c.family for c in comps} == {"needle", "band", "retimed"}
+
+
+def test_target_residual_of_stack(dub3, extremal3):
+    """residual() of a (T, d, d) stack is the residual of each matrix."""
+    q_f = extremal3.points[-1].q
+    target = TargetSpec(dub3, q_f, dubins_adapted_chart(dub3))
+    stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
+                      for a in (-2.0, -0.05, 0.0, 0.3)])
+    res = target.residual(stack)
+    assert res.shape == (4,) and res[0] == np.inf
+    for r, q in zip(res, stack):
+        assert r == pytest.approx(target.residual(q), rel=1e-12, abs=1e-15)
+    assert target.arrival_time(np.arange(4.0), stack) == 2.0

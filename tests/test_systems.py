@@ -93,3 +93,20 @@ def test_group_projection_roundtrip(space):
     fixed = sys_.project_to_group(noisy)
     assert sys_.group_residual(fixed) <= 1e-12
     assert np.max(np.abs(fixed - g)) <= 1e-6
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_project_to_group_stack_matches_per_matrix(space):
+    """A (S, d, d) stack projects member by member, the Lorentz fixed point
+    stopping on its own for each member."""
+    sys_ = build_dubins_system(space, 4)
+    rng = np.random.default_rng(1)
+    from scipy.linalg import expm
+
+    g = expm(0.3 * sys_.drift + 0.2 * sys_.controlled[0])
+    stack = np.array([g + 10.0 ** -k * rng.standard_normal(g.shape)
+                      for k in (4, 6, 8, 10, 12)])
+    each = np.array([sys_.project_to_group(x) for x in stack])
+    assert np.array_equal(sys_.project_to_group(stack), each)
+    assert np.array_equal(sys_.project_to_group(stack.reshape(5, 1, 5, 5)),
+                          each.reshape(5, 1, 5, 5))
