@@ -262,10 +262,12 @@ def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
     ``states`` is the (T, d, d) stack on ``grid``; ``ref_inv`` holds the
     inverses of the reference states on ``ref_grid``. ``b_pinv`` maps a
     flattened algebra element to its chart components at the origin
-    (``GroupChart.b_pinv``). The reference state is held at its endpoints
-    outside its own support.
+    (``GroupChart.b_pinv``). Each state is compared with the reference at
+    the nearest reference grid time (the earlier one on a tie), so the
+    reference is held at its endpoints outside its own support.
     """
-    k = np.clip(np.searchsorted(ref_grid, grid), 0, len(ref_inv) - 1)
+    k = np.clip(np.searchsorted(ref_grid, grid), 1, len(ref_grid) - 1)
+    k = k - (grid - ref_grid[k - 1] <= ref_grid[k] - grid)
     rel = ref_inv[k] @ states
     if np.any(np.linalg.norm(rel - np.eye(rel.shape[-1]), axis=(1, 2)) >= 0.9):
         return np.inf

@@ -20,6 +20,7 @@ from singcert.falsifier import (
     competitor_sweep,
     driftless_endpoint,
     driftless_scaling_check,
+    graph_distance,
     needle_variation,
     report_to_csv,
 )
@@ -262,3 +263,20 @@ def test_target_residual_of_stack(dub3, extremal3):
     for r, q in zip(res, stack):
         assert r == pytest.approx(target.residual(q), rel=1e-12, abs=1e-15)
     assert target.arrival_time(np.arange(4.0), stack) == 2.0
+
+
+def test_graph_distance_uses_nearest_reference_point(dub3):
+    """A state equal to the reference at t = 0.125 is 0.025 from the
+    reference at 0.1, the nearest grid time, and 0.075 from the one at
+    0.2; the distance is the former. Past the end the reference holds."""
+    chart = dubins_adapted_chart(dub3)
+    unit = dub3.controlled[0]
+    assert np.linalg.norm(chart.b_pinv @ unit.ravel()) == pytest.approx(1.0)
+    ref_grid = np.linspace(0.0, 1.0, 11)
+    ref_inv = np.array([expm(-t * unit) for t in ref_grid])
+    for t, expected in ((0.125, 0.025), (0.17, 0.03), (0.3, 0.0),
+                        (0.0, 0.0), (1.05, 0.05)):
+        state = expm(t * unit)[None]
+        dist = graph_distance(np.array([t]), state, ref_grid, ref_inv,
+                              chart.b_pinv)
+        assert dist == pytest.approx(expected, abs=1e-14)
