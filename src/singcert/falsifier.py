@@ -25,8 +25,7 @@ from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
-# relative size of the last term kept by the series logarithm
-_ROUNDOFF = np.finfo(float).eps
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -131,7 +130,7 @@ def _quick_log(mat: np.ndarray) -> np.ndarray:
         power = power @ z2
         term = power / k
         out = out + term
-        if np.max(np.abs(term)) <= _ROUNDOFF * np.max(np.abs(out)):
+        if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
             return 2.0 * out
     raise np.linalg.LinAlgError("matrix logarithm series did not converge")
 
@@ -275,7 +274,7 @@ def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
     return float(np.max(np.linalg.norm(x, axis=1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Competitor:
     """One sampled competitor: its grid and how its control departs from
     u_hat. A needle adds its overlay; a band adds the cos/sin modes of the
@@ -284,10 +283,10 @@ class _Competitor:
 
     family: str
     seed: list
-    grid: np.ndarray = None
-    needle: NeedleVariation | None = None
-    coeff: np.ndarray | None = None
-    stretch: float | None = None
+    grid: np.ndarray
+    needle: NeedleVariation | None
+    coeff: np.ndarray | None
+    stretch: float | None
 
 
 def _sample_competitors(system: MatrixGroupSystem, u_hat, t_hat: float,
@@ -298,24 +297,23 @@ def _sample_competitors(system: MatrixGroupSystem, u_hat, t_hat: float,
     out = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         rng = np.random.default_rng(child)
-        comp = _Competitor(("needle", "band", "retimed")[idx % 3],
-                           [int(v) for v in child.spawn_key])
-        if comp.family == "needle" or radius == 0.0:
+        family = ("needle", "band", "retimed")[idx % 3]
+        needle = coeff = stretch = None
+        if family == "needle" or radius == 0.0:
             eps = radius * rng.uniform(0.3, 1.0)
             if radius != 0.0:
                 s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
                 t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
-                comp.needle = needle_variation(u_hat, s_bar, t_vec, eps,
-                                               scan_horizon, system.m,
-                                               t_bar=t_bar)
-        elif comp.family == "band":
+                needle = needle_variation(u_hat, s_bar, t_vec, eps,
+                                          scan_horizon, system.m, t_bar=t_bar)
+        elif family == "band":
             coeff = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
-            comp.coeff = coeff / max(1.0, np.linalg.norm(coeff))
+            coeff /= max(1.0, np.linalg.norm(coeff))
         else:
-            comp.stretch = 1.0 + radius * rng.uniform(-0.1, 0.1)
-        comp.grid = _integration_grid(scan_horizon, dt, comp.needle,
-                                      include=(t_hat,))
-        out.append(comp)
+            stretch = 1.0 + radius * rng.uniform(-0.1, 0.1)
+        grid = _integration_grid(scan_horizon, dt, needle, include=(t_hat,))
+        out.append(_Competitor(family, [int(v) for v in child.spawn_key],
+                               grid, needle, coeff, stretch))
     return out
 
 

@@ -50,6 +50,9 @@ from .systems import build_dubins_system
 
 SCHEMA_VERSION = 1
 
+# most grid steps horizon / dt and horizon / falsifier.dt may ask for
+MAX_GRID_STEPS = 10 ** 6
+
 # numerical breakdowns a stage reports as status "error" instead of raising
 STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
 
@@ -175,7 +178,14 @@ def load_config(doc: dict) -> dict:
     # Python's json reads NaN and Infinity, which the schema lets through
     if _non_finite(doc):
         raise ConfigError("config holds a NaN or infinite number")
-    return _merge(DEFAULT_CONFIG, doc)
+    config = _merge(DEFAULT_CONFIG, doc)
+    for key, dt in (("dt", config["dt"]), ("falsifier.dt",
+                                           config["falsifier"]["dt"])):
+        steps = config["horizon"] / dt
+        if not steps <= MAX_GRID_STEPS:
+            raise ConfigError(f"horizon / {key} is {steps:.3g} grid steps, "
+                              f"more than {MAX_GRID_STEPS}")
+    return config
 
 
 def thread_pool_size() -> int:

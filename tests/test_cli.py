@@ -62,6 +62,14 @@ def test_bad_values_rejected():
     for doc in ({"horizon": float("nan")}, {"horizon": float("inf")}):
         with pytest.raises(ConfigError):
             load_config(doc)
+    # finite numbers whose step count overflows or exceeds MAX_GRID_STEPS
+    for doc in ({"horizon": 1e308}, {"dt": 1e-300}, {"dt": 1e-7},
+                {"falsifier": {"dt": 1e-7}}):
+        with pytest.raises(ConfigError, match="grid steps"):
+            load_config(doc)
+    assert load_config({"dt": 2e-6, "falsifier": {"dt": 2e-6}})["dt"] == 2e-6
+    with pytest.raises(ConfigError):
+        run_sweep({}, "horizon", ["1e308"])
     with pytest.raises(ConfigError):
         run_sweep({}, "N", ["abc"])
 

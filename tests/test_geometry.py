@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singcert.algebra import pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import (
