@@ -366,9 +366,10 @@ def _stacked_control(members: list[_Competitor], u_hat, t_hat: float, m: int):
 
 
 def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
-                   u_hat, t_hat: float) -> np.ndarray:
-    """M' = M (A0 + sum u_i A_i), M(0) = I, for members whose grids have one
-    length, as one RK4 flow of the (S, d, d) stack; returns (T, S, d, d)."""
+                   u_hat, t_hat: float, q0: np.ndarray) -> list[np.ndarray]:
+    """q' = q (A0 + sum u_i A_i), q(0) = q0, for members whose grids have
+    one length, as one RK4 flow of the (S, d, d) stack: the stack at each
+    grid index."""
     control = _stacked_control(members, u_hat, t_hat, system.m)
     a0 = system.drift
 
@@ -378,9 +379,8 @@ def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
                              for i in range(system.m)))
 
     grid = np.stack([c.grid for c in members], axis=1)
-    y0 = np.repeat(np.eye(system.d)[None], len(members), axis=0)
-    return np.array(rk4_flow(rhs, grid, y0,
-                             lambda t, y: system.project_to_group(y)))
+    y0 = np.repeat(q0[None], len(members), axis=0)
+    return rk4_flow(rhs, grid, y0, lambda t, y: system.project_to_group(y))
 
 
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
@@ -412,12 +412,16 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     arrivals = np.full(n_samples, np.inf)
     dists = np.full(n_samples, np.inf)
     for idxs in by_length.values():
+        # memory stays flat: one group's stack and one competitor's states
+        # are alive at a time
         members = [competitors[i] for i in idxs]
-        states = q0 @ _stacked_flows(system, members, u_hat, t_hat)
+        flow = _stacked_flows(system, members, u_hat, t_hat, q0)
         for j, (idx, comp) in enumerate(zip(idxs, members)):
-            arrivals[idx] = target.arrival_time(comp.grid, states[:, j])
-            dists[idx] = graph_distance(comp.grid, states[:, j], ref_grid,
-                                        ref_inv, target.b_pinv)
+            states = np.array([y[j] for y in flow])
+            arrivals[idx] = target.arrival_time(comp.grid, states)
+            dists[idx] = graph_distance(comp.grid, states, ref_grid, ref_inv,
+                                        target.b_pinv)
+        del flow
 
     records = []
     min_arrival = np.inf

@@ -244,7 +244,8 @@ def test_stacked_flows_match_serial(space, u_hat):
         by_length.setdefault(comp.grid.size, []).append(comp)
     assert sorted(len(v) for v in by_length.values()) == [3, 6]
     for members in by_length.values():
-        stacked = _stacked_flows(sys_, members, u_hat, t_hat)
+        stacked = np.array(_stacked_flows(sys_, members, u_hat, t_hat,
+                                          np.eye(sys_.d)))
         for j, comp in enumerate(members):
             alone = reference_flow(sys_, _serial_control(comp, u_hat, t_hat,
                                                          sys_.m), comp.grid)
