@@ -17,15 +17,15 @@ def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
     or raises (a monitor).
     """
     grid = np.asarray(grid, dtype=float)
-    trailing = (1,) * (np.ndim(y0) - grid.ndim + 1)
+    if np.any(np.diff(grid, axis=0) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    trailing = None if grid.ndim == 1 else (1,) * (np.ndim(y0) - grid.ndim + 1)
     y = y0
     out = [y]
     for k in range(grid.shape[0] - 1):
         t = grid[k]
         h = grid[k + 1] - t
-        if np.any(h <= 0):
-            raise ValueError("grid must be strictly increasing")
-        hy = h if grid.ndim == 1 else h.reshape(h.shape + trailing)
+        hy = h if trailing is None else h.reshape(h.shape + trailing)
         k1 = f(t, y)
         k2 = f(t + 0.5 * h, y + 0.5 * hy * k1)
         k3 = f(t + 0.5 * h, y + 0.5 * hy * k2)
