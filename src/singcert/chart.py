@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .algebra import pairing
 from .numerics import damped_newton
 from .systems import MatrixGroupSystem
 
@@ -107,10 +106,6 @@ class GroupChart:
             residual, direction, x, tol, max_iter, 30,
             lambda msg: OutOfChartError(f"{msg} during chart inversion"))
         return inside(x)
-
-    def covector_to_chart(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Chart momentum y_j = <p, v_j(x)>."""
-        return np.array([pairing(p, v) for v in self.frame(x)])
 
     def covector_from_chart(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Matrix covector with <p, v_j(x)> = y_j, minimal Frobenius norm."""

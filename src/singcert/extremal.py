@@ -8,7 +8,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import commutator, numerical_rank, pairing, span_contains
-from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
 
 
@@ -22,17 +21,16 @@ class ExtremalPoint:
     q: np.ndarray
     p: np.ndarray
     t: float
-    u: np.ndarray = None
 
 
 @dataclass
 class ExtremalTrajectory:
+    """The singular arc: the drift orbit q(t) = exp(t A0) with u = 0."""
+
     system: MatrixGroupSystem
     grid: np.ndarray
     points: list[ExtremalPoint]
-    controls: np.ndarray
     flow_cache: list[np.ndarray]
-    u_hat: object = None
 
     @property
     def horizon(self) -> float:
@@ -42,32 +40,17 @@ class ExtremalTrajectory:
 @dataclass(frozen=True)
 class LegendreForm:
     entries: np.ndarray
-    hogc_residual: float
-    includes_control_terms: bool
 
     @property
     def symmetry_residual(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.T)))
 
 
-def reference_flow(system: MatrixGroupSystem, u_hat, grid) -> list[np.ndarray]:
-    """Solve M' = M (A0 + sum u_i A_i), M(0) = I on the time grid.
-
-    Uses the exact exponential for the zero control, otherwise a 4th-order
-    one-step method with per-step re-projection onto the structure group.
-    """
-    grid = np.asarray(grid, dtype=float)
+def reference_flow(system: MatrixGroupSystem, grid) -> list[np.ndarray]:
+    """The reference flow exp(t A0), M' = M A0 with M(0) = I and u = 0, on
+    the time grid, by exact exponentials."""
     a0 = system.drift
-    if getattr(u_hat, "is_zero", False):
-        return [expm(t * a0) for t in grid]
-
-    def rhs(t, m):
-        u = u_hat(t)
-        return m @ (a0 + sum(u[i] * system.controlled[i]
-                             for i in range(system.m)))
-
-    return rk4_flow(rhs, grid, np.eye(system.d),
-                    lambda t, m: system.project_to_group(m))
+    return [expm(t * a0) for t in np.asarray(grid, dtype=float)]
 
 
 def coadjoint_transport(p0: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -76,26 +59,16 @@ def coadjoint_transport(p0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m.T @ p0 @ m_inv.T
 
 
-def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray, u_hat, grid,
-                       q0: np.ndarray | None = None,
-                       flow_cache: list[np.ndarray] | None = None) -> ExtremalTrajectory:
+def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
+                       grid) -> ExtremalTrajectory:
     """Extremal lift along the reference flow by exact coadjoint transport."""
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
-    if flow_cache is None:
-        flow_cache = reference_flow(system, u_hat, grid)
-    if q0 is None:
-        q0 = np.eye(system.d)
-    controls = np.array([u_hat(t) for t in grid])
-    points = []
-    for k, t in enumerate(grid):
-        m = flow_cache[k]
-        points.append(
-            ExtremalPoint(q=q0 @ m, p=coadjoint_transport(p0, m), t=float(t),
-                          u=controls[k])
-        )
-    return ExtremalTrajectory(system, grid, points, controls, flow_cache, u_hat)
+    flow = reference_flow(system, grid)
+    points = [ExtremalPoint(q=m, p=coadjoint_transport(p0, m), t=float(t))
+              for t, m in zip(grid, flow)]
+    return ExtremalTrajectory(system, grid, points, flow)
 
 
 def hamiltonian_bracket(system: MatrixGroupSystem, point: ExtremalPoint, word) -> float:
@@ -108,29 +81,14 @@ def hogc_residual(system: MatrixGroupSystem, point: ExtremalPoint) -> float:
     return max(abs(pairing(point.p, b)) for b in system.lie_closure_basis)
 
 
-def legendre_form(system: MatrixGroupSystem, point: ExtremalPoint,
-                  hogc_tol: float = 1e-9) -> LegendreForm:
-    """The m x m form with entries F_{ij0}; adds control terms off HOGC.
-
-    When the point violates HOGC the extra terms sum_k u_k F_{ijk} do not
-    cancel and are included instead of silently dropped.
-    """
+def legendre_form(system: MatrixGroupSystem, point: ExtremalPoint) -> LegendreForm:
+    """The m x m form with entries F_{ij0} at the point."""
     m = system.m
-    res = hogc_residual(system, point)
     entries = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             entries[i, j] = hamiltonian_bracket(system, point, (i + 1, (j + 1, 0)))
-    include_extra = res > hogc_tol
-    if include_extra and point.u is not None:
-        for i in range(m):
-            for j in range(m):
-                entries[i, j] += sum(
-                    point.u[k - 1]
-                    * hamiltonian_bracket(system, point, (i + 1, (j + 1, k)))
-                    for k in range(1, m + 1)
-                )
-    return LegendreForm(entries, res, include_extra)
+    return LegendreForm(entries)
 
 
 def singular_feedback(system: MatrixGroupSystem, point: ExtremalPoint,
@@ -315,21 +273,19 @@ def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:
 
 
 def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:
-    """Emit t, flattened q and p, controls, and condition residuals."""
+    """Emit t, flattened q and p, and condition residuals."""
     system = trajectory.system
     m = system.m
     d = system.d
     header = ["t"]
     header += [f"q_{i}{j}" for i in range(d) for j in range(d)]
     header += [f"p_{i}{j}" for i in range(d) for j in range(d)]
-    header += [f"u_{i + 1}" for i in range(m)]
     header += [f"F_{i + 1}" for i in range(m)] + ["F0_minus_1", "hogc"]
     lines = [",".join(header)]
     for pt in trajectory.points:
         row = [f"{pt.t:.17g}"]
         row += [f"{v:.17g}" for v in pt.q.ravel()]
         row += [f"{v:.17g}" for v in pt.p.ravel()]
-        row += [f"{v:.17g}" for v in np.atleast_1d(pt.u)]
         row += [f"{pairing(pt.p, a):.17g}" for a in system.controlled]
         row.append(f"{pairing(pt.p, system.drift) - 1.0:.17g}")
         row.append(f"{hogc_residual(system, pt):.17g}")

@@ -1,14 +1,17 @@
 """Empirical falsification of local time-optimality.
 
-Competitor trajectories are sampled from three families: needle-like
-control variations realizing prescribed displacements inside the
+The reference arc is the drift orbit with control u = 0. Competitor
+trajectories are sampled from three families: needle-like control
+variations realizing prescribed displacements inside the
 controlled-algebra orbit, band-limited random control perturbations, and
-re-timed copies of the reference control. Competitors whose grids have
-the same length are integrated together as one stacked RK4 flow; each
-competitor's earliest arrival at the target manifold is recorded, and an
-arrival strictly earlier than the reference horizon is a counterexample
-witness. Arrival and graph distance use one exact series logarithm on
-each competitor's whole stack of states.
+"retimed" copies of the reference control. Retiming the zero control
+leaves it zero, so a retimed competitor integrates the reference arc
+itself; the family keeps its label and its records. Competitors whose
+grids have the same length are integrated together as one stacked RK4
+flow; each competitor's earliest arrival at the target manifold is
+recorded, and an arrival strictly earlier than the reference horizon is
+a counterexample witness. Arrival and graph distance use one exact
+series logarithm on each competitor's whole stack of states.
 """
 
 from __future__ import annotations
@@ -38,17 +41,12 @@ class NeedleVariation:
     amplitude scaled by 1/eps.
     """
 
-    u_hat: object
     s_bar: float
     t_vec: np.ndarray
     eps: float
     t_bar: np.ndarray
     channels: tuple
     m: int
-
-    @property
-    def window(self):
-        return (self.s_bar, self.s_bar + 2.0 * self.eps ** 2)
 
     def overlay_base(self, s: float) -> np.ndarray:
         """The unscaled word control nu_t on [0, 2]."""
@@ -71,17 +69,14 @@ class NeedleVariation:
             return np.zeros(self.m)
         return self.overlay_base(local / self.eps ** 2) / self.eps
 
-    def __call__(self, s: float) -> np.ndarray:
-        return np.asarray(self.u_hat(s), dtype=float) + self.overlay(s)
-
     def piece_boundaries(self) -> np.ndarray:
         r = len(self.channels)
         local = np.linspace(0.0, 2.0, 2 * r + 1)
         return self.s_bar + local * self.eps ** 2
 
 
-def needle_variation(u_hat, s_bar: float, t_vec, eps: float, horizon: float,
-                     m: int, t_bar=None, channels=None) -> NeedleVariation:
+def needle_variation(s_bar: float, t_vec, eps: float, horizon: float, m: int,
+                     t_bar=None, channels=None) -> NeedleVariation:
     """Build a needle variation; the window must fit inside the horizon."""
     t_vec = np.asarray(t_vec, dtype=float)
     if t_bar is None:
@@ -92,7 +87,7 @@ def needle_variation(u_hat, s_bar: float, t_vec, eps: float, horizon: float,
         channels = tuple(k % m for k in range(t_vec.size))
     if s_bar + 2.0 * eps ** 2 > horizon + 1e-12:
         raise ValueError("needle window exceeds the horizon")
-    return NeedleVariation(u_hat, float(s_bar), t_vec, float(eps), t_bar,
+    return NeedleVariation(float(s_bar), t_vec, float(eps), t_bar,
                            tuple(channels), m)
 
 
@@ -149,9 +144,8 @@ def driftless_scaling_check(system: MatrixGroupSystem, t_vec,
     if eps_grid[-1] < 1e-3:
         raise ValueError("eps grid below the resolvable scale")
     chart = dubins_adapted_chart(system)
-    needle = needle_variation(lambda s: np.zeros(system.m), 0.0, t_vec,
-                              eps_grid[0], horizon=np.inf, m=system.m,
-                              t_bar=t_bar)
+    needle = needle_variation(0.0, t_vec, eps_grid[0], horizon=np.inf,
+                              m=system.m, t_bar=t_bar)
     # eps-linear coefficient of the word displacement: the weighted sum of
     # the generators, expanded in the adapted frame
     lin = sum((needle.t_vec[k] - needle.t_bar[k])
@@ -276,20 +270,19 @@ def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
 
 @dataclass(frozen=True)
 class _Competitor:
-    """One sampled competitor: its grid and how its control departs from
-    u_hat. A needle adds its overlay; a band adds the cos/sin modes of the
-    horizon with coefficients ``coeff`` (2 _BAND_MODES, m); a retimed copy
-    plays u_hat(min(s / stretch, t_hat)). With none set it is u_hat."""
+    """One sampled competitor: its grid and its control. A needle plays its
+    overlay; a band plays the cos/sin modes of the horizon with
+    coefficients ``coeff`` (2 _BAND_MODES, m). With neither set (a
+    retimed copy, or radius 0) the control is zero: the reference."""
 
     family: str
     seed: list
     grid: np.ndarray
     needle: NeedleVariation | None
     coeff: np.ndarray | None
-    stretch: float | None
 
 
-def _sample_competitors(system: MatrixGroupSystem, u_hat, t_hat: float,
+def _sample_competitors(system: MatrixGroupSystem, t_hat: float,
                         scan_horizon: float, n_samples: int, radius: float,
                         seed: int, dt: float) -> list[_Competitor]:
     """Draw the competitors in order, each from its own SeedSequence child."""
@@ -298,22 +291,20 @@ def _sample_competitors(system: MatrixGroupSystem, u_hat, t_hat: float,
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         rng = np.random.default_rng(child)
         family = ("needle", "band", "retimed")[idx % 3]
-        needle = coeff = stretch = None
+        needle = coeff = None
         if family == "needle" or radius == 0.0:
             eps = radius * rng.uniform(0.3, 1.0)
             if radius != 0.0:
                 s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
                 t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
-                needle = needle_variation(u_hat, s_bar, t_vec, eps,
-                                          scan_horizon, system.m, t_bar=t_bar)
+                needle = needle_variation(s_bar, t_vec, eps, scan_horizon,
+                                          system.m, t_bar=t_bar)
         elif family == "band":
             coeff = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
             coeff /= max(1.0, np.linalg.norm(coeff))
-        else:
-            stretch = 1.0 + radius * rng.uniform(-0.1, 0.1)
         grid = _integration_grid(scan_horizon, dt, needle, include=(t_hat,))
         out.append(_Competitor(family, [int(v) for v in child.spawn_key],
-                               grid, needle, coeff, stretch))
+                               grid, needle, coeff))
     return out
 
 
@@ -334,24 +325,16 @@ def _needle_overlays(s, s_bar, eps, t_vec, t_bar, channels, m):
     return out
 
 
-def _stacked_control(members: list[_Competitor], u_hat, t_hat: float, m: int):
+def _stacked_control(members: list[_Competitor], t_hat: float, m: int):
     """The members' controls as one function: (S,) times -> (S, m)."""
     needles = [i for i, c in enumerate(members) if c.needle is not None]
     bands = [i for i, c in enumerate(members) if c.coeff is not None]
-    retimed = [i for i, c in enumerate(members) if c.stretch is not None]
     coeff = np.array([members[i].coeff for i in bands])
-    stretch = np.array([members[i].stretch for i in retimed])
     needle_args = [np.array([getattr(members[i].needle, key) for i in needles])
                    for key in ("s_bar", "eps", "t_vec", "t_bar", "channels")]
-    zero = getattr(u_hat, "is_zero", False)
 
     def control(t):
-        if zero:
-            out = np.zeros((t.size, m))
-        else:
-            s = t.copy()
-            s[retimed] = np.minimum(t[retimed] / stretch, t_hat)
-            out = np.array([np.asarray(u_hat(v), dtype=float) for v in s])
+        out = np.zeros((t.size, m))
         if bands:
             tb = t[bands, None]
             for k in range(_BAND_MODES):
@@ -366,11 +349,11 @@ def _stacked_control(members: list[_Competitor], u_hat, t_hat: float, m: int):
 
 
 def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
-                   u_hat, t_hat: float, q0: np.ndarray) -> list[np.ndarray]:
+                   t_hat: float, q0: np.ndarray) -> list[np.ndarray]:
     """q' = q (A0 + sum u_i A_i), q(0) = q0, for members whose grids have
     one length, as one RK4 flow of the (S, d, d) stack: the stack at each
     grid index."""
-    control = _stacked_control(members, u_hat, t_hat, system.m)
+    control = _stacked_control(members, t_hat, system.m)
     a0 = system.drift
 
     def rhs(t, y):
@@ -396,13 +379,11 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     """
     t_hat = extremal.horizon
     q0 = extremal.points[0].q
-    u_hat = extremal.u_hat
     scan_horizon = t_hat * (1.0 + horizon_pad)
     ref_grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
-    ref_inv = np.linalg.inv(q0 @ np.array(reference_flow(system, u_hat,
-                                                         ref_grid)))
-    competitors = _sample_competitors(system, u_hat, t_hat, scan_horizon,
-                                      n_samples, radius, seed, dt)
+    ref_inv = np.linalg.inv(q0 @ np.array(reference_flow(system, ref_grid)))
+    competitors = _sample_competitors(system, t_hat, scan_horizon, n_samples,
+                                      radius, seed, dt)
 
     # one stacked flow per grid length: the base grid (band, retimed,
     # radius 0) and, generically, one refined length for the needles
@@ -415,7 +396,7 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         # memory stays flat: one group's stack and one competitor's states
         # are alive at a time
         members = [competitors[i] for i in idxs]
-        flow = _stacked_flows(system, members, u_hat, t_hat, q0)
+        flow = _stacked_flows(system, members, t_hat, q0)
         for j, (idx, comp) in enumerate(zip(idxs, members)):
             states = np.array([y[j] for y in flow])
             arrivals[idx] = target.arrival_time(comp.grid, states)

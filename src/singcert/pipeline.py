@@ -1,13 +1,13 @@
 """Configuration ingestion, pipeline orchestration, and report emission.
 
 The pipeline runs the verification stages in dependency order: necessary
-conditions, second-variation coercivity (two independent methods), the
-field-of-extremals certificate, and the empirical falsifier. A hard
-failure skips the remaining stages; a falsifier counterexample overrides
-every other verdict. A stage that breaks down numerically (chart
-inversion, projection onto Sigma, a singular linear solve) is recorded
-with status "error", the remaining stages are skipped, and the overall
-verdict is "error".
+conditions, second-variation coercivity (two independent methods, both of
+which must say coercive), the field-of-extremals certificate, and the
+empirical falsifier. A hard failure skips the remaining stages; a
+falsifier counterexample overrides every other verdict. A stage that
+breaks down numerically (chart inversion, projection onto Sigma, a
+singular linear solve) is recorded with status "error", the remaining
+stages are skipped, and the overall verdict is "error".
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import jsonschema
 
 from . import __version__
 from .chart import OutOfChartError, dubins_adapted_chart
-from .controls import ZeroControl
 from .extremal import (
     Tolerances,
     adjoint_trajectory,
@@ -50,7 +49,8 @@ from .systems import build_dubins_system
 
 SCHEMA_VERSION = 1
 
-# most grid steps horizon / dt and horizon / falsifier.dt may ask for
+# most grid steps horizon / dt and horizon / falsifier.dt may ask for, and
+# most certificate grid points and certificate or falsifier samples
 MAX_GRID_STEPS = 10 ** 6
 
 # numerical breakdowns a stage reports as status "error" instead of raising
@@ -96,16 +96,19 @@ CONFIG_SCHEMA = {
             "properties": {
                 "rho": {"type": "number"},
                 "lambda_radius": {"type": "number"},
-                "n_samples": {"type": "integer", "minimum": 1},
+                "n_samples": {"type": "integer", "minimum": 1,
+                              "maximum": MAX_GRID_STEPS},
                 "seed": {"type": "integer"},
-                "grid_points": {"type": "integer", "minimum": 2},
+                "grid_points": {"type": "integer", "minimum": 2,
+                                "maximum": MAX_GRID_STEPS},
             },
         },
         "falsifier": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_samples": {"type": "integer", "minimum": 0},
+                "n_samples": {"type": "integer", "minimum": 0,
+                              "maximum": MAX_GRID_STEPS},
                 "radius": {"type": "number", "minimum": 0},
                 "seed": {"type": "integer"},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
@@ -185,6 +188,12 @@ def load_config(doc: dict) -> dict:
         if not steps <= MAX_GRID_STEPS:
             raise ConfigError(f"horizon / {key} is {steps:.3g} grid steps, "
                               f"more than {MAX_GRID_STEPS}")
+    # a needle's window 2 eps^2, eps up to the radius, must fit the horizon
+    radius = config["falsifier"]["radius"]
+    if "falsifier" in config["checks"] and \
+            radius > np.sqrt(config["horizon"] / 2.0):
+        raise ConfigError(f"falsifier.radius {radius:g} needs a horizon of at "
+                          f"least 2 radius^2, not {config['horizon']:g}")
     return config
 
 
@@ -210,7 +219,7 @@ def _build_problem(config: dict):
     chart = dubins_adapted_chart(system)
     n_steps = max(int(round(config["horizon"] / config["dt"])), 8)
     grid = np.linspace(0.0, config["horizon"], n_steps + 1)
-    trajectory = adjoint_trajectory(system, p0, ZeroControl(system.m), grid)
+    trajectory = adjoint_trajectory(system, p0, grid)
     return system, chart, trajectory
 
 
@@ -250,7 +259,7 @@ def run_check(config: dict) -> dict:
                 lq = assemble_lq(system, trajectory, chart)
                 gal = galerkin_coercivity(lq, config["galerkin_k"][0])
                 conj = conjugate_point_test(lq, rho_grid=config["rho_grid"])
-                passed = gal.coercive or conj.coercive
+                passed = gal.coercive and conj.coercive
                 stages[stage] = {"status": "passed" if passed else "failed",
                                  "galerkin": gal.as_dict(),
                                  "conjugate_point": conj.as_dict(),

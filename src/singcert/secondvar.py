@@ -76,17 +76,15 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 chart: GroupChart, rho: float = 0.0) -> SecondVariationProblem:
     """Assemble the LQ second-variation data in the adapted chart.
 
-    The reference control must be zero. Every coefficient is then linear
-    in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra element, so
-    the linear maps are tabulated once, in the coordinates of the chart
-    frame (a basis of the whole algebra): `ad` has the coordinates of
-    [A_0, B_k] as columns, Z(0) is its first m columns, row k of `rows` is
-    -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k> and c0 holds the
-    coordinates of [A_i, [A_j, A_0]]. With T = expm(t ad),
+    The reference arc is the drift orbit exp(t A_0). Every coefficient is
+    linear in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra
+    element, so the linear maps are tabulated once, in the coordinates of
+    the chart frame (a basis of the whole algebra): `ad` has the
+    coordinates of [A_0, B_k] as columns, Z(0) is its first m columns, row
+    k of `rows` is -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k>
+    and c0 holds the coordinates of [A_i, [A_j, A_0]]. With T = expm(t ad),
     Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and a(t) = Z(t)^T rows.
     """
-    if not getattr(extremal.u_hat, "is_zero", False):
-        raise ValueError("assemble_lq requires a zero reference control")
     n, m = chart.n, system.m
     p_hat = chart.p_hat
     frame = chart.frame_algebra

@@ -5,14 +5,12 @@ import pytest
 
 from singcert.algebra import commutator, numerical_rank
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import (
     adjoint_trajectory,
     condition_battery,
     dubins_boundary_tangents,
     dubins_initial_covector,
     legendre_form,
-    reference_flow,
     singular_feedback,
 )
 from singcert.falsifier import (
@@ -21,6 +19,7 @@ from singcert.falsifier import (
     driftless_scaling_check,
 )
 from singcert.geometry import GroupGeometry, certificate_check
+from singcert.numerics import rk4_flow
 from singcert.pipeline import emit, run_check
 from singcert.secondvar import (
     assemble_lq,
@@ -45,8 +44,7 @@ def chart3(dub3):
 @pytest.fixture(scope="module")
 def extremal3(dub3):
     p0 = dubins_initial_covector(dub3)
-    return adjoint_trajectory(dub3, p0, ZeroControl(dub3.m),
-                              np.linspace(0.0, 1.0, 101))
+    return adjoint_trajectory(dub3, p0, np.linspace(0.0, 1.0, 101))
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +71,7 @@ def test_criterion_2_singular_extremal_recovery():
     for form in ("euclidean", "sphere"):
         system = build_dubins_system(form, 3)
         p0 = dubins_initial_covector(system)
-        traj = adjoint_trajectory(system, p0, ZeroControl(system.m),
-                                  np.linspace(0.0, 1.0, 101))
+        traj = adjoint_trajectory(system, p0, np.linspace(0.0, 1.0, 101))
         nu_sup = max(np.max(np.abs(singular_feedback(system, pt)))
                      for pt in traj.points)
         assert nu_sup <= 1e-10
@@ -174,12 +171,14 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     assert sweep.verdict == "no counterexample"
     assert sweep.min_arrival >= extremal3.horizon - 1e-6
 
-    u_loop = CallableControl(lambda s: np.array([1.0, 0.0]), dub3.m)
-    p0 = dubins_initial_covector(dub3)
-    loop = adjoint_trajectory(dub3, p0, u_loop,
+    # the sphere's drift orbit closes after 2 pi: its target is its start
+    sph3 = build_dubins_system("sphere", 3)
+    loop = adjoint_trajectory(sph3, dubins_initial_covector(sph3),
                               np.linspace(0.0, 2.0 * np.pi, 129))
-    loop_target = TargetSpec(dub3, loop.points[-1].q, chart3)
-    refutation = competitor_sweep(dub3, loop, loop_target, n_samples=9,
+    assert np.max(np.abs(loop.points[-1].q - np.eye(sph3.d))) <= 1e-12
+    loop_target = TargetSpec(sph3, loop.points[-1].q,
+                             dubins_adapted_chart(sph3))
+    refutation = competitor_sweep(sph3, loop, loop_target, n_samples=9,
                                   radius=0.1, seed=1)
     assert refutation.refuted
     assert refutation.witness["arrival"] < loop.horizon - 1e-6
@@ -194,12 +193,18 @@ def test_criterion_9_determinism_and_convergence(dub3):
             "falsifier": {"n_samples": 8}, "galerkin_k": [8]}
     assert emit(run_check(fast)) == emit(run_check(fast))
 
-    u = CallableControl(lambda t: np.array([np.sin(2 * t), np.cos(3 * t)]),
-                        dub3.m)
-    finest = reference_flow(dub3, u, np.linspace(0, 1, 1 + 2 ** 12))[-1]
+    # RK4 with group projection, the competitors' integrator, on a smooth
+    # non-zero control
+    def rhs(t, m):
+        return m @ (dub3.drift + np.sin(2 * t) * dub3.controlled[0]
+                    + np.cos(3 * t) * dub3.controlled[1])
+
+    def end(n_steps):
+        return rk4_flow(rhs, np.linspace(0, 1, n_steps + 1), np.eye(dub3.d),
+                        lambda t, m: dub3.project_to_group(m))[-1]
+
+    finest = end(2 ** 12)
     steps = [2 ** k for k in (4, 5, 6, 7)]
-    errs = [np.max(np.abs(
-        reference_flow(dub3, u, np.linspace(0, 1, s + 1))[-1] - finest))
-        for s in steps]
+    errs = [np.max(np.abs(end(s) - finest)) for s in steps]
     order = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert order >= 3.7

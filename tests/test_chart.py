@@ -104,13 +104,12 @@ def test_covector_roundtrip(chart3):
     x = 0.1 * rng.standard_normal(chart.n)
     y = rng.standard_normal(chart.n)
     p = chart.covector_from_chart(x, y)
-    assert np.allclose(chart.covector_to_chart(x, p), y, atol=1e-10)
+    frame = chart.frame(x)
+    assert np.allclose([pairing(p, v) for v in frame], y, atol=1e-10)
     # pairings with arbitrary algebra elements are reproduced
-    a = sum(c * b for c, b in zip(rng.standard_normal(chart.n),
-                                  chart.frame(x)))
-    y_combo = chart.covector_to_chart(x, p)
+    a = sum(c * b for c, b in zip(rng.standard_normal(chart.n), frame))
     coeffs = chart.solve_in_frame(x, a)
-    assert pairing(p, a) == pytest.approx(float(coeffs @ y_combo), abs=1e-10)
+    assert pairing(p, a) == pytest.approx(float(coeffs @ y), abs=1e-10)
 
 
 def test_field_components_unit_vectors_at_origin(chart3):

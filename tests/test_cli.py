@@ -10,6 +10,7 @@ from singcert.chart import OutOfChartError
 from singcert.cli import main
 from singcert.geometry import ProjectionError
 from singcert.pipeline import (
+    MAX_GRID_STEPS,
     ConfigError,
     DEFAULT_CONFIG,
     emit,
@@ -68,10 +69,55 @@ def test_bad_values_rejected():
         with pytest.raises(ConfigError, match="grid steps"):
             load_config(doc)
     assert load_config({"dt": 2e-6, "falsifier": {"dt": 2e-6}})["dt"] == 2e-6
+    # counts that would allocate without bound
+    for section, key in (("certificate", "grid_points"),
+                         ("certificate", "n_samples"),
+                         ("falsifier", "n_samples")):
+        for count in (10 ** 12, MAX_GRID_STEPS + 1):
+            with pytest.raises(ConfigError):
+                load_config({section: {key: count}})
+    # a needle window 2 radius^2 longer than the horizon
+    with pytest.raises(ConfigError, match="radius"):
+        load_config({"horizon": 0.01, "checks": ["conditions", "falsifier"]})
     with pytest.raises(ConfigError):
         run_sweep({}, "horizon", ["1e308"])
     with pytest.raises(ConfigError):
         run_sweep({}, "N", ["abc"])
+
+
+def test_tiny_horizons_run(tmp_path, capsys):
+    """Horizons down to the needle window run to a verdict: the window
+    just fits, radius 0 has none, and without the falsifier stage there is
+    no window to fit."""
+    for doc in ({"horizon": 0.02, "checks": ["conditions", "falsifier"]},
+                {"horizon": 0.01, "falsifier": {"radius": 0},
+                 "checks": ["conditions", "falsifier"]},
+                {"horizon": 0.01, "checks": ["conditions"]}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["check", str(cfg_path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "checks passed, not certified"
+
+
+def test_coercivity_needs_both_deciders():
+    """Past the sphere's first conjugate time pi, Galerkin says not
+    coercive while the conjugate-point test says coercive: the stage fails.
+    Before it, both say coercive and the stage passes."""
+    def coercivity(horizon):
+        report = run_check({
+            "system": {"kind": "dubins", "space_form": "sphere", "N": 3},
+            "horizon": horizon, "checks": ["conditions", "coercivity"]})
+        return report["stages"]["coercivity"]
+
+    past = coercivity(3.3)
+    assert not past["verdicts_agree"]
+    assert past["galerkin"]["margin"] < 0 < past["conjugate_point"]["margin"]
+    assert past["status"] == "failed"
+    before = coercivity(3.0)
+    assert before["verdicts_agree"]
+    assert before["galerkin"]["verdict"] == "coercive"
+    assert before["status"] == "passed"
 
 
 def test_empty_checks_is_echo_only():

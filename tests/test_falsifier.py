@@ -6,11 +6,9 @@ from scipy.linalg import expm, logm
 from scipy.optimize import brentq
 
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import (
     adjoint_trajectory,
     dubins_initial_covector,
-    reference_flow,
 )
 from singcert.falsifier import (
     TargetSpec,
@@ -24,6 +22,7 @@ from singcert.falsifier import (
     needle_variation,
     report_to_csv,
 )
+from singcert.numerics import rk4_flow
 from singcert.systems import build_dubins_system
 
 
@@ -35,41 +34,35 @@ def dub3():
 @pytest.fixture(scope="module")
 def extremal3(dub3):
     p0 = dubins_initial_covector(dub3)
-    return adjoint_trajectory(dub3, p0, ZeroControl(dub3.m),
-                              np.linspace(0.0, 1.0, 65))
-
-
-def zero_u(m):
-    return lambda s: np.zeros(m)
+    return adjoint_trajectory(dub3, p0, np.linspace(0.0, 1.0, 65))
 
 
 def test_needle_zero_tvec_is_reference(dub3):
-    needle = needle_variation(zero_u(dub3.m), 0.3, np.zeros(dub3.R), 0.1,
-                              horizon=1.0, m=dub3.m)
+    needle = needle_variation(0.3, np.zeros(dub3.R), 0.1, horizon=1.0,
+                              m=dub3.m)
     for s in (0.0, 0.3, 0.305, 0.31, 0.8):
-        assert np.max(np.abs(needle(s))) == 0.0
+        assert np.max(np.abs(needle.overlay(s))) == 0.0
 
 
 def test_needle_supported_on_window(dub3):
     eps = 0.1
-    needle = needle_variation(zero_u(dub3.m), 0.3, 0.05 * np.ones(dub3.R),
-                              eps, horizon=1.0, m=dub3.m)
+    needle = needle_variation(0.3, 0.05 * np.ones(dub3.R), eps, horizon=1.0,
+                              m=dub3.m)
     dt = 1e-6
-    assert np.max(np.abs(needle(0.3 - dt))) == 0.0
-    assert np.max(np.abs(needle(0.3 + 2 * eps ** 2 + dt))) == 0.0
-    assert np.max(np.abs(needle(0.3 + eps ** 2))) > 0.0
+    assert np.max(np.abs(needle.overlay(0.3 - dt))) == 0.0
+    assert np.max(np.abs(needle.overlay(0.3 + 2 * eps ** 2 + dt))) == 0.0
+    assert np.max(np.abs(needle.overlay(0.3 + eps ** 2))) > 0.0
 
 
 def test_needle_l1_norm_scales_linearly(dub3):
     t_vec = np.array([0.04, -0.03, 0.05])
     grid = np.linspace(0.0, 2.0, 60001)
-    base = np.array([needle_variation(zero_u(dub3.m), 0.0, t_vec, 1.0,
-                                      horizon=10.0, m=dub3.m).overlay_base(s)
+    base = np.array([needle_variation(0.0, t_vec, 1.0, horizon=10.0,
+                                      m=dub3.m).overlay_base(s)
                      for s in grid])
     base_l1 = np.trapezoid(np.abs(base).sum(axis=1), grid)
     for eps in (0.2, 0.1):
-        needle = needle_variation(zero_u(dub3.m), 0.0, t_vec, eps,
-                                  horizon=10.0, m=dub3.m)
+        needle = needle_variation(0.0, t_vec, eps, horizon=10.0, m=dub3.m)
         win = np.linspace(0.0, 2.0 * eps ** 2, 60001)
         vals = np.array([needle.overlay(s) for s in win])
         l1 = np.trapezoid(np.abs(vals).sum(axis=1), win)
@@ -78,16 +71,15 @@ def test_needle_l1_norm_scales_linearly(dub3):
 
 def test_needle_window_must_fit(dub3):
     with pytest.raises(ValueError):
-        needle_variation(zero_u(dub3.m), 0.99, np.zeros(dub3.R), 0.2,
-                         horizon=1.0, m=dub3.m)
+        needle_variation(0.99, np.zeros(dub3.R), 0.2, horizon=1.0, m=dub3.m)
 
 
 def test_driftless_endpoint_matches_exponential_product(dub3):
     """Composition oracle: the word flow is the unrolled exp product."""
     t_vec = np.array([0.06, -0.04, 0.05])
     t_bar = np.array([0.02, 0.02, 0.02])
-    needle = needle_variation(zero_u(dub3.m), 0.0, t_vec, 0.2,
-                              horizon=10.0, m=dub3.m, t_bar=t_bar)
+    needle = needle_variation(0.0, t_vec, 0.2, horizon=10.0, m=dub3.m,
+                              t_bar=t_bar)
     eps = 0.2
     end = driftless_endpoint(dub3, needle, eps=eps)
     expect = np.eye(dub3.d)
@@ -160,16 +152,16 @@ def test_sweep_deterministic(dub3, extremal3):
     assert a.as_dict() == b.as_dict()
 
 
-def test_sweep_refutes_manufactured_loop(dub3):
-    """A full-circle reference returns to its start, so the target orbit
-    is reached immediately; the sweep must refute it."""
-    u_loop = CallableControl(lambda s: np.array([1.0, 0.0]), dub3.m)
+def test_sweep_refutes_manufactured_loop():
+    """The sphere's drift orbit is a closed geodesic: over 2 pi it returns
+    to its start, so the target orbit is reached immediately and the sweep
+    must refute it."""
+    sph3 = build_dubins_system("sphere", 3)
     grid = np.linspace(0.0, 2.0 * np.pi, 129)
-    p0 = dubins_initial_covector(dub3)
-    traj = adjoint_trajectory(dub3, p0, u_loop, grid)
-    assert np.max(np.abs(traj.points[-1].q - np.eye(dub3.d))) <= 1e-6
-    target = TargetSpec(dub3, traj.points[-1].q, dubins_adapted_chart(dub3))
-    report = competitor_sweep(dub3, traj, target, n_samples=9, radius=0.1,
+    traj = adjoint_trajectory(sph3, dubins_initial_covector(sph3), grid)
+    assert np.max(np.abs(traj.points[-1].q - np.eye(sph3.d))) <= 1e-12
+    target = TargetSpec(sph3, traj.points[-1].q, dubins_adapted_chart(sph3))
+    report = competitor_sweep(sph3, traj, target, n_samples=9, radius=0.1,
                               seed=11)
     assert report.refuted
     assert report.witness is not None
@@ -208,47 +200,47 @@ def test_quick_log_matches_logm_near_radius(space):
     assert np.max(np.abs(_quick_log(stack) - each)) <= 1e-14
 
 
-def _serial_control(comp, u_hat, t_hat, m):
-    """The competitor's control evaluated one time at a time."""
-    if comp.needle is not None:
-        return comp.needle
-    if comp.coeff is not None:
-        def fn(s):
-            out = np.asarray(u_hat(s), dtype=float).copy()
+def _serial_control(comp, t_hat, m):
+    """The competitor's control one time at a time: its needle overlay,
+    its band modes, or zero."""
+    def control(s):
+        if comp.needle is not None:
+            return comp.needle.overlay(s)
+        out = np.zeros(m)
+        if comp.coeff is not None:
             for k in range(len(comp.coeff) // 2):
                 phase = 2.0 * np.pi * (k + 1) * s / t_hat
                 out += comp.coeff[2 * k] * np.cos(phase)
                 out += comp.coeff[2 * k + 1] * np.sin(phase)
-            return out
-    elif comp.stretch is not None:
-        def fn(s):
-            return np.asarray(u_hat(min(s / comp.stretch, t_hat)), dtype=float)
-    else:
-        fn = u_hat
-    return CallableControl(fn, m)
+        return out
+
+    return control
 
 
-@pytest.mark.parametrize("space,u_hat", [
-    ("sphere", None), ("hyperbolic", None),
-    ("sphere", lambda s: np.array([0.3 * np.sin(4.0 * s), 0.2, -0.1]))])
-def test_stacked_flows_match_serial(space, u_hat):
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_stacked_flows_match_serial(space):
     """Each member of a stacked competitor flow equals the flow of its own
     control on its own grid, integrated alone."""
     sys_ = build_dubins_system(space, 4)
-    u_hat = ZeroControl(sys_.m) if u_hat is None else CallableControl(u_hat,
-                                                                      sys_.m)
     t_hat = 1.0
-    comps = _sample_competitors(sys_, u_hat, t_hat, 1.1, 9, 0.1, 2, 0.02)
+    comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2, 0.02)
     by_length = {}
     for comp in comps:
         by_length.setdefault(comp.grid.size, []).append(comp)
     assert sorted(len(v) for v in by_length.values()) == [3, 6]
     for members in by_length.values():
-        stacked = np.array(_stacked_flows(sys_, members, u_hat, t_hat,
+        stacked = np.array(_stacked_flows(sys_, members, t_hat,
                                           np.eye(sys_.d)))
         for j, comp in enumerate(members):
-            alone = reference_flow(sys_, _serial_control(comp, u_hat, t_hat,
-                                                         sys_.m), comp.grid)
+            control = _serial_control(comp, t_hat, sys_.m)
+
+            def rhs(t, q):
+                u = control(t)
+                return q @ (sys_.drift + sum(u[i] * sys_.controlled[i]
+                                             for i in range(sys_.m)))
+
+            alone = rk4_flow(rhs, comp.grid, np.eye(sys_.d),
+                             lambda t, q: sys_.project_to_group(q))
             assert np.max(np.abs(stacked[:, j] - np.array(alone))) <= 1e-12
     assert {c.family for c in comps} == {"needle", "band", "retimed"}
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import (
     ExtremalPoint,
     adjoint_trajectory,
@@ -25,8 +24,7 @@ from singcert.systems import build_dubins_system
 def setup():
     sys_ = build_dubins_system("euclidean", 3)
     p0 = dubins_initial_covector(sys_)
-    traj = adjoint_trajectory(sys_, p0, ZeroControl(sys_.m),
-                              np.linspace(0, 1, 101))
+    traj = adjoint_trajectory(sys_, p0, np.linspace(0, 1, 101))
     return sys_, GroupGeometry(sys_), traj
 
 
@@ -236,15 +234,6 @@ def test_certificate_rho_independent_for_dubins(setup):
     report = certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=0.0,
                                grid=np.linspace(0, 1, 26))
     assert report.min_singular_value > 0.5
-
-
-def test_certificate_rejects_nonzero_reference(setup):
-    sys_, _, _ = setup
-    control = CallableControl(lambda t: np.full(sys_.m, 0.1), sys_.m)
-    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_), control,
-                              np.linspace(0.0, 1.0, 11))
-    with pytest.raises(ValueError):
-        certificate_check(sys_, traj, dubins_adapted_chart(sys_), rho=1.0)
 
 
 def test_flow_csv(tmp_path, setup):

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
-from singcert.controls import CallableControl, ZeroControl
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
 from singcert.secondvar import (
     SecondVariationProblem,
@@ -29,8 +28,7 @@ def setup():
     sys_ = build_dubins_system("euclidean", 3)
     chart = dubins_adapted_chart(sys_)
     p0 = dubins_initial_covector(sys_)
-    traj = adjoint_trajectory(sys_, p0, ZeroControl(sys_.m),
-                              np.linspace(0.0, 1.0, 101))
+    traj = adjoint_trajectory(sys_, p0, np.linspace(0.0, 1.0, 101))
     return sys_, chart, traj
 
 
@@ -85,7 +83,6 @@ def test_pullback_gdot_is_time_derivative():
         sys_ = build_dubins_system(space, 3)
         chart = dubins_adapted_chart(sys_)
         traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
-                                  ZeroControl(sys_.m),
                                   np.linspace(0.0, 1.0, 11))
         lq = assemble_lq(sys_, traj, chart)
         origin = np.zeros(chart.n)
@@ -127,21 +124,12 @@ def test_tabulated_lq_matches_direct_formula(space, n_dim):
     sys_ = build_dubins_system(space, n_dim)
     chart = dubins_adapted_chart(sys_)
     traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
-                              ZeroControl(sys_.m), np.linspace(0.0, 1.0, 11))
+                              np.linspace(0.0, 1.0, 11))
     lq = assemble_lq(sys_, traj, chart)
     for t in (0.0, 0.37, 1.0):
         z, c, a = direct_lq(sys_, chart, traj.points[0].p, t)
         for got, want in ((lq.z_fn(t), z), (lq.c_fn(t), c), (lq.a_fn(t), a)):
             assert np.max(np.abs(got - want)) <= 1e-12, (space, n_dim, t)
-
-
-def test_assemble_lq_rejects_nonzero_reference(setup):
-    sys_, chart, _ = setup
-    control = CallableControl(lambda t: np.full(sys_.m, 0.1), sys_.m)
-    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_), control,
-                              np.linspace(0.0, 1.0, 11))
-    with pytest.raises(ValueError):
-        assemble_lq(sys_, traj, chart)
 
 
 def test_lq_data_dubins(lq, setup):
