@@ -23,23 +23,18 @@ class OutOfChartError(RuntimeError):
 
 @dataclass
 class GroupChart:
-    """Adapted chart on a matrix group, centered at basepoint.
+    """Adapted chart on a matrix group, centered at the identity.
 
-    Forward map: x -> basepoint @ exp(x_n B_n) @ ... @ exp(x_1 B_1), so the
-    chart is the composition exp(x_1 f_1) o ... o exp(x_n f_n) applied to
-    the basepoint, with f_j the left-invariant field of B_j.
+    Forward map: x -> exp(x_n B_n) @ ... @ exp(x_1 B_1), so the chart is
+    the composition exp(x_1 f_1) o ... o exp(x_n f_n) applied to the
+    identity, with f_j the left-invariant field of B_j.
     """
 
-    system: MatrixGroupSystem
     frame_algebra: list[np.ndarray]
     R: int
-    basepoint: np.ndarray = None
-    p_hat: np.ndarray = None
+    p_hat: np.ndarray
 
     def __post_init__(self):
-        d = self.frame_algebra[0].shape[0]
-        if self.basepoint is None:
-            self.basepoint = np.eye(d)
         self.n = len(self.frame_algebra)
         # pseudo-inverse of the flattened frame at the origin: chart
         # components of an algebra element, used by the falsifier
@@ -48,7 +43,7 @@ class GroupChart:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        g = self.basepoint.copy()
+        g = np.eye(self.frame_algebra[0].shape[0])
         for j in range(self.n - 1, -1, -1):
             if x[j] != 0.0:
                 g = g @ expm(x[j] * self.frame_algebra[j])
@@ -115,8 +110,7 @@ class GroupChart:
         return p.reshape(v[0].shape)
 
 
-def dubins_adapted_chart(system: MatrixGroupSystem,
-                         basepoint: np.ndarray | None = None) -> GroupChart:
+def dubins_adapted_chart(system: MatrixGroupSystem) -> GroupChart:
     """Adapted chart for a Dubins-family system.
 
     Frame order: A_1..A_m, [A_i,A_j] (i < j), [A_0,A_i], A_0. The first
@@ -127,9 +121,7 @@ def dubins_adapted_chart(system: MatrixGroupSystem,
     r = m + m * (m - 1) // 2
     if r != system.R:
         raise ValueError("controlled algebra is not depth-2 spanned")
-    chart = GroupChart(system, system.full_algebra_basis(), r, basepoint)
-    p_hat = np.zeros(chart.n)
+    p_hat = np.zeros(system.n)
     p_hat[-1] = 1.0
-    chart.p_hat = p_hat
-    return chart
+    return GroupChart(system.full_algebra_basis(), r, p_hat)
 

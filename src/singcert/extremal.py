@@ -30,7 +30,6 @@ class ExtremalTrajectory:
     system: MatrixGroupSystem
     grid: np.ndarray
     points: list[ExtremalPoint]
-    flow_cache: list[np.ndarray]
 
     @property
     def horizon(self) -> float:
@@ -65,10 +64,9 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
-    flow = reference_flow(system, grid)
     points = [ExtremalPoint(q=m, p=coadjoint_transport(p0, m), t=float(t))
-              for t, m in zip(grid, flow)]
-    return ExtremalTrajectory(system, grid, points, flow)
+              for t, m in zip(grid, reference_flow(system, grid))]
+    return ExtremalTrajectory(system, grid, points)
 
 
 def hamiltonian_bracket(system: MatrixGroupSystem, point: ExtremalPoint, word) -> float:

@@ -18,11 +18,7 @@ from .algebra import commutator, pairing
 from .chart import GroupChart
 from .extremal import ExtremalPoint, ExtremalTrajectory, legendre_form
 from .numerics import damped_newton, rk4_flow
-from .systems import MatrixGroupSystem
-
-
-class ProjectionError(RuntimeError):
-    """Newton projection onto the singular surface failed."""
+from .systems import MatrixGroupSystem, ProjectionError
 
 
 @dataclass(frozen=True)

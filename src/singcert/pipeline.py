@@ -98,7 +98,7 @@ CONFIG_SCHEMA = {
                 "lambda_radius": {"type": "number"},
                 "n_samples": {"type": "integer", "minimum": 1,
                               "maximum": MAX_GRID_STEPS},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "grid_points": {"type": "integer", "minimum": 2,
                                 "maximum": MAX_GRID_STEPS},
             },
@@ -110,7 +110,7 @@ CONFIG_SCHEMA = {
                 "n_samples": {"type": "integer", "minimum": 0,
                               "maximum": MAX_GRID_STEPS},
                 "radius": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
             },
         },

@@ -68,12 +68,10 @@ class SecondVariationProblem:
     c_fn: object            # t -> (m, m)
     a_fn: object            # t -> (m, n)
     e_mat: np.ndarray       # (n, R)
-    p_hat: np.ndarray
-    rho: float = 0.0
 
 
 def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
-                chart: GroupChart, rho: float = 0.0) -> SecondVariationProblem:
+                chart: GroupChart) -> SecondVariationProblem:
     """Assemble the LQ second-variation data in the adapted chart.
 
     The reference arc is the drift orbit exp(t A_0). Every coefficient is
@@ -127,8 +125,7 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     return SecondVariationProblem(
         horizon=extremal.horizon, n=n, m=m, R=chart.R,
-        z_fn=z_fn, c_fn=c_fn, a_fn=a_fn, e_mat=e_mat, p_hat=p_hat,
-        rho=float(rho))
+        z_fn=z_fn, c_fn=c_fn, a_fn=a_fn, e_mat=e_mat)
 
 
 @dataclass
@@ -140,8 +137,6 @@ class GalerkinAssembly:
     constraint: np.ndarray
     kernel: np.ndarray
     constraint_rank: int
-    n_init: int
-    k_pieces: int
 
     def value(self, vars_vec: np.ndarray) -> float:
         v = np.asarray(vars_vec, dtype=float)
@@ -154,17 +149,15 @@ def _gauss_points(a: float, b: float):
 
 
 def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
-                      free_initial: bool = False,
                       final_subspace: np.ndarray | None = None) -> GalerkinAssembly:
-    """Assemble the quadratic form on (initial variation, piecewise-const w)."""
-    n, m, r = problem.n, problem.m, problem.R
-    t_hat = problem.horizon
-    n_init = n if free_initial else r
-    dim = n_init + m * k_pieces
-    edges = np.linspace(0.0, t_hat, k_pieces + 1)
-    h = edges[1] - edges[0]
+    """Assemble the quadratic form on (initial variation, piecewise-const w).
 
-    e_full = np.eye(n) if free_initial else problem.e_mat
+    The initial variation ranges over the R controlled directions e_mat.
+    """
+    n, m, n_init = problem.n, problem.m, problem.R
+    dim = n_init + m * k_pieces
+    edges = np.linspace(0.0, problem.horizon, k_pieces + 1)
+    h = edges[1] - edges[0]
 
     # per-piece integrals of Z
     g_int = np.zeros((k_pieces, n, m))
@@ -178,7 +171,7 @@ def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
 
     quad_raw = np.zeros((dim, dim))
     zeta_prefix = np.zeros((n, dim))
-    zeta_prefix[:, :n_init] = e_full
+    zeta_prefix[:, :n_init] = problem.e_mat
     for k in range(k_pieces):
         tg, wg = _gauss_points(edges[k], edges[k + 1])
         for t, wgt in zip(tg, wg):
@@ -197,9 +190,6 @@ def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
             quad_raw[w_slice(k), :] += wgt * block
         zeta_prefix[:, w_slice(k)] += g_int[k]
     quad = 0.5 * (quad_raw + quad_raw.T)
-    if free_initial and problem.rho > 0.0:
-        for i in range(r, n):
-            quad[i, i] += 0.5 * problem.rho
 
     gram = np.zeros((dim, dim))
     gram[:n_init, :n_init] = np.eye(n_init)
@@ -217,8 +207,7 @@ def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
     _, s_c, vt_c = np.linalg.svd(constraint)
     c_rank = int(np.sum(s_c > 1e-10 * s_c[0])) if s_c.size else 0
     kernel = vt_c[c_rank:].T
-    return GalerkinAssembly(quad, gram, constraint, kernel, c_rank,
-                            n_init, k_pieces)
+    return GalerkinAssembly(quad, gram, constraint, kernel, c_rank)
 
 
 @dataclass
@@ -262,7 +251,6 @@ def coercivity_floor(problem: SecondVariationProblem) -> float:
 
 
 def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
-                        free_initial: bool = False,
                         final_subspace: np.ndarray | None = None) -> CoercivityReport:
     """Galerkin eigenvalue decision on the constrained quadratic form."""
     if k_pieces < 4:
@@ -271,7 +259,7 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
     refinements = []
     margins = []
     for level in (k_pieces, 2 * k_pieces, 4 * k_pieces):
-        asm = galerkin_assemble(problem, level, free_initial, final_subspace)
+        asm = galerkin_assemble(problem, level, final_subspace)
         v = asm.kernel
         if v.shape[1] == 0:
             margins.append(np.inf)
@@ -290,18 +278,25 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
     return CoercivityReport(
         method="galerkin",
         verdict="coercive" if ok else "not coercive",
-        margin=float(margins[-1]), rho=problem.rho, refinements=refinements,
-        metadata={"floor": float(floor), "free_initial": bool(free_initial)})
+        margin=float(margins[-1]), rho=0.0, refinements=refinements,
+        metadata={"floor": float(floor)})
 
 
-def conjugate_point_trace(problem: SecondVariationProblem, rho: float,
+def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
                           n_steps: int = 200):
-    """Det of the base projection of the transported L'' subspace."""
-    n, m, r = problem.n, problem.m, problem.R
+    """Det of the base projection X_rho(t) of the transported L'' subspace,
+    one row per rho.
+
+    The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I),
+    P the projection onto coordinates R..n-1, is X_rho = X_I + rho X_P: one
+    RK4 flow of the two initial blocks (0, I) and (-P, 0), side by side,
+    gives every rho.
+    """
+    n, r = problem.n, problem.R
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
-    omega = np.zeros((n, n))
-    for j in range(r, n):
-        omega[j, j] = -rho
+    y0 = np.zeros((2, n, 2 * n))
+    y0[0, r:, r:n] = -np.eye(n - r)
+    y0[1, :, n:] = np.eye(n)
 
     def rhs(t, y):
         om, xx = y
@@ -311,38 +306,35 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho: float,
         b = l_inv @ (z_t.T @ om + a_t @ xx)
         return np.array([-a_t.T @ b, z_t @ b])
 
-    states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
-    return grid, np.array([np.linalg.det(y[1]) for y in states])
+    x = np.array([y[1] for y in rk4_flow(rhs, grid, y0)])
+    return grid, np.array([np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
+                           for rho in rho_grid])
 
 
 def conjugate_point_test(problem: SecondVariationProblem,
                          rho_grid=None, n_steps: int = 200,
                          det_floor: float = 0.1) -> CoercivityReport:
-    """Conjugate-point decision over a logarithmic rho sweep."""
+    """Conjugate-point decision over a logarithmic rho sweep.
+
+    The ratio of a rho is min_t |det X_rho(t)| / |det X_rho(0)| on the
+    n_steps grid. Coercive at the first rho of rho_grid whose ratio is at
+    least det_floor, reported at that rho; otherwise not coercive, reported
+    at the rho with the largest ratio. One Jacobi flow decides the whole
+    sweep (see conjugate_point_trace).
+    """
     if rho_grid is None:
         rho_grid = [2.0 ** k for k in range(-6, 7)]
-    sweep = []
-    best = None
-    for rho in rho_grid:
-        grid, dets = conjugate_point_trace(problem, rho, n_steps)
-        ratio = float(np.min(np.abs(dets)) / abs(dets[0]))
-        sweep.append({"rho": float(rho), "min_det_ratio": ratio})
-        if ratio >= det_floor and best is None:
-            best = (rho, grid, dets, ratio)
-    if best is not None:
-        rho, grid, dets, ratio = best
-        return CoercivityReport(
-            method="conjugate_point", verdict="coercive", margin=ratio,
-            rho=float(rho), refinements=sweep, det_trace=dets, det_grid=grid,
-            metadata={"det_floor": det_floor})
-    ratios = [s["min_det_ratio"] for s in sweep]
-    k_best = int(np.argmax(ratios))
-    grid, dets = conjugate_point_trace(problem, rho_grid[k_best], n_steps)
+    grid, dets = conjugate_point_trace(problem, rho_grid, n_steps)
+    ratios = np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0])
+    passing = np.flatnonzero(ratios >= det_floor)
+    k = int(passing[0]) if passing.size else int(np.argmax(ratios))
     return CoercivityReport(
-        method="conjugate_point", verdict="not coercive",
-        margin=float(ratios[k_best]), rho=float(rho_grid[k_best]),
-        refinements=sweep, det_trace=dets, det_grid=grid,
-        metadata={"det_floor": det_floor})
+        method="conjugate_point",
+        verdict="coercive" if passing.size else "not coercive",
+        margin=float(ratios[k]), rho=float(rho_grid[k]),
+        refinements=[{"rho": float(rho), "min_det_ratio": float(ratio)}
+                     for rho, ratio in zip(rho_grid, ratios)],
+        det_trace=dets[k], det_grid=grid, metadata={"det_floor": det_floor})
 
 
 def lq_hamiltonian(problem: SecondVariationProblem, t: float,
@@ -369,7 +361,7 @@ def iota_equivalence_check(problem: SecondVariationProblem,
         omega = rng.standard_normal(problem.n)
         delta_x = rng.standard_normal(problem.n)
         h_val = lq_hamiltonian(problem, t, omega, delta_x)
-        m_t = extremal.flow_cache[idx]
+        m_t = extremal.points[idx].q
         m_inv = np.linalg.inv(m_t)
 
         def g_second(step):

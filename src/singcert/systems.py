@@ -29,6 +29,10 @@ class StructureError(ValueError):
     """A system violates one of its construction invariants."""
 
 
+class ProjectionError(RuntimeError):
+    """A projection onto the group or onto the singular surface failed."""
+
+
 def resolve_word(word, drift: np.ndarray, controlled: list[np.ndarray]) -> np.ndarray:
     """Evaluate a bracket word to a matrix. 0 is the drift, i >= 1 controlled."""
     if isinstance(word, (int, np.integer)):
@@ -104,7 +108,8 @@ class MatrixGroupSystem:
 
     def project_to_group(self, g: np.ndarray) -> np.ndarray:
         """Re-project a near-group matrix, or a (..., d, d) stack of them,
-        onto the structure group."""
+        onto the structure group. Raises ProjectionError when a Lorentz
+        member has not settled."""
         if self.space_form is SpaceForm.SPHERE:
             u, _, vt = np.linalg.svd(g)
             return u @ vt
@@ -116,7 +121,7 @@ class MatrixGroupSystem:
             out[..., 1:, 1:] = u @ vt
             return out
         # J-orthogonal (Lorentz) polar-type correction: X <- (X + J X^-T J)/2,
-        # each member of a stack stopping on its own
+        # each member of a stack stopping on its own, within 40 steps
         d = g.shape[-1]
         j = np.eye(d)
         j[0, 0] = -1.0
@@ -128,8 +133,9 @@ class MatrixGroupSystem:
             x[active] = y
             active = active[~(np.max(np.abs(y - xa), axis=(-2, -1)) < 1e-15)]
             if active.size == 0:
-                break
-        return x.reshape(g.shape)
+                return x.reshape(g.shape)
+        raise ProjectionError(f"Lorentz projection did not converge for "
+                              f"{active.size} of {x.shape[0]} matrices")
 
     def full_algebra_basis(self) -> list[np.ndarray]:
         """Basis of Lie(G) ordered A_1..A_m, [A_i,A_j] i<j, [A0,A_i], A0."""

@@ -76,6 +76,12 @@ def test_bad_values_rejected():
         for count in (10 ** 12, MAX_GRID_STEPS + 1):
             with pytest.raises(ConfigError):
                 load_config({section: {key: count}})
+    # seeds the random generators refuse
+    for doc in ({"falsifier": {"seed": -1},
+                 "checks": ["conditions", "falsifier"]},
+                {"certificate": {"seed": -1}, "checks": ["certificate"]}):
+        with pytest.raises(ConfigError):
+            load_config(doc)
     # a needle window 2 radius^2 longer than the horizon
     with pytest.raises(ConfigError, match="radius"):
         load_config({"horizon": 0.01, "checks": ["conditions", "falsifier"]})

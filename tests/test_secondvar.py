@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
+from singcert.numerics import rk4_flow
 from singcert.secondvar import (
     SecondVariationProblem,
     assemble_lq,
@@ -53,7 +54,7 @@ def synthetic_lq(a1: float, c_val: float = 1.0) -> SecondVariationProblem:
     return SecondVariationProblem(
         horizon=1.0, n=n, m=m, R=r,
         z_fn=lambda t: z, c_fn=lambda t: c, a_fn=lambda t: a,
-        e_mat=e_mat, p_hat=np.array([0.0, 1.0]))
+        e_mat=e_mat)
 
 
 def test_chart_jacobian_matches_fd(setup):
@@ -189,9 +190,66 @@ def test_conjugate_dubins_coercive(lq):
 
 def test_conjugate_trace_closed_form(lq):
     rho = 0.75
-    grid, dets = conjugate_point_trace(lq, rho, n_steps=100)
+    grid, (dets,) = conjugate_point_trace(lq, [rho], n_steps=100)
     expect = (1.0 + rho * grid) ** lq.m
     assert np.max(np.abs(dets - expect)) <= 1e-8
+
+
+def direct_trace(problem, rho, n_steps=200):
+    """det X(t) of one rho by its own RK4 flow from (Omega0(rho), I)."""
+    n = problem.n
+    grid = np.linspace(0.0, problem.horizon, n_steps + 1)
+    omega = np.zeros((n, n))
+    for j in range(problem.R, n):
+        omega[j, j] = -rho
+
+    def rhs(t, y):
+        om, xx = y
+        z_t, a_t = problem.z_fn(t), problem.a_fn(t)
+        b = np.linalg.inv(-problem.c_fn(t)) @ (z_t.T @ om + a_t @ xx)
+        return np.array([-a_t.T @ b, z_t @ b])
+
+    states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
+    return np.array([np.linalg.det(y[1]) for y in states])
+
+
+def dubins_lq(space, n_dim, horizon):
+    sys_ = build_dubins_system(space, n_dim)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                              np.linspace(0.0, horizon, 11))
+    return assemble_lq(sys_, traj, dubins_adapted_chart(sys_))
+
+
+@pytest.mark.parametrize("case", [("euclidean", 3, 1.0), ("sphere", 3, 3.3),
+                                  ("hyperbolic", 4, 1.0), "synthetic"])
+def test_conjugate_trace_matches_per_rho_flows(case):
+    """The one-flow sweep gives every rho's det row of its own flow."""
+    prob = synthetic_lq(1.05) if case == "synthetic" else dubins_lq(*case)
+    rho_grid = [2.0 ** k for k in range(-6, 7)]
+    _, dets = conjugate_point_trace(prob, rho_grid)
+    assert dets.shape == (len(rho_grid), 201)
+    for rho, row in zip(rho_grid, dets):
+        want = direct_trace(prob, rho)
+        assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want)), \
+            (case, rho)
+
+
+def test_non_coercive_report_holds_its_rho_row():
+    """A not-coercive report carries the det row of the rho it reports,
+    the one with the largest ratio (here inside the grid, not at an end)."""
+    prob = dubins_lq("sphere", 3, 5.0)
+    report = conjugate_point_test(prob, det_floor=0.2)
+    assert not report.coercive
+    ratios = [r["min_det_ratio"] for r in report.refinements]
+    k = int(np.argmax(ratios))
+    assert 0 < k < len(ratios) - 1
+    assert report.rho == report.refinements[k]["rho"]
+    assert report.margin == ratios[k]
+    want = direct_trace(prob, report.rho)
+    assert np.max(np.abs(report.det_trace - want)) <= \
+        1e-10 * np.max(np.abs(want))
+    other = direct_trace(prob, report.refinements[k + 1]["rho"])
+    assert np.max(np.abs(other - want)) > 1e-3 * np.max(np.abs(want))
 
 
 def test_methods_agree_on_dubins(lq):
@@ -239,7 +297,7 @@ def test_synthetic_non_coercive_case():
 
 def test_synthetic_marginal_case_det_touches_zero():
     prob = synthetic_lq(1.0)
-    _, dets = conjugate_point_trace(prob, rho=0.5, n_steps=200)
+    _, (dets,) = conjugate_point_trace(prob, [0.5], n_steps=200)
     assert dets[-1] == pytest.approx(0.0, abs=1e-10)
 
 

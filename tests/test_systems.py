@@ -5,6 +5,7 @@ import pytest
 
 from singcert.algebra import commutator, jacobi_residual, numerical_rank
 from singcert.systems import (
+    ProjectionError,
     SpaceForm,
     build_dubins_system,
     verify_structure_properties,
@@ -110,3 +111,18 @@ def test_project_to_group_stack_matches_per_matrix(space):
     assert np.array_equal(sys_.project_to_group(stack), each)
     assert np.array_equal(sys_.project_to_group(stack.reshape(5, 1, 5, 5)),
                           each.reshape(5, 1, 5, 5))
+
+
+def test_lorentz_projection_raises_when_unsettled():
+    """A matrix the 40-step fixed point cannot bring onto SO(1, N-1)
+    raises, alone and as one member of a stack of good matrices."""
+    sys_ = build_dubins_system(SpaceForm.HYPERBOLIC, 4)
+    from scipy.linalg import expm
+
+    far = np.diag([1e15, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ProjectionError):
+        sys_.project_to_group(far)
+    g = expm(0.3 * sys_.drift + 0.2 * sys_.controlled[0])
+    with pytest.raises(ProjectionError):
+        sys_.project_to_group(np.array([g, far, g]))
+    assert sys_.group_residual(sys_.project_to_group(g)) <= 1e-12
