@@ -69,11 +69,13 @@ class GroupChart:
 
     def solve_in_frame(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Coefficients c with sum_j c_j v_j(x) = mat (least squares, exact
-        for mat in the Lie algebra)."""
+        for mat in the Lie algebra); a (k, d, d) stack of mats gives one
+        (k, n) row per member from one solve."""
         v = self.frame(x)
         stack = np.array([b.ravel() for b in v]).T
-        c, *_ = np.linalg.lstsq(stack, mat.ravel(), rcond=None)
-        return c
+        c, *_ = np.linalg.lstsq(stack, mat.reshape(-1, stack.shape[0]).T,
+                                rcond=None)
+        return c.T.reshape(mat.shape[:-2] + (self.n,))
 
     def inverse(self, q: np.ndarray, x0: np.ndarray | None = None,
                 tol: float = 1e-13, max_iter: int = 60,

@@ -23,12 +23,12 @@ from scipy.linalg import expm
 
 from .chart import GroupChart, dubins_adapted_chart
 from .extremal import ExtremalTrajectory, reference_flow
-from .numerics import rk4_flow
+# the tracer in bench/ times the shared log under this name
+from .numerics import rk4_flow, series_log as _quick_log
 from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
-_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -106,28 +106,6 @@ def driftless_endpoint(system: MatrixGroupSystem, needle: NeedleVariation,
     for k in range(r - 1, -1, -1):
         g = g @ expm(-scale * needle.t_bar[k] * system.controlled[needle.channels[k]])
     return g
-
-
-def _quick_log(mat: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a matrix or of a (..., d, d) stack of them.
-
-    log g = 2 artanh(Z) with Z = (g - I)(g + I)^-1, the odd power series
-    summed until its terms fall below roundoff. The series converges when
-    every eigenvalue of g has positive real part, as it has for
-    ||g - I|| < 1; the callers stay inside radius 0.9.
-    """
-    eye = np.eye(mat.shape[-1])
-    z = np.linalg.solve(mat + eye, mat - eye)
-    z2 = z @ z
-    power = z
-    out = z
-    for k in range(3, 2000, 2):
-        power = power @ z2
-        term = power / k
-        out = out + term
-        if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
-            return 2.0 * out
-    raise np.linalg.LinAlgError("matrix logarithm series did not converge")
 
 
 def driftless_scaling_check(system: MatrixGroupSystem, t_vec,

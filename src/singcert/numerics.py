@@ -1,8 +1,11 @@
-"""The two solvers every stage shares: classical RK4 and damped Newton."""
+"""What every stage shares: classical RK4, damped Newton and the exact
+series logarithm of a group element near the identity."""
 
 from __future__ import annotations
 
 import numpy as np
+
+_EPS = np.finfo(float).eps
 
 
 def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
@@ -68,3 +71,25 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
             raise fail("Newton stalled")
         iters += 1
     return x, r, iters, aux
+
+
+def series_log(mat: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a matrix or of a (..., d, d) stack of them.
+
+    log g = 2 artanh(Z) with Z = (g - I)(g + I)^-1, the odd power series
+    summed until its terms fall below roundoff. The series converges when
+    every eigenvalue of g has positive real part, as it has for
+    ||g - I|| < 1; the callers stay inside radius 0.9.
+    """
+    eye = np.eye(mat.shape[-1])
+    z = np.linalg.solve(mat + eye, mat - eye)
+    z2 = z @ z
+    power = z
+    out = z
+    for k in range(3, 2000, 2):
+        power = power @ z2
+        term = power / k
+        out = out + term
+        if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
+            return 2.0 * out
+    raise np.linalg.LinAlgError("matrix logarithm series did not converge")

@@ -260,10 +260,17 @@ def run_check(config: dict) -> dict:
                 gal = galerkin_coercivity(lq, config["galerkin_k"][0])
                 conj = conjugate_point_test(lq, rho_grid=config["rho_grid"])
                 passed = gal.coercive and conj.coercive
+                agree = gal.verdict == conj.verdict
                 stages[stage] = {"status": "passed" if passed else "failed",
                                  "galerkin": gal.as_dict(),
                                  "conjugate_point": conj.as_dict(),
-                                 "verdicts_agree": gal.verdict == conj.verdict}
+                                 "verdicts_agree": agree}
+                if not agree:
+                    stages[stage]["reason"] = (
+                        f"the deciders disagree: Galerkin says {gal.verdict} "
+                        f"(margin {gal.margin:.6g}), the conjugate-point "
+                        f"test says {conj.verdict} (margin {conj.margin:.6g} "
+                        f"at rho {conj.rho:g})")
                 hard_failure = not passed
                 if csv_dir:
                     det_trace_to_csv(conj, os.path.join(csv_dir, "det_trace.csv"))

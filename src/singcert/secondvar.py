@@ -215,7 +215,8 @@ class CoercivityReport:
     method: str
     verdict: str
     margin: float
-    rho: float
+    # the conjugate-point rho the verdict rests on; no rho enters Galerkin
+    rho: float | None = None
     refinements: list = field(default_factory=list)
     det_trace: np.ndarray = None
     det_grid: np.ndarray = None
@@ -230,13 +231,14 @@ class CoercivityReport:
             "method": self.method,
             "verdict": self.verdict,
             "margin": float(self.margin),
-            "rho": float(self.rho),
             "refinements": [
                 {k: (float(v) if isinstance(v, (int, float, np.floating))
                      else v) for k, v in r.items()}
                 for r in self.refinements
             ],
         }
+        if self.rho is not None:
+            out["rho"] = float(self.rho)
         if self.det_trace is not None:
             out["det_trace"] = [float(v) for v in self.det_trace]
         out.update(self.metadata)
@@ -278,7 +280,7 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
     return CoercivityReport(
         method="galerkin",
         verdict="coercive" if ok else "not coercive",
-        margin=float(margins[-1]), rho=0.0, refinements=refinements,
+        margin=float(margins[-1]), refinements=refinements,
         metadata={"floor": float(floor)})
 
 

@@ -208,3 +208,15 @@ def test_criterion_9_determinism_and_convergence(dub3):
     errs = [np.max(np.abs(end(s) - finest)) for s in steps]
     order = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert order >= 3.7
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_curved_pipeline_ends_in_verdict(space, n):
+    """The full pipeline on a curved space form, certificate included,
+    ends in a verdict, never in a numerical breakdown."""
+    report = run_check({"system": {"kind": "dubins", "space_form": space,
+                                   "N": n},
+                        "horizon": 1.0})
+    assert report["verdict"] != "error"
+    assert report["stages"]["certificate"]["status"] != "error"

@@ -245,3 +245,81 @@ def test_flow_csv(tmp_path, setup):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 12
     assert lines[0].split(",")[-2:] == ["sigma_residual", "s_residual"]
+
+
+def space_setup(space):
+    sys_ = build_dubins_system(space, 3)
+    p0 = dubins_initial_covector(sys_)
+    traj = adjoint_trajectory(sys_, p0, np.linspace(0, 1, 101))
+    return sys_, dubins_adapted_chart(sys_), traj
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+def test_stacked_flow_matches_each_point_alone(space):
+    """Each member of one stacked flow is the flow of that point alone."""
+    sys_, chart, _ = space_setup(space)
+    geom = GroupGeometry(sys_)
+    rng = np.random.default_rng(29)
+    starts = []
+    for _ in range(4):
+        x, p = sigma_sample(chart, rng, scale=0.03)
+        starts.append(ExtremalPoint(q=chart.forward(x), p=p, t=0.0))
+    grid = np.linspace(0, 1, 21)
+    stacked = geom.super_hamiltonian_flow(starts, grid)
+    for k, start in enumerate(starts):
+        alone = geom.super_hamiltonian_flow(start, grid)
+        for both, one in zip(stacked, alone):
+            assert np.max(np.abs(both.q[k] - one.q)) <= 1e-12
+            assert np.max(np.abs(both.p[k] - one.p)) <= 1e-12
+
+
+def direct_svals(sys_, chart, rho, grid, fd_step=1e-5):
+    """Base-projection singular values by the direct method: 2n flows, one
+    per seed x = +-fd_step e_k, each member located by chart.inverse."""
+    geom = GroupGeometry(sys_)
+    n = chart.n
+
+    def lift(x):
+        y = np.zeros(n)
+        y[chart.R:] = chart.p_hat[chart.R:] + rho * x[chart.R:]
+        return chart.covector_from_chart(x, y)
+
+    flows = []
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            x = np.zeros(n)
+            x[k] = sign * fd_step
+            pt = ExtremalPoint(q=chart.forward(x), p=lift(x), t=0.0)
+            flows.append(geom.super_hamiltonian_flow(pt, grid))
+    svals = np.zeros(grid.size)
+    warm = [np.zeros(n) for _ in range(2 * n)]
+    for idx in range(grid.size):
+        base = np.zeros((n, n))
+        for k in range(n):
+            xp = chart.inverse(flows[2 * k][idx].q, x0=warm[2 * k])
+            xm = chart.inverse(flows[2 * k + 1][idx].q, x0=warm[2 * k + 1])
+            warm[2 * k], warm[2 * k + 1] = xp, xm
+            base[:, k] = (xp - xm) / (2.0 * fd_step)
+        svals[idx] = np.linalg.svd(base, compute_uv=False)[-1]
+    return svals
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+def test_certificate_matches_direct_differences(space):
+    """One inversion per grid point gives the singular values of 2n."""
+    sys_, chart, traj = space_setup(space)
+    grid = np.linspace(0, 1, 9)
+    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                               n_samples=8)
+    want = direct_svals(sys_, chart, 1.0, grid)
+    assert np.max(np.abs(report.singular_values - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_certificate_insensitive_to_fd_step(space):
+    sys_, chart, traj = space_setup(space)
+    grid = np.linspace(0, 1, 33)
+    mins = [certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                              n_samples=8, fd_step=h).min_singular_value
+            for h in (1e-4, 1e-5, 1e-6)]
+    assert max(mins) - min(mins) <= 1e-8
