@@ -36,15 +36,6 @@ class ExtremalTrajectory:
         return float(self.grid[-1])
 
 
-@dataclass(frozen=True)
-class LegendreForm:
-    entries: np.ndarray
-
-    @property
-    def symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
-
-
 def reference_flow(system: MatrixGroupSystem, grid) -> list[np.ndarray]:
     """The reference flow exp(t A0), M' = M A0 with M(0) = I and u = 0, on
     the time grid, by exact exponentials."""
@@ -79,30 +70,27 @@ def hogc_residual(system: MatrixGroupSystem, point: ExtremalPoint) -> float:
     return max(abs(pairing(point.p, b)) for b in system.lie_closure_basis)
 
 
-def legendre_form(system: MatrixGroupSystem, point: ExtremalPoint) -> LegendreForm:
+def legendre_form(system: MatrixGroupSystem, point: ExtremalPoint) -> np.ndarray:
     """The m x m form with entries F_{ij0} at the point."""
     m = system.m
     entries = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             entries[i, j] = hamiltonian_bracket(system, point, (i + 1, (j + 1, 0)))
-    return LegendreForm(entries)
+    return entries
 
 
-def singular_feedback(system: MatrixGroupSystem, point: ExtremalPoint,
+def singular_feedback(lforms: np.ndarray, drift_terms: np.ndarray,
                       cond_limit: float = 1e8) -> np.ndarray:
-    """Control nu solving L nu = (F_{001}..F_{00m}) at the point."""
-    lform = legendre_form(system, point).entries
-    if np.linalg.cond(lform) > cond_limit:
+    """Controls nu solving L nu = (F_{001}..F_{00m}) at every point of a
+    stack: L is the (T, m, m) stack of Legendre forms and drift_terms the
+    (T, m) right-hand sides; returns the (T, m) controls."""
+    if np.any(np.linalg.cond(lforms) > cond_limit):
         raise np.linalg.LinAlgError(
             "Legendre form is ill-conditioned; strengthened Legendre "
             "condition fails at this point"
         )
-    rhs = np.array([
-        hamiltonian_bracket(system, point, (0, (0, i + 1)))
-        for i in range(system.m)
-    ])
-    return np.linalg.solve(lform, rhs)
+    return np.linalg.solve(lforms, drift_terms[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -156,39 +144,36 @@ def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
     pts = trajectory.points
     m = system.m
 
-    f_i_res = 0.0
-    normality_res = 0.0
-    goh_res = 0.0
-    hogc_res = 0.0
-    f0i_res = 0.0
-    feedback_res = 0.0
-    eig_low = np.inf
-    eig_high = -np.inf
-    sym_res = 0.0
-    for pt in pts:
-        f_i_res = max(f_i_res, max(
-            abs(pairing(pt.p, a)) for a in system.controlled))
-        normality_res = max(normality_res, abs(pairing(pt.p, system.drift) - 1.0))
-        goh_res = max(goh_res, max(
-            abs(hamiltonian_bracket(system, pt, (i + 1, j + 1)))
-            for i in range(m) for j in range(i + 1, m)) if m > 1 else 0.0)
-        hogc_res = max(hogc_res, hogc_residual(system, pt))
-        lform = legendre_form(system, pt)
-        sym_res = max(sym_res, lform.symmetry_residual)
-        eigs = np.linalg.eigvalsh(0.5 * (lform.entries + lform.entries.T))
-        eig_low = min(eig_low, eigs[0])
-        eig_high = max(eig_high, eigs[-1])
-        f0i_vals = np.array([
-            hamiltonian_bracket(system, pt, (0, i + 1)) for i in range(m)])
-        f0i_res = max(f0i_res, float(np.max(np.abs(f0i_vals))))
-        # residual of d/dt F_i = -(F_0i + sum u_j F_ji) under the feedback
-        nu = singular_feedback(system, pt)
-        resid = np.array([
-            f0i_vals[i] + sum(
-                nu[j] * hamiltonian_bracket(system, pt, (j + 1, i + 1))
-                for j in range(m))
-            for i in range(m)])
-        feedback_res = max(feedback_res, float(np.max(np.abs(resid))))
+    # every pairing the battery reads, at every point, in one product
+    words = ([(i + 1, j + 1) for i in range(m) for j in range(m)]
+             + [(i + 1, (j + 1, 0)) for i in range(m) for j in range(m)]
+             + [(0, (0, i + 1)) for i in range(m)]
+             + [(0, i + 1) for i in range(m)])
+    mats = (list(system.controlled) + [system.drift]
+            + [system.bracket_matrix(w) for w in words]
+            + list(system.lie_closure_basis))
+    p = np.array([pt.p.ravel() for pt in pts])
+    vals = p @ np.array([b.ravel() for b in mats]).T
+    f_i, f_0, f_ij, lforms, f_00i, f_0i, closure = np.split(
+        vals, np.cumsum([m, 1, m * m, m * m, m, m]), axis=1)
+    f_ij = f_ij.reshape(-1, m, m)
+    lforms = lforms.reshape(-1, m, m)
+
+    f_i_res = float(np.max(np.abs(f_i)))
+    normality_res = float(np.max(np.abs(f_0 - 1.0)))
+    upper = np.triu_indices(m, 1)
+    goh_res = float(np.max(np.abs(f_ij[:, upper[0], upper[1]]))) \
+        if m > 1 else 0.0
+    hogc_res = float(np.max(np.abs(closure)))
+    sym_res = float(np.max(np.abs(lforms - lforms.transpose(0, 2, 1))))
+    eigs = np.linalg.eigvalsh(0.5 * (lforms + lforms.transpose(0, 2, 1)))
+    eig_low = float(np.min(eigs[:, 0]))
+    eig_high = float(np.max(eigs[:, -1]))
+    f0i_res = float(np.max(np.abs(f_0i)))
+    # residual of d/dt F_i = -(F_0i + sum u_j F_ji) under the feedback
+    nu = singular_feedback(lforms, f_00i)
+    resid = f_0i + sum(nu[:, j, None] * f_ij[:, j] for j in range(m))
+    feedback_res = float(np.max(np.abs(resid)))
     sglc_margin = -eig_high
 
     # regularity of the singular surface: [f0, f] stays in

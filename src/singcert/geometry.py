@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import qmc
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
@@ -165,7 +164,7 @@ class GroupGeometry:
 
     def phi_projection(self, point: ExtremalPoint,
                        theta0: np.ndarray | None = None) -> ProjectionResult:
-        lf = legendre_form(self.system, point).entries
+        lf = legendre_form(self.system, point)
         if np.max(np.linalg.eigvalsh(0.5 * (lf + lf.T))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
@@ -250,7 +249,7 @@ class GroupGeometry:
         """
         if self.s_residual(point.p) > 1e-9 or self.sigma_residual(point.p) > 1e-9:
             raise ProjectionError("Hessian check requires a point on S")
-        lf = legendre_form(self.system, point).entries
+        lf = legendre_form(self.system, point)
         lf_inv = np.linalg.inv(lf)
 
         def chi_at(p):
@@ -329,6 +328,9 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         y = np.zeros(n)
         y[r_dim:] = chart.p_hat[r_dim:] + rho * x[r_dim:]
         return chart.covector_from_chart(x, y)
+
+    # only the certificate needs scipy.stats, which is slow to import
+    from scipy.stats import qmc
 
     # spot-verify Lambda inside Sigma on a Sobol sample
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)

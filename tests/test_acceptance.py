@@ -10,6 +10,7 @@ from singcert.extremal import (
     condition_battery,
     dubins_boundary_tangents,
     dubins_initial_covector,
+    hamiltonian_bracket,
     legendre_form,
     singular_feedback,
 )
@@ -72,11 +73,14 @@ def test_criterion_2_singular_extremal_recovery():
         system = build_dubins_system(form, 3)
         p0 = dubins_initial_covector(system)
         traj = adjoint_trajectory(system, p0, np.linspace(0.0, 1.0, 101))
-        nu_sup = max(np.max(np.abs(singular_feedback(system, pt)))
-                     for pt in traj.points)
+        lforms = np.array([legendre_form(system, pt)
+                           for pt in traj.points])
+        rhs = np.array([[hamiltonian_bracket(system, pt, (0, (0, i + 1)))
+                         for i in range(system.m)] for pt in traj.points])
+        nu_sup = np.max(np.abs(singular_feedback(lforms, rhs)))
         assert nu_sup <= 1e-10
         for pt in traj.points[::10]:
-            lf = legendre_form(system, pt).entries
+            lf = legendre_form(system, pt)
             assert np.max(np.abs(lf + np.eye(system.m))) <= 1e-12
 
 

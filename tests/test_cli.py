@@ -1,6 +1,9 @@
 """Tests for configuration handling, orchestration, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -298,3 +301,17 @@ def test_sphere_run_ends_in_verdict():
     assert report["verdict"] in VERDICTS - {"error"}
     for entry in report["stages"].values():
         assert entry["status"] in {"passed", "failed", "skipped"}
+
+
+def test_pipeline_import_leaves_scipy_stats_unloaded():
+    """Only the certificate's Sobol sample needs scipy.stats, which takes
+    longer to import than the other stages take to run; importing the
+    pipeline must not load it."""
+    src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+    path = [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, singcert.pipeline; "
+         "sys.exit('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+    assert done.returncode == 0

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singcert.algebra import pairing
+from singcert.algebra import commutator, numerical_rank, pairing, span_contains
 from singcert.extremal import (
+    ConditionCheck,
+    ConditionReport,
     ExtremalPoint,
+    ExtremalTrajectory,
+    Tolerances,
     adjoint_trajectory,
     condition_battery,
     dubins_boundary_tangents,
     dubins_initial_covector,
     hamiltonian_bracket,
+    hogc_residual,
     legendre_form,
     reference_flow,
     singular_feedback,
     trajectory_to_csv,
 )
 from singcert.numerics import rk4_flow
+from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
 
@@ -129,20 +135,28 @@ def test_poisson_bracket_matches_fd_flow(dub3):
 def test_legendre_form_is_minus_identity(dub3, extremal3):
     for pt in extremal3.points[::50]:
         lf = legendre_form(dub3, pt)
-        assert np.max(np.abs(lf.entries + np.eye(dub3.m))) <= 1e-12
+        assert np.max(np.abs(lf + np.eye(dub3.m))) <= 1e-12
 
 
 def test_legendre_form_zero_covector(dub3):
     pt = ExtremalPoint(q=np.eye(dub3.d), p=np.zeros((dub3.d, dub3.d)), t=0.0)
-    assert np.max(np.abs(legendre_form(dub3, pt).entries)) == 0.0
+    assert np.max(np.abs(legendre_form(dub3, pt))) == 0.0
+
+
+def feedback_at(system, pt):
+    """singular_feedback on a stack of one point."""
+    lform = legendre_form(system, pt)
+    rhs = [hamiltonian_bracket(system, pt, (0, (0, i + 1)))
+           for i in range(system.m)]
+    return singular_feedback(lform[None], np.array(rhs)[None])[0]
 
 
 def test_singular_feedback_zero_and_scale_invariant(dub3, extremal3):
     pt = extremal3.points[77]
-    nu = singular_feedback(dub3, pt)
+    nu = feedback_at(dub3, pt)
     assert np.max(np.abs(nu)) <= 1e-10
     scaled = ExtremalPoint(q=pt.q, p=2.0 * pt.p, t=pt.t)
-    assert np.allclose(singular_feedback(dub3, scaled), nu, atol=1e-10)
+    assert np.allclose(feedback_at(dub3, scaled), nu, atol=1e-10)
 
 
 def test_initial_covector_annihilation(dub3):
@@ -194,5 +208,138 @@ def test_sphere_extremal_recovery():
     p0 = dubins_initial_covector(sys_)
     traj = adjoint_trajectory(sys_, p0, np.linspace(0, 1, 101))
     for pt in traj.points[::10]:
-        assert np.max(np.abs(singular_feedback(sys_, pt))) <= 1e-10
-        assert np.max(np.abs(legendre_form(sys_, pt).entries + np.eye(sys_.m))) <= 1e-12
+        assert np.max(np.abs(feedback_at(sys_, pt))) <= 1e-10
+        assert np.max(np.abs(legendre_form(sys_, pt) + np.eye(sys_.m))) <= 1e-12
+
+
+def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
+    """The condition battery one grid point at a time, one pairing per
+    bracket word: the reference for the batched battery."""
+    system = trajectory.system
+    pts = trajectory.points
+    m = system.m
+
+    def feedback(pt):
+        lform = legendre_form(system, pt)
+        if np.linalg.cond(lform) > 1e8:
+            raise np.linalg.LinAlgError(
+                "Legendre form is ill-conditioned; strengthened Legendre "
+                "condition fails at this point")
+        rhs = np.array([hamiltonian_bracket(system, pt, (0, (0, i + 1)))
+                        for i in range(m)])
+        return np.linalg.solve(lform, rhs)
+
+    f_i_res = normality_res = goh_res = hogc_res = 0.0
+    f0i_res = feedback_res = sym_res = 0.0
+    eig_low = np.inf
+    eig_high = -np.inf
+    for pt in pts:
+        f_i_res = max(f_i_res, max(
+            abs(pairing(pt.p, a)) for a in system.controlled))
+        normality_res = max(normality_res,
+                            abs(pairing(pt.p, system.drift) - 1.0))
+        goh_res = max(goh_res, max(
+            abs(hamiltonian_bracket(system, pt, (i + 1, j + 1)))
+            for i in range(m) for j in range(i + 1, m)) if m > 1 else 0.0)
+        hogc_res = max(hogc_res, hogc_residual(system, pt))
+        lform = legendre_form(system, pt)
+        sym_res = max(sym_res, float(np.max(np.abs(lform - lform.T))))
+        eigs = np.linalg.eigvalsh(0.5 * (lform + lform.T))
+        eig_low = min(eig_low, eigs[0])
+        eig_high = max(eig_high, eigs[-1])
+        f0i_vals = np.array([
+            hamiltonian_bracket(system, pt, (0, i + 1)) for i in range(m)])
+        f0i_res = max(f0i_res, float(np.max(np.abs(f0i_vals))))
+        nu = feedback(pt)
+        resid = np.array([
+            f0i_vals[i] + sum(
+                nu[j] * hamiltonian_bracket(system, pt, (j + 1, i + 1))
+                for j in range(m))
+            for i in range(m)])
+        feedback_res = max(feedback_res, float(np.max(np.abs(resid))))
+    sglc_margin = -eig_high
+
+    closure = list(system.lie_closure_basis)
+    f0i_elems = [commutator(system.drift, a) for a in system.controlled]
+    reg_span = closure + f0i_elems
+    reg_res = max(
+        span_contains(reg_span, commutator(system.drift, b)) for b in closure)
+    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), tol.rank)
+    reg_ok = reg_res <= tol.equality and reg_rank == system.R + m
+
+    checks = [
+        ConditionCheck("pmp_switching", f_i_res <= tol.equality, f_i_res),
+        ConditionCheck("normality", normality_res <= tol.equality,
+                       normality_res),
+        ConditionCheck("goh", goh_res <= tol.equality, goh_res),
+        ConditionCheck("hogc", hogc_res <= tol.equality, hogc_res),
+        ConditionCheck(
+            "sglc", sglc_margin >= tol.sglc_min_margin and sym_res <= 1e-12,
+            float(-sglc_margin),
+            {"margin": float(sglc_margin), "eig_low": float(eig_low),
+             "eig_high": float(eig_high), "symmetry_residual": float(sym_res)}),
+        ConditionCheck("regularity_of_S", reg_ok, reg_res,
+                       {"rank": int(reg_rank), "expected_rank": system.R + m}),
+        ConditionCheck("s_membership", f0i_res <= tol.equality, f0i_res),
+        ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
+                       feedback_res),
+    ]
+    if boundary_data is not None:
+        init_basis, final_basis = boundary_data
+        res0 = max((abs(pairing(pts[0].p, a)) for a in init_basis(pts[0].q)),
+                   default=0.0)
+        resf = max((abs(pairing(pts[-1].p, a))
+                    for a in final_basis(pts[-1].q)), default=0.0)
+        checks.append(ConditionCheck(
+            "transversality", max(res0, resf) <= tol.equality,
+            max(res0, resf),
+            {"initial": float(res0), "final": float(resf)}))
+    return ConditionReport(tuple(checks), float(sglc_margin))
+
+
+@pytest.mark.parametrize("space, n, drift_sign", [
+    ("euclidean", 3, 1), ("euclidean", 4, 1), ("sphere", 3, 1),
+    ("sphere", 4, 1), ("hyperbolic", 3, 1), ("hyperbolic", 4, 1),
+    ("euclidean", 3, -1)])
+def test_battery_matches_point_by_point(space, n, drift_sign):
+    """The one-product battery reports exactly what the loop over grid
+    points reports, on the default arcs and on the flipped drift."""
+    config = load_config({"system": {"kind": "dubins", "space_form": space,
+                                     "N": n, "drift_sign": drift_sign}})
+    system, _, trajectory = _build_problem(config)
+    boundary = dubins_boundary_tangents(system)
+    batched = condition_battery(trajectory, boundary).as_dict()
+    assert batched == direct_battery(trajectory, boundary).as_dict()
+    assert batched["passed"] == (drift_sign == 1)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_battery_matches_point_by_point_off_the_arc(space):
+    """On a random covector every residual is far from zero, so each slice
+    of the one product must land in its own check."""
+    system = build_dubins_system(space, 4)
+    rng = np.random.default_rng(17)
+    p0 = rng.standard_normal((system.d, system.d))
+    trajectory = adjoint_trajectory(system, p0 / pairing(p0, system.drift),
+                                    np.linspace(0.0, 1.0, 41))
+    boundary = dubins_boundary_tangents(system)
+    batched = condition_battery(trajectory, boundary).as_dict()
+    assert batched == direct_battery(trajectory, boundary).as_dict()
+    for name in ("pmp_switching", "goh", "hogc", "s_membership",
+                 "feedback_consistency", "transversality"):
+        assert batched["checks"][name]["residual"] > 1e-3
+
+
+def test_battery_rejects_ill_conditioned_legendre_form(dub3, extremal3):
+    """A singular Legendre form at one grid point raises the error the
+    point-by-point battery raises there."""
+    points = list(extremal3.points[:5])
+    points[3] = ExtremalPoint(q=points[3].q, p=np.zeros_like(points[3].p),
+                              t=points[3].t)
+    trajectory = ExtremalTrajectory(dub3, extremal3.grid[:5], points)
+    with pytest.raises(np.linalg.LinAlgError) as batched:
+        condition_battery(trajectory)
+    with pytest.raises(np.linalg.LinAlgError) as direct:
+        direct_battery(trajectory)
+    assert str(batched.value) == str(direct.value)
+    assert "ill-conditioned" in str(batched.value)

@@ -9,9 +9,11 @@ from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (
     adjoint_trajectory,
     dubins_initial_covector,
+    reference_flow,
 )
 from singcert.falsifier import (
     TargetSpec,
+    _integration_grid,
     _quick_log,
     _sample_competitors,
     _stacked_flows,
@@ -23,6 +25,7 @@ from singcert.falsifier import (
     report_to_csv,
 )
 from singcert.numerics import rk4_flow
+from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
 
@@ -223,7 +226,9 @@ def test_stacked_flows_match_serial(space):
     control on its own grid, integrated alone."""
     sys_ = build_dubins_system(space, 4)
     t_hat = 1.0
-    comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2, 0.02)
+    comps = _sample_competitors(sys_, t_hat, 1.1,
+                                _integration_grid(1.1, 0.02, include=(t_hat,)),
+                                9, 0.1, 2)
     by_length = {}
     for comp in comps:
         by_length.setdefault(comp.grid.size, []).append(comp)
@@ -255,7 +260,11 @@ def test_target_residual_of_stack(dub3, extremal3):
     assert res.shape == (4,) and res[0] == np.inf
     for r, q in zip(res, stack):
         assert r == pytest.approx(target.residual(q), rel=1e-12, abs=1e-15)
-    assert target.arrival_time(np.arange(4.0), stack) == 2.0
+    # a block of two members: the stack, and one that never arrives
+    block = np.array([stack, stack[[0, 1, 0, 1]]])
+    assert target.residual(block).shape == (2, 4)
+    arrivals = target.arrival_time(np.array([np.arange(4.0)] * 2), block)
+    assert arrivals.tolist() == [2.0, np.inf]
 
 
 def test_graph_distance_uses_nearest_reference_point(dub3):
@@ -267,9 +276,99 @@ def test_graph_distance_uses_nearest_reference_point(dub3):
     assert np.linalg.norm(chart.b_pinv @ unit.ravel()) == pytest.approx(1.0)
     ref_grid = np.linspace(0.0, 1.0, 11)
     ref_inv = np.array([expm(-t * unit) for t in ref_grid])
-    for t, expected in ((0.125, 0.025), (0.17, 0.03), (0.3, 0.0),
-                        (0.0, 0.0), (1.05, 0.05)):
-        state = expm(t * unit)[None]
-        dist = graph_distance(np.array([t]), state, ref_grid, ref_inv,
-                              chart.b_pinv)
-        assert dist == pytest.approx(expected, abs=1e-14)
+    # one member per case, each a single state on a one-point grid
+    times = np.array([0.125, 0.17, 0.3, 0.0, 1.05])
+    expected = [0.025, 0.03, 0.0, 0.0, 0.05]
+    states = np.array([[expm(t * unit)] for t in times])
+    dist = graph_distance(times[:, None], states, ref_grid, ref_inv,
+                          chart.b_pinv)
+    assert dist == pytest.approx(expected, abs=1e-14)
+
+
+def direct_arrival(target, grid, states):
+    """Earliest arrival of one member's (T, d, d) states on its grid."""
+    hits = np.flatnonzero(target.residual(states) <= target.tol)
+    return float(grid[hits[0]]) if hits.size else np.inf
+
+
+def direct_graph_distance(grid, states, ref_grid, ref_inv, b_pinv):
+    """graph_distance of one member's (T, d, d) states, with its own log."""
+    k = np.clip(np.searchsorted(ref_grid, grid), 1, len(ref_grid) - 1)
+    k = k - (grid - ref_grid[k - 1] <= ref_grid[k] - grid)
+    rel = ref_inv[k] @ states
+    if np.any(np.linalg.norm(rel - np.eye(rel.shape[-1]), axis=(1, 2)) >= 0.9):
+        return np.inf
+    x = _quick_log(rel).reshape(len(rel), -1) @ b_pinv.T
+    return float(np.max(np.linalg.norm(x, axis=1)))
+
+
+def _sweep_problem(space, n):
+    config = load_config({"system": {"kind": "dubins", "space_form": space,
+                                     "N": n}})
+    system, chart, trajectory = _build_problem(config)
+    target = TargetSpec(system, trajectory.points[-1].q, chart)
+    t_hat = trajectory.horizon
+    ref_grid = _integration_grid(1.1 * t_hat, 0.02, include=(t_hat,))
+    ref_inv = np.linalg.inv(np.array(reference_flow(system, ref_grid)))
+    return system, trajectory, target, ref_grid, ref_inv
+
+
+def test_block_scores_match_member_scores():
+    """arrival_time and graph_distance of a block equal the scores of its
+    members one at a time; a member far off the reference scores inf.
+    The series log stops on a block-wide criterion, so distances may move
+    by roundoff."""
+    system, trajectory, target, ref_grid, ref_inv = _sweep_problem("sphere", 4)
+    t_hat = trajectory.horizon
+    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, ref_grid, 12,
+                                0.1, 3)
+    by_length = {}
+    for comp in comps:
+        by_length.setdefault(comp.grid.size, []).append(comp)
+    for members in by_length.values():
+        flow = _stacked_flows(system, members, t_hat, np.eye(system.d))
+        states = np.stack(flow, axis=1)
+        grid = np.array([c.grid for c in members])
+        states = np.concatenate(
+            [states, states[:1] @ expm(2.0 * system.controlled[0])])
+        grid = np.concatenate([grid, grid[:1]])
+        arrivals = target.arrival_time(grid, states)
+        dists = graph_distance(grid, states, ref_grid, ref_inv,
+                               target.b_pinv)
+        assert arrivals.shape == dists.shape == (len(members) + 1,)
+        assert dists[-1] == np.inf and arrivals[-1] == np.inf
+        for g, s, arrival, dist in zip(grid, states, arrivals, dists):
+            assert arrival == direct_arrival(target, g, s)
+            assert dist == pytest.approx(direct_graph_distance(
+                g, s, ref_grid, ref_inv, target.b_pinv), rel=0, abs=1e-15)
+    assert np.isfinite(arrivals[:-1]).any()
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_sweep_records_match_per_competitor_scoring(space):
+    """competitor_sweep's records equal those of the same stacked flows
+    scored one competitor at a time."""
+    system, trajectory, target, ref_grid, ref_inv = _sweep_problem(space, 4)
+    t_hat = trajectory.horizon
+    report = competitor_sweep(system, trajectory, target)
+    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, ref_grid, 200,
+                                0.1, 0)
+    by_length = {}
+    for idx, comp in enumerate(comps):
+        by_length.setdefault(comp.grid.size, []).append(idx)
+    records = [None] * len(comps)
+    for idxs in by_length.values():
+        flow = _stacked_flows(system, [comps[i] for i in idxs], t_hat,
+                              np.eye(system.d))
+        for j, idx in enumerate(idxs):
+            states = np.array([y[j] for y in flow])
+            arrival = direct_arrival(target, comps[idx].grid, states)
+            dist = direct_graph_distance(comps[idx].grid, states, ref_grid,
+                                         ref_inv, target.b_pinv)
+            records[idx] = {
+                "sample": idx, "family": comps[idx].family,
+                "seed": comps[idx].seed,
+                "arrival": float(arrival) if np.isfinite(arrival) else None,
+                "graph_distance": float(dist) if np.isfinite(dist) else None}
+    assert report.records == records
+    assert report.verdict == "no counterexample"
