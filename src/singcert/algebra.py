@@ -94,9 +94,7 @@ def lie_closure(
     return basis, words, len(basis)
 
 
-def span_contains(
-    basis: list[np.ndarray], mat: np.ndarray, rtol: float = RANK_RTOL
-) -> float:
+def span_contains(basis: list[np.ndarray], mat: np.ndarray) -> float:
     """Residual (max norm) of mat after orthogonal projection onto span(basis)."""
     if not basis:
         return float(np.max(np.abs(mat)))

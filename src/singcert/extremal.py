@@ -60,23 +60,24 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     return ExtremalTrajectory(system, grid, points)
 
 
-def hamiltonian_bracket(system: MatrixGroupSystem, point: ExtremalPoint, word) -> float:
-    """Value <p, B_word> of the iterated Poisson bracket at the point."""
-    return pairing(point.p, system.bracket_matrix(word))
+def hamiltonian_bracket(system: MatrixGroupSystem, p: np.ndarray,
+                        word) -> float:
+    """Value <p, B_word> of the iterated Poisson bracket at the covector p."""
+    return pairing(p, system.bracket_matrix(word))
 
 
-def hogc_residual(system: MatrixGroupSystem, point: ExtremalPoint) -> float:
+def hogc_residual(system: MatrixGroupSystem, p: np.ndarray) -> float:
     """Max pairing of p with the controlled Lie closure basis."""
-    return max(abs(pairing(point.p, b)) for b in system.lie_closure_basis)
+    return max(abs(pairing(p, b)) for b in system.lie_closure_basis)
 
 
-def legendre_form(system: MatrixGroupSystem, point: ExtremalPoint) -> np.ndarray:
-    """The m x m form with entries F_{ij0} at the point."""
+def legendre_form(system: MatrixGroupSystem, p: np.ndarray) -> np.ndarray:
+    """The m x m form with entries F_{ij0} at the covector p."""
     m = system.m
     entries = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
-            entries[i, j] = hamiltonian_bracket(system, point, (i + 1, (j + 1, 0)))
+            entries[i, j] = hamiltonian_bracket(system, p, (i + 1, (j + 1, 0)))
     return entries
 
 
@@ -271,7 +272,7 @@ def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:
         row += [f"{v:.17g}" for v in pt.p.ravel()]
         row += [f"{pairing(pt.p, a):.17g}" for a in system.controlled]
         row.append(f"{pairing(pt.p, system.drift) - 1.0:.17g}")
-        row.append(f"{hogc_residual(system, pt):.17g}")
+        row.append(f"{hogc_residual(system, pt.p):.17g}")
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

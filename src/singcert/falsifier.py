@@ -33,6 +33,10 @@ _BAND_MODES = 4
 # members of a stacked flow scored together, with one series log per
 # block: blocks of 16 ran no faster and held more states at once
 _SCORE_BLOCK = 8
+# largest ||g - I|| at which the arrival test and the graph distance take
+# the series log of g; a state farther out counts as not arriving, or as
+# off the reference
+LOG_RADIUS = 0.9
 
 
 @dataclass
@@ -198,18 +202,13 @@ class TargetSpec:
     """Arrival test against the controlled-algebra orbit through q_f.
 
     Membership is measured through the annihilator coordinates (indices
-    above R) of the adapted chart centered at q_f; states outside the
-    chart's logarithm radius are treated as non-arriving.
+    above R) of the adapted chart centered at q_f; a state q with
+    ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving.
     """
 
-    def __init__(self, system: MatrixGroupSystem, q_f: np.ndarray,
-                 chart: GroupChart, tol: float = 1e-6,
-                 log_radius: float = 0.9):
-        self.system = system
-        self.q_f = q_f
+    def __init__(self, q_f: np.ndarray, chart: GroupChart, tol: float = 1e-6):
         self.q_f_inv = np.linalg.inv(q_f)
         self.tol = tol
-        self.log_radius = log_radius
         self.R = chart.R
         self.b_pinv = chart.b_pinv
 
@@ -221,7 +220,7 @@ class TargetSpec:
         flat = rel.reshape(-1, *rel.shape[-2:])
         out = np.full(flat.shape[0], np.inf)
         near = np.linalg.norm(flat - np.eye(flat.shape[-1]),
-                              axis=(1, 2)) < self.log_radius
+                              axis=(1, 2)) < LOG_RADIUS
         if np.any(near):
             logs = _quick_log(flat[near]).reshape(-1, self.b_pinv.shape[1])
             x = logs @ self.b_pinv.T
@@ -248,12 +247,13 @@ def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
     compared with the reference at the nearest reference grid time (the
     earlier one on a tie), so the reference is held at its endpoints
     outside its own support. Returns (S,) distances, inf for a member that
-    leaves the log radius 0.9 of the reference.
+    leaves the log radius LOG_RADIUS of the reference.
     """
     k = np.clip(np.searchsorted(ref_grid, grid), 1, len(ref_grid) - 1)
     k = k - (grid - ref_grid[k - 1] <= ref_grid[k] - grid)
     rel = ref_inv[k] @ states
-    far = np.linalg.norm(rel - np.eye(rel.shape[-1]), axis=(2, 3)) >= 0.9
+    far = np.linalg.norm(rel - np.eye(rel.shape[-1]),
+                         axis=(2, 3)) >= LOG_RADIUS
     near = ~np.any(far, axis=1)
     out = np.full(len(rel), np.inf)
     if np.any(near):

@@ -1,12 +1,12 @@
 """Singular-surface geometry and the dominating-Hamiltonian certificate.
 
 All Hamiltonians of left-invariant fields depend only on the left-trivialized
-covector, so the surfaces, the projection and the gap function are computed
-in covector space with exact group formulas; base points are carried along
-for flows and chart work. The multiplier solve and the super-Hamiltonian
-flow work on whole stacks of points: the certificate flows all its seeds as
-one stacked RK4 flow, projected back onto the group after every step, and
-inverts the chart once per grid point.
+covector, so the surfaces, the projection onto S and the gap function chi
+are functions of covectors, computed with exact group formulas from one
+multiplier solve. Base points enter only the super-Hamiltonian flow, which
+carries (S, d, d) stacks of them beside their covectors: the certificate
+flows all its seeds as one stacked RK4 flow, projected back onto the group
+after every step, and inverts the chart once per grid point.
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from scipy.linalg import expm
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
-from .extremal import ExtremalPoint, ExtremalTrajectory, legendre_form
+from .extremal import ExtremalTrajectory, legendre_form
 from .numerics import damped_newton, rk4_flow, series_log
 from .systems import MatrixGroupSystem, ProjectionError
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    theta: np.ndarray
-    point: ExtremalPoint
-    newton_iterations: int
-    residual: float
 
 
 @dataclass
@@ -62,8 +54,9 @@ class CertificateReport:
 class GroupGeometry:
     """Geometry operations for a matrix-group system.
 
-    The multiplier solve, the gradient of H_0 and the super-Hamiltonian
-    flow take one covector (d, d) or an (S, d, d) stack of them.
+    The multiplier solve, the projection onto S, chi and the gradient of
+    H_0 take one covector (d, d) or an (S, d, d) stack of them; the
+    super-Hamiltonian flow takes (S, d, d) stacks.
     """
 
     def __init__(self, system: MatrixGroupSystem):
@@ -84,17 +77,7 @@ class GroupGeometry:
     def s_residual(self, p: np.ndarray) -> float:
         return max(abs(pairing(p, b)) for b in self.a0i)
 
-    # -- psi and phi -------------------------------------------------------
-
-    def psi(self, point: ExtremalPoint, t_vec: np.ndarray) -> ExtremalPoint:
-        """Time-1 flow of sum t_i F_i: exact exponential transport."""
-        t_vec = np.asarray(t_vec, dtype=float)
-        t_mat = sum(t_vec[i] * self.ai[i] for i in range(self.m))
-        e = expm(t_mat)
-        e_inv = expm(-t_mat)
-        q = point.q @ e
-        p = e.T @ point.p @ e_inv.T
-        return ExtremalPoint(q=q, p=p, t=point.t)
+    # -- multipliers and the projection onto S ----------------------------
 
     def _phi_system(self, p: np.ndarray, theta: np.ndarray):
         """Multiplier system of an (S, d, d) covector stack at (S, m) theta.
@@ -124,7 +107,8 @@ class GroupGeometry:
 
     def solve_theta(self, p: np.ndarray, theta0: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 50):
-        """Damped Newton for the multipliers theta with F_0i(psi) = 0.
+        """Damped Newton for the multipliers theta with
+        <e^T p e^-T, A_0i> = 0, e = exp(sum theta_i A_i).
 
         p is one covector (d, d) or an (S, d, d) stack, theta0 the matching
         (m,) or (S, m) start. The whole stack is evaluated at once; each
@@ -162,25 +146,32 @@ class GroupGeometry:
         return (theta.reshape(p.shape[:-2] + (self.m,)), float(np.max(res)),
                 steps, phi_sys)
 
-    def phi_projection(self, point: ExtremalPoint,
-                       theta0: np.ndarray | None = None) -> ProjectionResult:
-        lf = legendre_form(self.system, point)
-        if np.max(np.linalg.eigvalsh(0.5 * (lf + lf.T))) >= 0.0:
+    def project(self, p: np.ndarray, theta0: np.ndarray | None = None):
+        """Move p along the flows of the F_i onto S.
+
+        Returns (theta, e^T p e^-T, max residual) with e = exp(sum theta_i
+        A_i), for one covector or an (S, d, d) stack. Raises
+        ProjectionError where a Legendre form is not negative-definite.
+        """
+        p = np.asarray(p, dtype=float)
+        lf = np.array([legendre_form(self.system, x)
+                       for x in p.reshape(-1, *p.shape[-2:])])
+        if np.max(np.linalg.eigvalsh(lf + np.swapaxes(lf, -1, -2))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
-        theta, res, iters, _ = self.solve_theta(point.p, theta0)
-        return ProjectionResult(theta, self.psi(point, theta), iters, res)
+        theta, res, _, (_, _, e, e_inv, *_) = self.solve_theta(p, theta0)
+        moved = np.swapaxes(e, -1, -2) @ p.reshape(e.shape) \
+            @ np.swapaxes(e_inv, -1, -2)
+        return theta, moved.reshape(p.shape), res
 
     # -- dominating Hamiltonian and gap ------------------------------------
 
-    def h0(self, point: ExtremalPoint,
-           theta0: np.ndarray | None = None) -> float:
-        proj = self.phi_projection(point, theta0)
-        return pairing(proj.point.p, self.a0)
-
-    def chi(self, point: ExtremalPoint,
-            theta0: np.ndarray | None = None) -> float:
-        return self.h0(point, theta0) - pairing(point.p, self.a0)
+    def chi(self, p: np.ndarray, theta0: np.ndarray | None = None):
+        """Gap chi = H_0 - F_0 at p, with H_0 = F_0 at the projection of p
+        onto S (an array for a stack)."""
+        moved = self.project(p, theta0)[1]
+        return np.tensordot(moved, self.a0, axes=2) \
+            - np.tensordot(p, self.a0, axes=2)
 
     def grad_h0(self, p: np.ndarray, theta0: np.ndarray | None = None):
         """Exact covector-gradient of H_0, as an algebra element (a stack of
@@ -203,18 +194,14 @@ class GroupGeometry:
 
     # -- super-Hamiltonian flow --------------------------------------------
 
-    def super_hamiltonian_flow(self, points, grid, sigma_tol: float = 1e-6,
-                               monitor_sigma: bool = False):
-        """Integrate the canonical flow of H_0 from one point, or from a list
-        of S points as one stacked (S, 2, d, d) flow.
+    def super_hamiltonian_flow(self, q0: np.ndarray, p0: np.ndarray, grid):
+        """Integrate the canonical flow of H_0 from (S, d, d) stacks of base
+        points q0 and covectors p0 as one stacked (S, 2, d, d) flow.
 
-        After each step g is projected back onto the group; with
-        monitor_sigma, the flow then aborts if a Sigma-initialized sample
-        drifts off Sigma. Returns the flowed points on the grid; for a
-        list of points each one holds the (S, d, d) stacks of q and p.
+        After each step g is projected back onto the group. Returns the
+        (T, S, d, d) arrays q and p on the grid.
         """
-        one = isinstance(points, ExtremalPoint)
-        y0 = np.array([[pt.q, pt.p] for pt in ([points] if one else points)])
+        y0 = np.stack([q0, p0], axis=1)
         theta = np.zeros((len(y0), self.m))
 
         def rhs(t, y):
@@ -226,60 +213,11 @@ class GroupGeometry:
 
         def after_step(t, y):
             y[:, 0] = self.system.project_to_group(y[:, 0])
-            if monitor_sigma and self.sigma_residual(y[:, 1]) > sigma_tol:
-                raise ProjectionError(
-                    f"Sigma drift {self.sigma_residual(y[:, 1]):.3e} above "
-                    f"tolerance at t = {t:.6f}")
             return y
 
-        states = rk4_flow(rhs, np.asarray(grid, dtype=float), y0, after_step)
-        pick = 0 if one else slice(None)
-        return [ExtremalPoint(q=y[pick, 0], p=y[pick, 1], t=float(t))
-                for t, y in zip(grid, states)]
-
-    # -- chi Hessian cross-check -------------------------------------------
-
-    def chi_hessian_check(self, point: ExtremalPoint, directions,
-                          h: float = 1e-3) -> dict:
-        """Second differences of chi against the closed-form Hessian.
-
-        Directions are covector-space matrices. Reports per-direction
-        values, the max relative discrepancy, and a Richardson order
-        estimate from steps h and h/2.
-        """
-        if self.s_residual(point.p) > 1e-9 or self.sigma_residual(point.p) > 1e-9:
-            raise ProjectionError("Hessian check requires a point on S")
-        lf = legendre_form(self.system, point)
-        lf_inv = np.linalg.inv(lf)
-
-        def chi_at(p):
-            return self.chi(ExtremalPoint(q=point.q, p=p, t=point.t))
-
-        rows = []
-        for dp in directions:
-            closed = -sum(
-                lf_inv[r, s] * pairing(dp, self.a0i[r]) * pairing(dp, self.a0i[s])
-                for r in range(self.m) for s in range(self.m))
-
-            def second_diff(step):
-                return (chi_at(point.p + step * dp) - 2.0 * chi_at(point.p)
-                        + chi_at(point.p - step * dp)) / step ** 2
-
-            d2_h = second_diff(h)
-            d2_h2 = second_diff(0.5 * h)
-            scale = max(abs(closed), 1.0)
-            err_h = abs(d2_h - closed) / scale
-            err_h2 = abs(d2_h2 - closed) / scale
-            if err_h2 > 0 and err_h > 0:
-                order = float(np.log2(err_h / err_h2))
-            else:
-                order = np.inf
-            rows.append({"closed_form": closed, "fd": d2_h2,
-                         "rel_error": err_h2, "order": order})
-        max_rel = max(r["rel_error"] for r in rows)
-        min_order = min(r["order"] for r in rows)
-        return {"directions": rows, "max_rel_error": max_rel,
-                "min_order": min_order}
+        states = np.array(rk4_flow(rhs, np.asarray(grid, dtype=float), y0,
+                                   after_step))
+        return states[:, :, 0], states[:, :, 1]
 
 
 def _d_ad(b: np.ndarray, e, e_inv, de, de_inv) -> np.ndarray:
@@ -344,15 +282,15 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     seeds = np.zeros((2 * n + 1, n))
     seeds[1::2] = fd_step * np.eye(n)
     seeds[2::2] = -fd_step * np.eye(n)
-    flow = geom.super_hamiltonian_flow(
-        [ExtremalPoint(q=chart.forward(x), p=lambda_lift(x), t=0.0)
-         for x in seeds], grid)
+    q, _ = geom.super_hamiltonian_flow(
+        np.array([chart.forward(x) for x in seeds]),
+        np.array([lambda_lift(x) for x in seeds]), grid)
 
     bases = np.zeros((grid.size, n, n))
     x_c = np.zeros(n)
-    for idx, pt in enumerate(flow):
-        x_c = chart.inverse(pt.q[0], x0=x_c)
-        offsets = series_log(np.linalg.solve(chart.forward(x_c), pt.q[1:]))
+    for idx, q_t in enumerate(q):
+        x_c = chart.inverse(q_t[0], x0=x_c)
+        offsets = series_log(np.linalg.solve(chart.forward(x_c), q_t[1:]))
         bases[idx] = chart.solve_in_frame(
             x_c, (offsets[0::2] - offsets[1::2]) / (2.0 * fd_step)).T
     svals = np.linalg.svd(bases, compute_uv=False)[:, -1]
@@ -366,18 +304,19 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         margin=float(margin))
 
 
-def flow_samples_to_csv(geom: GroupGeometry, samples: list[ExtremalPoint],
+def flow_samples_to_csv(geom: GroupGeometry, grid, p: np.ndarray,
                         path) -> None:
-    """Emit t, flattened covector, and surface residuals per flowed sample."""
-    d = samples[0].p.shape[0]
+    """Emit t, flattened covector, and surface residuals per grid time of
+    one flowed sample's (T, d, d) covectors p."""
+    d = p.shape[-1]
     header = ["t"] + [f"p_{i}{j}" for i in range(d) for j in range(d)]
     header += ["sigma_residual", "s_residual"]
     lines = [",".join(header)]
-    for pt in samples:
-        row = [f"{pt.t:.17g}"]
-        row += [f"{v:.17g}" for v in pt.p.ravel()]
-        row.append(f"{geom.sigma_residual(pt.p):.17g}")
-        row.append(f"{geom.s_residual(pt.p):.17g}")
+    for t, p_t in zip(grid, p):
+        row = [f"{float(t):.17g}"]
+        row += [f"{v:.17g}" for v in p_t.ravel()]
+        row.append(f"{geom.sigma_residual(p_t):.17g}")
+        row.append(f"{geom.s_residual(p_t):.17g}")
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -40,6 +40,7 @@ from .geometry import (
     flow_samples_to_csv,
 )
 from .secondvar import (
+    DEFAULT_RHO_GRID,
     assemble_lq,
     conjugate_point_test,
     det_trace_to_csv,
@@ -139,7 +140,7 @@ DEFAULT_CONFIG = {
     "horizon": 1.0,
     "dt": 0.01,
     "tolerances": {"equality": 1e-9, "rank": 1e-8, "sglc_min_margin": 1e-6},
-    "rho_grid": [2.0 ** k for k in range(-6, 7)],
+    "rho_grid": list(DEFAULT_RHO_GRID),
     "galerkin_k": [16],
     "certificate": {"rho": 1.0, "lambda_radius": 0.1, "n_samples": 128,
                     "seed": 0, "grid_points": 33},
@@ -288,13 +289,14 @@ def run_check(config: dict) -> dict:
                 hard_failure = not report.certified
                 if csv_dir:
                     geom = GroupGeometry(system)
-                    samples = geom.super_hamiltonian_flow(trajectory.points[0],
-                                                          cert_grid)
-                    flow_samples_to_csv(geom, samples,
+                    start = trajectory.points[0]
+                    _, p = geom.super_hamiltonian_flow(
+                        start.q[None], start.p[None], cert_grid)
+                    flow_samples_to_csv(geom, cert_grid, p[:, 0],
                                         os.path.join(csv_dir, "flow.csv"))
             elif stage == "falsifier":
                 fals_cfg = config["falsifier"]
-                target = TargetSpec(system, trajectory.points[-1].q, chart)
+                target = TargetSpec(trajectory.points[-1].q, chart)
                 report = competitor_sweep(
                     system, trajectory, target,
                     n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],

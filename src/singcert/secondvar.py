@@ -16,13 +16,16 @@ from scipy.linalg import eigh, expm
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
-from .extremal import ExtremalPoint, ExtremalTrajectory
+from .extremal import ExtremalTrajectory, coadjoint_transport
 from .geometry import GroupGeometry
 from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+# the logarithmic rho sweep of the conjugate-point test, 2^-6 .. 2^6
+DEFAULT_RHO_GRID = tuple(2.0 ** k for k in range(-6, 7))
 
 
 def chart_field_jacobian(chart: GroupChart, algebra_elem: np.ndarray) -> np.ndarray:
@@ -314,7 +317,7 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
 
 
 def conjugate_point_test(problem: SecondVariationProblem,
-                         rho_grid=None, n_steps: int = 200,
+                         rho_grid=DEFAULT_RHO_GRID, n_steps: int = 200,
                          det_floor: float = 0.1) -> CoercivityReport:
     """Conjugate-point decision over a logarithmic rho sweep.
 
@@ -324,8 +327,6 @@ def conjugate_point_test(problem: SecondVariationProblem,
     at the rho with the largest ratio. One Jacobi flow decides the whole
     sweep (see conjugate_point_trace).
     """
-    if rho_grid is None:
-        rho_grid = [2.0 ** k for k in range(-6, 7)]
     grid, dets = conjugate_point_trace(problem, rho_grid, n_steps)
     ratios = np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0])
     passing = np.flatnonzero(ratios >= det_floor)
@@ -364,20 +365,12 @@ def iota_equivalence_check(problem: SecondVariationProblem,
         delta_x = rng.standard_normal(problem.n)
         h_val = lq_hamiltonian(problem, t, omega, delta_x)
         m_t = extremal.points[idx].q
-        m_inv = np.linalg.inv(m_t)
 
         def g_second(step):
-            vals = []
-            for s in (step, -step):
-                x = s * delta_x
-                y = chart.p_hat - s * omega
-                p = chart.covector_from_chart(x, y)
-                g = chart.forward(x)
-                flowed = ExtremalPoint(
-                    q=g @ m_t, p=m_t.T @ p @ m_inv.T, t=t)
-                vals.append(geom.chi(flowed))
-            base = geom.chi(ExtremalPoint(
-                q=m_t, p=extremal.points[idx].p, t=t))
+            vals = [geom.chi(coadjoint_transport(chart.covector_from_chart(
+                        s * delta_x, chart.p_hat - s * omega), m_t))
+                    for s in (step, -step)]
+            base = geom.chi(extremal.points[idx].p)
             return 0.5 * (vals[0] - 2.0 * base + vals[1]) / step ** 2
 
         scale = max(abs(h_val), 1.0)

@@ -105,12 +105,12 @@ def test_drift_hamiltonian_conserved(dub3, extremal3):
 
 def test_hamiltonian_bracket_self_zero(dub3, extremal3):
     pt = extremal3.points[10]
-    assert hamiltonian_bracket(dub3, pt, (1, 1)) == 0.0
+    assert hamiltonian_bracket(dub3, pt.p, (1, 1)) == 0.0
 
 
 def test_goh_vanishes_on_singular_arc(dub3, extremal3):
     for pt in extremal3.points[::20]:
-        assert abs(hamiltonian_bracket(dub3, pt, (1, 2))) <= 1e-12
+        assert abs(hamiltonian_bracket(dub3, pt.p, (1, 2))) <= 1e-12
 
 
 def test_poisson_bracket_matches_fd_flow(dub3):
@@ -118,8 +118,7 @@ def test_poisson_bracket_matches_fd_flow(dub3):
     controlled Hamiltonian flow."""
     rng = np.random.default_rng(11)
     p = rng.standard_normal((dub3.d, dub3.d))
-    pt = ExtremalPoint(q=np.eye(dub3.d), p=p, t=0.0)
-    word_val = hamiltonian_bracket(dub3, pt, (1, (1, 0)))
+    word_val = hamiltonian_bracket(dub3, p, (1, (1, 0)))
     a1 = dub3.controlled[0]
     h = 1e-4
 
@@ -134,29 +133,28 @@ def test_poisson_bracket_matches_fd_flow(dub3):
 
 def test_legendre_form_is_minus_identity(dub3, extremal3):
     for pt in extremal3.points[::50]:
-        lf = legendre_form(dub3, pt)
+        lf = legendre_form(dub3, pt.p)
         assert np.max(np.abs(lf + np.eye(dub3.m))) <= 1e-12
 
 
 def test_legendre_form_zero_covector(dub3):
-    pt = ExtremalPoint(q=np.eye(dub3.d), p=np.zeros((dub3.d, dub3.d)), t=0.0)
-    assert np.max(np.abs(legendre_form(dub3, pt))) == 0.0
+    p = np.zeros((dub3.d, dub3.d))
+    assert np.max(np.abs(legendre_form(dub3, p))) == 0.0
 
 
-def feedback_at(system, pt):
-    """singular_feedback on a stack of one point."""
-    lform = legendre_form(system, pt)
-    rhs = [hamiltonian_bracket(system, pt, (0, (0, i + 1)))
+def feedback_at(system, p):
+    """singular_feedback on a stack of one covector."""
+    lform = legendre_form(system, p)
+    rhs = [hamiltonian_bracket(system, p, (0, (0, i + 1)))
            for i in range(system.m)]
     return singular_feedback(lform[None], np.array(rhs)[None])[0]
 
 
 def test_singular_feedback_zero_and_scale_invariant(dub3, extremal3):
     pt = extremal3.points[77]
-    nu = feedback_at(dub3, pt)
+    nu = feedback_at(dub3, pt.p)
     assert np.max(np.abs(nu)) <= 1e-10
-    scaled = ExtremalPoint(q=pt.q, p=2.0 * pt.p, t=pt.t)
-    assert np.allclose(feedback_at(dub3, scaled), nu, atol=1e-10)
+    assert np.allclose(feedback_at(dub3, 2.0 * pt.p), nu, atol=1e-10)
 
 
 def test_initial_covector_annihilation(dub3):
@@ -208,8 +206,9 @@ def test_sphere_extremal_recovery():
     p0 = dubins_initial_covector(sys_)
     traj = adjoint_trajectory(sys_, p0, np.linspace(0, 1, 101))
     for pt in traj.points[::10]:
-        assert np.max(np.abs(feedback_at(sys_, pt))) <= 1e-10
-        assert np.max(np.abs(legendre_form(sys_, pt) + np.eye(sys_.m))) <= 1e-12
+        assert np.max(np.abs(feedback_at(sys_, pt.p))) <= 1e-10
+        assert np.max(np.abs(legendre_form(sys_, pt.p) + np.eye(sys_.m))) \
+            <= 1e-12
 
 
 def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
@@ -219,13 +218,13 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
     pts = trajectory.points
     m = system.m
 
-    def feedback(pt):
-        lform = legendre_form(system, pt)
+    def feedback(p):
+        lform = legendre_form(system, p)
         if np.linalg.cond(lform) > 1e8:
             raise np.linalg.LinAlgError(
                 "Legendre form is ill-conditioned; strengthened Legendre "
                 "condition fails at this point")
-        rhs = np.array([hamiltonian_bracket(system, pt, (0, (0, i + 1)))
+        rhs = np.array([hamiltonian_bracket(system, p, (0, (0, i + 1)))
                         for i in range(m)])
         return np.linalg.solve(lform, rhs)
 
@@ -239,21 +238,21 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
         normality_res = max(normality_res,
                             abs(pairing(pt.p, system.drift) - 1.0))
         goh_res = max(goh_res, max(
-            abs(hamiltonian_bracket(system, pt, (i + 1, j + 1)))
+            abs(hamiltonian_bracket(system, pt.p, (i + 1, j + 1)))
             for i in range(m) for j in range(i + 1, m)) if m > 1 else 0.0)
-        hogc_res = max(hogc_res, hogc_residual(system, pt))
-        lform = legendre_form(system, pt)
+        hogc_res = max(hogc_res, hogc_residual(system, pt.p))
+        lform = legendre_form(system, pt.p)
         sym_res = max(sym_res, float(np.max(np.abs(lform - lform.T))))
         eigs = np.linalg.eigvalsh(0.5 * (lform + lform.T))
         eig_low = min(eig_low, eigs[0])
         eig_high = max(eig_high, eigs[-1])
         f0i_vals = np.array([
-            hamiltonian_bracket(system, pt, (0, i + 1)) for i in range(m)])
+            hamiltonian_bracket(system, pt.p, (0, i + 1)) for i in range(m)])
         f0i_res = max(f0i_res, float(np.max(np.abs(f0i_vals))))
-        nu = feedback(pt)
+        nu = feedback(pt.p)
         resid = np.array([
             f0i_vals[i] + sum(
-                nu[j] * hamiltonian_bracket(system, pt, (j + 1, i + 1))
+                nu[j] * hamiltonian_bracket(system, pt.p, (j + 1, i + 1))
                 for j in range(m))
             for i in range(m)])
         feedback_res = max(feedback_res, float(np.max(np.abs(resid))))

@@ -5,11 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from singcert.chart import dubins_adapted_chart
-from singcert.extremal import (
-    ExtremalPoint,
-    adjoint_trajectory,
-    dubins_initial_covector,
-)
+from singcert.extremal import adjoint_trajectory, dubins_initial_covector
 from singcert.geometry import (
     GroupGeometry,
     ProjectionError,
@@ -37,78 +33,81 @@ def sigma_sample(chart, rng, scale=0.05):
     return x, chart.covector_from_chart(x, y)
 
 
-def test_psi_zero_is_identity(setup):
-    _, geom, traj = setup
-    pt = traj.points[0]
-    out = geom.psi(pt, np.zeros(2))
-    assert np.allclose(out.q, pt.q) and np.allclose(out.p, pt.p)
+def psi(geom, p, t_vec):
+    """Time-1 flow of sum t_i F_i on covectors, by exact exponentials: the
+    transport the projection onto S undoes."""
+    e = expm(np.tensordot(t_vec, geom.ai, axes=1))
+    return e.T @ p @ np.linalg.inv(e).T
 
 
 def test_psi_preserves_sigma(setup):
+    """The projection moves a Sigma point along the F_i flows, which keep
+    it on Sigma, and lands on S; a stack projects member by member."""
     sys_, geom, traj = setup
     chart = dubins_adapted_chart(sys_)
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        x, p = sigma_sample(chart, rng)
-        pt = ExtremalPoint(q=chart.forward(x), p=p, t=0.0)
-        moved = geom.psi(pt, rng.uniform(-0.1, 0.1, sys_.m))
-        assert geom.sigma_residual(moved.p) <= 1e-10
+    ps = np.array([sigma_sample(chart, rng)[1] for _ in range(5)])
+    singles = []
+    for p in ps:
+        _, moved, res = geom.project(p)
+        assert res <= 1e-12
+        assert geom.sigma_residual(moved) <= 1e-10
+        assert geom.s_residual(moved) <= 1e-10
+        singles.append(moved)
+    assert np.max(np.abs(geom.project(ps)[1] - np.array(singles))) <= 1e-14
+    assert np.max(np.abs(geom.chi(ps) - [geom.chi(p) for p in ps])) <= 1e-14
 
 
 def test_psi_derivative_matches_hamiltonian_field(setup):
     """d psi / d t_i at 0 equals the F_i Hamiltonian direction."""
     _, geom, traj = setup
-    pt = traj.points[3]
+    p = traj.points[3].p
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        fd = (geom.psi(pt, e).p - geom.psi(pt, -e).p) / (2 * h)
-        exact = hamiltonian_direction(pt.p, geom.ai[i])
+        fd = (psi(geom, p, e) - psi(geom, p, -e)) / (2 * h)
+        exact = hamiltonian_direction(p, geom.ai[i])
         assert np.allclose(fd, exact, atol=1e-8)
 
 
 def test_phi_fixed_point_on_s(setup):
     _, geom, traj = setup
-    res = geom.phi_projection(traj.points[40])
-    assert np.max(np.abs(res.theta)) <= 1e-12
-    assert np.allclose(res.point.p, traj.points[40].p, atol=1e-12)
+    theta, moved, _ = geom.project(traj.points[40].p)
+    assert np.max(np.abs(theta)) <= 1e-12
+    assert np.allclose(moved, traj.points[40].p, atol=1e-12)
 
 
 def test_phi_roundtrip_through_psi(setup):
     """Projection recovers a psi-displaced S-point and theta = -t_vec."""
     _, geom, traj = setup
     rng = np.random.default_rng(22)
-    base = traj.points[10]
+    base = traj.points[10].p
     for _ in range(5):
         t_vec = rng.uniform(-0.08, 0.08, 2)
-        moved = geom.psi(base, t_vec)
-        res = geom.phi_projection(moved)
-        assert np.max(np.abs(res.theta + t_vec)) <= 1e-9
-        assert np.max(np.abs(res.point.p - base.p)) <= 1e-9
-        assert res.residual <= 1e-12
+        theta, moved, res = geom.project(psi(geom, base, t_vec))
+        assert np.max(np.abs(theta + t_vec)) <= 1e-9
+        assert np.max(np.abs(moved - base)) <= 1e-9
+        assert res <= 1e-12
 
 
 def test_phi_idempotent(setup):
     _, geom, traj = setup
-    moved = geom.psi(traj.points[0], np.array([0.05, -0.03]))
-    once = geom.phi_projection(moved)
-    twice = geom.phi_projection(once.point)
-    assert np.max(np.abs(twice.point.p - once.point.p)) <= 1e-10
+    once = geom.project(psi(geom, traj.points[0].p, np.array([0.05, -0.03])))
+    twice = geom.project(once[1])
+    assert np.max(np.abs(twice[1] - once[1])) <= 1e-10
 
 
 def test_phi_rejects_indefinite_legendre(setup):
     sys_, geom, _ = setup
-    bad = ExtremalPoint(q=np.eye(sys_.d),
-                        p=-dubins_initial_covector(sys_), t=0.0)
     with pytest.raises(ProjectionError):
-        geom.phi_projection(bad)
+        geom.project(-dubins_initial_covector(sys_))
 
 
 def test_chi_zero_on_s(setup):
     _, geom, traj = setup
     for pt in traj.points[::25]:
-        assert abs(geom.chi(pt)) <= 1e-10
+        assert abs(geom.chi(pt.p)) <= 1e-10
 
 
 def test_chi_nonnegative_on_sigma(setup):
@@ -116,52 +115,56 @@ def test_chi_nonnegative_on_sigma(setup):
     chart = dubins_adapted_chart(sys_)
     rng = np.random.default_rng(23)
     for _ in range(30):
-        x, p = sigma_sample(chart, rng)
-        pt = ExtremalPoint(q=chart.forward(x), p=p, t=0.0)
-        assert geom.chi(pt) >= -1e-10
+        _, p = sigma_sample(chart, rng)
+        assert geom.chi(p) >= -1e-10
 
 
 def test_chi_quadratic_expansion(setup):
     """chi(psi(l, t)) = |t|^2 / 2 + O(|t|^3) on the Dubins extremal."""
     _, geom, traj = setup
-    base = traj.points[0]
+    base = traj.points[0].p
     rng = np.random.default_rng(24)
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction)
     for s in (1e-2, 5e-3):
-        val = geom.chi(geom.psi(base, s * direction))
+        val = geom.chi(psi(geom, base, s * direction))
         assert val == pytest.approx(0.5 * s ** 2, rel=5e-2)
 
 
 def test_chi_first_differences_vanish_on_s(setup):
     """dchi = 0 on S: first differences shrink at order >= 1.9."""
     _, geom, traj = setup
-    pt = traj.points[15]
+    p = traj.points[15].p
     rng = np.random.default_rng(25)
-    dp = rng.standard_normal(pt.p.shape)
+    dp = rng.standard_normal(p.shape)
 
     def first_diff(h):
-        plus = geom.chi(ExtremalPoint(q=pt.q, p=pt.p + h * dp, t=pt.t))
-        minus = geom.chi(ExtremalPoint(q=pt.q, p=pt.p - h * dp, t=pt.t))
-        return abs(plus - minus) / (2 * h)
+        return abs(geom.chi(p + h * dp) - geom.chi(p - h * dp)) / (2 * h)
 
     d1, d2 = first_diff(1e-3), first_diff(5e-4)
     assert np.log2(d1 / d2) >= 1.9
 
 
-def test_chi_hessian_closed_form(setup):
-    """FD Hessian matches the multiplier closed form with order >= 1.8."""
-    sys_, geom, traj = setup
-    pt = traj.points[30]
-    rng = np.random.default_rng(26)
-    directions = [hamiltonian_direction(pt.p, geom.ai[j]) for j in range(2)]
-    directions.append(rng.standard_normal(pt.p.shape))
-    report = geom.chi_hessian_check(pt, directions, h=1e-3)
-    # F_j directions: closed form is -(L^-1)_jj = 1 for Dubins
-    for j in range(2):
-        assert report["directions"][j]["closed_form"] == pytest.approx(1.0, abs=1e-10)
-    assert report["max_rel_error"] <= 1e-4
-    assert report["min_order"] >= 1.8
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_grad_h0_matches_central_differences(space):
+    """<grad_h0(p), dp> is the derivative of H_0 = chi + <p, A_0> along dp
+    at Sigma points off S."""
+    sys_ = build_dubins_system(space, 3)
+    geom = GroupGeometry(sys_)
+    chart = dubins_adapted_chart(sys_)
+    rng = np.random.default_rng(30)
+    h = 1e-5
+
+    def h0(p):
+        return geom.chi(p) + np.tensordot(p, sys_.drift, axes=2)
+
+    for _ in range(3):
+        _, p = sigma_sample(chart, rng)
+        assert geom.s_residual(p) >= 1e-3
+        dp = rng.standard_normal(p.shape)
+        grad, _ = geom.grad_h0(p)
+        fd = (h0(p + h * dp) - h0(p - h * dp)) / (2 * h)
+        assert np.tensordot(grad, dp, axes=2) == pytest.approx(fd, abs=2e-9)
 
 
 def test_theta_derivative_pairing(setup):
@@ -179,13 +182,20 @@ def test_theta_derivative_pairing(setup):
         assert np.allclose(d_theta, expect, atol=1e-8)
 
 
+def flow_one(geom, q, p, grid):
+    """The super-Hamiltonian flow of one point: (T, d, d) arrays q and p."""
+    q_t, p_t = geom.super_hamiltonian_flow(q[None], p[None], grid)
+    return q_t[:, 0], p_t[:, 0]
+
+
 def test_super_hamiltonian_reproduces_reference(setup):
     sys_, geom, traj = setup
-    flowed = geom.super_hamiltonian_flow(traj.points[0], traj.grid,
-                                         monitor_sigma=True)
+    start = traj.points[0]
+    q, p = flow_one(geom, start.q, start.p, traj.grid)
+    assert geom.sigma_residual(p) <= 1e-6
     for k in range(0, 101, 20):
-        assert np.max(np.abs(flowed[k].p - traj.points[k].p)) <= 1e-8
-        assert np.max(np.abs(flowed[k].q - traj.points[k].q)) <= 1e-8
+        assert np.max(np.abs(p[k] - traj.points[k].p)) <= 1e-8
+        assert np.max(np.abs(q[k] - traj.points[k].q)) <= 1e-8
 
 
 def test_super_hamiltonian_on_s_equals_drift_flow(setup):
@@ -194,16 +204,15 @@ def test_super_hamiltonian_on_s_equals_drift_flow(setup):
     chart = dubins_adapted_chart(sys_)
     rng = np.random.default_rng(27)
     x, p_sigma = sigma_sample(chart, rng, scale=0.03)
-    start = ExtremalPoint(q=chart.forward(x), p=p_sigma, t=0.0)
-    pt = geom.phi_projection(start).point
-    p = pt.p
+    p = geom.project(p_sigma)[1]
+    q0 = chart.forward(x)
     assert geom.s_residual(p) <= 1e-10
     grid = np.linspace(0, 0.5, 26)
-    flowed = geom.super_hamiltonian_flow(pt, grid)
+    q, p_t = flow_one(geom, q0, p, grid)
     m_end = expm(grid[-1] * sys_.drift)
     expect_p = m_end.T @ p @ np.linalg.inv(m_end).T
-    assert np.max(np.abs(flowed[-1].p - expect_p)) <= 1e-9
-    assert np.max(np.abs(flowed[-1].q - pt.q @ m_end)) <= 1e-9
+    assert np.max(np.abs(p_t[-1] - expect_p)) <= 1e-9
+    assert np.max(np.abs(q[-1] - q0 @ m_end)) <= 1e-9
 
 
 def test_sigma_flow_stays_on_sigma(setup):
@@ -211,10 +220,8 @@ def test_sigma_flow_stays_on_sigma(setup):
     chart = dubins_adapted_chart(sys_)
     rng = np.random.default_rng(28)
     x, p = sigma_sample(chart, rng, scale=0.03)
-    pt = ExtremalPoint(q=chart.forward(x), p=p, t=0.0)
-    flowed = geom.super_hamiltonian_flow(pt, np.linspace(0, 1, 51),
-                                         monitor_sigma=True, sigma_tol=1e-8)
-    assert geom.sigma_residual(flowed[-1].p) <= 1e-8
+    _, p_t = flow_one(geom, chart.forward(x), p, np.linspace(0, 1, 51))
+    assert geom.sigma_residual(p_t) <= 1e-8
 
 
 def test_certificate_dubins_rho_one(setup):
@@ -238,10 +245,10 @@ def test_certificate_rho_independent_for_dubins(setup):
 
 def test_flow_csv(tmp_path, setup):
     _, geom, traj = setup
-    samples = geom.super_hamiltonian_flow(traj.points[0],
-                                          np.linspace(0, 0.2, 11))
+    grid = np.linspace(0, 0.2, 11)
+    _, p = flow_one(geom, traj.points[0].q, traj.points[0].p, grid)
     path = tmp_path / "flow.csv"
-    flow_samples_to_csv(geom, samples, path)
+    flow_samples_to_csv(geom, grid, p, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 12
     assert lines[0].split(",")[-2:] == ["sigma_residual", "s_residual"]
@@ -260,17 +267,18 @@ def test_stacked_flow_matches_each_point_alone(space):
     sys_, chart, _ = space_setup(space)
     geom = GroupGeometry(sys_)
     rng = np.random.default_rng(29)
-    starts = []
+    q0, p0 = [], []
     for _ in range(4):
         x, p = sigma_sample(chart, rng, scale=0.03)
-        starts.append(ExtremalPoint(q=chart.forward(x), p=p, t=0.0))
+        q0.append(chart.forward(x))
+        p0.append(p)
     grid = np.linspace(0, 1, 21)
-    stacked = geom.super_hamiltonian_flow(starts, grid)
-    for k, start in enumerate(starts):
-        alone = geom.super_hamiltonian_flow(start, grid)
-        for both, one in zip(stacked, alone):
-            assert np.max(np.abs(both.q[k] - one.q)) <= 1e-12
-            assert np.max(np.abs(both.p[k] - one.p)) <= 1e-12
+    q, p = geom.super_hamiltonian_flow(np.array(q0), np.array(p0), grid)
+    assert q.shape == p.shape == (grid.size, 4, sys_.d, sys_.d)
+    for k in range(4):
+        q_k, p_k = flow_one(geom, q0[k], p0[k], grid)
+        assert np.max(np.abs(q[:, k] - q_k)) <= 1e-12
+        assert np.max(np.abs(p[:, k] - p_k)) <= 1e-12
 
 
 def direct_svals(sys_, chart, rho, grid, fd_step=1e-5):
@@ -289,15 +297,14 @@ def direct_svals(sys_, chart, rho, grid, fd_step=1e-5):
         for sign in (1.0, -1.0):
             x = np.zeros(n)
             x[k] = sign * fd_step
-            pt = ExtremalPoint(q=chart.forward(x), p=lift(x), t=0.0)
-            flows.append(geom.super_hamiltonian_flow(pt, grid))
+            flows.append(flow_one(geom, chart.forward(x), lift(x), grid)[0])
     svals = np.zeros(grid.size)
     warm = [np.zeros(n) for _ in range(2 * n)]
     for idx in range(grid.size):
         base = np.zeros((n, n))
         for k in range(n):
-            xp = chart.inverse(flows[2 * k][idx].q, x0=warm[2 * k])
-            xm = chart.inverse(flows[2 * k + 1][idx].q, x0=warm[2 * k + 1])
+            xp = chart.inverse(flows[2 * k][idx], x0=warm[2 * k])
+            xm = chart.inverse(flows[2 * k + 1][idx], x0=warm[2 * k + 1])
             warm[2 * k], warm[2 * k + 1] = xp, xm
             base[:, k] = (xp - xm) / (2.0 * fd_step)
         svals[idx] = np.linalg.svd(base, compute_uv=False)[-1]
