@@ -11,42 +11,33 @@ from .algebra import commutator, numerical_rank, pairing, span_contains
 from .systems import MatrixGroupSystem
 
 
-@dataclass(frozen=True)
-class ExtremalPoint:
-    """A point (q, p) of an extremal lift at time t.
-
-    q is a group element; p a matrix covector acting by the trace pairing.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-    t: float
-
-
 @dataclass
 class ExtremalTrajectory:
-    """The singular arc: the drift orbit q(t) = exp(t A0) with u = 0."""
+    """The singular arc: the drift orbit q(t) = exp(t A0) with u = 0, and
+    its covector lift p(t), as (T, d, d) arrays on the grid. Each p is a
+    matrix covector acting by the trace pairing."""
 
     system: MatrixGroupSystem
     grid: np.ndarray
-    points: list[ExtremalPoint]
+    q: np.ndarray
+    p: np.ndarray
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
 
 
-def reference_flow(system: MatrixGroupSystem, grid) -> list[np.ndarray]:
+def reference_flow(system: MatrixGroupSystem, grid) -> np.ndarray:
     """The reference flow exp(t A0), M' = M A0 with M(0) = I and u = 0, on
-    the time grid, by exact exponentials."""
-    a0 = system.drift
-    return [expm(t * a0) for t in np.asarray(grid, dtype=float)]
+    the time grid, by exact exponentials: a (T, d, d) array."""
+    return expm(np.asarray(grid, dtype=float)[:, None, None] * system.drift)
 
 
 def coadjoint_transport(p0: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Covector p(t) with <p(t), B> = <p0, M B M^-1> for every B."""
-    m_inv = np.linalg.inv(m)
-    return m.T @ p0 @ m_inv.T
+    """Covector p(t) with <p(t), B> = <p0, M B M^-1> for every B, for one
+    group element M or a (T, d, d) stack of them."""
+    return np.swapaxes(m, -1, -2) @ p0 \
+        @ np.swapaxes(np.linalg.inv(m), -1, -2)
 
 
 def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
@@ -55,30 +46,44 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
-    points = [ExtremalPoint(q=m, p=coadjoint_transport(p0, m), t=float(t))
-              for t, m in zip(grid, reference_flow(system, grid))]
-    return ExtremalTrajectory(system, grid, points)
+    q = reference_flow(system, grid)
+    return ExtremalTrajectory(system, grid, q, coadjoint_transport(p0, q))
 
 
-def hamiltonian_bracket(system: MatrixGroupSystem, p: np.ndarray,
-                        word) -> float:
-    """Value <p, B_word> of the iterated Poisson bracket at the covector p."""
-    return pairing(p, system.bracket_matrix(word))
+def _pairings(p: np.ndarray, mats) -> np.ndarray:
+    """<p, B_k> for a (k, d, d) stack of matrices B: shape (k,) for one
+    covector, (S, k) for an (S, d, d) stack."""
+    return np.tensordot(p, np.asarray(mats), axes=([-2, -1], [-2, -1]))
 
 
-def hogc_residual(system: MatrixGroupSystem, p: np.ndarray) -> float:
-    """Max pairing of p with the controlled Lie closure basis."""
-    return max(abs(pairing(p, b)) for b in system.lie_closure_basis)
+def hamiltonian_bracket(system: MatrixGroupSystem, p: np.ndarray, word):
+    """Value <p, B_word> of the iterated Poisson bracket at the covector p,
+    one value per covector of an (S, d, d) stack."""
+    return _pairings(p, [system.bracket_matrix(word)])[..., 0]
+
+
+def hogc_residual(system: MatrixGroupSystem, p: np.ndarray):
+    """Max |<p, B>| over the controlled Lie closure basis, one value per
+    covector of an (S, d, d) stack."""
+    return np.max(np.abs(_pairings(p, system.lie_closure_basis)), axis=-1)
+
+
+def s_residual(system: MatrixGroupSystem, p: np.ndarray):
+    """Max |<p, [A0, A_i]>| over the controlled fields, which vanishes on
+    the singular surface S, one value per covector of an (S, d, d) stack."""
+    return np.max(np.abs(_pairings(
+        p, [system.bracket_matrix((0, i + 1)) for i in range(system.m)])),
+        axis=-1)
 
 
 def legendre_form(system: MatrixGroupSystem, p: np.ndarray) -> np.ndarray:
-    """The m x m form with entries F_{ij0} at the covector p."""
+    """The m x m form with entries F_{ij0} at the covector p, an (S, m, m)
+    stack for an (S, d, d) stack."""
     m = system.m
-    entries = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            entries[i, j] = hamiltonian_bracket(system, p, (i + 1, (j + 1, 0)))
-    return entries
+    words = [system.bracket_matrix((i + 1, (j + 1, 0)))
+             for i in range(m) for j in range(m)]
+    vals = _pairings(p, words)
+    return vals.reshape(vals.shape[:-1] + (m, m))
 
 
 def singular_feedback(lforms: np.ndarray, drift_terms: np.ndarray,
@@ -142,7 +147,6 @@ def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
     manifolds at the endpoints.
     """
     system = trajectory.system
-    pts = trajectory.points
     m = system.m
 
     # every pairing the battery reads, at every point, in one product
@@ -153,8 +157,7 @@ def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
     mats = (list(system.controlled) + [system.drift]
             + [system.bracket_matrix(w) for w in words]
             + list(system.lie_closure_basis))
-    p = np.array([pt.p.ravel() for pt in pts])
-    vals = p @ np.array([b.ravel() for b in mats]).T
+    vals = _pairings(trajectory.p, mats)
     f_i, f_0, f_ij, lforms, f_00i, f_0i, closure = np.split(
         vals, np.cumsum([m, 1, m * m, m * m, m, m]), axis=1)
     f_ij = f_ij.reshape(-1, m, m)
@@ -206,9 +209,10 @@ def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
     ]
     if boundary_data is not None:
         init_basis, final_basis = boundary_data
-        res0 = max((abs(pairing(pts[0].p, a)) for a in init_basis(pts[0].q)),
+        p, q = trajectory.p, trajectory.q
+        res0 = max((abs(pairing(p[0], a)) for a in init_basis(q[0])),
                    default=0.0)
-        resf = max((abs(pairing(pts[-1].p, a)) for a in final_basis(pts[-1].q)),
+        resf = max((abs(pairing(p[-1], a)) for a in final_basis(q[-1])),
                    default=0.0)
         checks.append(ConditionCheck(
             "transversality", max(res0, resf) <= tol.equality,
@@ -258,21 +262,18 @@ def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:
 
 def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:
     """Emit t, flattened q and p, and condition residuals."""
-    system = trajectory.system
-    m = system.m
-    d = system.d
-    header = ["t"]
-    header += [f"q_{i}{j}" for i in range(d) for j in range(d)]
-    header += [f"p_{i}{j}" for i in range(d) for j in range(d)]
-    header += [f"F_{i + 1}" for i in range(m)] + ["F0_minus_1", "hogc"]
+    system, d = trajectory.system, trajectory.system.d
+    header = (["t"] + [f"{x}_{i}{j}" for x in "qp" for i in range(d)
+                       for j in range(d)]
+              + [f"F_{i + 1}" for i in range(system.m)]
+              + ["F0_minus_1", "hogc"])
+    f = _pairings(trajectory.p, list(system.controlled) + [system.drift])
+    f[:, -1] -= 1.0
+    rows = np.concatenate([
+        trajectory.grid[:, None], trajectory.q.reshape(len(f), -1),
+        trajectory.p.reshape(len(f), -1), f,
+        hogc_residual(system, trajectory.p)[:, None]], axis=1)
     lines = [",".join(header)]
-    for pt in trajectory.points:
-        row = [f"{pt.t:.17g}"]
-        row += [f"{v:.17g}" for v in pt.q.ravel()]
-        row += [f"{v:.17g}" for v in pt.p.ravel()]
-        row += [f"{pairing(pt.p, a):.17g}" for a in system.controlled]
-        row.append(f"{pairing(pt.p, system.drift) - 1.0:.17g}")
-        row.append(f"{hogc_residual(system, pt.p):.17g}")
-        lines.append(",".join(row))
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -33,6 +33,12 @@ _BAND_MODES = 4
 # members of a stacked flow scored together, with one series log per
 # block: blocks of 16 ran no faster and held more states at once
 _SCORE_BLOCK = 8
+# a competitor arriving this much before the reference horizon refutes it
+TIME_TOLERANCE = 1e-6
+# the competitors are scanned this fraction of the horizon past it
+HORIZON_PAD = 0.1
+# largest annihilator coordinate of q_f^-1 q at which q meets the target
+TARGET_TOL = 1e-6
 # largest ||g - I|| at which the arrival test and the graph distance take
 # the series log of g; a state farther out counts as not arriving, or as
 # off the reference
@@ -206,9 +212,8 @@ class TargetSpec:
     ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving.
     """
 
-    def __init__(self, q_f: np.ndarray, chart: GroupChart, tol: float = 1e-6):
+    def __init__(self, q_f: np.ndarray, chart: GroupChart):
         self.q_f_inv = np.linalg.inv(q_f)
-        self.tol = tol
         self.R = chart.R
         self.b_pinv = chart.b_pinv
 
@@ -231,7 +236,7 @@ class TargetSpec:
         """Earliest grid time at which each member meets the target, inf for
         a member that never does: ``states`` is an (S, T, d, d) block of
         members on the (S, T) ``grid``; returns (S,) times."""
-        hit = self.residual(states) <= self.tol
+        hit = self.residual(states) <= TARGET_TOL
         first = grid[np.arange(len(grid)), np.argmax(hit, axis=1)]
         return np.where(np.any(hit, axis=1), first, np.inf)
 
@@ -366,8 +371,7 @@ def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                      target: TargetSpec, n_samples: int = 200,
                      radius: float = 0.1, seed: int = 0,
-                     dt: float = 0.02, time_tolerance: float = 1e-6,
-                     horizon_pad: float = 0.1) -> FalsificationReport:
+                     dt: float = 0.02) -> FalsificationReport:
     """Sample competitors from the three families and scan for early arrival.
 
     Unreachable samples are recorded as non-competing; the verdict is
@@ -375,10 +379,10 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     reference horizon minus the time tolerance.
     """
     t_hat = extremal.horizon
-    q0 = extremal.points[0].q
-    scan_horizon = t_hat * (1.0 + horizon_pad)
+    q0 = extremal.q[0]
+    scan_horizon = t_hat * (1.0 + HORIZON_PAD)
     ref_grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
-    ref_inv = np.linalg.inv(q0 @ np.array(reference_flow(system, ref_grid)))
+    ref_inv = np.linalg.inv(q0 @ reference_flow(system, ref_grid))
     competitors = _sample_competitors(system, t_hat, scan_horizon, ref_grid,
                                       n_samples, radius, seed)
 
@@ -419,7 +423,7 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         admissible = np.isfinite(dist) and (radius == 0.0 or dist <= 10 * radius)
         if np.isfinite(arrival) and admissible and arrival < min_arrival:
             min_arrival = arrival
-            if arrival < t_hat - time_tolerance:
+            if arrival < t_hat - TIME_TOLERANCE:
                 witness = dict(record)
     verdict = "refuted" if witness is not None else "no counterexample"
     return FalsificationReport(

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import commutator, pairing
+from .algebra import commutator
 from .chart import GroupChart
-from .extremal import ExtremalTrajectory, legendre_form
+from .extremal import (ExtremalTrajectory, hogc_residual, legendre_form,
+                       s_residual)
 from .numerics import damped_newton, rk4_flow, series_log
 from .systems import MatrixGroupSystem, ProjectionError
 
@@ -29,11 +30,14 @@ class CertificateReport:
     rho: float
     min_singular_value: float
     singular_values: np.ndarray
-    grid: np.ndarray
     lambda_radius: float
     n_samples: int
     max_sigma_residual: float
     margin: float
+    # the (T, d, d) covectors of the flow from the start of the arc, the
+    # x = 0 member, on the certificate grid: written to flow.csv, not
+    # emitted
+    covectors: np.ndarray
 
     @property
     def certified(self) -> bool:
@@ -65,17 +69,6 @@ class GroupGeometry:
         self.ai = np.array(system.controlled)
         self.m = system.m
         self.a0i = np.array([commutator(self.a0, a) for a in self.ai])
-        self.closure = list(system.lie_closure_basis)
-
-    # -- surface residuals -------------------------------------------------
-
-    def sigma_residual(self, p: np.ndarray) -> float:
-        """Max |<p, B>| over the closure basis, over a whole stack of p."""
-        return max(float(np.max(np.abs(np.tensordot(p, b, axes=2))))
-                   for b in self.closure)
-
-    def s_residual(self, p: np.ndarray) -> float:
-        return max(abs(pairing(p, b)) for b in self.a0i)
 
     # -- multipliers and the projection onto S ----------------------------
 
@@ -154,8 +147,7 @@ class GroupGeometry:
         ProjectionError where a Legendre form is not negative-definite.
         """
         p = np.asarray(p, dtype=float)
-        lf = np.array([legendre_form(self.system, x)
-                       for x in p.reshape(-1, *p.shape[-2:])])
+        lf = legendre_form(self.system, p)
         if np.max(np.linalg.eigvalsh(lf + np.swapaxes(lf, -1, -2))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
@@ -257,9 +249,7 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     geom = GroupGeometry(system)
     n = chart.n
     r_dim = chart.R
-    if grid is None:
-        grid = extremal.grid
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(extremal.grid if grid is None else grid, dtype=float)
 
     def lambda_lift(x):
         """Covector matrix of the graph point of d(alpha_rho) over x."""
@@ -272,17 +262,15 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     # spot-verify Lambda inside Sigma on a Sobol sample
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    raw = sampler.random(n_samples)
-    max_sigma = 0.0
-    for row in raw:
-        x = lambda_radius * (2.0 * row - 1.0)
-        max_sigma = max(max_sigma, geom.sigma_residual(lambda_lift(x)))
+    lifts = np.array([lambda_lift(lambda_radius * (2.0 * row - 1.0))
+                      for row in sampler.random(n_samples)])
+    max_sigma = float(np.max(hogc_residual(system, lifts)))
 
     # seeds x = 0, +fd_step e_0, -fd_step e_0, +fd_step e_1, ...
     seeds = np.zeros((2 * n + 1, n))
     seeds[1::2] = fd_step * np.eye(n)
     seeds[2::2] = -fd_step * np.eye(n)
-    q, _ = geom.super_hamiltonian_flow(
+    q, p = geom.super_hamiltonian_flow(
         np.array([chart.forward(x) for x in seeds]),
         np.array([lambda_lift(x) for x in seeds]), grid)
 
@@ -299,24 +287,23 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         "not certified"
     return CertificateReport(
         verdict=verdict, rho=float(rho), min_singular_value=min_sv,
-        singular_values=svals, grid=grid, lambda_radius=float(lambda_radius),
-        n_samples=int(n_samples), max_sigma_residual=float(max_sigma),
-        margin=float(margin))
+        singular_values=svals, lambda_radius=float(lambda_radius),
+        n_samples=int(n_samples), max_sigma_residual=max_sigma,
+        margin=float(margin), covectors=p[:, 0])
 
 
-def flow_samples_to_csv(geom: GroupGeometry, grid, p: np.ndarray,
+def flow_samples_to_csv(system: MatrixGroupSystem, grid, p: np.ndarray,
                         path) -> None:
     """Emit t, flattened covector, and surface residuals per grid time of
     one flowed sample's (T, d, d) covectors p."""
     d = p.shape[-1]
     header = ["t"] + [f"p_{i}{j}" for i in range(d) for j in range(d)]
     header += ["sigma_residual", "s_residual"]
+    rows = np.concatenate([
+        np.asarray(grid, dtype=float)[:, None], p.reshape(len(p), -1),
+        hogc_residual(system, p)[:, None], s_residual(system, p)[:, None]],
+        axis=1)
     lines = [",".join(header)]
-    for t, p_t in zip(grid, p):
-        row = [f"{float(t):.17g}"]
-        row += [f"{v:.17g}" for v in p_t.ravel()]
-        row.append(f"{geom.sigma_residual(p_t):.17g}")
-        row.append(f"{geom.s_residual(p_t):.17g}")
-        lines.append(",".join(row))
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -33,12 +33,7 @@ from .extremal import (
     trajectory_to_csv,
 )
 from .falsifier import TargetSpec, competitor_sweep, report_to_csv
-from .geometry import (
-    GroupGeometry,
-    ProjectionError,
-    certificate_check,
-    flow_samples_to_csv,
-)
+from .geometry import ProjectionError, certificate_check, flow_samples_to_csv
 from .secondvar import (
     DEFAULT_RHO_GRID,
     assemble_lq,
@@ -133,6 +128,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate would check CONFIG_SCHEMA against its
+# meta-schema again on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 DEFAULT_CONFIG = {
     "schema_version": SCHEMA_VERSION,
     "system": {"kind": "dubins", "space_form": "euclidean", "N": 3,
@@ -175,10 +174,9 @@ def _non_finite(obj) -> bool:
 
 def load_config(doc: dict) -> dict:
     """Validate a config document and materialize all defaults."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(str(error)) from error
     # Python's json reads NaN and Infinity, which the schema lets through
     if _non_finite(doc):
         raise ConfigError("config holds a NaN or infinite number")
@@ -288,15 +286,11 @@ def run_check(config: dict) -> dict:
                     "report": report.as_dict()}
                 hard_failure = not report.certified
                 if csv_dir:
-                    geom = GroupGeometry(system)
-                    start = trajectory.points[0]
-                    _, p = geom.super_hamiltonian_flow(
-                        start.q[None], start.p[None], cert_grid)
-                    flow_samples_to_csv(geom, cert_grid, p[:, 0],
+                    flow_samples_to_csv(system, cert_grid, report.covectors,
                                         os.path.join(csv_dir, "flow.csv"))
             elif stage == "falsifier":
                 fals_cfg = config["falsifier"]
-                target = TargetSpec(trajectory.points[-1].q, chart)
+                target = TargetSpec(trajectory.q[-1], chart)
                 report = competitor_sweep(
                     system, trajectory, target,
                     n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],

@@ -97,7 +97,7 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         raise RuntimeError("controlled-algebra basis degenerate at basepoint")
 
     a0 = system.drift
-    p0 = extremal.points[0].p
+    p0 = extremal.p[0]
     ad = np.array([chart.solve_in_frame(origin, commutator(a0, b))
                    for b in frame]).T
     z0 = ad[:, :m]
@@ -364,13 +364,13 @@ def iota_equivalence_check(problem: SecondVariationProblem,
         omega = rng.standard_normal(problem.n)
         delta_x = rng.standard_normal(problem.n)
         h_val = lq_hamiltonian(problem, t, omega, delta_x)
-        m_t = extremal.points[idx].q
+        m_t = extremal.q[idx]
 
         def g_second(step):
             vals = [geom.chi(coadjoint_transport(chart.covector_from_chart(
                         s * delta_x, chart.p_hat - s * omega), m_t))
                     for s in (step, -step)]
-            base = geom.chi(extremal.points[idx].p)
+            base = geom.chi(extremal.p[idx])
             return 0.5 * (vals[0] - 2.0 * base + vals[1]) / step ** 2
 
         scale = max(abs(h_val), 1.0)

@@ -57,7 +57,6 @@ class MatrixGroupSystem:
     drift: np.ndarray
     controlled: tuple[np.ndarray, ...]
     lie_closure_basis: tuple[np.ndarray, ...]
-    closure_words: tuple
     _bracket_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -175,7 +174,7 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     drift, controlled = _dubins_generators(space_form, N)
-    basis, words, R = lie_closure(controlled)
+    basis, _, R = lie_closure(controlled)
     expected_r = N * (N - 1) // 2
     if R != expected_r:
         raise StructureError(f"Lie closure dimension {R}, expected {expected_r}")
@@ -185,7 +184,6 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
         drift=drift,
         controlled=tuple(controlled),
         lie_closure_basis=tuple(basis),
-        closure_words=tuple(words),
     )
     stack = np.array([a.ravel() for a in controlled])
     if numerical_rank(stack) != len(controlled):

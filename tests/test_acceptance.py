@@ -74,14 +74,13 @@ def test_criterion_2_singular_extremal_recovery():
         system = build_dubins_system(form, 3)
         p0 = dubins_initial_covector(system)
         traj = adjoint_trajectory(system, p0, np.linspace(0.0, 1.0, 101))
-        lforms = np.array([legendre_form(system, pt.p)
-                           for pt in traj.points])
-        rhs = np.array([[hamiltonian_bracket(system, pt.p, (0, (0, i + 1)))
-                         for i in range(system.m)] for pt in traj.points])
+        lforms = np.array([legendre_form(system, p) for p in traj.p])
+        rhs = np.array([[hamiltonian_bracket(system, p, (0, (0, i + 1)))
+                         for i in range(system.m)] for p in traj.p])
         nu_sup = np.max(np.abs(singular_feedback(lforms, rhs)))
         assert nu_sup <= 1e-10
-        for pt in traj.points[::10]:
-            lf = legendre_form(system, pt.p)
+        for p in traj.p[::10]:
+            lf = legendre_form(system, p)
             assert np.max(np.abs(lf + np.eye(system.m))) <= 1e-12
 
 
@@ -137,14 +136,14 @@ def test_criterion_6_geometry_suite(dub3, chart3, extremal3):
             0.05 * rng.standard_normal(chart3.n - chart3.R)
         p = chart3.covector_from_chart(x, y)
         assert geom.chi(p) >= -1e-10
-    for pt in extremal3.points[::20]:
-        assert abs(geom.chi(pt.p)) <= 1e-10
+    for p in extremal3.p[::20]:
+        assert abs(geom.chi(p)) <= 1e-10
     # the projection undoes a transport along the flows of the F_i
-    base = extremal3.points[10]
+    base = extremal3.p[10]
     for _ in range(8):
         e = expm(np.tensordot(rng.uniform(-0.08, 0.08, dub3.m), geom.ai, 1))
-        moved = e.T @ base.p @ np.linalg.inv(e).T
-        assert np.max(np.abs(geom.project(moved)[1] - base.p)) <= 1e-9
+        moved = e.T @ base @ np.linalg.inv(e).T
+        assert np.max(np.abs(geom.project(moved)[1] - base)) <= 1e-9
 
 
 def test_criterion_7_certificate(dub3, chart3, extremal3, lq3):
@@ -160,7 +159,7 @@ def test_criterion_7_certificate(dub3, chart3, extremal3, lq3):
 
 
 def test_criterion_8_falsifier(dub3, chart3, extremal3):
-    target = TargetSpec(extremal3.points[-1].q, chart3)
+    target = TargetSpec(extremal3.q[-1], chart3)
     sweep = competitor_sweep(dub3, extremal3, target, n_samples=200,
                              radius=0.1, seed=0)
     assert sweep.verdict == "no counterexample"
@@ -170,8 +169,8 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     sph3 = build_dubins_system("sphere", 3)
     loop = adjoint_trajectory(sph3, dubins_initial_covector(sph3),
                               np.linspace(0.0, 2.0 * np.pi, 129))
-    assert np.max(np.abs(loop.points[-1].q - np.eye(sph3.d))) <= 1e-12
-    loop_target = TargetSpec(loop.points[-1].q, dubins_adapted_chart(sph3))
+    assert np.max(np.abs(loop.q[-1] - np.eye(sph3.d))) <= 1e-12
+    loop_target = TargetSpec(loop.q[-1], dubins_adapted_chart(sph3))
     refutation = competitor_sweep(sph3, loop, loop_target, n_samples=9,
                                   radius=0.1, seed=1)
     assert refutation.refuted

@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 from singcert import pipeline
 from singcert.chart import OutOfChartError
 from singcert.cli import main
-from singcert.geometry import ProjectionError
+from singcert.extremal import hogc_residual, s_residual
+from singcert.geometry import ProjectionError, certificate_check
 from singcert.pipeline import (
+    CONFIG_SCHEMA,
     MAX_GRID_STEPS,
     ConfigError,
     DEFAULT_CONFIG,
@@ -39,6 +42,13 @@ def test_defaults_materialized():
     assert cfg["horizon"] == 2.0
     assert cfg["dt"] == DEFAULT_CONFIG["dt"]
     assert cfg["falsifier"]["n_samples"] == 200
+
+
+def test_config_schema_meets_its_meta_schema():
+    # load_config validates against a validator built once, which does not
+    # check the schema itself
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+        CONFIG_SCHEMA)
 
 
 def test_unknown_keys_rejected():
@@ -185,6 +195,28 @@ def test_csv_artifacts(tmp_path):
     run_check({**FAST, "output": {"csv_dir": str(csv_dir)}})
     for name in ("trajectory.csv", "det_trace.csv", "flow.csv", "sweep.csv"):
         assert (csv_dir / name).exists(), name
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+def test_flow_csv_is_the_certificate_flow(tmp_path, space):
+    """flow.csv holds the covectors of the certificate's x = 0 member."""
+    config = {**FAST, "system": {"kind": "dubins", "space_form": space},
+              "checks": ["certificate"],
+              "output": {"csv_dir": str(tmp_path)}}
+    run_check(config)
+    config = load_config(config)
+    system, chart, trajectory = pipeline._build_problem(config)
+    cert = config["certificate"]
+    grid = np.linspace(0.0, config["horizon"], cert["grid_points"])
+    p = certificate_check(
+        system, trajectory, chart, rho=cert["rho"],
+        lambda_radius=cert["lambda_radius"], grid=grid,
+        n_samples=cert["n_samples"], seed=cert["seed"]).covectors
+    rows = np.loadtxt(tmp_path / "flow.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], grid)
+    assert np.array_equal(rows[:, 1:-2], p.reshape(grid.size, -1))
+    assert np.array_equal(rows[:, -2], hogc_residual(system, p))
+    assert np.array_equal(rows[:, -1], s_residual(system, p))
 
 
 def test_sweep_empty_values():

@@ -8,7 +8,6 @@ from singcert.algebra import commutator, numerical_rank, pairing, span_contains
 from singcert.extremal import (
     ConditionCheck,
     ConditionReport,
-    ExtremalPoint,
     ExtremalTrajectory,
     Tolerances,
     adjoint_trajectory,
@@ -19,6 +18,7 @@ from singcert.extremal import (
     hogc_residual,
     legendre_form,
     reference_flow,
+    s_residual,
     singular_feedback,
     trajectory_to_csv,
 )
@@ -50,6 +50,37 @@ def test_reference_flow_sphere_orthogonal():
     cache = reference_flow(sys_, np.linspace(0, 1, 11))
     for m in cache:
         assert np.max(np.abs(m.T @ m - np.eye(sys_.d))) <= 1e-10
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_adjoint_trajectory_matches_each_point_alone(space):
+    """The stacked exponential and transport are the per-point ones, bit
+    for bit."""
+    system = build_dubins_system(space, 4)
+    p0 = dubins_initial_covector(system)
+    grid = np.linspace(0.0, 1.0, 41)
+    traj = adjoint_trajectory(system, p0, grid)
+    assert traj.q.shape == traj.p.shape == (grid.size, system.d, system.d)
+    for t, q, p in zip(grid, traj.q, traj.p):
+        m = expm(t * system.drift)
+        assert np.array_equal(q, m)
+        assert np.array_equal(p, m.T @ p0 @ np.linalg.inv(m).T)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_covector_helpers_take_stacks(space):
+    """Each helper gives one value per covector of a stack, equal to the
+    call on that covector alone."""
+    system = build_dubins_system(space, 4)
+    ps = np.random.default_rng(19).standard_normal((6, system.d, system.d))
+    for word in ((1, 2), (1, (2, 0)), (0, (0, 3))):
+        assert np.array_equal(hamiltonian_bracket(system, ps, word),
+                              [hamiltonian_bracket(system, p, word)
+                               for p in ps])
+    for helper in (hogc_residual, s_residual, legendre_form):
+        assert np.array_equal(helper(system, ps),
+                              [helper(system, p) for p in ps])
+    assert legendre_form(system, ps).shape == (6, system.m, system.m)
 
 
 def controlled_flow_end(system, n_steps):
@@ -94,23 +125,22 @@ def test_rk4_flow_per_member_grid():
 
 def test_adjoint_identity_at_zero(dub3, extremal3):
     p0 = dubins_initial_covector(dub3)
-    assert np.allclose(extremal3.points[0].p, p0, atol=1e-14)
+    assert np.allclose(extremal3.p[0], p0, atol=1e-14)
 
 
 def test_drift_hamiltonian_conserved(dub3, extremal3):
     """F_0 = 1 exactly along the singular arc."""
-    for pt in extremal3.points[::20]:
-        assert abs(pairing(pt.p, dub3.drift) - 1.0) <= 1e-12
+    for p in extremal3.p[::20]:
+        assert abs(pairing(p, dub3.drift) - 1.0) <= 1e-12
 
 
 def test_hamiltonian_bracket_self_zero(dub3, extremal3):
-    pt = extremal3.points[10]
-    assert hamiltonian_bracket(dub3, pt.p, (1, 1)) == 0.0
+    assert hamiltonian_bracket(dub3, extremal3.p[10], (1, 1)) == 0.0
 
 
 def test_goh_vanishes_on_singular_arc(dub3, extremal3):
-    for pt in extremal3.points[::20]:
-        assert abs(hamiltonian_bracket(dub3, pt.p, (1, 2))) <= 1e-12
+    for p in extremal3.p[::20]:
+        assert abs(hamiltonian_bracket(dub3, p, (1, 2))) <= 1e-12
 
 
 def test_poisson_bracket_matches_fd_flow(dub3):
@@ -132,8 +162,8 @@ def test_poisson_bracket_matches_fd_flow(dub3):
 
 
 def test_legendre_form_is_minus_identity(dub3, extremal3):
-    for pt in extremal3.points[::50]:
-        lf = legendre_form(dub3, pt.p)
+    for p in extremal3.p[::50]:
+        lf = legendre_form(dub3, p)
         assert np.max(np.abs(lf + np.eye(dub3.m))) <= 1e-12
 
 
@@ -151,10 +181,10 @@ def feedback_at(system, p):
 
 
 def test_singular_feedback_zero_and_scale_invariant(dub3, extremal3):
-    pt = extremal3.points[77]
-    nu = feedback_at(dub3, pt.p)
+    p = extremal3.p[77]
+    nu = feedback_at(dub3, p)
     assert np.max(np.abs(nu)) <= 1e-10
-    assert np.allclose(feedback_at(dub3, 2.0 * pt.p), nu, atol=1e-10)
+    assert np.allclose(feedback_at(dub3, 2.0 * p), nu, atol=1e-10)
 
 
 def test_initial_covector_annihilation(dub3):
@@ -205,9 +235,9 @@ def test_sphere_extremal_recovery():
     sys_ = build_dubins_system("sphere", 3)
     p0 = dubins_initial_covector(sys_)
     traj = adjoint_trajectory(sys_, p0, np.linspace(0, 1, 101))
-    for pt in traj.points[::10]:
-        assert np.max(np.abs(feedback_at(sys_, pt.p))) <= 1e-10
-        assert np.max(np.abs(legendre_form(sys_, pt.p) + np.eye(sys_.m))) \
+    for p in traj.p[::10]:
+        assert np.max(np.abs(feedback_at(sys_, p))) <= 1e-10
+        assert np.max(np.abs(legendre_form(sys_, p) + np.eye(sys_.m))) \
             <= 1e-12
 
 
@@ -215,7 +245,6 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
     """The condition battery one grid point at a time, one pairing per
     bracket word: the reference for the batched battery."""
     system = trajectory.system
-    pts = trajectory.points
     m = system.m
 
     def feedback(p):
@@ -232,27 +261,27 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
     f0i_res = feedback_res = sym_res = 0.0
     eig_low = np.inf
     eig_high = -np.inf
-    for pt in pts:
+    for p in trajectory.p:
         f_i_res = max(f_i_res, max(
-            abs(pairing(pt.p, a)) for a in system.controlled))
+            abs(pairing(p, a)) for a in system.controlled))
         normality_res = max(normality_res,
-                            abs(pairing(pt.p, system.drift) - 1.0))
+                            abs(pairing(p, system.drift) - 1.0))
         goh_res = max(goh_res, max(
-            abs(hamiltonian_bracket(system, pt.p, (i + 1, j + 1)))
+            abs(hamiltonian_bracket(system, p, (i + 1, j + 1)))
             for i in range(m) for j in range(i + 1, m)) if m > 1 else 0.0)
-        hogc_res = max(hogc_res, hogc_residual(system, pt.p))
-        lform = legendre_form(system, pt.p)
+        hogc_res = max(hogc_res, hogc_residual(system, p))
+        lform = legendre_form(system, p)
         sym_res = max(sym_res, float(np.max(np.abs(lform - lform.T))))
         eigs = np.linalg.eigvalsh(0.5 * (lform + lform.T))
         eig_low = min(eig_low, eigs[0])
         eig_high = max(eig_high, eigs[-1])
         f0i_vals = np.array([
-            hamiltonian_bracket(system, pt.p, (0, i + 1)) for i in range(m)])
+            hamiltonian_bracket(system, p, (0, i + 1)) for i in range(m)])
         f0i_res = max(f0i_res, float(np.max(np.abs(f0i_vals))))
-        nu = feedback(pt.p)
+        nu = feedback(p)
         resid = np.array([
             f0i_vals[i] + sum(
-                nu[j] * hamiltonian_bracket(system, pt.p, (j + 1, i + 1))
+                nu[j] * hamiltonian_bracket(system, p, (j + 1, i + 1))
                 for j in range(m))
             for i in range(m)])
         feedback_res = max(feedback_res, float(np.max(np.abs(resid))))
@@ -285,10 +314,11 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
     ]
     if boundary_data is not None:
         init_basis, final_basis = boundary_data
-        res0 = max((abs(pairing(pts[0].p, a)) for a in init_basis(pts[0].q)),
+        p, q = trajectory.p, trajectory.q
+        res0 = max((abs(pairing(p[0], a)) for a in init_basis(q[0])),
                    default=0.0)
-        resf = max((abs(pairing(pts[-1].p, a))
-                    for a in final_basis(pts[-1].q)), default=0.0)
+        resf = max((abs(pairing(p[-1], a))
+                    for a in final_basis(q[-1])), default=0.0)
         checks.append(ConditionCheck(
             "transversality", max(res0, resf) <= tol.equality,
             max(res0, resf),
@@ -332,10 +362,10 @@ def test_battery_matches_point_by_point_off_the_arc(space):
 def test_battery_rejects_ill_conditioned_legendre_form(dub3, extremal3):
     """A singular Legendre form at one grid point raises the error the
     point-by-point battery raises there."""
-    points = list(extremal3.points[:5])
-    points[3] = ExtremalPoint(q=points[3].q, p=np.zeros_like(points[3].p),
-                              t=points[3].t)
-    trajectory = ExtremalTrajectory(dub3, extremal3.grid[:5], points)
+    p = extremal3.p[:5].copy()
+    p[3] = 0.0
+    trajectory = ExtremalTrajectory(dub3, extremal3.grid[:5],
+                                    extremal3.q[:5], p)
     with pytest.raises(np.linalg.LinAlgError) as batched:
         condition_battery(trajectory)
     with pytest.raises(np.linalg.LinAlgError) as direct:

@@ -12,6 +12,7 @@ from singcert.extremal import (
     reference_flow,
 )
 from singcert.falsifier import (
+    TARGET_TOL,
     TargetSpec,
     _integration_grid,
     _quick_log,
@@ -119,7 +120,7 @@ def test_scaling_check_rejects_tiny_eps(dub3):
 
 
 def test_target_spec_reference_endpoint(dub3, extremal3):
-    q_f = extremal3.points[-1].q
+    q_f = extremal3.q[-1]
     target = TargetSpec(q_f, dubins_adapted_chart(dub3))
     assert target.residual(q_f) <= 1e-14
     # displacing along a controlled direction stays on the orbit
@@ -131,7 +132,7 @@ def test_target_spec_reference_endpoint(dub3, extremal3):
 
 
 def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
-    target = TargetSpec(extremal3.points[-1].q, dubins_adapted_chart(dub3))
+    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=3,
                               radius=0.0, seed=5)
     assert report.verdict == "no counterexample"
@@ -139,7 +140,7 @@ def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
 
 
 def test_sweep_certified_arc_not_falsified(dub3, extremal3):
-    target = TargetSpec(extremal3.points[-1].q, dubins_adapted_chart(dub3))
+    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=60,
                               radius=0.1, seed=7)
     assert report.verdict == "no counterexample"
@@ -147,7 +148,7 @@ def test_sweep_certified_arc_not_falsified(dub3, extremal3):
 
 
 def test_sweep_deterministic(dub3, extremal3):
-    target = TargetSpec(extremal3.points[-1].q, dubins_adapted_chart(dub3))
+    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
     a = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
                          seed=9)
     b = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
@@ -162,8 +163,8 @@ def test_sweep_refutes_manufactured_loop():
     sph3 = build_dubins_system("sphere", 3)
     grid = np.linspace(0.0, 2.0 * np.pi, 129)
     traj = adjoint_trajectory(sph3, dubins_initial_covector(sph3), grid)
-    assert np.max(np.abs(traj.points[-1].q - np.eye(sph3.d))) <= 1e-12
-    target = TargetSpec(traj.points[-1].q, dubins_adapted_chart(sph3))
+    assert np.max(np.abs(traj.q[-1] - np.eye(sph3.d))) <= 1e-12
+    target = TargetSpec(traj.q[-1], dubins_adapted_chart(sph3))
     report = competitor_sweep(sph3, traj, target, n_samples=9, radius=0.1,
                               seed=11)
     assert report.refuted
@@ -172,7 +173,7 @@ def test_sweep_refutes_manufactured_loop():
 
 
 def test_report_csv(tmp_path, dub3, extremal3):
-    target = TargetSpec(extremal3.points[-1].q, dubins_adapted_chart(dub3))
+    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=6,
                               radius=0.05, seed=3)
     path = tmp_path / "sweep.csv"
@@ -252,7 +253,7 @@ def test_stacked_flows_match_serial(space):
 
 def test_target_residual_of_stack(dub3, extremal3):
     """residual() of a (T, d, d) stack is the residual of each matrix."""
-    q_f = extremal3.points[-1].q
+    q_f = extremal3.q[-1]
     target = TargetSpec(q_f, dubins_adapted_chart(dub3))
     stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
                       for a in (-2.0, -0.05, 0.0, 0.3)])
@@ -287,7 +288,7 @@ def test_graph_distance_uses_nearest_reference_point(dub3):
 
 def direct_arrival(target, grid, states):
     """Earliest arrival of one member's (T, d, d) states on its grid."""
-    hits = np.flatnonzero(target.residual(states) <= target.tol)
+    hits = np.flatnonzero(target.residual(states) <= TARGET_TOL)
     return float(grid[hits[0]]) if hits.size else np.inf
 
 
@@ -306,10 +307,10 @@ def _sweep_problem(space, n):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": n}})
     system, chart, trajectory = _build_problem(config)
-    target = TargetSpec(trajectory.points[-1].q, chart)
+    target = TargetSpec(trajectory.q[-1], chart)
     t_hat = trajectory.horizon
     ref_grid = _integration_grid(1.1 * t_hat, 0.02, include=(t_hat,))
-    ref_inv = np.linalg.inv(np.array(reference_flow(system, ref_grid)))
+    ref_inv = np.linalg.inv(reference_flow(system, ref_grid))
     return system, trajectory, target, ref_grid, ref_inv
 
 

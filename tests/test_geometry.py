@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from singcert.chart import dubins_adapted_chart
-from singcert.extremal import adjoint_trajectory, dubins_initial_covector
+from singcert.extremal import (
+    adjoint_trajectory,
+    dubins_initial_covector,
+    hogc_residual,
+    s_residual,
+)
 from singcert.geometry import (
     GroupGeometry,
     ProjectionError,
@@ -51,8 +56,8 @@ def test_psi_preserves_sigma(setup):
     for p in ps:
         _, moved, res = geom.project(p)
         assert res <= 1e-12
-        assert geom.sigma_residual(moved) <= 1e-10
-        assert geom.s_residual(moved) <= 1e-10
+        assert hogc_residual(sys_, moved) <= 1e-10
+        assert s_residual(sys_, moved) <= 1e-10
         singles.append(moved)
     assert np.max(np.abs(geom.project(ps)[1] - np.array(singles))) <= 1e-14
     assert np.max(np.abs(geom.chi(ps) - [geom.chi(p) for p in ps])) <= 1e-14
@@ -61,7 +66,7 @@ def test_psi_preserves_sigma(setup):
 def test_psi_derivative_matches_hamiltonian_field(setup):
     """d psi / d t_i at 0 equals the F_i Hamiltonian direction."""
     _, geom, traj = setup
-    p = traj.points[3].p
+    p = traj.p[3]
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
@@ -73,16 +78,16 @@ def test_psi_derivative_matches_hamiltonian_field(setup):
 
 def test_phi_fixed_point_on_s(setup):
     _, geom, traj = setup
-    theta, moved, _ = geom.project(traj.points[40].p)
+    theta, moved, _ = geom.project(traj.p[40])
     assert np.max(np.abs(theta)) <= 1e-12
-    assert np.allclose(moved, traj.points[40].p, atol=1e-12)
+    assert np.allclose(moved, traj.p[40], atol=1e-12)
 
 
 def test_phi_roundtrip_through_psi(setup):
     """Projection recovers a psi-displaced S-point and theta = -t_vec."""
     _, geom, traj = setup
     rng = np.random.default_rng(22)
-    base = traj.points[10].p
+    base = traj.p[10]
     for _ in range(5):
         t_vec = rng.uniform(-0.08, 0.08, 2)
         theta, moved, res = geom.project(psi(geom, base, t_vec))
@@ -93,7 +98,7 @@ def test_phi_roundtrip_through_psi(setup):
 
 def test_phi_idempotent(setup):
     _, geom, traj = setup
-    once = geom.project(psi(geom, traj.points[0].p, np.array([0.05, -0.03])))
+    once = geom.project(psi(geom, traj.p[0], np.array([0.05, -0.03])))
     twice = geom.project(once[1])
     assert np.max(np.abs(twice[1] - once[1])) <= 1e-10
 
@@ -106,8 +111,8 @@ def test_phi_rejects_indefinite_legendre(setup):
 
 def test_chi_zero_on_s(setup):
     _, geom, traj = setup
-    for pt in traj.points[::25]:
-        assert abs(geom.chi(pt.p)) <= 1e-10
+    for p in traj.p[::25]:
+        assert abs(geom.chi(p)) <= 1e-10
 
 
 def test_chi_nonnegative_on_sigma(setup):
@@ -122,7 +127,7 @@ def test_chi_nonnegative_on_sigma(setup):
 def test_chi_quadratic_expansion(setup):
     """chi(psi(l, t)) = |t|^2 / 2 + O(|t|^3) on the Dubins extremal."""
     _, geom, traj = setup
-    base = traj.points[0].p
+    base = traj.p[0]
     rng = np.random.default_rng(24)
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction)
@@ -134,7 +139,7 @@ def test_chi_quadratic_expansion(setup):
 def test_chi_first_differences_vanish_on_s(setup):
     """dchi = 0 on S: first differences shrink at order >= 1.9."""
     _, geom, traj = setup
-    p = traj.points[15].p
+    p = traj.p[15]
     rng = np.random.default_rng(25)
     dp = rng.standard_normal(p.shape)
 
@@ -160,7 +165,7 @@ def test_grad_h0_matches_central_differences(space):
 
     for _ in range(3):
         _, p = sigma_sample(chart, rng)
-        assert geom.s_residual(p) >= 1e-3
+        assert s_residual(sys_, p) >= 1e-3
         dp = rng.standard_normal(p.shape)
         grad, _ = geom.grad_h0(p)
         fd = (h0(p + h * dp) - h0(p - h * dp)) / (2 * h)
@@ -170,12 +175,12 @@ def test_grad_h0_matches_central_differences(space):
 def test_theta_derivative_pairing(setup):
     """<d theta_i, F_j-direction> = -delta_ij at S-points, to O(h^2)."""
     _, geom, traj = setup
-    pt = traj.points[20]
+    p = traj.p[20]
     h = 1e-5
     for j in range(2):
-        dp = hamiltonian_direction(pt.p, geom.ai[j])
-        tp, *_ = geom.solve_theta(pt.p + h * dp)
-        tm, *_ = geom.solve_theta(pt.p - h * dp)
+        dp = hamiltonian_direction(p, geom.ai[j])
+        tp, *_ = geom.solve_theta(p + h * dp)
+        tm, *_ = geom.solve_theta(p - h * dp)
         d_theta = (tp - tm) / (2 * h)
         expect = np.zeros(2)
         expect[j] = -1.0
@@ -190,12 +195,11 @@ def flow_one(geom, q, p, grid):
 
 def test_super_hamiltonian_reproduces_reference(setup):
     sys_, geom, traj = setup
-    start = traj.points[0]
-    q, p = flow_one(geom, start.q, start.p, traj.grid)
-    assert geom.sigma_residual(p) <= 1e-6
+    q, p = flow_one(geom, traj.q[0], traj.p[0], traj.grid)
+    assert np.max(hogc_residual(sys_, p)) <= 1e-6
     for k in range(0, 101, 20):
-        assert np.max(np.abs(p[k] - traj.points[k].p)) <= 1e-8
-        assert np.max(np.abs(q[k] - traj.points[k].q)) <= 1e-8
+        assert np.max(np.abs(p[k] - traj.p[k])) <= 1e-8
+        assert np.max(np.abs(q[k] - traj.q[k])) <= 1e-8
 
 
 def test_super_hamiltonian_on_s_equals_drift_flow(setup):
@@ -206,7 +210,7 @@ def test_super_hamiltonian_on_s_equals_drift_flow(setup):
     x, p_sigma = sigma_sample(chart, rng, scale=0.03)
     p = geom.project(p_sigma)[1]
     q0 = chart.forward(x)
-    assert geom.s_residual(p) <= 1e-10
+    assert s_residual(sys_, p) <= 1e-10
     grid = np.linspace(0, 0.5, 26)
     q, p_t = flow_one(geom, q0, p, grid)
     m_end = expm(grid[-1] * sys_.drift)
@@ -221,7 +225,7 @@ def test_sigma_flow_stays_on_sigma(setup):
     rng = np.random.default_rng(28)
     x, p = sigma_sample(chart, rng, scale=0.03)
     _, p_t = flow_one(geom, chart.forward(x), p, np.linspace(0, 1, 51))
-    assert geom.sigma_residual(p_t) <= 1e-8
+    assert np.max(hogc_residual(sys_, p_t)) <= 1e-8
 
 
 def test_certificate_dubins_rho_one(setup):
@@ -244,11 +248,11 @@ def test_certificate_rho_independent_for_dubins(setup):
 
 
 def test_flow_csv(tmp_path, setup):
-    _, geom, traj = setup
+    sys_, geom, traj = setup
     grid = np.linspace(0, 0.2, 11)
-    _, p = flow_one(geom, traj.points[0].q, traj.points[0].p, grid)
+    _, p = flow_one(geom, traj.q[0], traj.p[0], grid)
     path = tmp_path / "flow.csv"
-    flow_samples_to_csv(geom, grid, p, path)
+    flow_samples_to_csv(sys_, grid, p, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 12
     assert lines[0].split(",")[-2:] == ["sigma_residual", "s_residual"]

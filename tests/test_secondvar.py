@@ -128,7 +128,7 @@ def test_tabulated_lq_matches_direct_formula(space, n_dim):
                               np.linspace(0.0, 1.0, 11))
     lq = assemble_lq(sys_, traj, chart)
     for t in (0.0, 0.37, 1.0):
-        z, c, a = direct_lq(sys_, chart, traj.points[0].p, t)
+        z, c, a = direct_lq(sys_, chart, traj.p[0], t)
         for got, want in ((lq.z_fn(t), z), (lq.c_fn(t), c), (lq.a_fn(t), a)):
             assert np.max(np.abs(got - want)) <= 1e-12, (space, n_dim, t)
 
