@@ -49,6 +49,12 @@ SCHEMA_VERSION = 1
 # most certificate grid points and certificate or falsifier samples
 MAX_GRID_STEPS = 10 ** 6
 
+# largest Galerkin K: the finest level, 4K pieces, builds several dense
+# (R + 4mK)^2 matrices and runs a dense eigh on them. At K = 128 that is
+# 1027^2 (8 MB) at N = 3 and 2058^2 (34 MB) at N = 5, a few seconds and a
+# few hundred MB; the memory grows like K^2
+MAX_GALERKIN_K = 128
+
 # numerical breakdowns a stage reports as status "error" instead of raising
 STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
 
@@ -84,7 +90,8 @@ CONFIG_SCHEMA = {
                      "minItems": 1},
         # one K per run; the K sweep runs several
         "galerkin_k": {"type": "array",
-                       "items": {"type": "integer", "minimum": 4},
+                       "items": {"type": "integer", "minimum": 4,
+                                 "maximum": MAX_GALERKIN_K},
                        "minItems": 1, "maxItems": 1},
         "certificate": {
             "type": "object",
@@ -348,7 +355,7 @@ def run_sweep(config: dict, parameter: str, values) -> list:
     except ValueError as exc:
         raise ConfigError(f"bad value for sweep parameter {parameter}: "
                           f"{exc}") from exc
-    reports = []
+    variants = []
     for value in values:
         variant = copy.deepcopy(config)
         if parameter == "N":
@@ -359,8 +366,11 @@ def run_sweep(config: dict, parameter: str, values) -> list:
             variant.setdefault("certificate", {})["rho"] = value
         else:
             variant["galerkin_k"] = [value]
-        reports.append(run_check(variant))
-    return reports
+        variants.append(variant)
+    # a bad value is a config error before any run, not after the others
+    for variant in variants:
+        load_config(variant)
+    return [run_check(variant) for variant in variants]
 
 
 def _sanitize(obj):

@@ -29,21 +29,22 @@ DEFAULT_RHO_GRID = tuple(2.0 ** k for k in range(-6, 7))
 
 
 def chart_field_jacobian(chart: GroupChart, algebra_elem: np.ndarray) -> np.ndarray:
-    """Exact Jacobian at the origin of the chart components of g A.
+    """Exact Jacobian at the origin of the chart components of g A; a
+    (k, d, d) stack of algebra elements gives a (k, n, n) stack.
 
     With W = sum_j c_j(x) v_j(x) and dv_j/dx_k = [v_j, v_k], the partials
     solve 0 = sum_j (dc_j/dx_k) B_j + sum_{j > k} c_j [B_j, B_k].
     """
-    c0 = chart.solve_in_frame(np.zeros(chart.n), algebra_elem)
-    jac = np.zeros((chart.n, chart.n))
+    origin = np.zeros(chart.n)
+    frame = chart.frame_algebra
+    c0 = chart.solve_in_frame(origin, algebra_elem)
+    # acc[..., k] = sum_{j > k} c0_j [B_j, B_k], in the order of j
+    acc = np.zeros(c0.shape + algebra_elem.shape[-2:])
     for k in range(chart.n):
-        acc = np.zeros_like(algebra_elem)
         for j in range(k + 1, chart.n):
-            if c0[j] != 0.0:
-                acc = acc + c0[j] * commutator(chart.frame_algebra[j],
-                                               chart.frame_algebra[k])
-        jac[:, k] = -chart.solve_in_frame(np.zeros(chart.n), acc)
-    return jac
+            acc[..., k, :, :] += c0[..., j, None, None] * commutator(frame[j],
+                                                                     frame[k])
+    return -np.swapaxes(chart.solve_in_frame(origin, acc), -1, -2)
 
 
 def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
@@ -61,16 +62,27 @@ def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
 
 @dataclass
 class SecondVariationProblem:
-    """LQ data (Z, C, a, E) of the extended second variation."""
+    """LQ data (Z, C, a, E) of the extended second variation.
+
+    `coefficients` evaluates Z, C and a on a (T,) array of times at once;
+    z_fn, c_fn and a_fn are its views at a single time.
+    """
 
     horizon: float
     n: int
     m: int
     R: int
-    z_fn: object            # t -> (n, m)
-    c_fn: object            # t -> (m, m)
-    a_fn: object            # t -> (m, n)
+    coefficients: object    # (T,) -> Z (T, n, m), C (T, m, m), a (T, m, n)
     e_mat: np.ndarray       # (n, R)
+
+    def z_fn(self, t) -> np.ndarray:
+        return self.coefficients(np.array([t]))[0][0]
+
+    def c_fn(self, t) -> np.ndarray:
+        return self.coefficients(np.array([t]))[1][0]
+
+    def a_fn(self, t) -> np.ndarray:
+        return self.coefficients(np.array([t]))[2][0]
 
 
 def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
@@ -84,51 +96,41 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     coordinates of [A_0, B_k] as columns, Z(0) is its first m columns, row
     k of `rows` is -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k>
     and c0 holds the coordinates of [A_i, [A_j, A_0]]. With T = expm(t ad),
-    Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and a(t) = Z(t)^T rows.
+    Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and a(t) = Z(t)^T rows. Each
+    table comes from one stacked solve in the frame at the origin.
     """
-    n, m = chart.n, system.m
-    p_hat = chart.p_hat
-    frame = chart.frame_algebra
-    e_mat = np.zeros((n, chart.R))
-    origin = np.zeros(n)
-    for j in range(chart.R):
-        e_mat[:, j] = chart.solve_in_frame(origin, frame[j])
+    m = system.m
+    origin = np.zeros(chart.n)
+    frame = np.array(chart.frame_algebra)
+    e_mat = chart.solve_in_frame(origin, frame[: chart.R]).T
     if np.linalg.cond(e_mat[: chart.R, :]) > 1e8:
         raise RuntimeError("controlled-algebra basis degenerate at basepoint")
 
     a0 = system.drift
     p0 = extremal.p[0]
-    ad = np.array([chart.solve_in_frame(origin, commutator(a0, b))
-                   for b in frame]).T
+    ad = chart.solve_in_frame(
+        origin, np.array([commutator(a0, b) for b in frame])).T
     z0 = ad[:, :m]
-    rows = np.array([-(p_hat @ chart_field_jacobian(chart, b))
-                     for b in frame])
+    rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
     pi0 = np.array([pairing(p0, b) for b in frame])
-    c0 = np.array([[chart.solve_in_frame(
-        origin, system.bracket_matrix((i + 1, (j + 1, 0))))
-        for j in range(m)] for i in range(m)])
-    cache: dict = {}
+    c0 = chart.solve_in_frame(origin, np.array(
+        [[system.bracket_matrix((i + 1, (j + 1, 0))) for j in range(m)]
+         for i in range(m)]))
 
-    def lq_data(t):
-        # the deciders revisit the same time points; memoize per t
-        if t not in cache:
-            transport = expm(t * ad)
-            z = transport @ z0
-            cache[t] = (z, -(c0 @ (pi0 @ transport)), z.T @ rows)
-        return cache[t]
-
-    def z_fn(t):
-        return lq_data(t)[0]
-
-    def c_fn(t):
-        return lq_data(t)[1]
-
-    def a_fn(t):
-        return lq_data(t)[2]
+    def coefficients(ts):
+        # one stacked exponential for the distinct times; every slice is
+        # the exponential scipy gives for that time alone
+        times, back = np.unique(np.asarray(ts, dtype=float).ravel(),
+                                return_inverse=True)
+        transport = expm(times[:, None, None] * ad)
+        z = transport @ z0
+        c = -(c0 @ (pi0 @ transport)[:, None, :, None])[..., 0]
+        a = np.swapaxes(z, -1, -2) @ rows
+        return z[back], c[back], a[back]
 
     return SecondVariationProblem(
-        horizon=extremal.horizon, n=n, m=m, R=chart.R,
-        z_fn=z_fn, c_fn=c_fn, a_fn=a_fn, e_mat=e_mat)
+        horizon=extremal.horizon, n=chart.n, m=m, R=chart.R,
+        coefficients=coefficients, e_mat=e_mat)
 
 
 @dataclass
@@ -146,7 +148,8 @@ class GalerkinAssembly:
         return float(v @ self.quad @ v)
 
 
-def _gauss_points(a: float, b: float):
+def _gauss_points(a, b):
+    """3-point Gauss nodes and weights on [a, b], broadcast over arrays."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * GAUSS_NODES, half * GAUSS_WEIGHTS
 
@@ -156,50 +159,48 @@ def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
     """Assemble the quadratic form on (initial variation, piecewise-const w).
 
     The initial variation ranges over the R controlled directions e_mat.
+    The coefficients come from one evaluation at the 3K outer Gauss nodes
+    and the 9K inner ones, the nodes of the integral of Z from the left
+    edge of a piece to each of its outer nodes.
     """
     n, m, n_init = problem.n, problem.m, problem.R
     dim = n_init + m * k_pieces
     edges = np.linspace(0.0, problem.horizon, k_pieces + 1)
     h = edges[1] - edges[0]
+    tg, wg = _gauss_points(edges[:-1, None], edges[1:, None])       # (K, 3)
+    tg2, wg2 = _gauss_points(edges[:-1, None, None], tg[..., None])  # (K, 3, 3)
+    z, c_t, a_t = problem.coefficients(np.concatenate([tg.ravel(),
+                                                       tg2.ravel()]))
+    outer = tg.size
+    shape = (k_pieces, 3)
+    z_inner = z[outer:].reshape(shape + (3, n, m))
+    z = z[:outer].reshape(shape + (n, m))
+    c_t = c_t[:outer].reshape(shape + (m, m))
+    a_t = a_t[:outer].reshape(shape + (m, n))
 
-    # per-piece integrals of Z
-    g_int = np.zeros((k_pieces, n, m))
-    for k in range(k_pieces):
-        tg, wg = _gauss_points(edges[k], edges[k + 1])
-        for t, wgt in zip(tg, wg):
-            g_int[k] += wgt * problem.z_fn(t)
-
-    def w_slice(k):
-        return slice(n_init + m * k, n_init + m * (k + 1))
-
+    g_int = np.einsum("kq,kqij->kij", wg, z)     # per-piece integrals of Z
+    # the integral of Z from the left edge of piece k to its node q
+    z_head = np.einsum("kqr,kqrij->kqij", wg2, z_inner)
+    a_w = np.einsum("kq,kqij->kij", wg, a_t)
+    # zeta at a node of piece k is e_mat eps + the integrals of Z over the
+    # earlier pieces + z_head on piece k; block row k is the weighted sum
+    # over the nodes of 0.5 C on piece k plus a times that map
+    blocks = np.einsum("kin,jnl->kijl", a_w, g_int)
+    blocks *= np.tri(k_pieces, k=-1)[:, None, :, None]
+    pieces = np.arange(k_pieces)
+    blocks[pieces, :, pieces] = np.einsum("kq,kqij->kij", wg,
+                                          0.5 * c_t + a_t @ z_head)
     quad_raw = np.zeros((dim, dim))
-    zeta_prefix = np.zeros((n, dim))
-    zeta_prefix[:, :n_init] = problem.e_mat
-    for k in range(k_pieces):
-        tg, wg = _gauss_points(edges[k], edges[k + 1])
-        for t, wgt in zip(tg, wg):
-            c_t = problem.c_fn(t)
-            a_t = problem.a_fn(t)
-            # zeta at the Gauss node: prefix plus the inner integral of Z
-            zeta_map = zeta_prefix.copy()
-            zin = np.zeros((n, m))
-            tg2, wg2 = _gauss_points(edges[k], t)
-            for t2, wgt2 in zip(tg2, wg2):
-                zin += wgt2 * problem.z_fn(t2)
-            zeta_map[:, w_slice(k)] += zin
-            block = np.zeros((m, dim))
-            block[:, w_slice(k)] = 0.5 * c_t
-            block += a_t @ zeta_map
-            quad_raw[w_slice(k), :] += wgt * block
-        zeta_prefix[:, w_slice(k)] += g_int[k]
+    quad_raw[n_init:, :n_init] = (a_w @ problem.e_mat).reshape(-1, n_init)
+    quad_raw[n_init:, n_init:] = blocks.reshape(dim - n_init, dim - n_init)
     quad = 0.5 * (quad_raw + quad_raw.T)
 
-    gram = np.zeros((dim, dim))
-    gram[:n_init, :n_init] = np.eye(n_init)
-    for k in range(k_pieces):
-        gram[w_slice(k), w_slice(k)] = h * np.eye(m)
+    gram = np.diag(np.concatenate([np.ones(n_init),
+                                   np.full(dim - n_init, h)]))
 
-    final_map = zeta_prefix  # zeta(T) as a linear map of the variables
+    # zeta(T) as a linear map of the variables
+    final_map = np.hstack([problem.e_mat,
+                           g_int.transpose(1, 0, 2).reshape(n, -1)])
     if final_subspace is not None and final_subspace.size:
         u, s, _ = np.linalg.svd(final_subspace)
         rank = int(np.sum(s > 1e-10 * s[0]))
@@ -303,17 +304,23 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
     y0[0, r:, r:n] = -np.eye(n - r)
     y0[1, :, n:] = np.eye(n)
 
-    def rhs(t, y):
+    # the coefficients at the RK4 stage times t, t + h/2 and t + h, formed
+    # as rk4_flow forms them, from one evaluation; -C inverted as a stack
+    t, h = grid[:-1], np.diff(grid)
+    times = np.concatenate([t, t + 0.5 * h, t + h])
+    z, c, a = problem.coefficients(times)
+    l_inv = np.linalg.inv(-c)
+    row = {s: k for k, s in enumerate(times.tolist())}
+
+    def rhs(s, y):
+        k = row[s]
         om, xx = y
-        z_t = problem.z_fn(t)
-        a_t = problem.a_fn(t)
-        l_inv = np.linalg.inv(-problem.c_fn(t))
-        b = l_inv @ (z_t.T @ om + a_t @ xx)
-        return np.array([-a_t.T @ b, z_t @ b])
+        b = l_inv[k] @ (z[k].T @ om + a[k] @ xx)
+        return np.array([-a[k].T @ b, z[k] @ b])
 
     x = np.array([y[1] for y in rk4_flow(rhs, grid, y0)])
-    return grid, np.array([np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
-                           for rho in rho_grid])
+    rho = np.asarray(rho_grid, dtype=float)[:, None, None, None]
+    return grid, np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
 
 
 def conjugate_point_test(problem: SecondVariationProblem,

@@ -16,6 +16,7 @@ from singcert.extremal import hogc_residual, s_residual
 from singcert.geometry import ProjectionError, certificate_check
 from singcert.pipeline import (
     CONFIG_SCHEMA,
+    MAX_GALERKIN_K,
     MAX_GRID_STEPS,
     ConfigError,
     DEFAULT_CONFIG,
@@ -102,6 +103,23 @@ def test_bad_values_rejected():
         run_sweep({}, "horizon", ["1e308"])
     with pytest.raises(ConfigError):
         run_sweep({}, "N", ["abc"])
+
+
+def test_oversized_galerkin_k_rejected(monkeypatch):
+    """A K whose finest Galerkin level cannot be held densely is a config
+    error, directly and in a K sweep, before any run starts."""
+    assert load_config({"galerkin_k": [MAX_GALERKIN_K]})["galerkin_k"] == \
+        [MAX_GALERKIN_K]
+    for k in (MAX_GALERKIN_K + 1, 100000):
+        with pytest.raises(ConfigError):
+            run_check({"galerkin_k": [k]})
+
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pipeline, "run_check", no_run)
+    with pytest.raises(ConfigError):
+        run_sweep({}, "K", [8, MAX_GALERKIN_K + 1])
 
 
 def test_tiny_horizons_run(tmp_path, capsys):

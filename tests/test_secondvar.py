@@ -51,10 +51,13 @@ def synthetic_lq(a1: float, c_val: float = 1.0) -> SecondVariationProblem:
     a = np.array([[a1, 0.0]])
     c = np.array([[c_val]])
     e_mat = np.array([[1.0], [0.0]])
+
+    def coefficients(ts):
+        count = (np.size(ts),)
+        return tuple(np.broadcast_to(x, count + x.shape) for x in (z, c, a))
+
     return SecondVariationProblem(
-        horizon=1.0, n=n, m=m, R=r,
-        z_fn=lambda t: z, c_fn=lambda t: c, a_fn=lambda t: a,
-        e_mat=e_mat)
+        horizon=1.0, n=n, m=m, R=r, coefficients=coefficients, e_mat=e_mat)
 
 
 def test_chart_jacobian_matches_fd(setup):
@@ -64,6 +67,23 @@ def test_chart_jacobian_matches_fd(setup):
     exact = chart_field_jacobian(chart, w)
     fd = chart_field_jacobian_fd(chart, w)
     assert np.max(np.abs(exact - fd)) <= 1e-9
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_chart_jacobian_of_a_stack(space):
+    """A stack of algebra elements gives each member's own Jacobian, and
+    each agrees with the finite-difference oracle."""
+    sys_ = build_dubins_system(space, 4)
+    chart = dubins_adapted_chart(sys_)
+    rng = np.random.default_rng(32)
+    stack = np.einsum("kj,jab->kab", rng.standard_normal((3, chart.n)),
+                      np.array(chart.frame_algebra))
+    stack[1] = chart.frame_algebra[0]   # every coefficient but one is zero
+    exact = chart_field_jacobian(chart, stack)
+    assert exact.shape == (3, chart.n, chart.n)
+    for w, jac in zip(stack, exact):
+        assert np.array_equal(jac, chart_field_jacobian(chart, w))
+        assert np.max(np.abs(jac - chart_field_jacobian_fd(chart, w))) <= 1e-9
 
 
 def test_pullback_gdot_constant_euclidean(setup, lq):
@@ -133,6 +153,94 @@ def test_tabulated_lq_matches_direct_formula(space, n_dim):
             assert np.max(np.abs(got - want)) <= 1e-12, (space, n_dim, t)
 
 
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("n_dim", [3, 4])
+def test_stacked_coefficients_match_scalar_views(space, n_dim):
+    """One evaluation on unsorted, repeated times gives, row by row, the
+    scalar views' Z, C and a bit for bit."""
+    lq = dubins_lq(space, n_dim, 1.0)
+    ts = np.array([0.7, 0.0, 0.37, 1.0, 0.37, 0.7, 0.125, 0.0])
+    z, c, a = lq.coefficients(ts)
+    assert z.shape == (ts.size, lq.n, lq.m)
+    assert c.shape == (ts.size, lq.m, lq.m)
+    assert a.shape == (ts.size, lq.m, lq.n)
+    for k, t in enumerate(ts):
+        assert np.array_equal(z[k], lq.z_fn(t))
+        assert np.array_equal(c[k], lq.c_fn(t))
+        assert np.array_equal(a[k], lq.a_fn(t))
+
+
+def direct_galerkin_assemble(problem, k_pieces, final_subspace=None):
+    """The quadratic form and the endpoint constraint by a loop over the
+    Gauss nodes, one scalar-view evaluation per node."""
+    def gauss(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return (mid + half * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]),
+                half * np.array([5.0, 8.0, 5.0]) / 9.0)
+
+    n, m, n_init = problem.n, problem.m, problem.R
+    dim = n_init + m * k_pieces
+    edges = np.linspace(0.0, problem.horizon, k_pieces + 1)
+
+    def w_slice(k):
+        return slice(n_init + m * k, n_init + m * (k + 1))
+
+    quad_raw = np.zeros((dim, dim))
+    zeta_prefix = np.zeros((n, dim))
+    zeta_prefix[:, :n_init] = problem.e_mat
+    for k in range(k_pieces):
+        g_int = np.zeros((n, m))
+        for t, wgt in zip(*gauss(edges[k], edges[k + 1])):
+            g_int += wgt * problem.z_fn(t)
+            zeta_map = zeta_prefix.copy()
+            for t2, wgt2 in zip(*gauss(edges[k], t)):
+                zeta_map[:, w_slice(k)] += wgt2 * problem.z_fn(t2)
+            block = problem.a_fn(t) @ zeta_map
+            block[:, w_slice(k)] += 0.5 * problem.c_fn(t)
+            quad_raw[w_slice(k), :] += wgt * block
+        zeta_prefix[:, w_slice(k)] += g_int
+    constraint = zeta_prefix
+    if final_subspace is not None:
+        u, s, _ = np.linalg.svd(final_subspace)
+        constraint = u[:, int(np.sum(s > 1e-10 * s[0])):].T @ zeta_prefix
+    return 0.5 * (quad_raw + quad_raw.T), constraint
+
+
+def depth2_final_subspace(problem):
+    """Endpoint freedom along the depth-2 bracket directions."""
+    final = np.zeros((problem.n, problem.R - problem.m))
+    for idx, j in enumerate(range(problem.m, problem.R)):
+        final[j, idx] = 1.0
+    return final
+
+
+@pytest.mark.parametrize("case", [("euclidean", 3), ("euclidean", 4),
+                                  ("sphere", 3), ("sphere", 4),
+                                  ("hyperbolic", 3), ("hyperbolic", 4),
+                                  "synthetic"])
+@pytest.mark.parametrize("free_end", [False, True])
+def test_galerkin_assembly_matches_node_loop(case, free_end):
+    """The einsum assembly gives the per-node loop's form and constraint."""
+    if case == "synthetic":
+        prob = synthetic_lq(0.5)
+        final = np.array([[0.0], [1.0]]) if free_end else None
+    else:
+        prob = dubins_lq(*case, 1.0)
+        final = depth2_final_subspace(prob) if free_end else None
+    asm = galerkin_assemble(prob, 8, final_subspace=final)
+    quad, constraint = direct_galerkin_assemble(prob, 8, final)
+    assert np.max(np.abs(asm.quad - quad)) <= 1e-12 * np.max(np.abs(quad))
+    assert np.max(np.abs(asm.constraint - constraint)) <= \
+        1e-12 * np.max(np.abs(constraint))
+    h = prob.horizon / 8
+    assert np.array_equal(np.diag(asm.gram),
+                          [1.0] * prob.R + [h] * (asm.gram.shape[0] - prob.R))
+    assert np.count_nonzero(asm.gram - np.diag(np.diag(asm.gram))) == 0
+    # the kernel spans the null space of the constraint
+    assert np.max(np.abs(asm.constraint @ asm.kernel)) <= 1e-12
+    assert asm.kernel.shape[1] == asm.quad.shape[0] - asm.constraint_rank
+
+
 def test_lq_data_dubins(lq, setup):
     sys_, chart, _ = setup
     for t in (0.0, 0.4, 1.0):
@@ -195,22 +303,33 @@ def test_conjugate_trace_closed_form(lq):
     assert np.max(np.abs(dets - expect)) <= 1e-8
 
 
-def direct_trace(problem, rho, n_steps=200):
-    """det X(t) of one rho by its own RK4 flow from (Omega0(rho), I)."""
+def direct_traces(problem, rhos, n_steps=200):
+    """det X(t) of each rho by its own RK4 flow from (Omega0(rho), I), with
+    the scalar views read once per time and shared by the flows."""
     n = problem.n
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
-    omega = np.zeros((n, n))
-    for j in range(problem.R, n):
-        omega[j, j] = -rho
+    seen = {}
+
+    def lq_at(t):
+        if t not in seen:
+            seen[t] = (problem.z_fn(t), problem.a_fn(t),
+                       np.linalg.inv(-problem.c_fn(t)))
+        return seen[t]
 
     def rhs(t, y):
         om, xx = y
-        z_t, a_t = problem.z_fn(t), problem.a_fn(t)
-        b = np.linalg.inv(-problem.c_fn(t)) @ (z_t.T @ om + a_t @ xx)
+        z_t, a_t, l_inv = lq_at(t)
+        b = l_inv @ (z_t.T @ om + a_t @ xx)
         return np.array([-a_t.T @ b, z_t @ b])
 
-    states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
-    return np.array([np.linalg.det(y[1]) for y in states])
+    rows = []
+    for rho in rhos:
+        omega = np.zeros((n, n))
+        for j in range(problem.R, n):
+            omega[j, j] = -rho
+        states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
+        rows.append(np.array([np.linalg.det(y[1]) for y in states]))
+    return rows
 
 
 def dubins_lq(space, n_dim, horizon):
@@ -228,8 +347,7 @@ def test_conjugate_trace_matches_per_rho_flows(case):
     rho_grid = [2.0 ** k for k in range(-6, 7)]
     _, dets = conjugate_point_trace(prob, rho_grid)
     assert dets.shape == (len(rho_grid), 201)
-    for rho, row in zip(rho_grid, dets):
-        want = direct_trace(prob, rho)
+    for rho, row, want in zip(rho_grid, dets, direct_traces(prob, rho_grid)):
         assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want)), \
             (case, rho)
 
@@ -245,10 +363,10 @@ def test_non_coercive_report_holds_its_rho_row():
     assert 0 < k < len(ratios) - 1
     assert report.rho == report.refinements[k]["rho"]
     assert report.margin == ratios[k]
-    want = direct_trace(prob, report.rho)
+    want, other = direct_traces(
+        prob, [report.rho, report.refinements[k + 1]["rho"]])
     assert np.max(np.abs(report.det_trace - want)) <= \
         1e-10 * np.max(np.abs(want))
-    other = direct_trace(prob, report.refinements[k + 1]["rho"])
     assert np.max(np.abs(other - want)) > 1e-3 * np.max(np.abs(want))
 
 
