@@ -101,6 +101,7 @@ def singular_feedback(lforms: np.ndarray, drift_terms: np.ndarray,
 
 @dataclass(frozen=True)
 class Tolerances:
+    # the battery's fixed tolerances: no config or keyword moves a verdict
     equality: float = 1e-9
     rank: float = 1e-8
     sglc_min_margin: float = 1e-6
@@ -138,8 +139,8 @@ class ConditionReport:
         }
 
 
-def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
-                      tol: Tolerances = Tolerances()) -> ConditionReport:
+def condition_battery(trajectory: ExtremalTrajectory,
+                      boundary_data=None) -> ConditionReport:
     """Scan the full necessary-condition battery along the trajectory.
 
     boundary_data, when given, is a pair of callables returning the
@@ -148,6 +149,7 @@ def condition_battery(trajectory: ExtremalTrajectory, boundary_data=None,
     """
     system = trajectory.system
     m = system.m
+    tol = Tolerances()
 
     # every pairing the battery reads, at every point, in one product
     words = ([(i + 1, j + 1) for i in range(m) for j in range(m)]

@@ -3,10 +3,11 @@
 All Hamiltonians of left-invariant fields depend only on the left-trivialized
 covector, so the surfaces, the projection onto S and the gap function chi
 are functions of covectors, computed with exact group formulas from one
-multiplier solve. Base points enter only the super-Hamiltonian flow, which
-carries (S, d, d) stacks of them beside their covectors: the certificate
-flows all its seeds as one stacked RK4 flow, projected back onto the group
-after every step, and inverts the chart once per grid point.
+multiplier solve, whose Jacobian only Newton forms. Base points enter only
+the super-Hamiltonian flow, which carries (S, d, d) stacks of them beside
+their covectors: the certificate flows all its seeds as one stacked RK4
+flow, projected back onto the group after every step, and inverts the
+chart once per grid point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .extremal import (ExtremalTrajectory, hogc_residual, legendre_form,
 from .numerics import damped_newton, rk4_flow, series_log
 from .systems import MatrixGroupSystem, ProjectionError
 
+# half-width of the chart box around x = 0 on which the certificate
+# spot-checks that the Lagrangian graph lies inside Sigma
+LAMBDA_RADIUS = 0.1
+
 
 @dataclass
 class CertificateReport:
@@ -30,7 +35,6 @@ class CertificateReport:
     rho: float
     min_singular_value: float
     singular_values: np.ndarray
-    lambda_radius: float
     n_samples: int
     max_sigma_residual: float
     margin: float
@@ -49,7 +53,7 @@ class CertificateReport:
             "rho": float(self.rho),
             "min_singular_value": float(self.min_singular_value),
             "margin": float(self.margin),
-            "lambda_radius": float(self.lambda_radius),
+            "lambda_radius": LAMBDA_RADIUS,
             "n_samples": int(self.n_samples),
             "max_sigma_residual": float(self.max_sigma_residual),
         }
@@ -73,30 +77,28 @@ class GroupGeometry:
     # -- multipliers and the projection onto S ----------------------------
 
     def _phi_system(self, p: np.ndarray, theta: np.ndarray):
-        """Multiplier system of an (S, d, d) covector stack at (S, m) theta.
-
-        Returns the residuals Phi_i = <p, Ad_e A_0i> (S, m), their exact
-        Jacobian (S, m, m), e = exp(sum theta_i A_i) and its inverse
-        (S, d, d), Ad_e A_0i (S, m, d, d), and the derivatives of e and
-        e^-1 along each theta_j (S, m, d, d). The derivatives of e come
-        from one stacked block-matrix exponential.
-        """
-        s, d = theta.shape[0], p.shape[-1]
+        """Multiplier residuals of an (S, d, d) covector stack at (S, m)
+        theta: Phi_i = <p, Ad_e A_0i> (S, m), e = exp(sum theta_i A_i) and
+        its inverse (S, d, d), and Ad_e A_0i (S, m, d, d)."""
         t_mat = np.einsum("sj,jab->sab", theta, self.ai)
         both = expm(np.concatenate([t_mat, -t_mat]))
-        e, e_inv = both[:s], both[s:]
-        block = np.zeros((s, self.m, 2 * d, 2 * d))
-        block[:, :, :d, :d] = t_mat[:, None]
-        block[:, :, d:, d:] = t_mat[:, None]
-        block[:, :, :d, d:] = self.ai
-        de = expm(block.reshape(-1, 2 * d, 2 * d))[:, :d, d:].reshape(
-            s, self.m, d, d)
-        de_inv = -e_inv[:, None] @ de @ e_inv[:, None]
+        e, e_inv = both[:len(p)], both[len(p):]
         ad_a0i = e[:, None] @ self.a0i @ e_inv[:, None]
-        phi = np.einsum("sab,siab->si", p, ad_a0i)
-        jac = np.einsum("sab,sijab->sij", p,
-                        _d_ad(self.a0i, e, e_inv, de, de_inv))
-        return phi, jac, e, e_inv, ad_a0i, de, de_inv
+        return np.einsum("sab,siab->si", p, ad_a0i), e, e_inv, ad_a0i
+
+    def _phi_jacobian(self, p: np.ndarray, theta: np.ndarray,
+                      e_inv: np.ndarray, ad_a0i: np.ndarray) -> np.ndarray:
+        """Exact (m, m) Jacobian of Phi in theta at one covector p, given
+        e^-1 and Ad_e A_0i there: d/dtheta_j Ad_e A_0i = [X_j, Ad_e A_0i],
+        X_j = (de/dtheta_j) e^-1 from one block-matrix exponential."""
+        d = p.shape[-1]
+        block = np.zeros((self.m, 2 * d, 2 * d))
+        block[:, :d, :d] = block[:, d:, d:] = np.tensordot(theta, self.ai,
+                                                           axes=1)
+        block[:, :d, d:] = self.ai
+        x = expm(block)[:, :d, d:] @ e_inv
+        x, ad = x[None], ad_a0i[:, None]
+        return np.einsum("ab,ijab->ij", p, x @ ad - ad @ x)
 
     def solve_theta(self, p: np.ndarray, theta0: np.ndarray | None = None,
                     tol: float = 1e-12, max_iter: int = 50):
@@ -105,39 +107,42 @@ class GroupGeometry:
 
         p is one covector (d, d) or an (S, d, d) stack, theta0 the matching
         (m,) or (S, m) start. The whole stack is evaluated at once; each
-        member the start leaves above tol gets its own Newton solve, so a
-        member's theta does not depend on the rest of the stack. Returns
-        (theta, max residual, Newton steps taken over all members,
-        _phi_system of the stack at theta).
+        member the start leaves above tol gets its own Newton solve, the
+        only place the Jacobian is formed, so a member's theta does not
+        depend on the rest of the stack. Returns (theta, max residual,
+        Newton steps taken over all members, aux), aux the (Phi, e, e^-1,
+        Ad_e A_0i) of _phi_system for the stack at theta.
         """
         p = np.asarray(p, dtype=float)
         stack = p.reshape(-1, *p.shape[-2:])
         theta = (np.zeros((len(stack), self.m)) if theta0 is None
                  else np.array(theta0, dtype=float).reshape(len(stack),
                                                              self.m))
-        phi_sys = self._phi_system(stack, theta)
-        res = np.max(np.abs(phi_sys[0]), axis=1)
+        aux = self._phi_system(stack, theta)
+        res = np.max(np.abs(aux[0]), axis=1)
         steps = 0
         for k in np.flatnonzero(~(res <= tol)):
             def residual(th, k=k):
-                sys_k = self._phi_system(stack[k:k + 1], th[None])
-                return sys_k[0][0], sys_k
+                aux_k = self._phi_system(stack[k:k + 1], th[None])
+                return aux_k[0][0], aux_k
 
-            def direction(_th, phi, sys_k):
+            def direction(th, phi, aux_k, k=k):
+                jac = self._phi_jacobian(stack[k], th, aux_k[2][0],
+                                         aux_k[3][0])
                 try:
-                    return np.linalg.solve(sys_k[1][0], -phi)
+                    return np.linalg.solve(jac, -phi)
                 except np.linalg.LinAlgError as exc:
                     raise ProjectionError(
                         "projection Jacobian breakdown") from exc
 
-            theta[k], res[k], iters, sys_k = damped_newton(
+            theta[k], res[k], iters, aux_k = damped_newton(
                 residual, direction, theta[k], tol, max_iter, 25,
                 lambda msg: ProjectionError(f"projection {msg}"))
             steps += iters
-            for whole, part in zip(phi_sys, sys_k):
+            for whole, part in zip(aux, aux_k):
                 whole[k] = part[0]
         return (theta.reshape(p.shape[:-2] + (self.m,)), float(np.max(res)),
-                steps, phi_sys)
+                steps, aux)
 
     def project(self, p: np.ndarray, theta0: np.ndarray | None = None):
         """Move p along the flows of the F_i onto S.
@@ -151,7 +156,7 @@ class GroupGeometry:
         if np.max(np.linalg.eigvalsh(lf + np.swapaxes(lf, -1, -2))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
-        theta, res, _, (_, _, e, e_inv, *_) = self.solve_theta(p, theta0)
+        theta, res, _, (_, e, e_inv, _) = self.solve_theta(p, theta0)
         moved = np.swapaxes(e, -1, -2) @ p.reshape(e.shape) \
             @ np.swapaxes(e_inv, -1, -2)
         return theta, moved.reshape(p.shape), res
@@ -166,23 +171,17 @@ class GroupGeometry:
             - np.tensordot(p, self.a0, axes=2)
 
     def grad_h0(self, p: np.ndarray, theta0: np.ndarray | None = None):
-        """Exact covector-gradient of H_0, as an algebra element (a stack of
-        them for a stack of p).
+        """Covector-gradient Ad_e A_0 of H_0 at p on Sigma, as an algebra
+        element (a stack of them for a stack of p), and theta.
 
-        delta H_0 = <delta p, M> with M = Ad_e A_0 - sum_i d_i Ad_e A_0i,
-        the multiplier sensitivities coming from the implicit equation
-        Phi(p, theta(p)) = 0.
+        It holds on Sigma only. Through theta(p), H_0 also varies by
+        <p, d/dtheta_j Ad_e A_0> = <e^T p e^-T, [Y_j, A_0]>, Y_j in Lie(f)
+        as Ad_e preserves Lie(f). The regularity of S puts that bracket in
+        Lie(f) + span{A_0i}, which the projected covector annihilates: it
+        lies on S and, like p, on Sigma.
         """
-        theta, _, _, phi_sys = self.solve_theta(p, theta0)
-        _, jac, e, e_inv, ad_a0i, de, de_inv = phi_sys
-        stack = np.asarray(p, dtype=float).reshape(e.shape)
-        v0 = e @ self.a0 @ e_inv
-        # c_j = <p, d/dtheta_j Ad_e A_0>
-        c = np.einsum("sab,sjab->sj", stack,
-                      _d_ad(self.a0[None], e, e_inv, de, de_inv)[:, 0])
-        dcoef = np.linalg.solve(np.swapaxes(jac, -1, -2), c[..., None])
-        grad = v0 - np.einsum("si,siab->sab", dcoef[..., 0], ad_a0i)
-        return grad.reshape(np.shape(p)), theta
+        theta, _, _, (_, e, e_inv, _) = self.solve_theta(p, theta0)
+        return (e @ self.a0 @ e_inv).reshape(np.shape(p)), theta
 
     # -- super-Hamiltonian flow --------------------------------------------
 
@@ -212,14 +211,6 @@ class GroupGeometry:
         return states[:, :, 0], states[:, :, 1]
 
 
-def _d_ad(b: np.ndarray, e, e_inv, de, de_inv) -> np.ndarray:
-    """Derivatives of Ad_e B_k along theta_j, (S, k, j, d, d), for a (k, d, d)
-    stack B and the exponentials of _phi_system."""
-    b = b[None, :, None]
-    return (de[:, None] @ b @ e_inv[:, None, None]
-            + e[:, None, None] @ b @ de_inv[:, None])
-
-
 def hamiltonian_direction(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Covector component of the Hamiltonian field of F_A at p (stacks
     too)."""
@@ -228,8 +219,7 @@ def hamiltonian_direction(p: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
-                      chart: GroupChart, rho: float,
-                      lambda_radius: float = 0.1, grid=None,
+                      chart: GroupChart, rho: float, grid=None,
                       n_samples: int = 128, seed: int = 0,
                       fd_step: float = 1e-5,
                       margin: float = 1e-3) -> CertificateReport:
@@ -262,7 +252,7 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     # spot-verify Lambda inside Sigma on a Sobol sample
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    lifts = np.array([lambda_lift(lambda_radius * (2.0 * row - 1.0))
+    lifts = np.array([lambda_lift(LAMBDA_RADIUS * (2.0 * row - 1.0))
                       for row in sampler.random(n_samples)])
     max_sigma = float(np.max(hogc_residual(system, lifts)))
 
@@ -287,9 +277,9 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         "not certified"
     return CertificateReport(
         verdict=verdict, rho=float(rho), min_singular_value=min_sv,
-        singular_values=svals, lambda_radius=float(lambda_radius),
-        n_samples=int(n_samples), max_sigma_residual=max_sigma,
-        margin=float(margin), covectors=p[:, 0])
+        singular_values=svals, n_samples=int(n_samples),
+        max_sigma_residual=max_sigma, margin=float(margin),
+        covectors=p[:, 0])
 
 
 def flow_samples_to_csv(system: MatrixGroupSystem, grid, p: np.ndarray,

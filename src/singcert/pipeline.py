@@ -25,7 +25,6 @@ import jsonschema
 from . import __version__
 from .chart import OutOfChartError, dubins_adapted_chart
 from .extremal import (
-    Tolerances,
     adjoint_trajectory,
     condition_battery,
     dubins_boundary_tangents,
@@ -77,15 +76,6 @@ CONFIG_SCHEMA = {
         },
         "horizon": {"type": "number", "exclusiveMinimum": 0},
         "dt": {"type": "number", "exclusiveMinimum": 0},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "equality": {"type": "number"},
-                "rank": {"type": "number"},
-                "sglc_min_margin": {"type": "number"},
-            },
-        },
         "rho_grid": {"type": "array", "items": {"type": "number"},
                      "minItems": 1},
         # one K per run; the K sweep runs several
@@ -98,7 +88,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "rho": {"type": "number"},
-                "lambda_radius": {"type": "number"},
                 "n_samples": {"type": "integer", "minimum": 1,
                               "maximum": MAX_GRID_STEPS},
                 "seed": {"type": "integer", "minimum": 0},
@@ -145,11 +134,10 @@ DEFAULT_CONFIG = {
                "drift_sign": 1},
     "horizon": 1.0,
     "dt": 0.01,
-    "tolerances": {"equality": 1e-9, "rank": 1e-8, "sglc_min_margin": 1e-6},
     "rho_grid": list(DEFAULT_RHO_GRID),
     "galerkin_k": [16],
-    "certificate": {"rho": 1.0, "lambda_radius": 0.1, "n_samples": 128,
-                    "seed": 0, "grid_points": 33},
+    "certificate": {"rho": 1.0, "n_samples": 128, "seed": 0,
+                    "grid_points": 33},
     "falsifier": {"n_samples": 200, "radius": 0.1, "seed": 0, "dt": 0.02},
     "checks": ["conditions", "coercivity", "certificate", "falsifier"],
     "record_timings": False,
@@ -233,10 +221,6 @@ def run_check(config: dict) -> dict:
     """Run the staged pipeline and assemble the machine-readable report."""
     config = load_config(config)
     system, chart, trajectory = _build_problem(config)
-    tol_cfg = config["tolerances"]
-    tolerances = Tolerances(equality=tol_cfg["equality"],
-                            rank=tol_cfg["rank"],
-                            sglc_min_margin=tol_cfg["sglc_min_margin"])
     stages: dict = {}
     timings: dict = {}
     hard_failure = False
@@ -253,8 +237,7 @@ def run_check(config: dict) -> dict:
         try:
             if stage == "conditions":
                 report = condition_battery(trajectory,
-                                           dubins_boundary_tangents(system),
-                                           tol=tolerances)
+                                           dubins_boundary_tangents(system))
                 stages[stage] = {"status": "passed" if report.passed else "failed",
                                  "report": report.as_dict()}
                 hard_failure = not report.passed
@@ -286,8 +269,8 @@ def run_check(config: dict) -> dict:
                                         cert_cfg["grid_points"])
                 report = certificate_check(
                     system, trajectory, chart, rho=cert_cfg["rho"],
-                    lambda_radius=cert_cfg["lambda_radius"], grid=cert_grid,
-                    n_samples=cert_cfg["n_samples"], seed=cert_cfg["seed"])
+                    grid=cert_grid, n_samples=cert_cfg["n_samples"],
+                    seed=cert_cfg["seed"])
                 stages[stage] = {
                     "status": "passed" if report.certified else "failed",
                     "report": report.as_dict()}

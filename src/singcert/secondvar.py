@@ -320,7 +320,10 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
 
     x = np.array([y[1] for y in rk4_flow(rhs, grid, y0)])
     rho = np.asarray(rho_grid, dtype=float)[:, None, None, None]
-    return grid, np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
+    # an overflowed det is a non-finite entry, which conjugate_point_test
+    # refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return grid, np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
 
 
 def conjugate_point_test(problem: SecondVariationProblem,
@@ -329,15 +332,19 @@ def conjugate_point_test(problem: SecondVariationProblem,
     """Conjugate-point decision over a logarithmic rho sweep.
 
     The ratio of a rho is min_t |det X_rho(t)| / |det X_rho(0)| on the
-    n_steps grid. Coercive at the first rho of rho_grid whose ratio is at
-    least det_floor, reported at that rho; otherwise not coercive, reported
-    at the rho with the largest ratio. One Jacobi flow decides the whole
-    sweep (see conjugate_point_trace).
+    n_steps grid; a rho whose trace holds a non-finite det, an overflow,
+    has no ratio (NaN) and never passes. Coercive at the first rho of
+    rho_grid whose ratio is at least det_floor, reported at that rho;
+    otherwise not coercive, reported at the rho with the largest ratio.
+    One Jacobi flow decides the whole sweep (see conjugate_point_trace).
     """
     grid, dets = conjugate_point_trace(problem, rho_grid, n_steps)
-    ratios = np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0])
+    ratios = np.where(np.all(np.isfinite(dets), axis=1),
+                      np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0]),
+                      np.nan)
     passing = np.flatnonzero(ratios >= det_floor)
-    k = int(passing[0]) if passing.size else int(np.argmax(ratios))
+    k = int(passing[0]) if passing.size else \
+        int(np.argmax(np.nan_to_num(ratios, nan=-np.inf)))
     return CoercivityReport(
         method="conjugate_point",
         verdict="coercive" if passing.size else "not coercive",

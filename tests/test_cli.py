@@ -105,6 +105,32 @@ def test_bad_values_rejected():
         run_sweep({}, "N", ["abc"])
 
 
+def test_fixed_tolerances_and_lambda_radius_not_configurable():
+    """The condition tolerances and the certificate's sample radius are
+    fixed: setting them is a config error, so no config loosens a
+    verdict."""
+    for doc in ({"tolerances": {"equality": 1e9}},
+                {"tolerances": {"sglc_min_margin": -1e9}}, {"tolerances": {}},
+                {"certificate": {"lambda_radius": 1e30}},
+                {"certificate": {"lambda_radius": 0.1}}):
+        with pytest.raises(ConfigError):
+            load_config(doc)
+    report = run_check({**FAST, "checks": ["certificate"]})
+    assert report["stages"]["certificate"]["report"]["lambda_radius"] == 0.1
+
+
+def test_overflowed_rho_is_not_certified():
+    """rho 1e308 overflows every det after t = 0: the conjugate-point test
+    says not coercive and emits its ratio as null."""
+    report = json.loads(emit(run_check(
+        {"rho_grid": [1e308], "checks": ["conditions", "coercivity"]})))
+    assert report["verdict"] == "not certified"
+    conj = report["stages"]["coercivity"]["conjugate_point"]
+    assert conj["verdict"] == "not coercive"
+    assert conj["margin"] is None
+    assert conj["refinements"] == [{"min_det_ratio": None, "rho": 1e308}]
+
+
 def test_oversized_galerkin_k_rejected(monkeypatch):
     """A K whose finest Galerkin level cannot be held densely is a config
     error, directly and in a K sweep, before any run starts."""
@@ -227,8 +253,7 @@ def test_flow_csv_is_the_certificate_flow(tmp_path, space):
     cert = config["certificate"]
     grid = np.linspace(0.0, config["horizon"], cert["grid_points"])
     p = certificate_check(
-        system, trajectory, chart, rho=cert["rho"],
-        lambda_radius=cert["lambda_radius"], grid=grid,
+        system, trajectory, chart, rho=cert["rho"], grid=grid,
         n_samples=cert["n_samples"], seed=cert["seed"]).covectors
     rows = np.loadtxt(tmp_path / "flow.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 0], grid)

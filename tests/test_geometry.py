@@ -172,6 +172,51 @@ def test_grad_h0_matches_central_differences(space):
         assert np.tensordot(grad, dp, axes=2) == pytest.approx(fd, abs=2e-9)
 
 
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_newton_jacobian_matches_central_differences(space):
+    """The Jacobian Newton forms is the derivative of Phi in theta, at a
+    covector off S and a theta away from 0."""
+    sys_ = build_dubins_system(space, 3)
+    geom = GroupGeometry(sys_)
+    rng = np.random.default_rng(31)
+    _, p = sigma_sample(dubins_adapted_chart(sys_), rng)
+    assert s_residual(sys_, p) >= 1e-3
+    theta = rng.uniform(-0.3, 0.3, geom.m)
+    _, _, e_inv, ad_a0i = geom._phi_system(p[None], theta[None])
+    jac = geom._phi_jacobian(p, theta, e_inv[0], ad_a0i[0])
+
+    def phi(th):
+        return geom._phi_system(p[None], th[None])[0][0]
+
+    h = 1e-6
+    for j in range(geom.m):
+        step = h * np.eye(geom.m)[j]
+        fd = (phi(theta + step) - phi(theta - step)) / (2 * h)
+        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+
+
+def test_stack_on_s_forms_no_jacobian(setup, monkeypatch):
+    """A warm-started stack already on S takes no Newton step, so no
+    Jacobian is formed; the stack's exponentials still give the gradient."""
+    _, geom, traj = setup
+    theta, *_ = geom.solve_theta(traj.p[::10])
+    calls = []
+    real = GroupGeometry._phi_jacobian
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(GroupGeometry, "_phi_jacobian", counted)
+    _, res, steps, _ = geom.solve_theta(traj.p[::10], theta)
+    grad, _ = geom.grad_h0(traj.p[::10], theta)
+    assert res <= 1e-12 and steps == 0 and calls == []
+    assert np.max(np.abs(grad - geom.a0)) <= 1e-12
+    # a start off S does form it
+    geom.solve_theta(psi(geom, traj.p[0], np.array([0.05, -0.03])))
+    assert calls
+
+
 def test_theta_derivative_pairing(setup):
     """<d theta_i, F_j-direction> = -delta_ij at S-points, to O(h^2)."""
     _, geom, traj = setup

@@ -370,6 +370,18 @@ def test_non_coercive_report_holds_its_rho_row():
     assert np.max(np.abs(other - want)) > 1e-3 * np.max(np.abs(want))
 
 
+def test_overflowed_det_trace_never_passes(lq):
+    """A rho whose det trace overflows has no ratio and is not coercive;
+    beside a finite rho it leaves the sweep to that rho."""
+    report = conjugate_point_test(lq, rho_grid=[1e308])
+    assert not report.coercive
+    assert np.isnan(report.margin)
+    assert np.isnan(report.refinements[0]["min_det_ratio"])
+    both = conjugate_point_test(lq, rho_grid=[1e308, 1.0])
+    assert both.coercive and both.rho == 1.0
+    assert both.margin == conjugate_point_test(lq, rho_grid=[1.0]).margin
+
+
 def test_methods_agree_on_dubins(lq):
     gal = galerkin_coercivity(lq, 16)
     conj = conjugate_point_test(lq)
