@@ -1,18 +1,16 @@
 """Empirical falsification of local time-optimality.
 
-The reference arc is the drift orbit with control u = 0. Competitor
-trajectories are sampled from three families: needle-like control
-variations realizing prescribed displacements inside the
-controlled-algebra orbit, band-limited random control perturbations, and
-"retimed" copies of the reference control. Retiming the zero control
-leaves it zero, so a retimed competitor integrates the reference arc
-itself; the family keeps its label and its records. Competitors whose
-grids have the same length are integrated together as one stacked RK4
-flow; each competitor's earliest arrival at the target manifold is
-recorded, and an arrival strictly earlier than the reference horizon is
-a counterexample witness. Each flow is scored in fixed blocks of
-members: arrival and graph distance each take one exact series
-logarithm of a whole block's states.
+The reference arc is the drift orbit with control u = 0. Competitors
+alternate between needle variations, which realize displacements inside
+the controlled-algebra orbit with a piecewise-constant word control of
+size 1/eps on a window of 2 eps^2, and band-limited random controls. A
+needle's states are exact products of piece exponentials; the bands run
+as one stacked RK4 flow with group projection. Each competitor's earliest
+arrival at the target manifold is recorded, and an arrival strictly
+earlier than the reference horizon is a counterexample witness.
+Competitors are scored in fixed blocks: arrival and graph distance each
+take one exact series logarithm of a whole block's states, each state
+compared with the reference at its own time.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
-# members of a stacked flow scored together, with one series log per
-# block: blocks of 16 ran no faster and held more states at once
+# competitors scored together, with one series log per block: blocks of
+# 16 ran no faster and held more states at once
 _SCORE_BLOCK = 8
 # a competitor arriving this much before the reference horizon refutes it
 TIME_TOLERANCE = 1e-6
@@ -82,11 +80,6 @@ class NeedleVariation:
         if local < 0.0 or local > 2.0 * self.eps ** 2:
             return np.zeros(self.m)
         return self.overlay_base(local / self.eps ** 2) / self.eps
-
-    def piece_boundaries(self) -> np.ndarray:
-        r = len(self.channels)
-        local = np.linspace(0.0, 2.0, 2 * r + 1)
-        return self.s_bar + local * self.eps ** 2
 
 
 def needle_variation(s_bar: float, t_vec, eps: float, horizon: float, m: int,
@@ -195,15 +188,6 @@ def _integration_grid(horizon: float, dt: float, include=()) -> np.ndarray:
     return grid[grid <= horizon + 1e-12]
 
 
-def _needle_grid(base: np.ndarray, horizon: float,
-                 needle: NeedleVariation) -> np.ndarray:
-    """The base grid with five points on each piece of the needle window."""
-    bounds = needle.piece_boundaries()
-    pieces = [np.linspace(a, b, 5) for a, b in zip(bounds[:-1], bounds[1:])]
-    grid = np.unique(np.concatenate([base] + pieces))
-    return grid[grid <= horizon + 1e-12]
-
-
 class TargetSpec:
     """Arrival test against the controlled-algebra orbit through q_f.
 
@@ -232,31 +216,24 @@ class TargetSpec:
             out[near] = np.max(np.abs(x[:, self.R:]), axis=1)
         return float(out[0]) if rel.ndim == 2 else out.reshape(rel.shape[:-2])
 
-    def arrival_time(self, grid: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Earliest grid time at which each member meets the target, inf for
-        a member that never does: ``states`` is an (S, T, d, d) block of
-        members on the (S, T) ``grid``; returns (S,) times."""
+    def arrival_time(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Earliest sample time at which each member meets the target, inf
+        for a member that never does: ``states`` is an (S, n, d, d) block of
+        members sampled at ``times`` (S, n), or (n,) shared by all, in any
+        order; returns (S,) times."""
         hit = self.residual(states) <= TARGET_TOL
-        first = grid[np.arange(len(grid)), np.argmax(hit, axis=1)]
-        return np.where(np.any(hit, axis=1), first, np.inf)
+        return np.min(np.where(hit, times, np.inf), axis=1)
 
 
-def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
-                   ref_inv: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
-    """Max over time of the left-invariant chart distance to the reference.
+def graph_distance(rel: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
+    """Max over samples of the left-invariant chart distance to the reference.
 
-    ``states`` is an (S, T, d, d) block of members on the (S, T) ``grid``;
-    ``ref_inv`` holds the inverses of the reference states on
-    ``ref_grid``. ``b_pinv`` maps a flattened algebra element to its chart
-    components at the origin (``GroupChart.b_pinv``). Each state is
-    compared with the reference at the nearest reference grid time (the
-    earlier one on a tie), so the reference is held at its endpoints
-    outside its own support. Returns (S,) distances, inf for a member that
+    ``rel`` is an (S, n, d, d) block of ref(t)^-1 q(t), each member's state
+    relative to the reference at the state's own sample time t. ``b_pinv``
+    maps a flattened algebra element to its chart components at the origin
+    (``GroupChart.b_pinv``). Returns (S,) distances, inf for a member that
     leaves the log radius LOG_RADIUS of the reference.
     """
-    k = np.clip(np.searchsorted(ref_grid, grid), 1, len(ref_grid) - 1)
-    k = k - (grid - ref_grid[k - 1] <= ref_grid[k] - grid)
-    rel = ref_inv[k] @ states
     far = np.linalg.norm(rel - np.eye(rel.shape[-1]),
                          axis=(2, 3)) >= LOG_RADIUS
     near = ~np.any(far, axis=1)
@@ -269,110 +246,119 @@ def graph_distance(grid: np.ndarray, states: np.ndarray, ref_grid: np.ndarray,
 
 @dataclass(frozen=True)
 class _Competitor:
-    """One sampled competitor: its grid and its control. A needle plays its
-    overlay; a band plays the cos/sin modes of the horizon with
-    coefficients ``coeff`` (2 _BAND_MODES, m). With neither set (a
-    retimed copy, or radius 0) the control is zero: the reference."""
+    """One sampled competitor: a needle, or a band that plays the cos/sin
+    modes of the horizon with coefficients ``coeff`` (2 _BAND_MODES, m)."""
 
     family: str
     seed: list
-    grid: np.ndarray
     needle: NeedleVariation | None
     coeff: np.ndarray | None
 
 
 def _sample_competitors(system: MatrixGroupSystem, t_hat: float,
-                        scan_horizon: float, base_grid: np.ndarray,
-                        n_samples: int, radius: float,
+                        scan_horizon: float, n_samples: int, radius: float,
                         seed: int) -> list[_Competitor]:
-    """Draw the competitors in order, each from its own SeedSequence child.
-    A needle refines ``base_grid`` on its window; every other competitor
-    shares ``base_grid`` itself."""
+    """Draw the competitors in order, needles and bands alternating, each
+    from its own SeedSequence child. At radius 0 every competitor is a
+    needle of length 0: the reference itself."""
     t_bar = 0.05 * np.ones(system.R)
     out = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
         rng = np.random.default_rng(child)
-        family = ("needle", "band", "retimed")[idx % 3]
         needle = coeff = None
-        if family == "needle" or radius == 0.0:
+        if idx % 2 == 0 or radius == 0.0:
             eps = radius * rng.uniform(0.3, 1.0)
-            if radius != 0.0:
-                s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
-                t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
-                needle = needle_variation(s_bar, t_vec, eps, scan_horizon,
-                                          system.m, t_bar=t_bar)
-        elif family == "band":
+            s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
+            t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
+            needle = needle_variation(s_bar, t_vec, eps, scan_horizon,
+                                      system.m, t_bar=t_bar)
+        else:
             coeff = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
             coeff /= max(1.0, np.linalg.norm(coeff))
-        grid = base_grid if needle is None or needle.eps == 0.0 else \
-            _needle_grid(base_grid, scan_horizon, needle)
-        out.append(_Competitor(family, [int(v) for v in child.spawn_key],
-                               grid, needle, coeff))
+        out.append(_Competitor("band" if needle is None else "needle",
+                               [int(v) for v in child.spawn_key], needle,
+                               coeff))
     return out
 
 
-def _needle_overlays(s, s_bar, eps, t_vec, t_bar, channels, m):
-    """NeedleVariation.overlay row by row: needle k at its own time s[k]."""
-    r = channels.shape[1]
-    out = np.zeros((s.size, m))
-    local = s - s_bar
-    inside = (local >= 0.0) & (local <= 2.0 * eps ** 2)
-    sig = local / eps ** 2
-    first = inside & (sig >= 0.0) & (sig <= 1.0)
-    rows = np.flatnonzero(first)
-    k = np.minimum((sig[rows] * r).astype(int), r - 1)
-    out[rows, channels[rows, k]] = r * t_vec[rows, k] / eps[rows]
-    rows = np.flatnonzero(inside & ~first & (sig <= 2.0))
-    k = r - 1 - np.minimum(((sig[rows] - 1.0) * r).astype(int), r - 1)
-    out[rows, channels[rows, k]] = -r * t_bar[rows, k] / eps[rows]
-    return out
+def _needle_exponentials(system: MatrixGroupSystem,
+                         needles: list[NeedleVariation]) -> np.ndarray:
+    """exp(s_bar A0), exp(h A0) and the 2r piece exponentials
+    E_j = exp(h A0 + a_j A_{c_j}) of each needle, h = eps^2 / r the piece
+    length and a_j the control integral over piece j, in the order the
+    overlay plays them: one stacked expm, (S, 2r + 2, d, d)."""
+    a0 = system.drift
+    controlled = np.array(system.controlled)
+    gens = []
+    for needle in needles:
+        h = needle.eps ** 2 / len(needle.channels)
+        channels = list(needle.channels) + list(needle.channels[::-1])
+        a = needle.eps * np.concatenate([needle.t_vec, -needle.t_bar[::-1]])
+        gens.append(np.concatenate([[needle.s_bar * a0, h * a0],
+                                    h * a0 + a[:, None, None]
+                                    * controlled[channels]]))
+    return expm(np.array(gens))
 
 
-def _stacked_control(members: list[_Competitor], t_hat: float, m: int):
-    """The members' controls as one function: (S,) times -> (S, m)."""
-    needles = [i for i, c in enumerate(members) if c.needle is not None]
-    bands = [i for i, c in enumerate(members) if c.coeff is not None]
-    coeff = np.array([members[i].coeff for i in bands])
-    needle_args = [np.array([getattr(members[i].needle, key) for i in needles])
-                   for key in ("s_bar", "eps", "t_vec", "t_bar", "channels")]
+def _needle_samples(needles: list[NeedleVariation], exps: np.ndarray,
+                    grid: np.ndarray, ref: np.ndarray, ref_inv: np.ndarray,
+                    q0: np.ndarray):
+    """Sample times (S, n), states q (S, n, d, d) and ref^-1 q of a block of
+    needles with their ``_needle_exponentials``, on the base grid plus the
+    2r + 1 piece boundaries s_bar + k h of each window. On its window a
+    needle is q0 exp(s_bar A0) E_1 ... E_k against the reference
+    q0 exp(s_bar A0) exp(k h A0); after it, Y ref(t) with
+    Y = q(t_end) ref(t_end)^-1; a grid time inside the window samples the
+    window start instead."""
+    s_bar = np.array([needle.s_bar for needle in needles])[:, None]
+    h = np.array([needle.eps ** 2 / len(needle.channels)
+                  for needle in needles])[:, None]
+    start = q0 @ exps[:, 0]
+    q_win, ref_win = [start], [start]
+    for k in range(2, exps.shape[1]):
+        q_win.append(q_win[-1] @ exps[:, k])
+        ref_win.append(ref_win[-1] @ exps[:, 1])
+    q_win = np.stack(q_win, axis=1)
+    ref_win_inv = np.linalg.inv(np.stack(ref_win, axis=1))
+    win_times = s_bar + h * np.arange(q_win.shape[1])
+    before = grid < s_bar
+    outside = (before | (grid > win_times[:, -1:]))[..., None, None]
+    shift = q_win[:, -1:] @ ref_win_inv[:, -1:]
+    q_grid = np.where(outside, np.where(before[..., None, None], ref,
+                                        shift @ ref), q_win[:, :1])
+    rel_grid = np.where(outside, ref_inv, ref_win_inv[:, :1]) @ q_grid
+    return (np.concatenate([np.where(outside[..., 0, 0], grid, s_bar),
+                            win_times], axis=1),
+            np.concatenate([q_grid, q_win], axis=1),
+            np.concatenate([rel_grid, ref_win_inv @ q_win], axis=1))
 
-    def control(t):
-        out = np.zeros((t.size, m))
-        if bands:
-            tb = t[bands, None]
-            for k in range(_BAND_MODES):
-                phase = 2.0 * np.pi * (k + 1) * tb / t_hat
-                out[bands] += coeff[:, 2 * k] * np.cos(phase)
-                out[bands] += coeff[:, 2 * k + 1] * np.sin(phase)
-        if needles:
-            out[needles] += _needle_overlays(t[needles], *needle_args, m)
-        return out
 
-    return control
-
-
-def _stacked_flows(system: MatrixGroupSystem, members: list[_Competitor],
-                   t_hat: float, q0: np.ndarray) -> list[np.ndarray]:
-    """q' = q (A0 + sum u_i A_i), q(0) = q0, for members whose grids have
-    one length, as one RK4 flow of the (S, d, d) stack: the stack at each
-    grid index."""
-    control = _stacked_control(members, t_hat, system.m)
+def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
+               q0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """q' = q (A0 + sum u_i A_i), q(0) = q0, for bands with coefficients
+    ``coeff`` (B, 2 _BAND_MODES, m), as one RK4 flow of the (B, d, d) stack
+    on the grid, projected onto the group after every step: (T, B, d, d)."""
     a0 = system.drift
     controlled = np.array(system.controlled)
 
     def rhs(t, y):
-        return y @ (a0 + np.tensordot(control(t), controlled, 1))
+        u = np.zeros((len(coeff), system.m))
+        for k in range(_BAND_MODES):
+            phase = 2.0 * np.pi * (k + 1) * t / t_hat
+            u += coeff[:, 2 * k] * np.cos(phase)
+            u += coeff[:, 2 * k + 1] * np.sin(phase)
+        return y @ (a0 + np.tensordot(u, controlled, 1))
 
-    grid = np.stack([c.grid for c in members], axis=1)
-    y0 = np.repeat(q0[None], len(members), axis=0)
-    return rk4_flow(rhs, grid, y0, lambda t, y: system.project_to_group(y))
+    y0 = np.repeat(q0[None], len(coeff), axis=0)
+    return np.array(rk4_flow(rhs, grid, y0,
+                             lambda t, y: system.project_to_group(y)))
 
 
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                      target: TargetSpec, n_samples: int = 200,
                      radius: float = 0.1, seed: int = 0,
                      dt: float = 0.02) -> FalsificationReport:
-    """Sample competitors from the three families and scan for early arrival.
+    """Sample needle and band competitors and scan for early arrival.
 
     Unreachable samples are recorded as non-competing; the verdict is
     "refuted" only when an admissible competitor arrives earlier than the
@@ -381,31 +367,34 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     t_hat = extremal.horizon
     q0 = extremal.q[0]
     scan_horizon = t_hat * (1.0 + HORIZON_PAD)
-    ref_grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
-    ref_inv = np.linalg.inv(q0 @ reference_flow(system, ref_grid))
-    competitors = _sample_competitors(system, t_hat, scan_horizon, ref_grid,
+    grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
+    ref = q0 @ reference_flow(system, grid)
+    ref_inv = np.linalg.inv(ref)
+    competitors = _sample_competitors(system, t_hat, scan_horizon,
                                       n_samples, radius, seed)
-
-    # one stacked flow per grid length: the base grid (band, retimed,
-    # radius 0) and, generically, one refined length for the needles
-    by_length: dict = {}
-    for idx, comp in enumerate(competitors):
-        by_length.setdefault(comp.grid.size, []).append(idx)
+    needles = [i for i, c in enumerate(competitors) if c.needle is not None]
+    bands = [i for i, c in enumerate(competitors) if c.coeff is not None]
     arrivals = np.full(n_samples, np.inf)
     dists = np.full(n_samples, np.inf)
-    for idxs in by_length.values():
-        # memory stays flat: one group's flow and one block's states are
-        # alive at a time
-        members = [competitors[i] for i in idxs]
-        flow = _stacked_flows(system, members, t_hat, q0)
-        for lo in range(0, len(idxs), _SCORE_BLOCK):
-            block = idxs[lo:lo + _SCORE_BLOCK]
-            grid = np.array([competitors[i].grid for i in block])
-            states = np.stack([y[lo:lo + _SCORE_BLOCK] for y in flow], axis=1)
-            arrivals[block] = target.arrival_time(grid, states)
-            dists[block] = graph_distance(grid, states, ref_grid, ref_inv,
-                                          target.b_pinv)
-        del flow
+
+    def score(block, times, states, rel):
+        arrivals[block] = target.arrival_time(times, states)
+        dists[block] = graph_distance(rel, target.b_pinv)
+
+    # memory stays flat: one block's needle states are alive at a time
+    if needles:
+        members = [competitors[i].needle for i in needles]
+        exps = _needle_exponentials(system, members)
+        for lo in range(0, len(needles), _SCORE_BLOCK):
+            hi = lo + _SCORE_BLOCK
+            score(needles[lo:hi], *_needle_samples(
+                members[lo:hi], exps[lo:hi], grid, ref, ref_inv, q0))
+    if bands:
+        flow = _band_flow(system, np.array([competitors[i].coeff
+                                            for i in bands]), t_hat, q0, grid)
+        for lo in range(0, len(bands), _SCORE_BLOCK):
+            states = flow[:, lo:lo + _SCORE_BLOCK].swapaxes(0, 1)
+            score(bands[lo:lo + _SCORE_BLOCK], grid, states, ref_inv @ states)
 
     records = []
     min_arrival = np.inf

@@ -9,31 +9,26 @@ _EPS = np.finfo(float).eps
 
 
 def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
-    """Classical RK4 for y' = f(t, y) on a strictly increasing grid.
+    """Classical RK4 for y' = f(t, y) on a strictly increasing (T,) grid.
 
-    Returns the states on the grid, y0 first. A (T,) grid steps the whole
-    state at once. A (T, S) grid steps each of the S members along the
-    leading axis of y0 on its own column of times: f and after_step then
-    get the (S,) member times, and each member's step broadcasts over its
-    trailing state axes. after_step(t, y), when given, sees each new
-    state at its grid time and returns the state to keep (a projection)
-    or raises (a monitor).
+    Returns the states on the grid, y0 first; a stacked y0 steps all its
+    members at once. after_step(t, y), when given, sees each new state at
+    its grid time and returns the state to keep (a projection) or raises
+    (a monitor).
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid, axis=0) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    trailing = None if grid.ndim == 1 else (1,) * (np.ndim(y0) - grid.ndim + 1)
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be a strictly increasing (T,) array")
     y = y0
     out = [y]
-    for k in range(grid.shape[0] - 1):
+    for k in range(grid.size - 1):
         t = grid[k]
         h = grid[k + 1] - t
-        hy = h if trailing is None else h.reshape(h.shape + trailing)
         k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * hy * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * hy * k2)
-        k4 = f(t + h, y + hy * k3)
-        y = y + (hy / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if after_step is not None:
             y = after_step(grid[k + 1], y)
         out.append(y)

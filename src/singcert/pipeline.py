@@ -51,8 +51,12 @@ MAX_GRID_STEPS = 10 ** 6
 # largest Galerkin K: the finest level, 4K pieces, builds several dense
 # (R + 4mK)^2 matrices and runs a dense eigh on them. At K = 128 that is
 # 1027^2 (8 MB) at N = 3 and 2058^2 (34 MB) at N = 5, a few seconds and a
-# few hundred MB; the memory grows like K^2
+# few hundred MB; the memory grows like K^2. N has no maximum, so the width
+# R + 4mK is capped too, at its value for N = 5 and this K
 MAX_GALERKIN_K = 128
+
+# the pipeline's stages in dependency order
+STAGES = ("conditions", "coercivity", "certificate", "falsifier")
 
 # numerical breakdowns a stage reports as status "error" instead of raising
 STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
@@ -106,12 +110,8 @@ CONFIG_SCHEMA = {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "checks": {
-            "type": "array",
-            "items": {"type": "string",
-                      "enum": ["conditions", "coercivity", "certificate",
-                               "falsifier"]},
-        },
+        "checks": {"type": "array", "uniqueItems": True,
+                   "items": {"type": "string", "enum": list(STAGES)}},
         "record_timings": {"type": "boolean"},
         "output": {
             "type": "object",
@@ -188,7 +188,17 @@ def load_config(doc: dict) -> dict:
             radius > np.sqrt(config["horizon"] / 2.0):
         raise ConfigError(f"falsifier.radius {radius:g} needs a horizon of at "
                           f"least 2 radius^2, not {config['horizon']:g}")
+    n, k = config["system"]["N"], config["galerkin_k"][0]
+    width, cap = _galerkin_width(n, k), _galerkin_width(5, MAX_GALERKIN_K)
+    if "coercivity" in config["checks"] and width > cap:
+        raise ConfigError(f"galerkin_k {k} at N = {n} needs dense Galerkin "
+                          f"matrices {width} wide, more than {cap}")
     return config
+
+
+def _galerkin_width(n: int, k: int) -> int:
+    """R + 4mK at N = n, R = N(N - 1)/2 and m = N - 1."""
+    return n * (n - 1) // 2 + 4 * (n - 1) * k
 
 
 def thread_pool_size() -> int:
@@ -228,7 +238,7 @@ def run_check(config: dict) -> dict:
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
 
-    for stage in config["checks"]:
+    for stage in (s for s in STAGES if s in config["checks"]):
         if hard_failure:
             stages[stage] = {"status": "skipped"}
             timings[stage] = 0.0

@@ -148,6 +148,44 @@ def test_oversized_galerkin_k_rejected(monkeypatch):
         run_sweep({}, "K", [8, MAX_GALERKIN_K + 1])
 
 
+def test_galerkin_width_bounded_by_n5(monkeypatch):
+    """K = MAX_GALERKIN_K fits at N = 5 but not at N = 6 or 16, whose
+    finest Galerkin level is wider; without the coercivity stage no
+    Galerkin matrix is built and N = 16 runs at that K."""
+    def dubins(n):
+        return {"system": {"kind": "dubins", "N": n},
+                "galerkin_k": [MAX_GALERKIN_K]}
+
+    assert load_config(dubins(5))["system"]["N"] == 5
+    for n in (6, 16):
+        with pytest.raises(ConfigError, match="Galerkin"):
+            load_config(dubins(n))
+    assert load_config({**dubins(16), "checks": ["conditions"]})
+
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pipeline, "run_check", no_run)
+    for values in ([5, 6], [5, 16]):
+        with pytest.raises(ConfigError, match="Galerkin"):
+            run_sweep(dubins(3), "N", values)
+
+
+def test_stages_run_in_dependency_order_once():
+    """The stages run in dependency order whatever the order of checks, so
+    a failed condition battery skips the falsifier listed before it; a
+    stage listed twice is a config error."""
+    report = run_check({"system": {"kind": "dubins", "drift_sign": -1},
+                        "checks": ["falsifier", "conditions"], **FAST})
+    assert report["stages"]["conditions"]["status"] == "failed"
+    assert report["stages"]["falsifier"] == {"status": "skipped"}
+    assert report["verdict"] == "not certified"
+    for checks in (["coercivity", "coercivity"],
+                   ["conditions", "falsifier", "conditions"]):
+        with pytest.raises(ConfigError):
+            load_config({"checks": checks})
+
+
 def test_tiny_horizons_run(tmp_path, capsys):
     """Horizons down to the needle window run to a verdict: the window
     just fits, radius 0 has none, and without the falsifier stage there is

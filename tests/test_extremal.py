@@ -105,22 +105,19 @@ def test_reference_flow_fourth_order(dub3):
     assert -order >= 3.7
 
 
-def test_rk4_flow_per_member_grid():
-    """A (T, S) grid steps each member on its own times, with the same
-    arithmetic as a (T,) run of that member alone."""
-    grid = np.stack([np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 9) ** 2,
-                     np.cumsum(np.arange(9.0))], axis=1)
-    y0 = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.25]])
-
+def test_rk4_flow_needs_increasing_time_grid():
+    """rk4_flow steps on a strictly increasing (T,) grid and rejects any
+    other."""
     def f(t, y):
-        return np.sin(t)[..., None] * y[..., ::-1] - 0.3 * y
+        return np.sin(t) * y[..., ::-1] - 0.3 * y
 
-    stacked = np.array(rk4_flow(f, grid, y0))
-    for j in range(3):
-        alone = np.array(rk4_flow(f, grid[:, j], y0[j]))
-        assert np.array_equal(stacked[:, j], alone)
-    with pytest.raises(ValueError):
-        rk4_flow(f, grid[::-1], y0)
+    y0 = np.array([[1.0, 2.0], [0.5, -1.0]])
+    grid = np.linspace(0.0, 1.0, 9)
+    assert len(rk4_flow(f, grid, y0)) == 9
+    for bad in (grid[::-1], np.array([0.0, 0.5, 0.5, 1.0]),
+                np.stack([grid, grid], axis=1)):
+        with pytest.raises(ValueError):
+            rk4_flow(f, bad, y0)
 
 
 def test_adjoint_identity_at_zero(dub3, extremal3):

@@ -14,10 +14,12 @@ from singcert.extremal import (
 from singcert.falsifier import (
     TARGET_TOL,
     TargetSpec,
+    _band_flow,
     _integration_grid,
+    _needle_exponentials,
+    _needle_samples,
     _quick_log,
     _sample_competitors,
-    _stacked_flows,
     competitor_sweep,
     driftless_endpoint,
     driftless_scaling_check,
@@ -132,11 +134,29 @@ def test_target_spec_reference_endpoint(dub3, extremal3):
 
 
 def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
+    """At radius 0 every competitor is a needle of length 0, the reference
+    itself: each arrives at the horizon, on the reference."""
     target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=3,
                               radius=0.0, seed=5)
     assert report.verdict == "no counterexample"
     assert report.min_arrival == pytest.approx(extremal3.horizon, abs=1e-12)
+    for record in report.records:
+        assert record["family"] == "needle"
+        assert record["arrival"] == extremal3.horizon
+        assert record["graph_distance"] <= 1e-15
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_sweep_of_needles_only_runs(dub3, extremal3, n_samples):
+    """Zero competitors, or a single needle and no band, still give a
+    report; no needle arrives."""
+    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    report = competitor_sweep(dub3, extremal3, target, n_samples=n_samples)
+    assert report.verdict == "no counterexample"
+    assert report.as_dict()["min_arrival"] is None
+    assert [r["family"] for r in report.records] == ["needle"] * n_samples
+    assert all(0.0 < r["graph_distance"] < 0.1 for r in report.records)
 
 
 def test_sweep_certified_arc_not_falsified(dub3, extremal3):
@@ -204,51 +224,75 @@ def test_quick_log_matches_logm_near_radius(space):
     assert np.max(np.abs(_quick_log(stack) - each)) <= 1e-14
 
 
-def _serial_control(comp, t_hat, m):
-    """The competitor's control one time at a time: its needle overlay,
-    its band modes, or zero."""
-    def control(s):
-        if comp.needle is not None:
-            return comp.needle.overlay(s)
-        out = np.zeros(m)
-        if comp.coeff is not None:
-            for k in range(len(comp.coeff) // 2):
-                phase = 2.0 * np.pi * (k + 1) * s / t_hat
-                out += comp.coeff[2 * k] * np.cos(phase)
-                out += comp.coeff[2 * k + 1] * np.sin(phase)
-        return out
+def _fine_needle_flow(system, needle, times, horizon):
+    """M' = M (A0 + sum u_i A_i), M(0) = I, u the needle's overlay held at
+    each step's midpoint, by RK4 on a grid of 1e-3 steps with 8 steps on
+    each piece of the window and a point at every one of ``times``: the
+    states at ``times``."""
+    bounds = np.unique(times[times >= needle.s_bar])[:2 * len(needle.channels)
+                                                     + 1]
+    pieces = [np.linspace(a, b, 9) for a, b in zip(bounds[:-1], bounds[1:])]
+    fine = np.unique(np.concatenate([np.linspace(0.0, horizon, 1101), times]
+                                    + pieces))
+    eye = np.eye(system.d)
+    states = [eye]
+    for a, b in zip(fine[:-1], fine[1:]):
+        u = needle.overlay(0.5 * (a + b))
+        hm = (b - a) * (system.drift + sum(u[i] * system.controlled[i]
+                                           for i in range(system.m)))
+        # one RK4 step of the constant-coefficient flow
+        step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4) / 3) / 2)
+        states.append(states[-1] @ step)
+    return np.array(states)[np.searchsorted(fine, times)]
 
-    return control
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_needle_states_match_fine_rk4(space, n):
+    """A needle's samples equal a fine RK4 of its overlay, and each is
+    compared with the exact reference at its own sample time."""
+    sys_ = build_dubins_system(space, n)
+    t_hat, horizon = 1.0, 1.1
+    grid = _integration_grid(horizon, 0.02, include=(t_hat,))
+    ref = reference_flow(sys_, grid)
+    needles = [c.needle for c in _sample_competitors(sys_, t_hat, horizon,
+                                                     6, 0.1, 2)
+               if c.needle is not None]
+    times, states, rel = _needle_samples(
+        needles, _needle_exponentials(sys_, needles), grid, ref,
+        np.linalg.inv(ref), np.eye(sys_.d))
+    assert times.shape == (3, grid.size + 2 * sys_.R + 1)
+    for needle, t, q, r in zip(needles, times, states, rel):
+        assert np.all(np.isin(t, grid) | (t >= needle.s_bar))
+        expect = _fine_needle_flow(sys_, needle, t, horizon)
+        assert np.max(np.abs(q - expect)) <= 1e-12
+        exact_ref = reference_flow(sys_, t)
+        assert np.max(np.abs(exact_ref @ r - q)) <= 1e-12
 
 
-@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
 def test_stacked_flows_match_serial(space):
-    """Each member of a stacked competitor flow equals the flow of its own
-    control on its own grid, integrated alone."""
+    """Each member of the stacked band flow equals its own control,
+    integrated alone on the base grid."""
     sys_ = build_dubins_system(space, 4)
     t_hat = 1.0
-    comps = _sample_competitors(sys_, t_hat, 1.1,
-                                _integration_grid(1.1, 0.02, include=(t_hat,)),
-                                9, 0.1, 2)
-    by_length = {}
-    for comp in comps:
-        by_length.setdefault(comp.grid.size, []).append(comp)
-    assert sorted(len(v) for v in by_length.values()) == [3, 6]
-    for members in by_length.values():
-        stacked = np.array(_stacked_flows(sys_, members, t_hat,
-                                          np.eye(sys_.d)))
-        for j, comp in enumerate(members):
-            control = _serial_control(comp, t_hat, sys_.m)
+    grid = _integration_grid(1.1, 0.02, include=(t_hat,))
+    comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2)
+    coeff = np.array([c.coeff for c in comps if c.coeff is not None])
+    assert [c.family for c in comps] == ["needle", "band"] * 4 + ["needle"]
+    stacked = _band_flow(sys_, coeff, t_hat, np.eye(sys_.d), grid)
+    assert stacked.shape == (grid.size, 4, sys_.d, sys_.d)
+    for j, c in enumerate(coeff):
+        def rhs(t, q):
+            u = sum(c[2 * k] * np.cos(2.0 * np.pi * (k + 1) * t / t_hat)
+                    + c[2 * k + 1] * np.sin(2.0 * np.pi * (k + 1) * t / t_hat)
+                    for k in range(len(c) // 2))
+            return q @ (sys_.drift + sum(u[i] * sys_.controlled[i]
+                                         for i in range(sys_.m)))
 
-            def rhs(t, q):
-                u = control(t)
-                return q @ (sys_.drift + sum(u[i] * sys_.controlled[i]
-                                             for i in range(sys_.m)))
-
-            alone = rk4_flow(rhs, comp.grid, np.eye(sys_.d),
-                             lambda t, q: sys_.project_to_group(q))
-            assert np.max(np.abs(stacked[:, j] - np.array(alone))) <= 1e-12
-    assert {c.family for c in comps} == {"needle", "band", "retimed"}
+        alone = rk4_flow(rhs, grid, np.eye(sys_.d),
+                         lambda t, q: sys_.project_to_group(q))
+        assert np.max(np.abs(stacked[:, j] - np.array(alone))) <= 1e-12
 
 
 def test_target_residual_of_stack(dub3, extremal3):
@@ -268,35 +312,48 @@ def test_target_residual_of_stack(dub3, extremal3):
     assert arrivals.tolist() == [2.0, np.inf]
 
 
-def test_graph_distance_uses_nearest_reference_point(dub3):
-    """A state equal to the reference at t = 0.125 is 0.025 from the
-    reference at 0.1, the nearest grid time, and 0.075 from the one at
-    0.2; the distance is the former. Past the end the reference holds."""
+def test_arrival_time_of_unsorted_samples(dub3, extremal3):
+    """The earliest hitting sample time, whatever the order of the
+    samples, for per-member and for shared times."""
+    q_f = extremal3.q[-1]
+    target = TargetSpec(q_f, dubins_adapted_chart(dub3))
+    stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
+                      for a in (0.0, -0.05, 0.0, 0.3)])
+    times = np.array([0.5, 0.1, 0.3, 0.2])
+    assert target.arrival_time(times[None], stack[None]).tolist() == [0.3]
+    block = np.array([stack, stack[[1, 3, 0, 1]]])
+    assert target.arrival_time(times, block).tolist() == [0.3, 0.3]
+
+
+def test_graph_distance_at_own_time(dub3):
+    """Each sample is compared with the reference at its own time, between
+    reference grid points, in any order and past the horizon: states on
+    the reference are at distance 0, states displaced by 0.04 along a unit
+    controlled direction at 0.04, and a far state puts its member at inf."""
     chart = dubins_adapted_chart(dub3)
-    unit = dub3.controlled[0]
+    unit = dub3.controlled[1]
     assert np.linalg.norm(chart.b_pinv @ unit.ravel()) == pytest.approx(1.0)
-    ref_grid = np.linspace(0.0, 1.0, 11)
-    ref_inv = np.array([expm(-t * unit) for t in ref_grid])
-    # one member per case, each a single state on a one-point grid
-    times = np.array([0.125, 0.17, 0.3, 0.0, 1.05])
-    expected = [0.025, 0.03, 0.0, 0.0, 0.05]
-    states = np.array([[expm(t * unit)] for t in times])
-    dist = graph_distance(times[:, None], states, ref_grid, ref_inv,
-                          chart.b_pinv)
-    assert dist == pytest.approx(expected, abs=1e-14)
+    times = np.array([0.125, 0.17, 1.05, 0.0, 0.3])
+    ref = expm(times[:, None, None] * dub3.drift)
+    states = np.array([ref, ref @ expm(0.04 * unit),
+                       ref @ expm(np.array([0, 0, 0, 0, 2.0])[:, None, None]
+                                  * unit)])
+    rel = np.linalg.inv(ref) @ states
+    dist = graph_distance(rel, chart.b_pinv)
+    assert dist[0] <= 1e-15
+    assert dist[1] == pytest.approx(0.04, abs=1e-15)
+    assert dist[2] == np.inf
 
 
-def direct_arrival(target, grid, states):
-    """Earliest arrival of one member's (T, d, d) states on its grid."""
-    hits = np.flatnonzero(target.residual(states) <= TARGET_TOL)
-    return float(grid[hits[0]]) if hits.size else np.inf
+def direct_arrival(target, times, states):
+    """Earliest arrival of one member's (n, d, d) states at its times."""
+    hits = target.residual(states) <= TARGET_TOL
+    return float(np.min(times[hits])) if hits.any() else np.inf
 
 
-def direct_graph_distance(grid, states, ref_grid, ref_inv, b_pinv):
-    """graph_distance of one member's (T, d, d) states, with its own log."""
-    k = np.clip(np.searchsorted(ref_grid, grid), 1, len(ref_grid) - 1)
-    k = k - (grid - ref_grid[k - 1] <= ref_grid[k] - grid)
-    rel = ref_inv[k] @ states
+def direct_graph_distance(rel, b_pinv):
+    """graph_distance of one member's (n, d, d) relative states, with its
+    own log."""
     if np.any(np.linalg.norm(rel - np.eye(rel.shape[-1]), axis=(1, 2)) >= 0.9):
         return np.inf
     x = _quick_log(rel).reshape(len(rel), -1) @ b_pinv.T
@@ -309,67 +366,71 @@ def _sweep_problem(space, n):
     system, chart, trajectory = _build_problem(config)
     target = TargetSpec(trajectory.q[-1], chart)
     t_hat = trajectory.horizon
-    ref_grid = _integration_grid(1.1 * t_hat, 0.02, include=(t_hat,))
-    ref_inv = np.linalg.inv(reference_flow(system, ref_grid))
-    return system, trajectory, target, ref_grid, ref_inv
+    grid = _integration_grid(1.1 * t_hat, 0.02, include=(t_hat,))
+    return system, trajectory, target, grid, reference_flow(system, grid)
 
 
 def test_block_scores_match_member_scores():
-    """arrival_time and graph_distance of a block equal the scores of its
-    members one at a time; a member far off the reference scores inf.
-    The series log stops on a block-wide criterion, so distances may move
-    by roundoff."""
-    system, trajectory, target, ref_grid, ref_inv = _sweep_problem("sphere", 4)
+    """arrival_time and graph_distance of a block of needles, and of a
+    slice of the band flow, equal the scores of its members one at a time;
+    a member far off the reference scores inf, and the reference itself
+    arrives at the horizon. The series log stops on a block-wide
+    criterion, so distances may move by roundoff."""
+    system, trajectory, target, grid, ref = _sweep_problem("sphere", 4)
     t_hat = trajectory.horizon
-    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, ref_grid, 12,
-                                0.1, 3)
-    by_length = {}
-    for comp in comps:
-        by_length.setdefault(comp.grid.size, []).append(comp)
-    for members in by_length.values():
-        flow = _stacked_flows(system, members, t_hat, np.eye(system.d))
-        states = np.stack(flow, axis=1)
-        grid = np.array([c.grid for c in members])
-        states = np.concatenate(
-            [states, states[:1] @ expm(2.0 * system.controlled[0])])
-        grid = np.concatenate([grid, grid[:1]])
-        arrivals = target.arrival_time(grid, states)
-        dists = graph_distance(grid, states, ref_grid, ref_inv,
-                               target.b_pinv)
-        assert arrivals.shape == dists.shape == (len(members) + 1,)
-        assert dists[-1] == np.inf and arrivals[-1] == np.inf
-        for g, s, arrival, dist in zip(grid, states, arrivals, dists):
-            assert arrival == direct_arrival(target, g, s)
+    ref_inv = np.linalg.inv(ref)
+    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 16, 0.1, 3)
+    needles = [c.needle for c in comps[::2]]
+    bands = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
+                       t_hat, np.eye(system.d), grid)[:, 2:6].swapaxes(0, 1)
+    blocks = [_needle_samples(needles, _needle_exponentials(system, needles),
+                              grid, ref, ref_inv, np.eye(system.d)),
+              (np.broadcast_to(grid, bands.shape[:2]), bands, ref_inv @ bands)]
+    for times, states, rel in blocks:
+        on_ref = reference_flow(system, times[0])
+        far = states[0] @ expm(2.0 * system.controlled[0])
+        times = np.concatenate([times, times[:2]])
+        states = np.concatenate([states, [far, on_ref]])
+        rel = np.concatenate([rel, np.linalg.inv([on_ref, on_ref])
+                              @ [far, on_ref]])
+        arrivals = target.arrival_time(times, states)
+        dists = graph_distance(rel, target.b_pinv)
+        assert arrivals.shape == dists.shape == (len(states),)
+        assert dists[-2] == np.inf and arrivals[-2] == np.inf
+        assert arrivals[-1] == t_hat
+        for t, s, r, arrival, dist in zip(times, states, rel, arrivals,
+                                          dists):
+            assert arrival == direct_arrival(target, t, s)
             assert dist == pytest.approx(direct_graph_distance(
-                g, s, ref_grid, ref_inv, target.b_pinv), rel=0, abs=1e-15)
-    assert np.isfinite(arrivals[:-1]).any()
+                r, target.b_pinv), rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
 def test_sweep_records_match_per_competitor_scoring(space):
-    """competitor_sweep's records equal those of the same stacked flows
-    scored one competitor at a time."""
-    system, trajectory, target, ref_grid, ref_inv = _sweep_problem(space, 4)
+    """competitor_sweep's records equal those of each needle sampled alone
+    and each band's column of the band flow, scored one competitor at a
+    time."""
+    system, trajectory, target, grid, ref = _sweep_problem(space, 4)
     t_hat = trajectory.horizon
+    ref_inv = np.linalg.inv(ref)
     report = competitor_sweep(system, trajectory, target)
-    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, ref_grid, 200,
-                                0.1, 0)
-    by_length = {}
+    comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 200, 0.1, 0)
+    flow = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
+                      t_hat, np.eye(system.d), grid)
+    records = []
     for idx, comp in enumerate(comps):
-        by_length.setdefault(comp.grid.size, []).append(idx)
-    records = [None] * len(comps)
-    for idxs in by_length.values():
-        flow = _stacked_flows(system, [comps[i] for i in idxs], t_hat,
-                              np.eye(system.d))
-        for j, idx in enumerate(idxs):
-            states = np.array([y[j] for y in flow])
-            arrival = direct_arrival(target, comps[idx].grid, states)
-            dist = direct_graph_distance(comps[idx].grid, states, ref_grid,
-                                         ref_inv, target.b_pinv)
-            records[idx] = {
-                "sample": idx, "family": comps[idx].family,
-                "seed": comps[idx].seed,
-                "arrival": float(arrival) if np.isfinite(arrival) else None,
-                "graph_distance": float(dist) if np.isfinite(dist) else None}
+        if comp.needle is not None:
+            times, states, rel = (a[0] for a in _needle_samples(
+                [comp.needle], _needle_exponentials(system, [comp.needle]),
+                grid, ref, ref_inv, np.eye(system.d)))
+        else:
+            times, states = grid, flow[:, idx // 2]
+            rel = ref_inv @ states
+        arrival = direct_arrival(target, times, states)
+        dist = direct_graph_distance(rel, target.b_pinv)
+        records.append({
+            "sample": idx, "family": comp.family, "seed": comp.seed,
+            "arrival": float(arrival) if np.isfinite(arrival) else None,
+            "graph_distance": float(dist) if np.isfinite(dist) else None})
     assert report.records == records
     assert report.verdict == "no counterexample"
