@@ -82,10 +82,13 @@ class GroupChart:
                 radius: float = np.inf) -> np.ndarray:
         """Damped Newton solve of forward(x) = q.
 
-        Iterates outside the ball of the given radius, the start included,
-        report out-of-chart.
+        The residual log(forward(x)^-1 q) stops at tol max(1, max|q|)^2:
+        the conditioning of q on SO(1, N), and 1 on the sphere and on
+        Euclidean arcs of length up to 1. Iterates outside the ball of the
+        given radius, the start included, report out-of-chart.
         """
         x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        tol = tol * max(1.0, float(np.max(np.abs(q)))) ** 2
 
         def inside(xv):
             if np.linalg.norm(xv) > radius:

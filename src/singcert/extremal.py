@@ -33,11 +33,11 @@ def reference_flow(system: MatrixGroupSystem, grid) -> np.ndarray:
     return expm(np.asarray(grid, dtype=float)[:, None, None] * system.drift)
 
 
-def coadjoint_transport(p0: np.ndarray, m: np.ndarray) -> np.ndarray:
+def coadjoint_transport(p0: np.ndarray, m: np.ndarray,
+                        m_inv: np.ndarray) -> np.ndarray:
     """Covector p(t) with <p(t), B> = <p0, M B M^-1> for every B, for one
-    group element M or a (T, d, d) stack of them."""
-    return np.swapaxes(m, -1, -2) @ p0 \
-        @ np.swapaxes(np.linalg.inv(m), -1, -2)
+    group element M or a (T, d, d) stack of them, given their inverses."""
+    return np.swapaxes(m, -1, -2) @ p0 @ np.swapaxes(m_inv, -1, -2)
 
 
 def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
@@ -47,7 +47,8 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
     q = reference_flow(system, grid)
-    return ExtremalTrajectory(system, grid, q, coadjoint_transport(p0, q))
+    return ExtremalTrajectory(system, grid, q, coadjoint_transport(
+        p0, q, reference_flow(system, -grid)))
 
 
 def _pairings(p: np.ndarray, mats) -> np.ndarray:

@@ -171,7 +171,7 @@ def load_config(doc: dict) -> dict:
     """Validate a config document and materialize all defaults."""
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
-        raise ConfigError(str(error)) from error
+        raise ConfigError(f"{error.json_path}: {error.message}") from error
     # Python's json reads NaN and Infinity, which the schema lets through
     if _non_finite(doc):
         raise ConfigError("config holds a NaN or infinite number")

@@ -16,7 +16,7 @@ from scipy.linalg import eigh, expm
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
-from .extremal import ExtremalTrajectory, coadjoint_transport
+from .extremal import ExtremalTrajectory, coadjoint_transport, reference_flow
 from .geometry import GroupGeometry
 from .numerics import rk4_flow
 from .systems import MatrixGroupSystem
@@ -378,11 +378,11 @@ def iota_equivalence_check(problem: SecondVariationProblem,
         omega = rng.standard_normal(problem.n)
         delta_x = rng.standard_normal(problem.n)
         h_val = lq_hamiltonian(problem, t, omega, delta_x)
-        m_t = extremal.q[idx]
+        m_t, m_t_inv = extremal.q[idx], reference_flow(system, [-t])[0]
 
         def g_second(step):
             vals = [geom.chi(coadjoint_transport(chart.covector_from_chart(
-                        s * delta_x, chart.p_hat - s * omega), m_t))
+                        s * delta_x, chart.p_hat - s * omega), m_t, m_t_inv))
                     for s in (step, -step)]
             base = geom.chi(extremal.p[idx])
             return 0.5 * (vals[0] - 2.0 * base + vals[1]) / step ** 2

@@ -25,6 +25,13 @@ class SpaceForm(str, enum.Enum):
 EPSILON = {SpaceForm.EUCLIDEAN: 0, SpaceForm.SPHERE: 1, SpaceForm.HYPERBOLIC: -1}
 
 
+# unit roundoff u, and the step cap of the polar iteration: from singular
+# values up to 2^30 its steps halve them to O(1) and then converge
+# quadratically
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_POLAR_STEPS = 40
+
+
 class StructureError(ValueError):
     """A system violates one of its construction invariants."""
 
@@ -88,53 +95,48 @@ class MatrixGroupSystem:
             self._bracket_cache[key] = cached
         return cached
 
-    def group_residual(self, g: np.ndarray) -> float:
-        """Deviation of g from the structure group (max norm)."""
-        d = g.shape[0]
-        if self.space_form is SpaceForm.SPHERE:
-            return float(np.max(np.abs(g.T @ g - np.eye(d))))
-        if self.space_form is SpaceForm.HYPERBOLIC:
-            j = np.eye(d)
-            j[0, 0] = -1.0
-            return float(np.max(np.abs(g.T @ j @ g - j)))
-        r = g[1:, 1:]
-        top = np.zeros(d)
-        top[0] = 1.0
-        return max(
-            float(np.max(np.abs(g[0, :] - top))),
-            float(np.max(np.abs(r.T @ r - np.eye(d - 1)))),
-        )
+    def group_residual(self, g: np.ndarray):
+        """Distance of g, or of each member of a (..., d, d) stack, from the
+        group {g K g^T = K} with K = diag(eps, 1, ..., 1), and g_00 = 1 on
+        SE(N): max |g K g^T - K|, |P (g^T K g - K) P| (P = K^2), |g_00 - 1|."""
+        k = np.array([self.epsilon] + [1.0] * (g.shape[-1] - 1))
+        gt = np.swapaxes(g, -1, -2)
+        forms = np.stack(((g * k) @ gt, np.outer(k * k, k * k) * ((gt * k) @ g)))
+        res = np.max(np.abs(forms - np.diag(k)), axis=(0, -2, -1))
+        return res if self.epsilon else np.maximum(res, abs(g[..., 0, 0] - 1))
 
     def project_to_group(self, g: np.ndarray) -> np.ndarray:
-        """Re-project a near-group matrix, or a (..., d, d) stack of them,
-        onto the structure group. Raises ProjectionError when a Lorentz
-        member has not settled."""
-        if self.space_form is SpaceForm.SPHERE:
-            u, _, vt = np.linalg.svd(g)
-            return u @ vt
-        if self.space_form is SpaceForm.EUCLIDEAN:
-            out = g.copy()
-            out[..., 0, :] = 0.0
-            out[..., 0, 0] = 1.0
-            u, _, vt = np.linalg.svd(out[..., 1:, 1:])
-            out[..., 1:, 1:] = u @ vt
-            return out
-        # J-orthogonal (Lorentz) polar-type correction: X <- (X + J X^-T J)/2,
-        # each member of a stack stopping on its own, within 40 steps
+        """Project a near-group matrix, or a (..., d, d) stack, onto the group
+        by Newton's generalized polar iteration x <- x + P (K x^-T K - x) P / 2:
+        the polar step on SO(N+1), the Lorentz step on SO(1, N), and on SE(N),
+        once the first row is e_0, the polar step of the rotation block.
+
+        A member stops once group_residual(x) <= (d+1)^2 u max(1, max|x|)^2,
+        u the unit roundoff. That is what rounding leaves: the rounded image
+        x of a group element has |x K x^T - K| <= 2u |x||x|^T, and forming
+        x K x^T by length-d dot products adds d u |x||x|^T (to first order,
+        and likewise for x^T K x); |x||x|^T <= d max|x|^2 entrywise, and one
+        more u max(1, max|x|)^2 covers the second-order terms. A member under
+        the bound comes back unchanged; ProjectionError counts those still
+        over it after _POLAR_STEPS steps."""
         d = g.shape[-1]
-        j = np.eye(d)
-        j[0, 0] = -1.0
+        k = np.array([self.epsilon] + [1.0] * (d - 1))
         x = g.reshape(-1, d, d).copy()
+        if not self.epsilon:
+            x[:, 0, :] = np.eye(d)[0]
         active = np.arange(x.shape[0])
-        for _ in range(40):
+        for step in range(_POLAR_STEPS + 1):
             xa = x[active]
-            y = 0.5 * (xa + j @ np.swapaxes(np.linalg.inv(xa), -1, -2) @ j)
-            x[active] = y
-            active = active[~(np.max(np.abs(y - xa), axis=(-2, -1)) < 1e-15)]
-            if active.size == 0:
+            over = ~(self.group_residual(xa) <= (d + 1) ** 2 * _UNIT_ROUNDOFF
+                     * np.maximum(1.0, np.max(np.abs(xa), axis=(-2, -1))) ** 2)
+            if not over.any():
                 return x.reshape(g.shape)
-        raise ProjectionError(f"Lorentz projection did not converge for "
-                              f"{active.size} of {x.shape[0]} matrices")
+            if step == _POLAR_STEPS:
+                raise ProjectionError(f"group projection did not converge for "
+                                      f"{over.sum()} of {x.shape[0]} matrices")
+            active, xa = active[over], xa[over]
+            x[active] = xa + 0.5 * np.outer(k * k, k * k) * (
+                np.outer(k, k) * np.swapaxes(np.linalg.inv(xa), -1, -2) - xa)
 
     def full_algebra_basis(self) -> list[np.ndarray]:
         """Basis of Lie(G) ordered A_1..A_m, [A_i,A_j] i<j, [A0,A_i], A0."""

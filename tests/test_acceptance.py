@@ -213,3 +213,14 @@ def test_curved_pipeline_ends_in_verdict(space, n):
                         "horizon": 1.0})
     assert report["verdict"] != "error"
     assert report["stages"]["certificate"]["status"] != "error"
+
+
+@pytest.mark.parametrize("horizon", [1.5, 2.0, 3.0, 5.0])
+def test_hyperbolic_horizon_ladder_certifies(horizon):
+    """Hyperbolic N=3 arcs up to H = 5, max|exp(H A0)| about 74, run the
+    full default pipeline to `optimality certified`: every stop test on
+    the group scales with max|g|^2."""
+    report = run_check({"system": {"kind": "dubins", "space_form": "hyperbolic",
+                                   "N": 3},
+                        "horizon": horizon})
+    assert report["verdict"] == "optimality certified"

@@ -186,6 +186,25 @@ def test_stages_run_in_dependency_order_once():
             load_config({"checks": checks})
 
 
+def test_config_error_is_one_line(tmp_path, capsys):
+    """A schema violation reads as the JSON path and the message, one line,
+    not a dump of the schema."""
+    for doc, text in (({"checks": ["conditions", "conditions"]},
+                       "$.checks: ['conditions', 'conditions'] has non-unique "
+                       "elements"),
+                      ({"falsifier": {"seed": -1}},
+                       "$.falsifier.seed: -1 is less than the minimum of 0"),
+                      ({"wat": 1}, "$: Additional properties are not allowed "
+                                   "('wat' was unexpected)")):
+        with pytest.raises(ConfigError) as caught:
+            load_config(doc)
+        assert str(caught.value) == text
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_tiny_horizons_run(tmp_path, capsys):
     """Horizons down to the needle window run to a verdict: the window
     just fits, radius 0 has none, and without the falsifier stage there is

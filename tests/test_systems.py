@@ -98,8 +98,8 @@ def test_group_projection_roundtrip(space):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_project_to_group_stack_matches_per_matrix(space):
-    """A (S, d, d) stack projects member by member, the Lorentz fixed point
-    stopping on its own for each member."""
+    """A (S, d, d) stack projects member by member, each member stopping
+    on its own."""
     sys_ = build_dubins_system(space, 4)
     rng = np.random.default_rng(1)
     from scipy.linalg import expm
@@ -113,13 +113,62 @@ def test_project_to_group_stack_matches_per_matrix(space):
                           each.reshape(5, 1, 5, 5))
 
 
-def test_lorentz_projection_raises_when_unsettled():
-    """A matrix the 40-step fixed point cannot bring onto SO(1, N-1)
-    raises, alone and as one member of a stack of good matrices."""
-    sys_ = build_dubins_system(SpaceForm.HYPERBOLIC, 4)
+def _rounding_bound(x):
+    """(d+1)^2 u max(1, max|x|)^2, the stop bound of project_to_group."""
+    u = np.finfo(float).eps / 2
+    return (x.shape[-1] + 1) ** 2 * u * max(1.0, np.max(np.abs(x))) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_boost_projection_converges(n):
+    """Boosts exp(t A0 + 0.3 A1) up to t = 7.6, max|g| about 1e3, and
+    copies of them off the group by 1e-14 and 1e-10 relative, come back
+    with both g K g^T - K and g^T K g - K under the rounding bound: a small
+    g K g^T - K alone does not make g^T K g - K small."""
+    sys_ = build_dubins_system(SpaceForm.HYPERBOLIC, n)
+    from scipy.linalg import expm
+
+    k = np.diag([-1.0] + [1.0] * n)
+    rng = np.random.default_rng(3)
+    boosts = np.array([expm(t * sys_.drift + 0.3 * sys_.controlled[0])
+                       for t in np.linspace(0.0, 7.6, 20)])
+    assert np.max(np.abs(boosts[-1])) > 900.0
+    noisy = [boosts * (1.0 + rel * rng.standard_normal(boosts.shape))
+             for rel in (1e-14, 1e-10)]
+    for x in sys_.project_to_group(np.concatenate([boosts] + noisy)):
+        assert np.max(np.abs(x @ k @ x.T - k)) <= _rounding_bound(x)
+        assert np.max(np.abs(x.T @ k @ x - k)) <= _rounding_bound(x)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_member_on_group_comes_back_unchanged(space):
+    """A member already within rounding of the group is returned bit for
+    bit, alone and beside a member the projection moves."""
+    sys_ = build_dubins_system(space, 4)
+    from scipy.linalg import expm
+
+    g = expm(0.3 * sys_.drift + 0.2 * sys_.controlled[0])
+    assert sys_.group_residual(g) <= _rounding_bound(g)
+    assert np.array_equal(sys_.project_to_group(g), g)
+    noisy = g + 1e-8 * np.random.default_rng(4).standard_normal(g.shape)
+    out = sys_.project_to_group(np.array([g, noisy, g]))
+    assert np.array_equal(out[0], g) and np.array_equal(out[2], g)
+    assert not np.array_equal(out[1], noisy)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_projection_raises_when_unsettled(space):
+    """diag(1e15, 1, ...), which the step cap cannot bring onto the group,
+    raises, alone and as one member of a stack of good matrices. On SE(N)
+    the first row is set to e_0, which puts diag(1e15, 1, ...) on the group,
+    so there the large entry sits in the rotation block."""
+    sys_ = build_dubins_system(space, 4)
     from scipy.linalg import expm
 
     far = np.diag([1e15, 1.0, 1.0, 1.0, 1.0])
+    if space is SpaceForm.EUCLIDEAN:
+        assert np.array_equal(sys_.project_to_group(far), np.eye(5))
+        far = np.diag([1.0, 1e15, 1.0, 1.0, 1.0])
     with pytest.raises(ProjectionError):
         sys_.project_to_group(far)
     g = expm(0.3 * sys_.drift + 0.2 * sys_.controlled[0])
