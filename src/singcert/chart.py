@@ -97,9 +97,9 @@ class GroupChart:
 
         def residual(xv):
             rel = np.linalg.solve(self.forward(xv), q)
-            return np.real(logm(rel)), None
+            return np.real(logm(rel))
 
-        def direction(xv, e, _):
+        def direction(xv, e):
             return self.solve_in_frame(inside(xv), e)
 
         x, *_ = damped_newton(

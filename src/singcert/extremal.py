@@ -46,9 +46,11 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
-    q = reference_flow(system, grid)
-    return ExtremalTrajectory(system, grid, q, coadjoint_transport(
-        p0, q, reference_flow(system, -grid)))
+    # a long hyperbolic arc overflows; condition_battery names where
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = reference_flow(system, grid)
+        p = coadjoint_transport(p0, q, reference_flow(system, -grid))
+    return ExtremalTrajectory(system, grid, q, p)
 
 
 def _pairings(p: np.ndarray, mats) -> np.ndarray:
@@ -146,8 +148,16 @@ def condition_battery(trajectory: ExtremalTrajectory,
 
     boundary_data, when given, is a pair of callables returning the
     left-trivialized tangent bases of the initial and final constraint
-    manifolds at the endpoints.
+    manifolds at the endpoints. Raises LinAlgError, naming the first grid
+    time, where the trajectory is not finite.
     """
+    finite = np.all(np.isfinite(trajectory.q) & np.isfinite(trajectory.p),
+                    axis=(-2, -1))
+    if not finite.all():
+        raise np.linalg.LinAlgError(
+            f"reference arc is not finite at t = "
+            f"{trajectory.grid[np.argmin(finite)]:.6g}, its first such grid "
+            f"time")
     system = trajectory.system
     m = system.m
     tol = Tolerances()

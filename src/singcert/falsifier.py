@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chart import GroupChart, dubins_adapted_chart
+from .chart import GroupChart
 from .extremal import ExtremalTrajectory, reference_flow
 # the tracer in bench/ times the shared log under this name
 from .numerics import rk4_flow, series_log as _quick_log
@@ -96,62 +96,6 @@ def needle_variation(s_bar: float, t_vec, eps: float, horizon: float, m: int,
         raise ValueError("needle window exceeds the horizon")
     return NeedleVariation(float(s_bar), t_vec, float(eps), t_bar,
                            tuple(channels), m)
-
-
-def driftless_endpoint(system: MatrixGroupSystem, needle: NeedleVariation,
-                       eps: float | None = None) -> np.ndarray:
-    """Endpoint of zeta' = zeta sum nu_i A_i under the (scaled) overlay.
-
-    Piecewise-constant controls integrate exactly as a product of matrix
-    exponentials; eps = None integrates the unscaled base word on [0, 2].
-    """
-    r = len(needle.channels)
-    g = np.eye(system.d)
-    scale = 1.0 if eps is None else eps
-    for k in range(r):
-        g = g @ expm(scale * needle.t_vec[k] * system.controlled[needle.channels[k]])
-    for k in range(r - 1, -1, -1):
-        g = g @ expm(-scale * needle.t_bar[k] * system.controlled[needle.channels[k]])
-    return g
-
-
-def driftless_scaling_check(system: MatrixGroupSystem, t_vec,
-                            eps_grid=None, t_bar=None) -> dict:
-    """Fitted order of the amplitude/time scaling of the word flow.
-
-    The displacement of the driftless flow under the compressed overlay
-    should equal eps times the base displacement up to o(eps); the check
-    fits ||S(2 eps^2) - eps Z|| ~ C eps^beta and passes for beta >= 1.8.
-    """
-    if eps_grid is None:
-        eps_grid = [0.2, 0.1, 0.05, 0.025]
-    eps_grid = sorted(eps_grid, reverse=True)
-    if eps_grid[-1] < 1e-3:
-        raise ValueError("eps grid below the resolvable scale")
-    chart = dubins_adapted_chart(system)
-    needle = needle_variation(0.0, t_vec, eps_grid[0], horizon=np.inf,
-                              m=system.m, t_bar=t_bar)
-    # eps-linear coefficient of the word displacement: the weighted sum of
-    # the generators, expanded in the adapted frame
-    lin = sum((needle.t_vec[k] - needle.t_bar[k])
-              * system.controlled[needle.channels[k]]
-              for k in range(len(needle.channels)))
-    base = chart.solve_in_frame(np.zeros(chart.n), lin)
-    rows = []
-    for eps in eps_grid:
-        end = driftless_endpoint(system, needle, eps=eps)
-        x = chart.inverse(end)
-        rows.append({"eps": float(eps),
-                     "discrepancy": float(np.linalg.norm(x - eps * base))})
-    discs = np.array([r["discrepancy"] for r in rows])
-    if np.max(discs) <= 1e-12:
-        beta = np.inf       # exact scaling, e.g. a single commuting channel
-    else:
-        mask = discs > 1e-14
-        beta = float(np.polyfit(np.log(np.array(eps_grid)[mask]),
-                                np.log(discs[mask]), 1)[0])
-    return {"beta": beta, "samples": rows, "base_displacement": base,
-            "passed": bool(beta >= 1.8)}
 
 
 @dataclass

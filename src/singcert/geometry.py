@@ -2,8 +2,10 @@
 
 All Hamiltonians of left-invariant fields depend only on the left-trivialized
 covector, so the surfaces, the projection onto S and the gap function chi
-are functions of covectors, computed with exact group formulas from one
-multiplier solve, whose Jacobian only Newton forms. Base points enter only
+are functions of covectors. On the Dubins family the projection onto S has
+a closed form (see GroupGeometry): H_0 = |c(p)|, its gradient and the
+multipliers come from one vector c(p) read off the covector, and the
+multiplier exponential is a single-plane rotation. Base points enter only
 the super-Hamiltonian flow, which carries (S, d, d) stacks of them beside
 their covectors: the certificate flows all its seeds as one stacked RK4
 flow, projected back onto the group after every step, and inverts the
@@ -15,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .algebra import commutator
 from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, hogc_residual, legendre_form,
                        s_residual)
-from .numerics import damped_newton, rk4_flow, series_log
+from .numerics import rk4_flow, series_log
 from .systems import MatrixGroupSystem, ProjectionError
 
 # half-width of the chart box around x = 0 on which the certificate
@@ -60,128 +60,117 @@ class CertificateReport:
 
 
 class GroupGeometry:
-    """Geometry operations for a matrix-group system.
+    """Geometry operations for a Dubins-family system, in closed form.
 
-    The multiplier solve, the projection onto S, chi and the gradient of
-    H_0 take one covector (d, d) or an (S, d, d) stack of them; the
+    Index the ambient matrices 0..N. Each controlled generator A_i rotates
+    the plane of e_1 and e_{i+1}, so e = exp(sum theta_i A_i) is a rotation
+    of the indices 1..N that fixes e_0, and
+
+        Ad_e A_0 = w e_0^T - eps e_0 w^T,   w = e e_1, |w| = 1.
+
+    Hence <p, Ad_e A_0> = w . c with c = c(p) = p[1:, 0] - eps p[0, 1:],
+    and c_1 = F_0(p). As theta ranges, w covers the unit sphere of R^N. The
+    covector e^T p e^-T is on S when it is critical for F_0 along every
+    F_i flow, that is when w = +-c/|c|, and the dominating Hamiltonian
+    takes the maximum:
+
+    - H_0 = |c| and chi = H_0 - F_0 = |c| - c_1 >= 0;
+    - the covector gradient of H_0 is Ad_e A_0 at w = c/|c|, exactly,
+      wherever c != 0 (dH_0 = (c/|c|) . dc);
+    - theta = atan2(|c_perp|, c_1) c_perp/|c_perp|, c_perp = (c_2..c_N),
+      with theta = 0 where c_perp = 0 and c_1 > 0;
+    - Theta = sum theta_i A_i is a single-plane generator, Theta^3 =
+      -|theta|^2 Theta, so e = I + sin|theta|/|theta| Theta
+      + (1 - cos|theta|)/|theta|^2 Theta^2 (Rodrigues).
+
+    Every method takes one covector (d, d) or an (S, d, d) stack; the
     super-Hamiltonian flow takes (S, d, d) stacks.
     """
 
     def __init__(self, system: MatrixGroupSystem):
         self.system = system
-        self.a0 = system.drift
         self.ai = np.array(system.controlled)
         self.m = system.m
-        self.a0i = np.array([commutator(self.a0, a) for a in self.ai])
 
     # -- multipliers and the projection onto S ----------------------------
 
-    def _phi_system(self, p: np.ndarray, theta: np.ndarray):
-        """Multiplier residuals of an (S, d, d) covector stack at (S, m)
-        theta: Phi_i = <p, Ad_e A_0i> (S, m), e = exp(sum theta_i A_i) and
-        its inverse (S, d, d), and Ad_e A_0i (S, m, d, d)."""
-        t_mat = np.einsum("sj,jab->sab", theta, self.ai)
-        both = expm(np.concatenate([t_mat, -t_mat]))
-        e, e_inv = both[:len(p)], both[len(p):]
-        ad_a0i = e[:, None] @ self.a0i @ e_inv[:, None]
-        return np.einsum("sab,siab->si", p, ad_a0i), e, e_inv, ad_a0i
+    def _c(self, p: np.ndarray):
+        """c(p) = p[1:, 0] - eps p[0, 1:], (N,) or (S, N), and |c| with a
+        trailing axis. Raises ProjectionError where |c| is zero or not
+        finite: there the projection onto S is undefined."""
+        with np.errstate(invalid="ignore"):
+            c = p[..., 1:, 0] - self.system.epsilon * p[..., 0, 1:]
+        norm = np.linalg.norm(c, axis=-1, keepdims=True)
+        if not np.all((norm > 0.0) & np.isfinite(norm)):
+            raise ProjectionError(
+                "projection onto S undefined: c(p) is zero or not finite")
+        return c, norm
 
-    def _phi_jacobian(self, p: np.ndarray, theta: np.ndarray,
-                      e_inv: np.ndarray, ad_a0i: np.ndarray) -> np.ndarray:
-        """Exact (m, m) Jacobian of Phi in theta at one covector p, given
-        e^-1 and Ad_e A_0i there: d/dtheta_j Ad_e A_0i = [X_j, Ad_e A_0i],
-        X_j = (de/dtheta_j) e^-1 from one block-matrix exponential."""
-        d = p.shape[-1]
-        block = np.zeros((self.m, 2 * d, 2 * d))
-        block[:, :d, :d] = block[:, d:, d:] = np.tensordot(theta, self.ai,
-                                                           axes=1)
-        block[:, :d, d:] = self.ai
-        x = expm(block)[:, :d, d:] @ e_inv
-        x, ad = x[None], ad_a0i[:, None]
-        return np.einsum("ab,ijab->ij", p, x @ ad - ad @ x)
-
-    def solve_theta(self, p: np.ndarray, theta0: np.ndarray | None = None,
-                    tol: float = 1e-12, max_iter: int = 50):
-        """Damped Newton for the multipliers theta with
-        <e^T p e^-T, A_0i> = 0, e = exp(sum theta_i A_i).
-
-        p is one covector (d, d) or an (S, d, d) stack, theta0 the matching
-        (m,) or (S, m) start. The whole stack is evaluated at once; each
-        member the start leaves above tol gets its own Newton solve, the
-        only place the Jacobian is formed, so a member's theta does not
-        depend on the rest of the stack. Returns (theta, max residual,
-        Newton steps taken over all members, aux), aux the (Phi, e, e^-1,
-        Ad_e A_0i) of _phi_system for the stack at theta.
-        """
-        p = np.asarray(p, dtype=float)
-        stack = p.reshape(-1, *p.shape[-2:])
-        theta = (np.zeros((len(stack), self.m)) if theta0 is None
-                 else np.array(theta0, dtype=float).reshape(len(stack),
-                                                             self.m))
-        aux = self._phi_system(stack, theta)
-        res = np.max(np.abs(aux[0]), axis=1)
-        steps = 0
-        for k in np.flatnonzero(~(res <= tol)):
-            def residual(th, k=k):
-                aux_k = self._phi_system(stack[k:k + 1], th[None])
-                return aux_k[0][0], aux_k
-
-            def direction(th, phi, aux_k, k=k):
-                jac = self._phi_jacobian(stack[k], th, aux_k[2][0],
-                                         aux_k[3][0])
-                try:
-                    return np.linalg.solve(jac, -phi)
-                except np.linalg.LinAlgError as exc:
-                    raise ProjectionError(
-                        "projection Jacobian breakdown") from exc
-
-            theta[k], res[k], iters, aux_k = damped_newton(
-                residual, direction, theta[k], tol, max_iter, 25,
-                lambda msg: ProjectionError(f"projection {msg}"))
-            steps += iters
-            for whole, part in zip(aux, aux_k):
-                whole[k] = part[0]
-        return (theta.reshape(p.shape[:-2] + (self.m,)), float(np.max(res)),
-                steps, aux)
-
-    def project(self, p: np.ndarray, theta0: np.ndarray | None = None):
-        """Move p along the flows of the F_i onto S.
-
-        Returns (theta, e^T p e^-T, max residual) with e = exp(sum theta_i
-        A_i), for one covector or an (S, d, d) stack. Raises
-        ProjectionError where a Legendre form is not negative-definite.
-        """
-        p = np.asarray(p, dtype=float)
+    def _require_legendre(self, p: np.ndarray) -> None:
         lf = legendre_form(self.system, p)
         if np.max(np.linalg.eigvalsh(lf + np.swapaxes(lf, -1, -2))) >= 0.0:
             raise ProjectionError(
                 "Legendre form not negative-definite at this point")
-        theta, res, _, (_, e, e_inv, _) = self.solve_theta(p, theta0)
-        moved = np.swapaxes(e, -1, -2) @ p.reshape(e.shape) \
-            @ np.swapaxes(e_inv, -1, -2)
-        return theta, moved.reshape(p.shape), res
+
+    def solve_theta(self, p: np.ndarray):
+        """Multipliers theta that move p onto S at the maximum of F_0.
+
+        Returns (theta, e, 0, w) for one covector (d, d) or an (S, d, d)
+        stack: theta (m,) or (S, m), e = exp(sum theta_i A_i), the number
+        of Newton steps taken, always 0 (the benchmark tracer reads it),
+        and w = c/|c|. Raises ProjectionError where |c| is zero or not
+        finite.
+        """
+        p = np.asarray(p, dtype=float)
+        c, norm = self._c(p)
+        perp = np.linalg.norm(c[..., 1:], axis=-1, keepdims=True)
+        angle = np.arctan2(perp, c[..., :1])
+        # where c_perp = 0 any axis serves; only c_1 < 0 there turns by pi
+        axis = np.where(perp > 0.0, c[..., 1:] / np.where(perp > 0.0, perp,
+                                                           1.0),
+                        np.eye(self.m)[0])
+        theta = angle * axis
+        gen = np.tensordot(theta, self.ai, axes=1)
+        half = angle[..., None] / (2.0 * np.pi)
+        e = np.eye(self.system.d) + np.sinc(2.0 * half) * gen \
+            + 0.5 * np.sinc(half) ** 2 * (gen @ gen)
+        return theta, e, 0, c / norm
+
+    def project(self, p: np.ndarray):
+        """Move p along the flows of the F_i onto S.
+
+        Returns (theta, e^T p e^-T, max s_residual of it), e = exp(sum
+        theta_i A_i), for one covector or an (S, d, d) stack. Raises
+        ProjectionError where a Legendre form is not negative-definite or
+        where |c| is zero or not finite.
+        """
+        p = np.asarray(p, dtype=float)
+        self._require_legendre(p)
+        theta, e, _, _ = self.solve_theta(p)
+        # e is orthogonal, so e^-T = e
+        moved = np.swapaxes(e, -1, -2) @ p @ e
+        return theta, moved, float(np.max(s_residual(self.system, moved)))
 
     # -- dominating Hamiltonian and gap ------------------------------------
 
-    def chi(self, p: np.ndarray, theta0: np.ndarray | None = None):
-        """Gap chi = H_0 - F_0 at p, with H_0 = F_0 at the projection of p
-        onto S (an array for a stack)."""
-        moved = self.project(p, theta0)[1]
-        return np.tensordot(moved, self.a0, axes=2) \
-            - np.tensordot(p, self.a0, axes=2)
+    def chi(self, p: np.ndarray):
+        """Gap chi = H_0 - F_0 = |c| - c_1 at p (an array for a stack),
+        formed as |c_perp|^2 / (|c| + c_1): the Legendre condition, checked
+        as in project, gives c_1 > 0, so nothing cancels."""
+        p = np.asarray(p, dtype=float)
+        self._require_legendre(p)
+        c, norm = self._c(p)
+        return np.sum(c[..., 1:] ** 2, axis=-1) / (norm[..., 0] + c[..., 0])
 
-    def grad_h0(self, p: np.ndarray, theta0: np.ndarray | None = None):
-        """Covector-gradient Ad_e A_0 of H_0 at p on Sigma, as an algebra
-        element (a stack of them for a stack of p), and theta.
-
-        It holds on Sigma only. Through theta(p), H_0 also varies by
-        <p, d/dtheta_j Ad_e A_0> = <e^T p e^-T, [Y_j, A_0]>, Y_j in Lie(f)
-        as Ad_e preserves Lie(f). The regularity of S puts that bracket in
-        Lie(f) + span{A_0i}, which the projected covector annihilates: it
-        lies on S and, like p, on Sigma.
-        """
-        theta, _, _, (_, e, e_inv, _) = self.solve_theta(p, theta0)
-        return (e @ self.a0 @ e_inv).reshape(np.shape(p)), theta
+    def grad_h0(self, p: np.ndarray) -> np.ndarray:
+        """Covector gradient Ad_e A_0 = w e_0^T - eps e_0 w^T of H_0 = |c|
+        at p, w = c/|c|, as an algebra element (a stack of them for a stack
+        of p)."""
+        w = self.solve_theta(p)[3]
+        grad = np.zeros(w.shape[:-1] + (self.system.d,) * 2)
+        grad[..., 1:, 0] = w
+        grad[..., 0, 1:] = -self.system.epsilon * w
+        return grad
 
     # -- super-Hamiltonian flow --------------------------------------------
 
@@ -193,13 +182,10 @@ class GroupGeometry:
         (T, S, d, d) arrays q and p on the grid.
         """
         y0 = np.stack([q0, p0], axis=1)
-        theta = np.zeros((len(y0), self.m))
 
         def rhs(t, y):
-            # each multiplier solve warm-starts from the previous one
-            nonlocal theta
             g, p = y[:, 0], y[:, 1]
-            mh, theta = self.grad_h0(p, theta)
+            mh = self.grad_h0(p)
             return np.stack([g @ mh, hamiltonian_direction(p, mh)], axis=1)
 
         def after_step(t, y):

@@ -39,33 +39,32 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
                   max_iter: int, halvings: int, fail):
     """Newton iteration with step halving on a max-norm residual.
 
-    residual(x) returns (f, aux), the residual array and what else
-    direction(x, f, aux) needs to give the Newton step. A step is taken at
-    the first of `halvings` halvings that lowers max|f|; NaN never counts
-    as converged. fail(message) returns the exception to raise when no
-    halving lowers max|f| or max_iter steps leave it above tol.
-    Returns (x, max|f|, steps taken, aux at x).
+    residual(x) returns the residual array f and direction(x, f) the Newton
+    step. A step is taken at the first of `halvings` halvings that lowers
+    max|f|; NaN never counts as converged. fail(message) returns the
+    exception to raise when no halving lowers max|f| or max_iter steps
+    leave it above tol. Returns (x, max|f|, steps taken).
     """
-    f, aux = residual(x)
+    f = residual(x)
     r = float(np.max(np.abs(f)))
     iters = 0
     while not r <= tol:
         if iters >= max_iter:
             raise fail(f"Newton did not converge (residual {r:.3e})")
-        step = direction(x, f, aux)
+        step = direction(x, f)
         damp = 1.0
         for _ in range(halvings):
             cand = x + damp * step
-            f_c, aux_c = residual(cand)
+            f_c = residual(cand)
             r_c = float(np.max(np.abs(f_c)))
             if r_c < r:
-                x, f, aux, r = cand, f_c, aux_c, r_c
+                x, f, r = cand, f_c, r_c
                 break
             damp *= 0.5
         else:
             raise fail("Newton stalled")
         iters += 1
-    return x, r, iters, aux
+    return x, r, iters
 
 
 def series_log(mat: np.ndarray) -> np.ndarray:

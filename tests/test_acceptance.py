@@ -1,5 +1,8 @@
 """End-to-end acceptance criteria for the verification toolkit."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,8 +20,9 @@ from singcert.extremal import (
 )
 from singcert.falsifier import (
     TargetSpec,
+    _needle_exponentials,
     competitor_sweep,
-    driftless_scaling_check,
+    needle_variation,
 )
 from singcert.geometry import GroupGeometry, certificate_check
 from singcert.numerics import rk4_flow
@@ -176,9 +180,23 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     assert refutation.refuted
     assert refutation.witness["arrival"] < loop.horizon - 1e-6
 
-    scaling = driftless_scaling_check(dub3, np.array([0.05, 0.05, 0.04]),
-                                      t_bar=np.array([0.02, 0.03, 0.02]))
-    assert scaling["beta"] >= 1.8
+    # a needle word's displacement scales at fitted order >= 1.8: the
+    # product of its exact piece exponentials with the drift zeroed,
+    # against its eps-linear part in the adapted frame
+    driftless = dataclasses.replace(dub3, drift=np.zeros_like(dub3.drift),
+                                    _bracket_cache={})
+    eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
+    t_vec, t_bar = np.array([0.05, 0.05, 0.04]), np.array([0.02, 0.03, 0.02])
+    needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=dub3.m,
+                                t_bar=t_bar) for eps in eps_grid]
+    ends = functools.reduce(
+        np.matmul, _needle_exponentials(driftless, needles).swapaxes(0, 1))
+    x_1 = chart3.solve_in_frame(np.zeros(chart3.n), sum(
+        (a - b) * dub3.controlled[c]
+        for a, b, c in zip(t_vec, t_bar, needles[0].channels)))
+    discs = [np.linalg.norm(chart3.inverse(end) - eps * x_1)
+             for eps, end in zip(eps_grid, ends)]
+    assert np.polyfit(np.log(eps_grid), np.log(discs), 1)[0] >= 1.8
 
 
 def test_criterion_9_determinism_and_convergence(dub3):

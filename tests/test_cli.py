@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -421,6 +422,23 @@ def test_stage_error_contained(monkeypatch, tmp_path, capsys, exc):
     code = main(["sweep", str(cfg_path), "--param", "K", "--values", "8"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)[0]["verdict"] == "error"
+
+
+def test_non_finite_reference_arc_is_an_error(tmp_path, capsys):
+    """A hyperbolic arc of length 800 overflows: the conditions stage ends
+    in an error naming the non-finite arc, with no numpy warning."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+        "horizon": 800.0, "dt": 100.0, "checks": ["conditions"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(cfg_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "error"
+    error = report["stages"]["conditions"]["error"]
+    assert error["type"] == "LinAlgError"
+    assert error["message"].startswith("reference arc is not finite at t =")
 
 
 def test_sphere_run_ends_in_verdict():

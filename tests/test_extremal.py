@@ -1,5 +1,7 @@
 """Tests for reference flows, adjoint transport, and necessary conditions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -369,3 +371,17 @@ def test_battery_rejects_ill_conditioned_legendre_form(dub3, extremal3):
         direct_battery(trajectory)
     assert str(batched.value) == str(direct.value)
     assert "ill-conditioned" in str(batched.value)
+
+
+def test_non_finite_reference_arc_is_named():
+    """A hyperbolic arc of length 800 overflows: it is formed without
+    warnings, and the condition battery names the first grid time where it
+    is not finite. A coarse grid keeps the test fast."""
+    system = build_dubins_system("hyperbolic", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = adjoint_trajectory(system, dubins_initial_covector(system),
+                                  np.linspace(0.0, 800.0, 9))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="reference arc is not finite at t = 400,"):
+            condition_battery(traj, dubins_boundary_tangents(system))

@@ -1,5 +1,8 @@
 """Tests for needle variations, the scaling check, and the competitor sweep."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
@@ -21,8 +24,6 @@ from singcert.falsifier import (
     _quick_log,
     _sample_competitors,
     competitor_sweep,
-    driftless_endpoint,
-    driftless_scaling_check,
     graph_distance,
     needle_variation,
     report_to_csv,
@@ -80,45 +81,43 @@ def test_needle_window_must_fit(dub3):
         needle_variation(0.99, np.zeros(dub3.R), 0.2, horizon=1.0, m=dub3.m)
 
 
-def test_driftless_endpoint_matches_exponential_product(dub3):
-    """Composition oracle: the word flow is the unrolled exp product."""
-    t_vec = np.array([0.06, -0.04, 0.05])
-    t_bar = np.array([0.02, 0.02, 0.02])
-    needle = needle_variation(0.0, t_vec, 0.2, horizon=10.0, m=dub3.m,
-                              t_bar=t_bar)
-    eps = 0.2
-    end = driftless_endpoint(dub3, needle, eps=eps)
-    expect = np.eye(dub3.d)
-    chans = needle.channels
-    for k in range(3):
-        expect = expect @ expm(eps * t_vec[k] * dub3.controlled[chans[k]])
-    for k in range(2, -1, -1):
-        expect = expect @ expm(-eps * t_bar[k] * dub3.controlled[chans[k]])
-    assert np.max(np.abs(end - expect)) <= 1e-9
+def driftless_needle_discrepancies(system, t_vec, t_bar,
+                                   eps_grid=(0.2, 0.1, 0.05, 0.025)):
+    """||x(eps) - eps x_1|| over eps_grid: x(eps) is the chart inverse of
+    the product of a needle's exact piece exponentials with the drift
+    zeroed, and eps x_1 its eps-linear part, the weighted sum of the word's
+    generators in the adapted frame."""
+    driftless = dataclasses.replace(system, drift=np.zeros_like(system.drift),
+                                    _bracket_cache={})
+    needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=system.m,
+                                t_bar=t_bar) for eps in eps_grid]
+    ends = functools.reduce(
+        np.matmul, _needle_exponentials(driftless, needles).swapaxes(0, 1))
+    chart = dubins_adapted_chart(system)
+    lin = sum((a - b) * system.controlled[c] for a, b, c in
+              zip(t_vec, t_bar, needles[0].channels))
+    x_1 = chart.solve_in_frame(np.zeros(chart.n), lin)
+    return np.array([np.linalg.norm(chart.inverse(end) - eps * x_1)
+                     for eps, end in zip(eps_grid, ends)])
 
 
-def test_scaling_check_bracket_word(dub3):
-    """Displacement along the [A1, A2] word scales at fitted order >= 1.8."""
-    report = driftless_scaling_check(dub3, np.array([0.05, 0.05, 0.04]),
-                                     t_bar=np.array([0.02, 0.03, 0.02]))
-    assert report["passed"]
-    assert report["beta"] >= 1.8
+def test_scaling_check_bracket_word():
+    """Displacement along the [A1, A2] word scales at fitted order >= 1.8
+    on all three space forms."""
+    eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
+    for space in ("euclidean", "sphere", "hyperbolic"):
+        discs = driftless_needle_discrepancies(
+            build_dubins_system(space, 3), np.array([0.05, 0.05, 0.04]),
+            np.array([0.02, 0.03, 0.02]), eps_grid)
+        assert np.polyfit(np.log(eps_grid), np.log(discs), 1)[0] >= 1.8
 
 
 def test_scaling_check_abelian_exact(dub3):
     """A single active channel commutes with itself: discrepancy zero."""
-    t_vec = np.array([0.05, 0.0, 0.03])
-    report = driftless_scaling_check(dub3, t_vec,
-                                     t_bar=np.array([0.02, 0.0, 0.01]))
     # channels for R = 3 cycle (1, 2, 1): zero out channel 2 entries
-    assert report["beta"] == np.inf
-    for row in report["samples"]:
-        assert row["discrepancy"] <= 1e-12
-
-
-def test_scaling_check_rejects_tiny_eps(dub3):
-    with pytest.raises(ValueError):
-        driftless_scaling_check(dub3, np.zeros(dub3.R), eps_grid=[1e-4])
+    discs = driftless_needle_discrepancies(
+        dub3, np.array([0.05, 0.0, 0.03]), np.array([0.02, 0.0, 0.01]))
+    assert np.max(discs) <= 1e-12
 
 
 def test_target_spec_reference_endpoint(dub3, extremal3):

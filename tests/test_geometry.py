@@ -167,54 +167,60 @@ def test_grad_h0_matches_central_differences(space):
         _, p = sigma_sample(chart, rng)
         assert s_residual(sys_, p) >= 1e-3
         dp = rng.standard_normal(p.shape)
-        grad, _ = geom.grad_h0(p)
+        grad = geom.grad_h0(p)
         fd = (h0(p + h * dp) - h0(p - h * dp)) / (2 * h)
         assert np.tensordot(grad, dp, axes=2) == pytest.approx(fd, abs=2e-9)
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
-def test_newton_jacobian_matches_central_differences(space):
-    """The Jacobian Newton forms is the derivative of Phi in theta, at a
-    covector off S and a theta away from 0."""
-    sys_ = build_dubins_system(space, 3)
+def test_projection_takes_the_maximum_of_f0(space):
+    """Far from S the projection still lands on the maximum of F_0 over
+    the orbit: chi >= 0, and <p, grad_h0(p)> is at least <p, Ad_g A_0>
+    for g = exp(sum t_i A_i) anywhere on the orbit."""
+    sys_ = build_dubins_system(space, 5)
     geom = GroupGeometry(sys_)
-    rng = np.random.default_rng(31)
-    _, p = sigma_sample(dubins_adapted_chart(sys_), rng)
-    assert s_residual(sys_, p) >= 1e-3
-    theta = rng.uniform(-0.3, 0.3, geom.m)
-    _, _, e_inv, ad_a0i = geom._phi_system(p[None], theta[None])
-    jac = geom._phi_jacobian(p, theta, e_inv[0], ad_a0i[0])
-
-    def phi(th):
-        return geom._phi_system(p[None], th[None])[0][0]
-
-    h = 1e-6
-    for j in range(geom.m):
-        step = h * np.eye(geom.m)[j]
-        fd = (phi(theta + step) - phi(theta - step)) / (2 * h)
-        assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+    chart = dubins_adapted_chart(sys_)
+    rng = np.random.default_rng(1)
+    ps = np.array([sigma_sample(chart, rng, scale=0.3)[1] for _ in range(40)])
+    assert np.min(geom.chi(ps)) >= -1e-10
+    top = np.einsum("sab,sab->s", ps, geom.grad_h0(ps))
+    g = expm(np.tensordot(rng.uniform(-np.pi, np.pi, (8, geom.m)), geom.ai,
+                          axes=1))
+    ad = g @ sys_.drift @ np.linalg.inv(g)
+    values = np.tensordot(ps, ad, axes=([1, 2], [1, 2]))
+    assert np.all(values <= top[:, None] + 1e-10)
 
 
-def test_stack_on_s_forms_no_jacobian(setup, monkeypatch):
-    """A warm-started stack already on S takes no Newton step, so no
-    Jacobian is formed; the stack's exponentials still give the gradient."""
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_rotation_is_the_exponential_of_theta(space):
+    """The Rodrigues rotation is exp(sum theta_i A_i), it turns e_1 onto
+    w = c/|c|, and no Newton step is taken; a covector with c_perp = 0 and
+    c_1 < 0 turns by pi."""
+    sys_ = build_dubins_system(space, 4)
+    geom = GroupGeometry(sys_)
+    rng = np.random.default_rng(32)
+    ps = rng.standard_normal((6, sys_.d, sys_.d))
+    ps[-1] = 0.0
+    ps[-1, 1, 0] = -2.0
+    theta, e, steps, w = geom.solve_theta(ps)
+    assert steps == 0
+    assert np.linalg.norm(theta[-1]) == pytest.approx(np.pi)
+    assert np.max(np.abs(e - expm(np.tensordot(theta, geom.ai, axes=1)))) \
+        <= 1e-14
+    assert np.max(np.abs(e[:, 1:, 1] - w)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_projection_needs_finite_nonzero_c(setup, bad):
+    """Where c(p) is zero or not finite the projection onto S is
+    undefined, for a single covector and inside a stack."""
     _, geom, traj = setup
-    theta, *_ = geom.solve_theta(traj.p[::10])
-    calls = []
-    real = GroupGeometry._phi_jacobian
-
-    def counted(self, *args):
-        calls.append(1)
-        return real(self, *args)
-
-    monkeypatch.setattr(GroupGeometry, "_phi_jacobian", counted)
-    _, res, steps, _ = geom.solve_theta(traj.p[::10], theta)
-    grad, _ = geom.grad_h0(traj.p[::10], theta)
-    assert res <= 1e-12 and steps == 0 and calls == []
-    assert np.max(np.abs(grad - geom.a0)) <= 1e-12
-    # a start off S does form it
-    geom.solve_theta(psi(geom, traj.p[0], np.array([0.05, -0.03])))
-    assert calls
+    p = traj.p[0].copy()
+    p[1:, 0] = bad
+    p[0, 1:] = bad
+    for arg in (p, np.array([traj.p[0], p])):
+        with pytest.raises(ProjectionError):
+            geom.solve_theta(arg)
 
 
 def test_theta_derivative_pairing(setup):
@@ -310,7 +316,7 @@ def space_setup(space):
     return sys_, dubins_adapted_chart(sys_), traj
 
 
-@pytest.mark.parametrize("space", ["euclidean", "sphere"])
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
 def test_stacked_flow_matches_each_point_alone(space):
     """Each member of one stacked flow is the flow of that point alone."""
     sys_, chart, _ = space_setup(space)
