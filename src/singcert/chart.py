@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import logm
 
-from .numerics import damped_newton
+from .numerics import damped_newton, plane_exp
 from .systems import MatrixGroupSystem
 
 
@@ -27,7 +27,10 @@ class GroupChart:
 
     Forward map: x -> exp(x_n B_n) @ ... @ exp(x_1 B_1), so the chart is
     the composition exp(x_1 f_1) o ... o exp(x_n f_n) applied to the
-    identity, with f_j the left-invariant field of B_j.
+    identity, with f_j the left-invariant field of B_j. Every axis B_j is
+    a single-plane generator, B_j^3 = lam_j B_j, so each factor is a
+    closed-form plane_exp. forward, forward_inv, frame and
+    covector_from_chart take one (n,) point or a (P, n) stack of them.
     """
 
     frame_algebra: list[np.ndarray]
@@ -40,31 +43,53 @@ class GroupChart:
         # components of an algebra element, used by the falsifier
         self.b_pinv = np.linalg.pinv(
             np.array([b.ravel() for b in self.frame_algebra]).T)
+        self._axes = np.array(self.frame_algebra)
+        self._axes_sq = self._axes @ self._axes
+        self._axes_lam = 0.5 * np.trace(self._axes_sq, axis1=-2, axis2=-1)
+        if not np.allclose(self._axes_sq @ self._axes,
+                           self._axes_lam[:, None, None] * self._axes,
+                           rtol=0.0, atol=1e-12):
+            raise ValueError("every chart axis must be a single-plane "
+                             "generator, B^3 = lam B")
+
+    def _factors(self, x: np.ndarray) -> np.ndarray:
+        """The axis factors exp(x_j B_j), (..., n, d, d) for x (..., n);
+        the factors of -x are their inverses."""
+        x = np.asarray(x, dtype=float)
+        return plane_exp(x[..., None, None] * self._axes,
+                         self._axes_lam * x * x,
+                         (x * x)[..., None, None] * self._axes_sq)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = np.eye(self.frame_algebra[0].shape[0])
-        for j in range(self.n - 1, -1, -1):
-            if x[j] != 0.0:
-                g = g @ expm(x[j] * self.frame_algebra[j])
+        factors = self._factors(x)
+        g = factors[..., -1, :, :]
+        for j in range(self.n - 2, -1, -1):
+            g = g @ factors[..., j, :, :]
         return g
 
-    def frame(self, x: np.ndarray) -> list[np.ndarray]:
-        """Moving frame v_j(x) with dUpsilon/dx_j = Upsilon(x) v_j(x).
+    def forward_inv(self, x: np.ndarray) -> np.ndarray:
+        """forward(x)^-1 = exp(-x_1 B_1) @ ... @ exp(-x_n B_n), exactly."""
+        factors = self._factors(-np.asarray(x, dtype=float))
+        g = factors[..., 0, :, :]
+        for j in range(1, self.n):
+            g = g @ factors[..., j, :, :]
+        return g
+
+    def frame(self, x: np.ndarray) -> np.ndarray:
+        """Moving frame v_j(x) with dUpsilon/dx_j = Upsilon(x) v_j(x), as an
+        (..., n, d, d) array for x (..., n).
 
         v_j = C_j^{-1} B_j C_j where C_j collects the exponential factors
         with indices below j.
         """
         x = np.asarray(x, dtype=float)
-        out = []
-        c = np.eye(self.frame_algebra[0].shape[0])
-        c_inv = c.copy()
+        factors, inv_factors = self._factors(x), self._factors(-x)
+        out = np.empty(x.shape + self._axes.shape[-2:])
+        c = c_inv = np.eye(self._axes.shape[-1])
         for j in range(self.n):
-            out.append(c_inv @ self.frame_algebra[j] @ c)
-            if j < self.n - 1 and x[j] != 0.0:
-                e = expm(x[j] * self.frame_algebra[j])
-                c = e @ c
-                c_inv = c_inv @ expm(-x[j] * self.frame_algebra[j])
+            out[..., j, :, :] = c_inv @ self._axes[j] @ c
+            c = factors[..., j, :, :] @ c
+            c_inv = c_inv @ inv_factors[..., j, :, :]
         return out
 
     def solve_in_frame(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -72,7 +97,7 @@ class GroupChart:
         for mat in the Lie algebra); a (k, d, d) stack of mats gives one
         (k, n) row per member from one solve."""
         v = self.frame(x)
-        stack = np.array([b.ravel() for b in v]).T
+        stack = v.reshape(self.n, -1).T
         c, *_ = np.linalg.lstsq(stack, mat.reshape(-1, stack.shape[0]).T,
                                 rcond=None)
         return c.T.reshape(mat.shape[:-2] + (self.n,))
@@ -96,8 +121,7 @@ class GroupChart:
             return xv
 
         def residual(xv):
-            rel = np.linalg.solve(self.forward(xv), q)
-            return np.real(logm(rel))
+            return np.real(logm(self.forward_inv(xv) @ q))
 
         def direction(xv, e):
             return self.solve_in_frame(inside(xv), e)
@@ -108,11 +132,12 @@ class GroupChart:
         return inside(x)
 
     def covector_from_chart(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Matrix covector with <p, v_j(x)> = y_j, minimal Frobenius norm."""
+        """Matrix covector with <p, v_j(x)> = y_j, minimal Frobenius norm;
+        (P, n) stacks of x and y give a (P, d, d) stack."""
         v = self.frame(x)
-        stack = np.array([b.ravel() for b in v])
-        p, *_ = np.linalg.lstsq(stack, np.asarray(y, dtype=float), rcond=None)
-        return p.reshape(v[0].shape)
+        stack = v.reshape(v.shape[:-2] + (-1,))
+        p = np.linalg.pinv(stack) @ np.asarray(y, dtype=float)[..., None]
+        return p.reshape(v.shape[:-3] + v.shape[-2:])
 
 
 def dubins_adapted_chart(system: MatrixGroupSystem) -> GroupChart:

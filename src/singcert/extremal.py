@@ -46,11 +46,24 @@ def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
-    # a long hyperbolic arc overflows; condition_battery names where
+    # a long hyperbolic arc overflows; require_finite names where
     with np.errstate(over="ignore", invalid="ignore"):
         q = reference_flow(system, grid)
         p = coadjoint_transport(p0, q, reference_flow(system, -grid))
     return ExtremalTrajectory(system, grid, q, p)
+
+
+def require_finite(trajectory: ExtremalTrajectory) -> None:
+    """Raise LinAlgError, naming the first grid time, where the arc's q or
+    p is not finite: every stage that reads the arc calls this first, so a
+    long hyperbolic arc that overflowed is reported as such."""
+    finite = np.all(np.isfinite(trajectory.q) & np.isfinite(trajectory.p),
+                    axis=(-2, -1))
+    if not finite.all():
+        raise np.linalg.LinAlgError(
+            f"reference arc is not finite at t = "
+            f"{trajectory.grid[np.argmin(finite)]:.6g}, its first such grid "
+            f"time")
 
 
 def _pairings(p: np.ndarray, mats) -> np.ndarray:
@@ -151,13 +164,7 @@ def condition_battery(trajectory: ExtremalTrajectory,
     manifolds at the endpoints. Raises LinAlgError, naming the first grid
     time, where the trajectory is not finite.
     """
-    finite = np.all(np.isfinite(trajectory.q) & np.isfinite(trajectory.p),
-                    axis=(-2, -1))
-    if not finite.all():
-        raise np.linalg.LinAlgError(
-            f"reference arc is not finite at t = "
-            f"{trajectory.grid[np.argmin(finite)]:.6g}, its first such grid "
-            f"time")
+    require_finite(trajectory)
     system = trajectory.system
     m = system.m
     tol = Tolerances()

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chart import GroupChart
-from .extremal import ExtremalTrajectory, reference_flow
+from .extremal import ExtremalTrajectory, reference_flow, require_finite
 # the tracer in bench/ times the shared log under this name
-from .numerics import rk4_flow, series_log as _quick_log
+from .numerics import plane_exp, rk4_flow, series_log as _quick_log
 from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
@@ -230,7 +229,9 @@ def _needle_exponentials(system: MatrixGroupSystem,
     """exp(s_bar A0), exp(h A0) and the 2r piece exponentials
     E_j = exp(h A0 + a_j A_{c_j}) of each needle, h = eps^2 / r the piece
     length and a_j the control integral over piece j, in the order the
-    overlay plays them: one stacked expm, (S, 2r + 2, d, d)."""
+    overlay plays them: one stacked plane_exp, (S, 2r + 2, d, d). Every
+    generator acts on the three coordinates 0, 1 and c_j + 1 only, so it is
+    a single-plane generator and the closed form is exact."""
     a0 = system.drift
     controlled = np.array(system.controlled)
     gens = []
@@ -241,7 +242,7 @@ def _needle_exponentials(system: MatrixGroupSystem,
         gens.append(np.concatenate([[needle.s_bar * a0, h * a0],
                                     h * a0 + a[:, None, None]
                                     * controlled[channels]]))
-    return expm(np.array(gens))
+    return plane_exp(np.array(gens))
 
 
 def _needle_samples(needles: list[NeedleVariation], exps: np.ndarray,
@@ -306,8 +307,10 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     Unreachable samples are recorded as non-competing; the verdict is
     "refuted" only when an admissible competitor arrives earlier than the
-    reference horizon minus the time tolerance.
+    reference horizon minus the time tolerance. Raises LinAlgError where
+    the arc is not finite.
     """
+    require_finite(extremal)
     t_hat = extremal.horizon
     q0 = extremal.q[0]
     scan_horizon = t_hat * (1.0 + HORIZON_PAD)

@@ -216,7 +216,7 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     x = 0 and x = +-fd_step e_k flow together as one stacked
     super-Hamiltonian flow. At each grid point one warm-started chart
     inversion locates the x = 0 member at x_c, and the exact series log
-    of forward(x_c)^-1 q+- gives every other member's offset in the
+    of forward_inv(x_c) q+- gives every other member's offset in the
     moving frame at x_c. The central differences of those offsets are the
     columns of the base projection: the chart's quadratic term cancels in
     them, and no chart-inversion noise is divided by fd_step. Tracks the
@@ -228,9 +228,10 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     grid = np.asarray(extremal.grid if grid is None else grid, dtype=float)
 
     def lambda_lift(x):
-        """Covector matrix of the graph point of d(alpha_rho) over x."""
-        y = np.zeros(n)
-        y[r_dim:] = chart.p_hat[r_dim:] + rho * x[r_dim:]
+        """Covector matrices of the graph points of d(alpha_rho) over the
+        (P, n) chart points x."""
+        y = np.zeros(x.shape)
+        y[:, r_dim:] = chart.p_hat[r_dim:] + rho * x[:, r_dim:]
         return chart.covector_from_chart(x, y)
 
     # only the certificate needs scipy.stats, which is slow to import
@@ -238,23 +239,22 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     # spot-verify Lambda inside Sigma on a Sobol sample
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    lifts = np.array([lambda_lift(LAMBDA_RADIUS * (2.0 * row - 1.0))
-                      for row in sampler.random(n_samples)])
+    lifts = lambda_lift(LAMBDA_RADIUS * (2.0 * sampler.random(n_samples)
+                                         - 1.0))
     max_sigma = float(np.max(hogc_residual(system, lifts)))
 
     # seeds x = 0, +fd_step e_0, -fd_step e_0, +fd_step e_1, ...
     seeds = np.zeros((2 * n + 1, n))
     seeds[1::2] = fd_step * np.eye(n)
     seeds[2::2] = -fd_step * np.eye(n)
-    q, p = geom.super_hamiltonian_flow(
-        np.array([chart.forward(x) for x in seeds]),
-        np.array([lambda_lift(x) for x in seeds]), grid)
+    q, p = geom.super_hamiltonian_flow(chart.forward(seeds),
+                                       lambda_lift(seeds), grid)
 
     bases = np.zeros((grid.size, n, n))
     x_c = np.zeros(n)
     for idx, q_t in enumerate(q):
         x_c = chart.inverse(q_t[0], x0=x_c)
-        offsets = series_log(np.linalg.solve(chart.forward(x_c), q_t[1:]))
+        offsets = series_log(chart.forward_inv(x_c) @ q_t[1:])
         bases[idx] = chart.solve_in_frame(
             x_c, (offsets[0::2] - offsets[1::2]) / (2.0 * fd_step)).T
     svals = np.linalg.svd(bases, compute_uv=False)[:, -1]

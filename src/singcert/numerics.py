@@ -1,5 +1,15 @@
-"""What every stage shares: classical RK4, damped Newton and the exact
-series logarithm of a group element near the identity."""
+"""What every stage shares: classical RK4, damped Newton, the closed-form
+exponential of a single-plane generator and the exact series logarithm of
+a group element near the identity.
+
+Every generator of the generalized Dubins family, in so(N+1), se(N) and
+so(1, N), is a single-plane element X with X^3 = lam X, lam = tr(X^2)/2,
+and so is every combination t A_0 + a A_i: it acts on at most three
+coordinates, where it is a 3 x 3 matrix of zero trace and determinant.
+Its exponential is I + S1(lam) X + S2(lam) X^2 on all three space forms at
+once (Gallier & Xu, Int. J. Robotics and Automation 17, 2002); the linear
+map ad_A0 obeys the same identity with the lam of A_0.
+"""
 
 from __future__ import annotations
 
@@ -65,6 +75,50 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
             raise fail("Newton stalled")
         iters += 1
     return x, r, iters
+
+
+# below this |lam| the Taylor series of S1 and S2, to lam^3, is exact to
+# roundoff (the first term left out is lam^4 / 9! < 3e-18)
+_TAYLOR_LAM = 1e-3
+
+
+def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
+              ) -> np.ndarray:
+    """exp x = I + S1(lam) x + S2(lam) x^2 for x with x^3 = lam x, one
+    (d, d) matrix or a (..., d, d) stack of them.
+
+    lam, one value per matrix, defaults to tr(x^2)/2, which is the lam of
+    a single-plane generator; sq, when given, is x @ x. With r =
+    sqrt(|lam|), S1 = sinh(r)/r and S2 = 2 sinh(r/2)^2/r^2 for lam > 0,
+    sin in place of sinh for lam < 0: neither cancels. Near lam = 0, where
+    both are 0/0, their Taylor series take over.
+    """
+    x = np.asarray(x, dtype=float)
+    if sq is None:
+        sq = x @ x
+    if lam is None:
+        lam = 0.5 * np.trace(sq, axis1=-2, axis2=-1)
+    lam = np.asarray(lam, dtype=float)
+    small = np.abs(lam) < _TAYLOR_LAM
+    r = np.sqrt(np.where(small, 1.0, np.abs(lam)))
+    s1 = np.where(small, 1.0 + lam / 6.0 * (1.0 + lam / 20.0
+                                            * (1.0 + lam / 42.0)),
+                  _sin_or_sinh(r, lam > 0.0) / r)
+    half = _sin_or_sinh(0.5 * r, lam > 0.0) / r
+    s2 = np.where(small, 0.5 * (1.0 + lam / 12.0 * (1.0 + lam / 30.0
+                                                   * (1.0 + lam / 56.0))),
+                  2.0 * half * half)
+    out = s1[..., None, None] * x
+    out += np.eye(x.shape[-1])
+    out += s2[..., None, None] * sq
+    return out
+
+
+def _sin_or_sinh(r: np.ndarray, hyperbolic: np.ndarray) -> np.ndarray:
+    """sinh(r) where hyperbolic is set, sin(r) elsewhere; each is evaluated
+    only where it is taken, so a long rotation never overflows a sinh."""
+    return np.where(hyperbolic, np.sinh(np.where(hyperbolic, r, 0.0)),
+                    np.sin(np.where(hyperbolic, 0.0, r)))
 
 
 def series_log(mat: np.ndarray) -> np.ndarray:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
-from .extremal import ExtremalTrajectory, coadjoint_transport, reference_flow
+from .extremal import (ExtremalTrajectory, coadjoint_transport,
+                       reference_flow, require_finite)
 from .geometry import GroupGeometry
-from .numerics import rk4_flow
+from .numerics import plane_exp, rk4_flow
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -95,10 +96,15 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     the chart frame (a basis of the whole algebra): `ad` has the
     coordinates of [A_0, B_k] as columns, Z(0) is its first m columns, row
     k of `rows` is -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k>
-    and c0 holds the coordinates of [A_i, [A_j, A_0]]. With T = expm(t ad),
-    Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and a(t) = Z(t)^T rows. Each
-    table comes from one stacked solve in the frame at the origin.
+    and c0 holds the coordinates of [A_i, [A_j, A_0]]. Each table comes
+    from one stacked solve in the frame at the origin. A_0 is a
+    single-plane generator, A_0^3 = lam A_0 with lam = tr(A_0^2)/2, and
+    then ad_A0^3 = lam ad_A0 (checked here; tr(ad^2)/2 is not lam), so
+    T(t) = exp(t ad) = I + S1(lam t^2) t ad + S2(lam t^2) t^2 ad^2 is a
+    closed-form plane_exp. Then Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and
+    a(t) = Z(t)^T rows. Raises LinAlgError where the arc is not finite.
     """
+    require_finite(extremal)
     m = system.m
     origin = np.zeros(chart.n)
     frame = np.array(chart.frame_algebra)
@@ -110,6 +116,12 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     p0 = extremal.p[0]
     ad = chart.solve_in_frame(
         origin, np.array([commutator(a0, b) for b in frame])).T
+    lam = 0.5 * np.trace(a0 @ a0)
+    ad_sq = ad @ ad
+    if not np.max(np.abs(ad_sq @ ad - lam * ad)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(ad))) ** 3:
+        raise np.linalg.LinAlgError(
+            "the drift is not a single-plane generator: ad_A0^3 != lam ad_A0")
     z0 = ad[:, :m]
     rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
     pi0 = np.array([pairing(p0, b) for b in frame])
@@ -118,15 +130,13 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
          for i in range(m)]))
 
     def coefficients(ts):
-        # one stacked exponential for the distinct times; every slice is
-        # the exponential scipy gives for that time alone
-        times, back = np.unique(np.asarray(ts, dtype=float).ravel(),
-                                return_inverse=True)
-        transport = expm(times[:, None, None] * ad)
+        t = np.asarray(ts, dtype=float)
+        transport = plane_exp(t[:, None, None] * ad, lam * t * t,
+                              (t * t)[:, None, None] * ad_sq)
         z = transport @ z0
         c = -(c0 @ (pi0 @ transport)[:, None, :, None])[..., 0]
         a = np.swapaxes(z, -1, -2) @ rows
-        return z[back], c[back], a[back]
+        return z, c, a
 
     return SecondVariationProblem(
         horizon=extremal.horizon, n=chart.n, m=m, R=chart.R,

@@ -132,3 +132,29 @@ def test_frame_pseudo_inverse(chart3):
         expect = np.zeros(chart.n)
         expect[j] = 1.0
         assert np.allclose(chart.b_pinv @ b.ravel(), expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_stacked_calls_equal_per_point_calls(space):
+    """forward, forward_inv, frame and covector_from_chart on a (P, n)
+    stack give the rows of the single-point calls; forward is the product
+    of scipy's axis exponentials and forward_inv its inverse."""
+    sys_ = build_dubins_system(space, 4)
+    chart = dubins_adapted_chart(sys_)
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-0.5, 0.5, (6, chart.n))
+    xs[1] = 0.0
+    xs[2, ::2] = 0.0
+    ys = rng.standard_normal((6, chart.n))
+    for method, args in (("forward", (xs,)), ("forward_inv", (xs,)),
+                         ("frame", (xs,)), ("covector_from_chart", (xs, ys))):
+        stacked = getattr(chart, method)(*args)
+        for k in range(len(xs)):
+            single = getattr(chart, method)(*(a[k] for a in args))
+            assert np.max(np.abs(stacked[k] - single)) <= 1e-15, (method, k)
+    for x, g, g_inv in zip(xs, chart.forward(xs), chart.forward_inv(xs)):
+        ref = np.eye(sys_.d)
+        for j in range(chart.n - 1, -1, -1):
+            ref = ref @ expm(x[j] * chart.frame_algebra[j])
+        assert np.max(np.abs(g - ref)) <= 1e-13
+        assert np.max(np.abs(g_inv @ g - np.eye(sys_.d))) <= 1e-14

@@ -441,6 +441,22 @@ def test_non_finite_reference_arc_is_an_error(tmp_path, capsys):
     assert error["message"].startswith("reference arc is not finite at t =")
 
 
+@pytest.mark.parametrize("stage", ["coercivity", "falsifier"])
+def test_non_finite_reference_arc_is_an_error_in_every_stage(stage):
+    """Every stage that reads the arc checks it first: without the
+    conditions stage, the overflowed arc is still named, with no numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_check({
+            "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+            "horizon": 800.0, "dt": 100.0, "checks": [stage]})
+    assert report["verdict"] == "error"
+    error = report["stages"][stage]["error"]
+    assert error["type"] == "LinAlgError"
+    assert error["message"].startswith("reference arc is not finite at t =")
+
+
 def test_sphere_run_ends_in_verdict():
     """A curved space form yields a report, never a traceback."""
     report = run_check({

@@ -1,5 +1,7 @@
 """Tests for the Goh-transformed second variation and its deciders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
-from singcert.numerics import rk4_flow
+from singcert.numerics import plane_exp, rk4_flow
 from singcert.secondvar import (
     SecondVariationProblem,
     assemble_lq,
@@ -462,3 +464,35 @@ def test_det_trace_csv(tmp_path, lq):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,det,abs_det_ratio"
     assert len(lines) == 52
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lq_transport_is_plane_exp(space, n):
+    """ad_A0^3 = lam ad_A0 with lam = tr(A0^2)/2 on every default, so the
+    closed-form transport equals scipy's expm(t ad) for 0 <= t <= 5."""
+    sys_ = build_dubins_system(space, n)
+    chart = dubins_adapted_chart(sys_)
+    origin = np.zeros(chart.n)
+    ad = chart.solve_in_frame(origin, np.array(
+        [commutator(sys_.drift, b) for b in chart.frame_algebra])).T
+    lam = 0.5 * np.trace(sys_.drift @ sys_.drift)
+    assert np.max(np.abs(ad @ ad @ ad - lam * ad)) <= 1e-14
+    ts = np.linspace(0.0, 5.0, 11)
+    ref = expm(ts[:, None, None] * ad)
+    got = plane_exp(ts[:, None, None] * ad, lam * ts ** 2)
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
+    assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-12 * scale)
+
+
+def test_assemble_lq_rejects_two_plane_drift():
+    """A drift rotating two planes has no closed-form transport."""
+    sys_ = build_dubins_system("sphere", 3)
+    chart = dubins_adapted_chart(sys_)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                              np.linspace(0.0, 1.0, 11))
+    two_plane = dataclasses.replace(
+        sys_, drift=sys_.drift + sys_.bracket_matrix((1, 2)),
+        _bracket_cache={})
+    with pytest.raises(np.linalg.LinAlgError, match="single-plane"):
+        assemble_lq(two_plane, traj, chart)
