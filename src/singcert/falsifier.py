@@ -8,9 +8,12 @@ needle's states are exact products of piece exponentials; the bands run
 as one stacked RK4 flow with group projection. Each competitor's earliest
 arrival at the target manifold is recorded, and an arrival strictly
 earlier than the reference horizon is a counterexample witness.
-Competitors are scored in fixed blocks: arrival and graph distance each
-take one exact series logarithm of a whole block's states, each state
-compared with the reference at its own time.
+Competitors are scored in fixed blocks, each state compared with the
+reference at its own time. Both scores read the third-order head of each
+state's logarithm and its certified remainder bound first, and take the
+exact series logarithm only of the states the bound cannot decide: the
+arrival test of a state that may meet the target, and the graph distance
+of the samples that may hold a member's largest distance.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ import numpy as np
 from .chart import GroupChart
 from .extremal import ExtremalTrajectory, reference_flow, require_finite
 # the tracer in bench/ times the shared log under this name
-from .numerics import plane_exp, rk4_flow, series_log as _quick_log
+from .numerics import log_head, plane_exp, rk4_flow, series_log as _quick_log
 from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
-# competitors scored together, with one series log per block: blocks of
-# 16 ran no faster and held more states at once
+# competitors scored together: blocks of 16 ran no faster and held more
+# states at once
 _SCORE_BLOCK = 8
 # a competitor arriving this much before the reference horizon refutes it
 TIME_TOLERANCE = 1e-6
@@ -143,6 +146,8 @@ class TargetSpec:
         self.q_f_inv = np.linalg.inv(q_f)
         self.R = chart.R
         self.b_pinv = chart.b_pinv
+        # |x_i(log) - x_i(head)| <= ||row i|| ||log - head||_F
+        self._row_norms = np.linalg.norm(chart.b_pinv[chart.R:], axis=1)
 
     def residual(self, q: np.ndarray):
         """Largest annihilator coordinate of q_f^-1 q (inf outside the log
@@ -163,8 +168,19 @@ class TargetSpec:
         """Earliest sample time at which each member meets the target, inf
         for a member that never does: ``states`` is an (S, n, d, d) block of
         members sampled at ``times`` (S, n), or (n,) shared by all, in any
-        order; returns (S,) times."""
-        hit = self.residual(states) <= TARGET_TOL
+        order; returns (S,) times.
+
+        A state whose log head (`log_head`) puts a lower bound above
+        TARGET_TOL on some annihilator coordinate does not arrive, and one
+        outside the series' radius neither; only the rest take the exact
+        path of `residual`."""
+        head, bound = log_head(self.q_f_inv @ states)
+        x = head.reshape(*bound.shape, -1) @ self.b_pinv[self.R:].T
+        lower = np.max(np.abs(x) - self._row_norms * bound[..., None],
+                       axis=-1)
+        undecided = np.isfinite(bound) & ~(lower > TARGET_TOL)
+        hit = np.zeros(bound.shape, dtype=bool)
+        hit[undecided] = self.residual(states[undecided]) <= TARGET_TOL
         return np.min(np.where(hit, times, np.inf), axis=1)
 
 
@@ -176,14 +192,29 @@ def graph_distance(rel: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
     maps a flattened algebra element to its chart components at the origin
     (``GroupChart.b_pinv``). Returns (S,) distances, inf for a member that
     leaves the log radius LOG_RADIUS of the reference.
+
+    The log head of each sample (`log_head`) and its bound, times
+    ||b_pinv||_2, bracket the sample's distance. Only the samples whose
+    upper end reaches the member's largest lower end take the exact series
+    log, and the member's distance is their largest: every other sample
+    lies below it.
     """
     far = np.linalg.norm(rel - np.eye(rel.shape[-1]),
                          axis=(2, 3)) >= LOG_RADIUS
     near = ~np.any(far, axis=1)
     out = np.full(len(rel), np.inf)
     if np.any(near):
-        x = _quick_log(rel[near]).reshape(*far[near].shape, -1) @ b_pinv.T
-        out[near] = np.max(np.linalg.norm(x, axis=2), axis=1)
+        rel = rel[near]
+        head, bound = log_head(rel)
+        size = np.linalg.norm(head.reshape(*bound.shape, -1) @ b_pinv.T,
+                              axis=2)
+        reach = np.linalg.norm(b_pinv, 2) * bound
+        member, sample = np.nonzero(
+            size + reach >= np.max(size - reach, axis=1, keepdims=True))
+        x = _quick_log(rel[member, sample]).reshape(len(member), -1)
+        dist = np.full(len(rel), -np.inf)
+        np.maximum.at(dist, member, np.linalg.norm(x @ b_pinv.T, axis=1))
+        out[near] = dist
     return out
 
 
@@ -282,21 +313,38 @@ def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
                q0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """q' = q (A0 + sum u_i A_i), q(0) = q0, for bands with coefficients
     ``coeff`` (B, 2 _BAND_MODES, m), as one RK4 flow of the (B, d, d) stack
-    on the grid, projected onto the group after every step: (T, B, d, d)."""
+    on the grid, projected onto the group after every step: (T, B, d, d).
+    The controls are evaluated once, at every time an RK4 stage reads: the
+    grid times t and the half steps t + h/2, by the arithmetic of
+    `rk4_flow`."""
     a0 = system.drift
     controlled = np.array(system.controlled)
+    step = np.diff(grid)
+    times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * step,
+                                      grid[:-1] + step]))
+    row = {t: i for i, t in enumerate(times.tolist())}
+    u = np.zeros((len(times), len(coeff), system.m))
+    for k in range(_BAND_MODES):
+        phase = (2.0 * np.pi * (k + 1) * times / t_hat)[:, None, None]
+        u += coeff[:, 2 * k] * np.cos(phase)
+        u += coeff[:, 2 * k + 1] * np.sin(phase)
 
     def rhs(t, y):
-        u = np.zeros((len(coeff), system.m))
-        for k in range(_BAND_MODES):
-            phase = 2.0 * np.pi * (k + 1) * t / t_hat
-            u += coeff[:, 2 * k] * np.cos(phase)
-            u += coeff[:, 2 * k + 1] * np.sin(phase)
-        return y @ (a0 + np.tensordot(u, controlled, 1))
+        return y @ (a0 + np.tensordot(u[row[t]], controlled, 1))
 
-    y0 = np.repeat(q0[None], len(coeff), axis=0)
-    return np.array(rk4_flow(rhs, grid, y0,
-                             lambda t, y: system.project_to_group(y)))
+    # each projected state is kept in its row of the result, so the flow
+    # is held once, not also as the list rk4_flow returns
+    flow = np.empty((len(grid), len(coeff), *q0.shape))
+    flow[0] = q0
+    rows = iter(flow[1:])
+
+    def project(t, y):
+        out = next(rows)
+        out[...] = system.project_to_group(y)
+        return out
+
+    rk4_flow(rhs, grid, flow[0], project)
+    return flow
 
 
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,

@@ -1,6 +1,8 @@
 """What every stage shares: classical RK4, damped Newton, the closed-form
 exponential of a single-plane generator and the exact series logarithm of
-a group element near the identity.
+a group element near the identity, with its third-order head and a
+certified bound on the head's remainder, so that a caller whose test the
+bound already decides takes no series.
 
 Every generator of the generalized Dubins family, in so(N+1), se(N) and
 so(1, N), is a single-plane element X with X^3 = lam X, lam = tr(X^2)/2,
@@ -119,6 +121,49 @@ def _sin_or_sinh(r: np.ndarray, hyperbolic: np.ndarray) -> np.ndarray:
     only where it is taken, so a long rotation never overflows a sinh."""
     return np.where(hyperbolic, np.sinh(np.where(hyperbolic, r, 0.0)),
                     np.sin(np.where(hyperbolic, 0.0, r)))
+
+
+def log_head(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Third-order head of the logarithm of a (..., d, d) stack, and a
+    Frobenius bound on the distance of each head from the exact log.
+
+    With E = g - I and delta = ||E||_F < 1, log g is the Mercator series
+    sum_k (-1)^(k+1) E^k / k, and the Frobenius norm is submultiplicative,
+    so ||log g - (E - E^2/2 + E^3/3)||_F <= sum_{k>=4} delta^k / k <=
+    delta^4 / (4 (1 - delta)) (Higham, Functions of Matrices, SIAM 2008,
+    ch. 11). The head costs the two products E E and E^2 E.
+
+    Rounding, to first order in the unit roundoff u: fl(g - I) is off by
+    at most u delta, which moves the head by u (delta + delta^2 + delta^3);
+    each product of d-term sums is off by d u times the product of the
+    norms, d u delta^2 / 2 for E^2 once halved and 2 d u delta^3 / 3 for
+    E^3 once thirded; the division by 3 and the two sums add
+    u (delta + delta^2 + delta^3). The total is under
+    (d + 2) u (delta + delta^2 + delta^3), and the bound adds
+    (d + 3) u (1 + delta)^3, whose slack covers the second-order terms.
+    The remainder term is taken at the computed delta, off by a few
+    d^2 u delta; that moves the tail sum by delta^3 / (1 - delta) times as
+    much, which stays under the slack delta^5 / 20 between the tail and
+    its bound wherever delta (1 - delta) > 1e-13, and under the rounding
+    term's slack below that.
+
+    Returns (head, bound): bound has the leading shape and is inf where
+    delta >= 1, where the series does not converge.
+    """
+    d = mat.shape[-1]
+    e = mat - np.eye(d)
+    sq = e @ e
+    head = sq @ e
+    head /= 3.0
+    sq *= 0.5
+    head -= sq
+    head += e
+    delta = np.linalg.norm(e, axis=(-2, -1))
+    inside = delta < 1.0
+    delta = np.where(inside, delta, 0.0)
+    bound = (delta ** 4 / (4.0 * (1.0 - delta))
+             + (d + 3) * _EPS / 2 * (1.0 + delta) ** 3)
+    return head, np.where(inside, bound, np.inf)
 
 
 def series_log(mat: np.ndarray) -> np.ndarray:

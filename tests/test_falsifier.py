@@ -15,6 +15,7 @@ from singcert.extremal import (
     reference_flow,
 )
 from singcert.falsifier import (
+    LOG_RADIUS,
     TARGET_TOL,
     TargetSpec,
     _band_flow,
@@ -28,7 +29,7 @@ from singcert.falsifier import (
     needle_variation,
     report_to_csv,
 )
-from singcert.numerics import rk4_flow
+from singcert.numerics import log_head, rk4_flow
 from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
@@ -433,3 +434,102 @@ def test_sweep_records_match_per_competitor_scoring(space):
             "graph_distance": float(dist) if np.isfinite(dist) else None})
     assert report.records == records
     assert report.verdict == "no counterexample"
+
+
+def _at_distance(q_f, x, delta):
+    """q_f exp(s x), with s chosen so that ||exp(s x) - I||_F = delta."""
+    eye = np.eye(len(q_f))
+    s = brentq(lambda a: np.linalg.norm(expm(a * x) - eye) - delta, 0.0,
+               3.0 / np.linalg.norm(x), xtol=1e-300)
+    return q_f @ expm(s * x)
+
+
+def _misranked_pair(system, b_pinv):
+    """Two states at chart distance about 0.5 from I, where the log head
+    ranks them opposite to the exact log: exp(r_p P) and exp(r_q Q) with
+    P and Q unit directions whose third-order heads overshoot least and
+    most."""
+    basis = system.full_algebra_basis()
+    dirs = [system.drift, system.controlled[0], sum(basis),
+            system.drift + system.controlled[0]]
+    dirs = [x / np.linalg.norm(b_pinv @ x.ravel()) for x in dirs]
+
+    def size(mats, log):
+        return np.linalg.norm(log(np.array(mats)).reshape(len(mats), -1)
+                              @ b_pinv.T, axis=1)
+
+    def head(mats):
+        return log_head(mats)[0]
+
+    over = size([expm(0.5 * x) for x in dirs], head)
+    p, q = dirs[np.argmin(over)], dirs[np.argmax(over)]
+    pair = [expm(0.5 * p), expm((0.5 - (over.max() - over.min()) / 4) * q)]
+    exact, approx = size(pair, _quick_log), size(pair, head)
+    assert exact[0] > exact[1] and approx[0] < approx[1]
+    return pair
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_scores_match_all_log_oracle(space, monkeypatch):
+    """On blocks that mix states on the target, states 2 TARGET_TOL off it
+    along A0, and states on either side of the log radius, arrival_time
+    and graph_distance equal the oracle that logs every state, while the
+    log head decides part of the states without a series log. Two kinds
+    of state defeat a head without its bound: on-target states 0.99
+    TARGET_TOL along A0 from the orbit, at a displacement where the head
+    overshoots the tolerance, and a member whose two largest samples the
+    head ranks the wrong way round."""
+    system, trajectory, target, _, _ = _sweep_problem(space, 4)
+    q_f = trajectory.q[-1]
+    rng = np.random.default_rng(5)
+    a_c, a_0 = system.controlled, system.drift
+    on = [q_f @ expm(a * a_c[c]) for a in (0.0, 0.05, -0.3, 0.45)
+          for c in range(system.m)]
+    on += [q_f @ expm(0.45 * (a_c[c] + 0.5 * a_c[c - 1])
+                      + 0.99 * TARGET_TOL * a_0) for c in range(system.m)]
+    off = [q_f @ expm(a * a_c[c]) @ expm(sign * 2 * TARGET_TOL * a_0)
+           for a in (0.0, 0.02, 0.4) for c in range(system.m)
+           for sign in (1.0, -1.0)]
+    basis = system.full_algebra_basis()
+    edge = [_at_distance(q_f, np.tensordot(rng.standard_normal(len(basis)),
+                                           basis, 1), LOG_RADIUS + side)
+            for side in (-1e-7, 1e-7) for _ in range(3)]
+    assert all(target.residual(s) <= TARGET_TOL for s in on)
+    assert all(TARGET_TOL < target.residual(s) <= 3 * TARGET_TOL
+               for s in off)
+    pool = np.array(on + off + edge)
+    kinds = np.split(np.arange(len(pool)), [len(on), len(on) + len(off)])
+    n = 6
+    members = [rng.choice(len(pool), n, replace=False) for _ in range(12)]
+    members += [rng.choice(kind, n) for kind in kinds]
+    members += [np.append(rng.choice(kinds[1], n - 1), kind[-1])
+                for kind in kinds]
+    states = pool[np.array(members)]
+    times = rng.permutation(states.shape[0] * n).reshape(-1, n) / 8.0
+    rel = np.concatenate([target.q_f_inv @ states, [
+        _misranked_pair(system, target.b_pinv) + [np.eye(system.d)] * 4]])
+    arrive_expect = [direct_arrival(target, t, s)
+                     for t, s in zip(times, states)]
+    shared_expect = [direct_arrival(target, times[0], s) for s in states]
+    dist_expect = [direct_graph_distance(r, target.b_pinv) for r in rel]
+    assert np.isfinite(arrive_expect).any() and np.isinf(arrive_expect).any()
+    assert np.isfinite(dist_expect).any() and np.isinf(dist_expect).any()
+
+    logged = []
+
+    def counting_log(mat):
+        logged.append(len(mat))
+        return _quick_log(mat)
+
+    monkeypatch.setattr("singcert.falsifier._quick_log", counting_log)
+    assert target.arrival_time(times, states).tolist() == arrive_expect
+    assert target.arrival_time(times[0], states).tolist() == shared_expect
+    # the head decides some of the states inside the log radius, and the
+    # rest take the exact log
+    inside = np.linalg.norm(rel - np.eye(system.d), axis=(2, 3)) < LOG_RADIUS
+    assert logged[0] == logged[1] and 0 < logged[0] < inside[:-1].sum()
+    logged.clear()
+    dists = graph_distance(rel, target.b_pinv)
+    assert 0 < sum(logged) < inside.all(axis=1).sum() * n
+    for dist, expect in zip(dists, dist_expect):
+        assert dist == pytest.approx(expect, rel=1e-15, abs=0.0)

@@ -1,11 +1,15 @@
 """Tests for the closed-form plane exponential, with scipy's expm as the
-oracle on every generator family the package exponentiates."""
+oracle on every generator family the package exponentiates, and for the
+log head's remainder bound, with the series log and scipy's logm as
+oracles."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
+from scipy.optimize import brentq
 
-from singcert.numerics import plane_exp
+from singcert.falsifier import LOG_RADIUS
+from singcert.numerics import log_head, plane_exp, series_log
 from singcert.systems import build_dubins_system
 
 SPACES = ("euclidean", "sphere", "hyperbolic")
@@ -80,3 +84,55 @@ def test_plane_exp_long_rotation_does_not_overflow():
     with np.errstate(all="raise"):
         g = plane_exp(1e3 * system.drift)
     assert np.max(np.abs(g @ g.T - np.eye(4))) <= 1e-12
+
+
+def _near_identity(system, delta, rng):
+    """exp(s X) for a random X of the full algebra, with s chosen so that
+    ||exp(s X) - I||_F = delta."""
+    basis = np.array(system.full_algebra_basis())
+    x = np.tensordot(rng.standard_normal(len(basis)), basis, 1)
+    eye = np.eye(system.d)
+    s = brentq(lambda a: np.linalg.norm(expm(a * x) - eye) - delta, 0.0,
+               3.0 / np.linalg.norm(x), xtol=1e-300)
+    return expm(s * x)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_log_head_bound_holds(space, n):
+    """||log g - head||_F stays under the bound of log_head from delta near
+    0, where the head has no cancellation and only the rounding term is
+    left, to delta just under the log radius, with the series log as the
+    exact log. scipy's logm carries an absolute roundoff of a few u ||g||,
+    which the rounding term does not cover, so it is compared where the
+    remainder term is above 1e-13."""
+    system = build_dubins_system(space, n)
+    rng = np.random.default_rng(n)
+    deltas = [1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.3, 0.6, 0.8,
+              LOG_RADIUS - 1e-9]
+    stack = np.array([_near_identity(system, delta, rng)
+                      for delta in deltas for _ in range(4)])
+    delta = np.linalg.norm(stack - np.eye(system.d), axis=(1, 2))
+    assert np.allclose(delta, np.repeat(deltas, 4), rtol=1e-9, atol=0.0)
+    head, bound = log_head(stack)
+    assert np.all(np.isfinite(bound))
+    # below delta = 1e-5 the remainder is under 1e-21 and the head agrees
+    # with the log to the rounding term, a few u
+    assert np.all(bound[delta < 1e-5] <= 1e-15)
+    err = np.linalg.norm(series_log(stack) - head, axis=(1, 2))
+    assert np.all(err <= bound)
+    far = delta >= 1e-3
+    err = np.linalg.norm([logm(g).real for g in stack[far]] - head[far],
+                         axis=(1, 2))
+    assert np.all(err <= bound[far])
+
+
+def test_log_head_bound_is_inf_outside_the_series_radius():
+    """At ||g - I||_F >= 1 the Mercator series is not summed: inf."""
+    system = build_dubins_system("sphere", 3)
+    rng = np.random.default_rng(0)
+    stack = np.array([_near_identity(system, 1.0 + 1e-9, rng),
+                      _near_identity(system, 0.99, rng),
+                      plane_exp(1.5 * system.drift)])
+    _, bound = log_head(stack)
+    assert bound[0] == bound[2] == np.inf and np.isfinite(bound[1])
