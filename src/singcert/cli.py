@@ -18,6 +18,7 @@ import json
 import sys
 
 from .pipeline import (
+    SWEEP_PARAMETERS,
     ConfigError,
     emit,
     load_config,
@@ -39,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a one-parameter sweep")
     sweep.add_argument("config", help="path to a JSON run configuration")
     sweep.add_argument("--param", required=True,
-                       choices=["N", "horizon", "rho", "K"])
+                       choices=list(SWEEP_PARAMETERS))
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from .chart import GroupChart
 from .extremal import ExtremalTrajectory, reference_flow, require_finite
+from .numerics import log_head, plane_exp, rk4_flow, rk4_stage_times, time_grid
 # the tracer in bench/ times the shared log under this name
-from .numerics import log_head, plane_exp, rk4_flow, series_log as _quick_log
+from .numerics import series_log as _quick_log
 from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
@@ -125,13 +126,6 @@ class FalsificationReport:
             "witness": self.witness,
             "records": self.records,
         }
-
-
-def _integration_grid(horizon: float, dt: float, include=()) -> np.ndarray:
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, horizon, max(int(round(horizon / dt)), 8) + 1),
-        np.asarray(include, dtype=float)]))
-    return grid[grid <= horizon + 1e-12]
 
 
 class TargetSpec:
@@ -314,37 +308,21 @@ def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
     """q' = q (A0 + sum u_i A_i), q(0) = q0, for bands with coefficients
     ``coeff`` (B, 2 _BAND_MODES, m), as one RK4 flow of the (B, d, d) stack
     on the grid, projected onto the group after every step: (T, B, d, d).
-    The controls are evaluated once, at every time an RK4 stage reads: the
-    grid times t and the half steps t + h/2, by the arithmetic of
-    `rk4_flow`."""
+    The controls are evaluated once, on the table of `rk4_stage_times`."""
     a0 = system.drift
     controlled = np.array(system.controlled)
-    step = np.diff(grid)
-    times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * step,
-                                      grid[:-1] + step]))
-    row = {t: i for i, t in enumerate(times.tolist())}
+    times = rk4_stage_times(grid)
     u = np.zeros((len(times), len(coeff), system.m))
     for k in range(_BAND_MODES):
         phase = (2.0 * np.pi * (k + 1) * times / t_hat)[:, None, None]
         u += coeff[:, 2 * k] * np.cos(phase)
         u += coeff[:, 2 * k + 1] * np.sin(phase)
 
-    def rhs(t, y):
-        return y @ (a0 + np.tensordot(u[row[t]], controlled, 1))
+    def rhs(i, y):
+        return y @ (a0 + np.tensordot(u[i], controlled, 1))
 
-    # each projected state is kept in its row of the result, so the flow
-    # is held once, not also as the list rk4_flow returns
-    flow = np.empty((len(grid), len(coeff), *q0.shape))
-    flow[0] = q0
-    rows = iter(flow[1:])
-
-    def project(t, y):
-        out = next(rows)
-        out[...] = system.project_to_group(y)
-        return out
-
-    rk4_flow(rhs, grid, flow[0], project)
-    return flow
+    return rk4_flow(rhs, grid, np.broadcast_to(q0, (len(coeff), *q0.shape)),
+                    system.project_to_group)
 
 
 def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
@@ -362,7 +340,7 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     t_hat = extremal.horizon
     q0 = extremal.q[0]
     scan_horizon = t_hat * (1.0 + HORIZON_PAD)
-    grid = _integration_grid(scan_horizon, dt, include=(t_hat,))
+    grid = np.union1d(time_grid(scan_horizon, dt), [t_hat])
     ref = q0 @ reference_flow(system, grid)
     ref_inv = np.linalg.inv(ref)
     competitors = _sample_competitors(system, t_hat, scan_horizon,

@@ -183,17 +183,16 @@ class GroupGeometry:
         """
         y0 = np.stack([q0, p0], axis=1)
 
-        def rhs(t, y):
+        def rhs(i, y):
             g, p = y[:, 0], y[:, 1]
             mh = self.grad_h0(p)
             return np.stack([g @ mh, hamiltonian_direction(p, mh)], axis=1)
 
-        def after_step(t, y):
+        def after_step(y):
             y[:, 0] = self.system.project_to_group(y[:, 0])
             return y
 
-        states = np.array(rk4_flow(rhs, np.asarray(grid, dtype=float), y0,
-                                   after_step))
+        states = rk4_flow(rhs, grid, y0, after_step)
         return states[:, :, 0], states[:, :, 1]
 
 

@@ -4,6 +4,12 @@ a group element near the identity, with its third-order head and a
 certified bound on the head's remainder, so that a caller whose test the
 bound already decides takes no series.
 
+RK4 has one owner. `time_grid` holds the rule for a uniform grid (at least
+8 steps), `rk4_stage_times` forms the times the stages read, and
+`rk4_flow` passes f the row of that table instead of a time, so a flow
+whose right-hand side depends on t evaluates it once on the whole table
+and indexes it; the flow comes back as one (T, ...) array.
+
 Every generator of the generalized Dubins family, in so(N+1), se(N) and
 so(1, N), is a single-plane element X with X^3 = lam X, lam = tr(X^2)/2,
 and so is every combination t A_0 + a A_i: it acts on at most three
@@ -20,30 +26,44 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 
-def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> list[np.ndarray]:
+def rk4_stage_times(grid) -> np.ndarray:
+    """The times RK4 reads on a (T,) grid, one triple t_k, t_k + h/2,
+    t_k + h per step, h = grid[k+1] - t_k: a flat (3 (T - 1),) array whose
+    row i is the time of the stage `rk4_flow` calls f(i, y) at."""
+    grid = np.asarray(grid, dtype=float)
+    t, h = grid[:-1], np.diff(grid)
+    return np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()
+
+
+def time_grid(horizon: float, dt: float) -> np.ndarray:
+    """Uniform grid on [0, horizon] with steps of about dt, and at least 8."""
+    return np.linspace(0.0, horizon, max(int(round(horizon / dt)), 8) + 1)
+
+
+def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> np.ndarray:
     """Classical RK4 for y' = f(t, y) on a strictly increasing (T,) grid.
 
-    Returns the states on the grid, y0 first; a stacked y0 steps all its
-    members at once. after_step(t, y), when given, sees each new state at
-    its grid time and returns the state to keep (a projection) or raises
-    (a monitor).
+    f(i, y) reads the time as row i of `rk4_stage_times(grid)`: step k
+    calls it at 3k, 3k + 1 (twice) and 3k + 2. Returns the (T, ...) array
+    of the states on the grid, y0 first; a stacked y0 steps all its
+    members at once. after_step(y), when given, sees each new state and
+    returns the state to keep (a projection).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+    steps = np.diff(grid)
+    if grid.ndim != 1 or np.any(steps <= 0):
         raise ValueError("grid must be a strictly increasing (T,) array")
-    y = y0
-    out = [y]
-    for k in range(grid.size - 1):
-        t = grid[k]
-        h = grid[k + 1] - t
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
+    out = np.empty((grid.size, *np.shape(y0)))
+    out[0] = y = y0
+    for k, h in enumerate(steps):
+        k1 = f(3 * k, y)
+        k2 = f(3 * k + 1, y + 0.5 * h * k1)
+        k3 = f(3 * k + 1, y + 0.5 * h * k2)
+        k4 = f(3 * k + 2, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if after_step is not None:
-            y = after_step(grid[k + 1], y)
-        out.append(y)
+            y = after_step(y)
+        out[k + 1] = y
     return out
 
 

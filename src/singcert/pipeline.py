@@ -33,6 +33,7 @@ from .extremal import (
 )
 from .falsifier import TargetSpec, competitor_sweep, report_to_csv
 from .geometry import ProjectionError, certificate_check, flow_samples_to_csv
+from .numerics import time_grid
 from .secondvar import (
     DEFAULT_RHO_GRID,
     assemble_lq,
@@ -57,6 +58,9 @@ MAX_GALERKIN_K = 128
 
 # the pipeline's stages in dependency order
 STAGES = ("conditions", "coercivity", "certificate", "falsifier")
+
+# the parameters run_sweep varies, each with the type of its values
+SWEEP_PARAMETERS = {"N": int, "horizon": float, "rho": float, "K": int}
 
 # numerical breakdowns a stage reports as status "error" instead of raising
 STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
@@ -218,12 +222,10 @@ def _build_problem(config: dict):
     # deliberately broken reference for exercising the failure path
     p0 = dubins_initial_covector(system)
     if spec.get("drift_sign", 1) == -1:
-        system = dataclasses.replace(system, drift=-system.drift,
-                                     _bracket_cache={})
+        system = dataclasses.replace(system, drift=-system.drift)
     chart = dubins_adapted_chart(system)
-    n_steps = max(int(round(config["horizon"] / config["dt"])), 8)
-    grid = np.linspace(0.0, config["horizon"], n_steps + 1)
-    trajectory = adjoint_trajectory(system, p0, grid)
+    trajectory = adjoint_trajectory(system, p0,
+                                    time_grid(config["horizon"], config["dt"]))
     return system, chart, trajectory
 
 
@@ -340,7 +342,7 @@ def _overall_verdict(config: dict, stages: dict) -> str:
 
 def run_sweep(config: dict, parameter: str, values) -> list:
     """Re-run the pipeline across a one-parameter family of configs."""
-    kind = {"N": int, "horizon": float, "rho": float, "K": int}.get(parameter)
+    kind = SWEEP_PARAMETERS.get(parameter)
     if kind is None:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
     try:

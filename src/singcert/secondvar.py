@@ -19,7 +19,7 @@ from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
                        reference_flow, require_finite)
 from .geometry import GroupGeometry
-from .numerics import plane_exp, rk4_flow
+from .numerics import plane_exp, rk4_flow, rk4_stage_times
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -314,21 +314,17 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
     y0[0, r:, r:n] = -np.eye(n - r)
     y0[1, :, n:] = np.eye(n)
 
-    # the coefficients at the RK4 stage times t, t + h/2 and t + h, formed
-    # as rk4_flow forms them, from one evaluation; -C inverted as a stack
-    t, h = grid[:-1], np.diff(grid)
-    times = np.concatenate([t, t + 0.5 * h, t + h])
-    z, c, a = problem.coefficients(times)
+    # the coefficients at every RK4 stage time from one evaluation; -C
+    # inverted as a stack
+    z, c, a = problem.coefficients(rk4_stage_times(grid))
     l_inv = np.linalg.inv(-c)
-    row = {s: k for k, s in enumerate(times.tolist())}
 
-    def rhs(s, y):
-        k = row[s]
+    def rhs(i, y):
         om, xx = y
-        b = l_inv[k] @ (z[k].T @ om + a[k] @ xx)
-        return np.array([-a[k].T @ b, z[k] @ b])
+        b = l_inv[i] @ (z[i].T @ om + a[i] @ xx)
+        return np.array([-a[i].T @ b, z[i] @ b])
 
-    x = np.array([y[1] for y in rk4_flow(rhs, grid, y0)])
+    x = rk4_flow(rhs, grid, y0)[:, 1]
     rho = np.asarray(rho_grid, dtype=float)[:, None, None, None]
     # an overflowed det is a non-finite entry, which conjugate_point_test
     # refuses

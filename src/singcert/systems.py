@@ -8,7 +8,7 @@ space forms is built by :func:`build_dubins_system`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class MatrixGroupSystem:
     drift: np.ndarray
     controlled: tuple[np.ndarray, ...]
     lie_closure_basis: tuple[np.ndarray, ...]
-    _bracket_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -87,13 +86,8 @@ class MatrixGroupSystem:
         return EPSILON[self.space_form]
 
     def bracket_matrix(self, word) -> np.ndarray:
-        """Matrix of the bracket word, cached."""
-        key = word
-        cached = self._bracket_cache.get(key)
-        if cached is None:
-            cached = resolve_word(word, self.drift, list(self.controlled))
-            self._bracket_cache[key] = cached
-        return cached
+        """Matrix of the bracket word."""
+        return resolve_word(word, self.drift, list(self.controlled))
 
     def group_residual(self, g: np.ndarray):
         """Distance of g, or of each member of a (..., d, d) stack, from the

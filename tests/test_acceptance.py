@@ -25,7 +25,7 @@ from singcert.falsifier import (
     needle_variation,
 )
 from singcert.geometry import GroupGeometry, certificate_check
-from singcert.numerics import rk4_flow
+from singcert.numerics import rk4_flow, rk4_stage_times
 from singcert.pipeline import emit, run_check
 from singcert.secondvar import (
     assemble_lq,
@@ -183,8 +183,7 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     # a needle word's displacement scales at fitted order >= 1.8: the
     # product of its exact piece exponentials with the drift zeroed,
     # against its eps-linear part in the adapted frame
-    driftless = dataclasses.replace(dub3, drift=np.zeros_like(dub3.drift),
-                                    _bracket_cache={})
+    driftless = dataclasses.replace(dub3, drift=np.zeros_like(dub3.drift))
     eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
     t_vec, t_bar = np.array([0.05, 0.05, 0.04]), np.array([0.02, 0.03, 0.02])
     needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=dub3.m,
@@ -206,13 +205,16 @@ def test_criterion_9_determinism_and_convergence(dub3):
 
     # RK4 with group projection, the competitors' integrator, on a smooth
     # non-zero control
-    def rhs(t, m):
-        return m @ (dub3.drift + np.sin(2 * t) * dub3.controlled[0]
-                    + np.cos(3 * t) * dub3.controlled[1])
-
     def end(n_steps):
-        return rk4_flow(rhs, np.linspace(0, 1, n_steps + 1), np.eye(dub3.d),
-                        lambda t, m: dub3.project_to_group(m))[-1]
+        grid = np.linspace(0, 1, n_steps + 1)
+        times = rk4_stage_times(grid)
+
+        def rhs(i, m):
+            t = times[i]
+            return m @ (dub3.drift + np.sin(2 * t) * dub3.controlled[0]
+                        + np.cos(3 * t) * dub3.controlled[1])
+
+        return rk4_flow(rhs, grid, np.eye(dub3.d), dub3.project_to_group)[-1]
 
     finest = end(2 ** 12)
     steps = [2 ** k for k in (4, 5, 6, 7)]

@@ -24,7 +24,7 @@ from singcert.extremal import (
     singular_feedback,
     trajectory_to_csv,
 )
-from singcert.numerics import rk4_flow
+from singcert.numerics import rk4_flow, rk4_stage_times, time_grid
 from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
@@ -88,12 +88,15 @@ def test_covector_helpers_take_stacks(space):
 def controlled_flow_end(system, n_steps):
     """End of M' = M (A0 + sin(2t) A1 + cos(3t) A2), M(0) = I, on [0, 1] by
     rk4_flow with group projection, as the falsifier integrates."""
-    def rhs(t, m):
+    grid = np.linspace(0, 1, n_steps + 1)
+    times = rk4_stage_times(grid)
+
+    def rhs(i, m):
+        t = times[i]
         return m @ (system.drift + np.sin(2 * t) * system.controlled[0]
                     + np.cos(3 * t) * system.controlled[1])
 
-    return rk4_flow(rhs, np.linspace(0, 1, n_steps + 1), np.eye(system.d),
-                    lambda t, m: system.project_to_group(m))[-1]
+    return rk4_flow(rhs, grid, np.eye(system.d), system.project_to_group)[-1]
 
 
 def test_reference_flow_fourth_order(dub3):
@@ -110,16 +113,54 @@ def test_reference_flow_fourth_order(dub3):
 def test_rk4_flow_needs_increasing_time_grid():
     """rk4_flow steps on a strictly increasing (T,) grid and rejects any
     other."""
-    def f(t, y):
-        return np.sin(t) * y[..., ::-1] - 0.3 * y
+    def f(i, y):
+        return y[..., ::-1] - 0.3 * y
 
     y0 = np.array([[1.0, 2.0], [0.5, -1.0]])
     grid = np.linspace(0.0, 1.0, 9)
-    assert len(rk4_flow(f, grid, y0)) == 9
+    assert rk4_flow(f, grid, y0).shape == (9, 2, 2)
     for bad in (grid[::-1], np.array([0.0, 0.5, 0.5, 1.0]),
                 np.stack([grid, grid], axis=1)):
         with pytest.raises(ValueError):
             rk4_flow(f, bad, y0)
+
+
+def test_rk4_flow_reads_stage_times_on_a_non_uniform_grid():
+    """On a grid with an extra point, as the falsifier's grid has t_hat,
+    step k reads the stage table at t_k, t_k + h/2 (twice) and t_k + h, in
+    order, and the flow holds exactly the states after_step returned."""
+    grid = np.union1d(time_grid(1.1, 0.1), [1.0 / 3.0])
+    times = rk4_stage_times(grid)
+    h = np.diff(grid)
+    assert times.shape == (3 * h.size,)
+    assert np.array_equal(times.reshape(-1, 3), np.stack(
+        [grid[:-1], grid[:-1] + 0.5 * h, grid[:-1] + h], axis=1))
+    read, kept = [], []
+
+    def f(i, y):
+        read.append(i)
+        return np.cos(times[i]) * y[::-1] - 0.3 * y
+
+    def after_step(y):
+        kept.append(y / np.linalg.norm(y))
+        return kept[-1]
+
+    y0 = np.array([1.0, 2.0])
+    flow = rk4_flow(f, grid, y0, after_step)
+    assert read == [3 * k + s for k in range(h.size) for s in (0, 1, 1, 2)]
+    assert flow.shape == (grid.size, 2)
+    assert np.array_equal(flow[0], y0)
+    assert np.array_equal(flow[1:], np.array(kept))
+
+
+@pytest.mark.parametrize("horizon, dt", [(1.0, 0.01), (1.1, 0.02),
+                                         (0.3, 0.1), (0.01, 0.02),
+                                         (2.0 * np.pi, 0.013)])
+def test_time_grid_has_eight_steps_and_ends_at_the_horizon(horizon, dt):
+    grid = time_grid(horizon, dt)
+    assert grid.size - 1 == max(round(horizon / dt), 8)
+    assert grid[0] == 0.0 and grid[-1] == horizon
+    assert np.all(np.diff(grid) > 0)
 
 
 def test_adjoint_identity_at_zero(dub3, extremal3):

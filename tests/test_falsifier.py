@@ -19,7 +19,6 @@ from singcert.falsifier import (
     TARGET_TOL,
     TargetSpec,
     _band_flow,
-    _integration_grid,
     _needle_exponentials,
     _needle_samples,
     _quick_log,
@@ -29,7 +28,7 @@ from singcert.falsifier import (
     needle_variation,
     report_to_csv,
 )
-from singcert.numerics import log_head, rk4_flow
+from singcert.numerics import log_head, rk4_flow, rk4_stage_times, time_grid
 from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
@@ -88,8 +87,7 @@ def driftless_needle_discrepancies(system, t_vec, t_bar,
     the product of a needle's exact piece exponentials with the drift
     zeroed, and eps x_1 its eps-linear part, the weighted sum of the word's
     generators in the adapted frame."""
-    driftless = dataclasses.replace(system, drift=np.zeros_like(system.drift),
-                                    _bracket_cache={})
+    driftless = dataclasses.replace(system, drift=np.zeros_like(system.drift))
     needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=system.m,
                                 t_bar=t_bar) for eps in eps_grid]
     ends = functools.reduce(
@@ -253,7 +251,7 @@ def test_needle_states_match_fine_rk4(space, n):
     compared with the exact reference at its own sample time."""
     sys_ = build_dubins_system(space, n)
     t_hat, horizon = 1.0, 1.1
-    grid = _integration_grid(horizon, 0.02, include=(t_hat,))
+    grid = np.union1d(time_grid(horizon, 0.02), [t_hat])
     ref = reference_flow(sys_, grid)
     needles = [c.needle for c in _sample_competitors(sys_, t_hat, horizon,
                                                      6, 0.1, 2)
@@ -276,23 +274,24 @@ def test_stacked_flows_match_serial(space):
     integrated alone on the base grid."""
     sys_ = build_dubins_system(space, 4)
     t_hat = 1.0
-    grid = _integration_grid(1.1, 0.02, include=(t_hat,))
+    grid = np.union1d(time_grid(1.1, 0.02), [t_hat])
+    times = rk4_stage_times(grid)
     comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2)
     coeff = np.array([c.coeff for c in comps if c.coeff is not None])
     assert [c.family for c in comps] == ["needle", "band"] * 4 + ["needle"]
     stacked = _band_flow(sys_, coeff, t_hat, np.eye(sys_.d), grid)
     assert stacked.shape == (grid.size, 4, sys_.d, sys_.d)
     for j, c in enumerate(coeff):
-        def rhs(t, q):
+        def rhs(row, q):
+            t = times[row]
             u = sum(c[2 * k] * np.cos(2.0 * np.pi * (k + 1) * t / t_hat)
                     + c[2 * k + 1] * np.sin(2.0 * np.pi * (k + 1) * t / t_hat)
                     for k in range(len(c) // 2))
             return q @ (sys_.drift + sum(u[i] * sys_.controlled[i]
                                          for i in range(sys_.m)))
 
-        alone = rk4_flow(rhs, grid, np.eye(sys_.d),
-                         lambda t, q: sys_.project_to_group(q))
-        assert np.max(np.abs(stacked[:, j] - np.array(alone))) <= 1e-12
+        alone = rk4_flow(rhs, grid, np.eye(sys_.d), sys_.project_to_group)
+        assert np.max(np.abs(stacked[:, j] - alone)) <= 1e-12
 
 
 def test_target_residual_of_stack(dub3, extremal3):
@@ -366,7 +365,7 @@ def _sweep_problem(space, n):
     system, chart, trajectory = _build_problem(config)
     target = TargetSpec(trajectory.q[-1], chart)
     t_hat = trajectory.horizon
-    grid = _integration_grid(1.1 * t_hat, 0.02, include=(t_hat,))
+    grid = np.union1d(time_grid(1.1 * t_hat, 0.02), [t_hat])
     return system, trajectory, target, grid, reference_flow(system, grid)
 
 

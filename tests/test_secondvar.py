@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import adjoint_trajectory, dubins_initial_covector
-from singcert.numerics import plane_exp, rk4_flow
+from singcert.numerics import plane_exp, rk4_flow, rk4_stage_times
 from singcert.secondvar import (
     SecondVariationProblem,
     assemble_lq,
@@ -310,6 +310,7 @@ def direct_traces(problem, rhos, n_steps=200):
     the scalar views read once per time and shared by the flows."""
     n = problem.n
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
+    times = rk4_stage_times(grid)
     seen = {}
 
     def lq_at(t):
@@ -318,9 +319,9 @@ def direct_traces(problem, rhos, n_steps=200):
                        np.linalg.inv(-problem.c_fn(t)))
         return seen[t]
 
-    def rhs(t, y):
+    def rhs(i, y):
         om, xx = y
-        z_t, a_t, l_inv = lq_at(t)
+        z_t, a_t, l_inv = lq_at(times[i])
         b = l_inv @ (z_t.T @ om + a_t @ xx)
         return np.array([-a_t.T @ b, z_t @ b])
 
@@ -492,7 +493,6 @@ def test_assemble_lq_rejects_two_plane_drift():
     traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
                               np.linspace(0.0, 1.0, 11))
     two_plane = dataclasses.replace(
-        sys_, drift=sys_.drift + sys_.bracket_matrix((1, 2)),
-        _bracket_cache={})
+        sys_, drift=sys_.drift + sys_.bracket_matrix((1, 2)))
     with pytest.raises(np.linalg.LinAlgError, match="single-plane"):
         assemble_lq(two_plane, traj, chart)
