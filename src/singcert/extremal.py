@@ -8,6 +8,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import commutator, numerical_rank, pairing, span_contains
+from .numerics import write_csv
 from .systems import MatrixGroupSystem
 
 
@@ -293,7 +294,4 @@ def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:
         trajectory.grid[:, None], trajectory.q.reshape(len(f), -1),
         trajectory.p.reshape(len(f), -1), f,
         hogc_residual(system, trajectory.p)[:, None]], axis=1)
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, rows)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .chart import GroupChart
 from .extremal import ExtremalTrajectory, reference_flow, require_finite
-from .numerics import log_head, plane_exp, rk4_flow, rk4_stage_times, time_grid
+from .numerics import (log_head, plane_exp, rk4_flow, rk4_stage_times,
+                       time_grid, write_csv)
 # the tracer in bench/ times the shared log under this name
 from .numerics import series_log as _quick_log
 from .systems import MatrixGroupSystem
@@ -394,10 +395,5 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
 
 def report_to_csv(report: FalsificationReport, path) -> None:
-    lines = ["sample,family,arrival,graph_distance"]
-    for r in report.records:
-        arr = "" if r["arrival"] is None else f"{r['arrival']:.17g}"
-        gd = "" if r["graph_distance"] is None else f"{r['graph_distance']:.17g}"
-        lines.append(f"{r['sample']},{r['family']},{arr},{gd}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = ["sample", "family", "arrival", "graph_distance"]
+    write_csv(path, columns, ([r[c] for c in columns] for r in report.records))

@@ -7,9 +7,9 @@ a closed form (see GroupGeometry): H_0 = |c(p)|, its gradient and the
 multipliers come from one vector c(p) read off the covector, and the
 multiplier exponential is a single-plane rotation. Base points enter only
 the super-Hamiltonian flow, which carries (S, d, d) stacks of them beside
-their covectors: the certificate flows all its seeds as one stacked RK4
-flow, projected back onto the group after every step, and inverts the
-chart once per grid point.
+their covectors: on Sigma every extremal of H_0 is a geodesic
+q0 exp(t a0), so the certificate takes all its seeds in closed form and
+inverts the chart once per grid point.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import GroupChart
-from .extremal import (ExtremalTrajectory, hogc_residual, legendre_form,
+from .extremal import (ExtremalTrajectory, coadjoint_transport,
+                       hogc_residual, legendre_form, require_finite,
                        s_residual)
-from .numerics import rk4_flow, series_log
+from .numerics import plane_exp, series_log, write_csv
 from .systems import MatrixGroupSystem, ProjectionError
 
 # half-width of the chart box around x = 0 on which the certificate
@@ -175,32 +176,23 @@ class GroupGeometry:
     # -- super-Hamiltonian flow --------------------------------------------
 
     def super_hamiltonian_flow(self, q0: np.ndarray, p0: np.ndarray, grid):
-        """Integrate the canonical flow of H_0 from (S, d, d) stacks of base
-        points q0 and covectors p0 as one stacked (S, 2, d, d) flow.
+        """The canonical flow of H_0 from (S, d, d) stacks of base points q0
+        and covectors p0 on Sigma, in closed form: the (T, S, d, d) arrays
+        q and p on the grid.
 
-        After each step g is projected back onto the group. Returns the
-        (T, S, d, d) arrays q and p on the grid.
+        With c_i = <p, P_i>, P_i = e_i e_0^T - eps e_0 e_i^T, the flow of
+        a = sum_j w_j P_j has dc_i/dt = sum_j w_j <p, [P_j, P_i]>. Each
+        [P_j, P_i] rotates the indices 1..N and so lies in the controlled
+        Lie closure, whose pairings vanish on Sigma and stay zero:
+        d<p, B>/dt = <p, [a, B]> = -(B w) . c = 0 for such a rotation B. So on Sigma c and a = grad_h0(p0) are
+        constant, and q(t) = q0 exp(t a), with p(t) the coadjoint transport
+        of p0 by the single-plane `plane_exp`(t a). Off Sigma this is not
+        the flow of H_0; the certificate checks its seeds on Sigma.
         """
-        y0 = np.stack([q0, p0], axis=1)
-
-        def rhs(i, y):
-            g, p = y[:, 0], y[:, 1]
-            mh = self.grad_h0(p)
-            return np.stack([g @ mh, hamiltonian_direction(p, mh)], axis=1)
-
-        def after_step(y):
-            y[:, 0] = self.system.project_to_group(y[:, 0])
-            return y
-
-        states = rk4_flow(rhs, grid, y0, after_step)
-        return states[:, :, 0], states[:, :, 1]
-
-
-def hamiltonian_direction(p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Covector component of the Hamiltonian field of F_A at p (stacks
-    too)."""
-    a_t = np.swapaxes(a, -1, -2)
-    return a_t @ p - p @ a_t
+        ta = np.asarray(grid, dtype=float)[:, None, None, None] \
+            * self.grad_h0(p0)
+        step = plane_exp(ta)
+        return q0 @ step, coadjoint_transport(p0, step, plane_exp(-ta))
 
 
 def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
@@ -211,16 +203,18 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     """Field-of-extremals certificate via the dominating Hamiltonian flow.
 
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart and
-    verifies it sits inside Sigma on a Sobol sample. The graph points over
-    x = 0 and x = +-fd_step e_k flow together as one stacked
-    super-Hamiltonian flow. At each grid point one warm-started chart
-    inversion locates the x = 0 member at x_c, and the exact series log
-    of forward_inv(x_c) q+- gives every other member's offset in the
-    moving frame at x_c. The central differences of those offsets are the
-    columns of the base projection: the chart's quadratic term cancels in
-    them, and no chart-inversion noise is divided by fd_step. Tracks the
-    smallest singular value of the base projection.
+    verifies it sits inside Sigma on a Sobol sample and at the seeds, the
+    graph points over x = 0 and x = +-fd_step e_k. The seeds flow together
+    as one stacked closed-form super-Hamiltonian flow, exact on Sigma. At
+    each grid point one warm-started chart inversion locates the x = 0
+    member at x_c, and the exact series log of forward_inv(x_c) q+- gives
+    every other member's offset in the moving frame at x_c. The central
+    differences of those offsets are the columns of the base projection:
+    the chart's quadratic term cancels in them, and no chart-inversion
+    noise is divided by fd_step. Tracks the smallest singular value of the
+    base projection.
     """
+    require_finite(extremal)
     geom = GroupGeometry(system)
     n = chart.n
     r_dim = chart.R
@@ -240,14 +234,16 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
     lifts = lambda_lift(LAMBDA_RADIUS * (2.0 * sampler.random(n_samples)
                                          - 1.0))
-    max_sigma = float(np.max(hogc_residual(system, lifts)))
 
     # seeds x = 0, +fd_step e_0, -fd_step e_0, +fd_step e_1, ...
     seeds = np.zeros((2 * n + 1, n))
     seeds[1::2] = fd_step * np.eye(n)
     seeds[2::2] = -fd_step * np.eye(n)
-    q, p = geom.super_hamiltonian_flow(chart.forward(seeds),
-                                       lambda_lift(seeds), grid)
+    seed_lifts = lambda_lift(seeds)
+    # the closed-form flow needs its seeds on Sigma too
+    max_sigma = float(np.max(hogc_residual(
+        system, np.concatenate([lifts, seed_lifts]))))
+    q, p = geom.super_hamiltonian_flow(chart.forward(seeds), seed_lifts, grid)
 
     bases = np.zeros((grid.size, n, n))
     x_c = np.zeros(n)
@@ -278,7 +274,4 @@ def flow_samples_to_csv(system: MatrixGroupSystem, grid, p: np.ndarray,
         np.asarray(grid, dtype=float)[:, None], p.reshape(len(p), -1),
         hogc_residual(system, p)[:, None], s_residual(system, p)[:, None]],
         axis=1)
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, rows)

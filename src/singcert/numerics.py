@@ -2,7 +2,7 @@
 exponential of a single-plane generator and the exact series logarithm of
 a group element near the identity, with its third-order head and a
 certified bound on the head's remainder, so that a caller whose test the
-bound already decides takes no series.
+bound already decides takes no series; and the one CSV writer.
 
 RK4 has one owner. `time_grid` holds the rule for a uniform grid (at least
 8 steps), `rk4_stage_times` forms the times the stages read, and
@@ -192,17 +192,32 @@ def series_log(mat: np.ndarray) -> np.ndarray:
     log g = 2 artanh(Z) with Z = (g - I)(g + I)^-1, the odd power series
     summed until its terms fall below roundoff. The series converges when
     every eigenvalue of g has positive real part, as it has for
-    ||g - I|| < 1; the callers stay inside radius 0.9.
+    ||g - I|| < 1; the callers stay inside radius 0.9. A series that does
+    not converge, or overflows to an infinite sum, raises LinAlgError with
+    no numpy warning.
     """
     eye = np.eye(mat.shape[-1])
     z = np.linalg.solve(mat + eye, mat - eye)
     z2 = z @ z
     power = z
     out = z
-    for k in range(3, 2000, 2):
-        power = power @ z2
-        term = power / k
-        out = out + term
-        if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
-            return 2.0 * out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3, 2000, 2):
+            power = power @ z2
+            term = power / k
+            out = out + term
+            if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
+                if not np.isfinite(out).all():
+                    break
+                return 2.0 * out
     raise np.linalg.LinAlgError("matrix logarithm series did not converge")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and one line per row to path: a None cell is
+    empty, a str is written as is, and every number is formatted .17g."""
+    lines = [",".join(header)] + [
+        ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
+                 for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

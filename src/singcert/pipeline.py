@@ -59,8 +59,12 @@ MAX_GALERKIN_K = 128
 # the pipeline's stages in dependency order
 STAGES = ("conditions", "coercivity", "certificate", "falsifier")
 
-# the parameters run_sweep varies, each with the type of its values
-SWEEP_PARAMETERS = {"N": int, "horizon": float, "rho": float, "K": int}
+# the parameters run_sweep varies, each with what builds its config value
+# from one sweep value and the path of keys to that value in the config
+SWEEP_PARAMETERS = {"N": (int, ("system", "N")),
+                    "horizon": (float, ("horizon",)),
+                    "rho": (float, ("certificate", "rho")),
+                    "K": (lambda v: [int(v)], ("galerkin_k",))}
 
 # numerical breakdowns a stage reports as status "error" instead of raising
 STAGE_ERRORS = (OutOfChartError, ProjectionError, np.linalg.LinAlgError)
@@ -342,25 +346,21 @@ def _overall_verdict(config: dict, stages: dict) -> str:
 
 def run_sweep(config: dict, parameter: str, values) -> list:
     """Re-run the pipeline across a one-parameter family of configs."""
-    kind = SWEEP_PARAMETERS.get(parameter)
-    if kind is None:
+    if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter: {parameter}")
+    build, (*parents, key) = SWEEP_PARAMETERS[parameter]
     try:
-        values = [kind(v) for v in values]
+        values = [build(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad value for sweep parameter {parameter}: "
                           f"{exc}") from exc
     variants = []
     for value in values:
         variant = copy.deepcopy(config)
-        if parameter == "N":
-            variant.setdefault("system", {})["N"] = value
-        elif parameter == "horizon":
-            variant["horizon"] = value
-        elif parameter == "rho":
-            variant.setdefault("certificate", {})["rho"] = value
-        else:
-            variant["galerkin_k"] = [value]
+        node = variant
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
         variants.append(variant)
     # a bad value is a config error before any run, not after the others
     for variant in variants:

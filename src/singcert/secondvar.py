@@ -19,7 +19,7 @@ from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
                        reference_flow, require_finite)
 from .geometry import GroupGeometry
-from .numerics import plane_exp, rk4_flow, rk4_stage_times
+from .numerics import plane_exp, rk4_flow, rk4_stage_times, write_csv
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -245,11 +245,7 @@ class CoercivityReport:
             "method": self.method,
             "verdict": self.verdict,
             "margin": float(self.margin),
-            "refinements": [
-                {k: (float(v) if isinstance(v, (int, float, np.floating))
-                     else v) for k, v in r.items()}
-                for r in self.refinements
-            ],
+            "refinements": [dict(r) for r in self.refinements],
         }
         if self.rho is not None:
             out["rho"] = float(self.rho)
@@ -409,9 +405,7 @@ def iota_equivalence_check(problem: SecondVariationProblem,
 
 
 def det_trace_to_csv(report: CoercivityReport, path) -> None:
-    lines = ["t,det,abs_det_ratio"]
     d0 = abs(report.det_trace[0])
-    for t, v in zip(report.det_grid, report.det_trace):
-        lines.append(f"{t:.17g},{v:.17g},{abs(v) / d0:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["t", "det", "abs_det_ratio"],
+              ((t, v, abs(v) / d0)
+               for t, v in zip(report.det_grid, report.det_trace)))

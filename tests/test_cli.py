@@ -441,7 +441,7 @@ def test_non_finite_reference_arc_is_an_error(tmp_path, capsys):
     assert error["message"].startswith("reference arc is not finite at t =")
 
 
-@pytest.mark.parametrize("stage", ["coercivity", "falsifier"])
+@pytest.mark.parametrize("stage", ["coercivity", "certificate", "falsifier"])
 def test_non_finite_reference_arc_is_an_error_in_every_stage(stage):
     """Every stage that reads the arc checks it first: without the
     conditions stage, the overflowed arc is still named, with no numpy
@@ -455,6 +455,18 @@ def test_non_finite_reference_arc_is_an_error_in_every_stage(stage):
     error = report["stages"][stage]["error"]
     assert error["type"] == "LinAlgError"
     assert error["message"].startswith("reference arc is not finite at t =")
+
+
+def test_long_hyperbolic_certificate_is_an_error_without_warnings():
+    """At H = 20 the arc is finite, but the certificate's series log
+    diverges: the stage ends in an error, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_check({
+            "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+            "horizon": 20.0, "checks": ["certificate"]})
+    assert report["verdict"] == "error"
+    assert report["stages"]["certificate"]["error"]["type"] == "LinAlgError"
 
 
 def test_sphere_run_ends_in_verdict():

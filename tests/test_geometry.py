@@ -16,8 +16,8 @@ from singcert.geometry import (
     ProjectionError,
     certificate_check,
     flow_samples_to_csv,
-    hamiltonian_direction,
 )
+from singcert.numerics import rk4_flow
 from singcert.systems import build_dubins_system
 
 
@@ -36,6 +36,31 @@ def sigma_sample(chart, rng, scale=0.05):
     y[chart.R:] = chart.p_hat[chart.R:] + scale * rng.standard_normal(
         chart.n - chart.R)
     return x, chart.covector_from_chart(x, y)
+
+
+def hamiltonian_direction(p, a):
+    """Covector component of the Hamiltonian field of F_A at p (stacks
+    too)."""
+    a_t = np.swapaxes(a, -1, -2)
+    return a_t @ p - p @ a_t
+
+
+def rk4_super_hamiltonian_flow(geom, q0, p0, grid):
+    """The canonical flow of H_0 by RK4 on the grid, g projected back onto
+    the group after every step, from (S, d, d) stacks q0 and p0: the
+    oracle for the closed-form flow, which holds only on Sigma."""
+
+    def rhs(i, y):
+        mh = geom.grad_h0(y[:, 1])
+        return np.stack([y[:, 0] @ mh, hamiltonian_direction(y[:, 1], mh)],
+                        axis=1)
+
+    def after_step(y):
+        y[:, 0] = geom.system.project_to_group(y[:, 0])
+        return y
+
+    states = rk4_flow(rhs, grid, np.stack([q0, p0], axis=1), after_step)
+    return states[:, :, 0], states[:, :, 1]
 
 
 def psi(geom, p, t_vec):
@@ -270,6 +295,44 @@ def test_super_hamiltonian_on_s_equals_drift_flow(setup):
     assert np.max(np.abs(q[-1] - q0 @ m_end)) <= 1e-9
 
 
+def sigma_seeds(space, noise=0.0):
+    """Four Sigma points of the N=4 system on the form, their covectors
+    moved off Sigma by noise of that size when it is nonzero."""
+    sys_ = build_dubins_system(space, 4)
+    chart = dubins_adapted_chart(sys_)
+    rng = np.random.default_rng(31)
+    q0, p0 = [], []
+    for _ in range(4):
+        x, p = sigma_sample(chart, rng, scale=0.03)
+        q0.append(chart.forward(x))
+        p0.append(p + noise * rng.standard_normal(p.shape))
+    return GroupGeometry(sys_), np.array(q0), np.array(p0)
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_closed_form_flow_matches_rk4_on_sigma(space):
+    """On Sigma the closed-form flow is the RK4 flow with group projection
+    in the limit: 1e-13 apart at 512 steps, 1e-8 at 32."""
+    geom, q0, p0 = sigma_seeds(space)
+    for steps, tol in ((512, 1e-11), (32, 1e-7)):
+        grid = np.linspace(0.0, 1.0, steps + 1)
+        q, p = geom.super_hamiltonian_flow(q0, p0, grid)
+        q_rk, p_rk = rk4_super_hamiltonian_flow(geom, q0, p0, grid)
+        assert np.max(np.abs(q - q_rk)) <= tol
+        assert np.max(np.abs(p - p_rk)) <= tol
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_closed_form_flow_needs_sigma(space):
+    """Off Sigma c(p) moves along the flow of H_0, so the geodesic is not
+    its flow: the closed form leaves the RK4 flow by more than 1e-2."""
+    geom, q0, p0 = sigma_seeds(space, noise=0.05)
+    grid = np.linspace(0.0, 1.0, 513)
+    q, p = geom.super_hamiltonian_flow(q0, p0, grid)
+    q_rk, p_rk = rk4_super_hamiltonian_flow(geom, q0, p0, grid)
+    assert max(np.max(np.abs(q - q_rk)), np.max(np.abs(p - p_rk))) > 1e-2
+
+
 def test_sigma_flow_stays_on_sigma(setup):
     sys_, geom, _ = setup
     chart = dubins_adapted_chart(sys_)
@@ -385,3 +448,33 @@ def test_certificate_insensitive_to_fd_step(space):
                               n_samples=8, fd_step=h).min_singular_value
             for h in (1e-4, 1e-5, 1e-6)]
     assert max(mins) - min(mins) <= 1e-8
+
+
+def test_near_focal_certificate_matches_fine_rk4(monkeypatch):
+    """On sphere N=3 at H = 3.0 the field is near focal (t ~ 2.357), where
+    RK4's truncation shows: the closed-form certificate is within 1e-8
+    relative of one flowed by RK4 at 16 steps per grid step, while RK4 on
+    the 33-point grid itself is 1e-5 or more away."""
+    sys_ = build_dubins_system("sphere", 3)
+    chart = dubins_adapted_chart(sys_)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                              np.linspace(0.0, 3.0, 301))
+    grid = np.linspace(0.0, 3.0, 33)
+
+    def min_sv():
+        return certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                                 n_samples=8).min_singular_value
+
+    exact = min_sv()
+
+    def rk4_every(sub):
+        def flow(self, q0, p0, coarse):
+            fine = np.linspace(0.0, coarse[-1], sub * (coarse.size - 1) + 1)
+            q, p = rk4_super_hamiltonian_flow(self, q0, p0, fine)
+            return q[::sub], p[::sub]
+        return flow
+
+    monkeypatch.setattr(GroupGeometry, "super_hamiltonian_flow", rk4_every(16))
+    assert min_sv() == pytest.approx(exact, rel=1e-8)
+    monkeypatch.setattr(GroupGeometry, "super_hamiltonian_flow", rk4_every(1))
+    assert abs(min_sv() - exact) >= 1e-5 * exact

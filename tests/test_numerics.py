@@ -136,3 +136,13 @@ def test_log_head_bound_is_inf_outside_the_series_radius():
                       plane_exp(1.5 * system.drift)])
     _, bound = log_head(stack)
     assert bound[0] == bound[2] == np.inf and np.isfinite(bound[1])
+
+
+def test_series_log_raises_where_the_series_diverges():
+    """An eigenvalue -3 puts the Cayley series off its radius: its terms
+    overflow, and the infinite sum is an error, not a converged log, with
+    no numpy warning on the way."""
+    with np.errstate(all="raise"):
+        with pytest.raises(np.linalg.LinAlgError):
+            series_log(np.diag([-3.0, 1.0, 1.0]))
+    assert np.all(np.isfinite(series_log(np.diag([0.5, 1.0, 2.0]))))
