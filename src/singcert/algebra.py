@@ -18,10 +18,11 @@ class DimensionMismatchError(ValueError):
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator AB - BA."""
+    """Matrix commutator AB - BA, broadcast over the leading axes of
+    stacks of square matrices."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
 
@@ -94,19 +95,22 @@ def lie_closure(
     return basis, words, len(basis)
 
 
-def span_contains(basis: list[np.ndarray], mat: np.ndarray) -> float:
-    """Residual (max norm) of mat after orthogonal projection onto span(basis)."""
-    if not basis:
-        return float(np.max(np.abs(mat)))
+def span_contains(basis, mats) -> float:
+    """Largest residual (max norm) of mats, one matrix or a (k, d, d) stack,
+    after orthogonal projection onto span(basis): one least-squares solve
+    for the whole stack."""
+    mats = np.asarray(mats, dtype=float)
+    if len(basis) == 0:
+        return float(np.max(np.abs(mats)))
+    rhs = mats.reshape(-1, mats.shape[-2] * mats.shape[-1]).T
     stack = np.array([b.ravel() for b in basis]).T
-    coeff, *_ = np.linalg.lstsq(stack, mat.ravel(), rcond=None)
-    resid = mat.ravel() - stack @ coeff
-    return float(np.max(np.abs(resid)))
+    coeff, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+    return float(np.max(np.abs(rhs - stack @ coeff)))
 
 
 def so_residual(a: np.ndarray) -> float:
-    """Membership residual in so(d): max-norm of A + A^T."""
-    return float(np.max(np.abs(a + a.T)))
+    """Membership residual in so(d): max-norm of A + A^T, over a stack too."""
+    return float(np.max(np.abs(a + np.swapaxes(a, -1, -2))))
 
 
 def pairing(p: np.ndarray, a: np.ndarray) -> float:

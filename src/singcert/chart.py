@@ -8,6 +8,7 @@ functions x_{R+1}..x_n annihilate the controlled algebra exactly.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ from scipy.linalg import logm
 
 from .numerics import damped_newton, plane_exp
 from .systems import MatrixGroupSystem
+
+
+# relative stop tolerance and step cap of the Newton chart inversion
+INVERSE_TOL = 1e-13
+INVERSE_MAX_ITER = 60
 
 
 class OutOfChartError(RuntimeError):
@@ -103,17 +109,17 @@ class GroupChart:
         return c.T.reshape(mat.shape[:-2] + (self.n,))
 
     def inverse(self, q: np.ndarray, x0: np.ndarray | None = None,
-                tol: float = 1e-13, max_iter: int = 60,
                 radius: float = np.inf) -> np.ndarray:
         """Damped Newton solve of forward(x) = q.
 
-        The residual log(forward(x)^-1 q) stops at tol max(1, max|q|)^2:
-        the conditioning of q on SO(1, N), and 1 on the sphere and on
-        Euclidean arcs of length up to 1. Iterates outside the ball of the
-        given radius, the start included, report out-of-chart.
+        The residual log(forward(x)^-1 q) stops at INVERSE_TOL
+        max(1, max|q|)^2: the conditioning of q on SO(1, N), and 1 on the
+        sphere and on Euclidean arcs of length up to 1. Iterates outside
+        the ball of the given radius, the start included, report
+        out-of-chart.
         """
         x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-        tol = tol * max(1.0, float(np.max(np.abs(q)))) ** 2
+        tol = INVERSE_TOL * max(1.0, float(np.max(np.abs(q)))) ** 2
 
         def inside(xv):
             if np.linalg.norm(xv) > radius:
@@ -126,9 +132,17 @@ class GroupChart:
         def direction(xv, e):
             return self.solve_in_frame(inside(xv), e)
 
-        x, *_ = damped_newton(
-            residual, direction, x, tol, max_iter, 30,
-            lambda msg: OutOfChartError(f"{msg} during chart inversion"))
+        # scipy's logm warns when its own error estimate is large or its
+        # input is near singular; the Newton stop test on the residual it
+        # returns decides convergence, so the warnings say nothing more
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "logm result may be inaccurate",
+                                    RuntimeWarning)
+            warnings.filterwarnings("ignore", "The logm input matrix",
+                                    UserWarning)
+            x, *_ = damped_newton(
+                residual, direction, x, tol, INVERSE_MAX_ITER, 30,
+                lambda msg: OutOfChartError(f"{msg} during chart inversion"))
         return inside(x)
 
     def covector_from_chart(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -144,14 +158,11 @@ def dubins_adapted_chart(system: MatrixGroupSystem) -> GroupChart:
     """Adapted chart for a Dubins-family system.
 
     Frame order: A_1..A_m, [A_i,A_j] (i < j), [A_0,A_i], A_0. The first
-    R = m + m(m-1)/2 fields span the controlled algebra and the reference
-    trajectory is the x_n coordinate axis.
+    R = m + m(m-1)/2 fields span the controlled algebra (the hypotheses
+    closure_so_N and frame_basis_rank of the conditions stage) and the
+    reference trajectory is the x_n coordinate axis.
     """
-    m = system.m
-    r = m + m * (m - 1) // 2
-    if r != system.R:
-        raise ValueError("controlled algebra is not depth-2 spanned")
     p_hat = np.zeros(system.n)
     p_hat[-1] = 1.0
-    return GroupChart(system.full_algebra_basis(), r, p_hat)
+    return GroupChart(system.full_algebra_basis(), system.R, p_hat)
 

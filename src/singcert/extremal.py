@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import commutator, numerical_rank, pairing, span_contains
+from .algebra import (commutator, numerical_rank, pairing, so_residual,
+                      span_contains)
 from .numerics import write_csv
 from .systems import MatrixGroupSystem
 
@@ -67,6 +68,14 @@ def require_finite(trajectory: ExtremalTrajectory) -> None:
             f"time")
 
 
+# largest condition number of a Legendre form the singular feedback solves
+LEGENDRE_COND_LIMIT = 1e8
+
+# bound on the residuals of the structure hypotheses, which hold exactly:
+# the Dubins bracket tables are matrices of small integers
+STRUCTURE_TOL = 1e-12
+
+
 def _pairings(p: np.ndarray, mats) -> np.ndarray:
     """<p, B_k> for a (k, d, d) stack of matrices B: shape (k,) for one
     covector, (S, k) for an (S, d, d) stack."""
@@ -103,12 +112,12 @@ def legendre_form(system: MatrixGroupSystem, p: np.ndarray) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + (m, m))
 
 
-def singular_feedback(lforms: np.ndarray, drift_terms: np.ndarray,
-                      cond_limit: float = 1e8) -> np.ndarray:
+def singular_feedback(lforms: np.ndarray,
+                      drift_terms: np.ndarray) -> np.ndarray:
     """Controls nu solving L nu = (F_{001}..F_{00m}) at every point of a
     stack: L is the (T, m, m) stack of Legendre forms and drift_terms the
     (T, m) right-hand sides; returns the (T, m) controls."""
-    if np.any(np.linalg.cond(lforms) > cond_limit):
+    if np.any(np.linalg.cond(lforms) > LEGENDRE_COND_LIMIT):
         raise np.linalg.LinAlgError(
             "Legendre form is ill-conditioned; strengthened Legendre "
             "condition fails at this point"
@@ -132,28 +141,96 @@ class ConditionCheck:
     detail: dict = field(default_factory=dict)
 
 
+def _check_table(checks) -> dict:
+    return {c.name: {"passed": bool(c.passed), "residual": float(c.residual),
+                     **c.detail} for c in checks}
+
+
 @dataclass(frozen=True)
 class ConditionReport:
+    """The arc's necessary conditions (checks) and the system's structure
+    hypotheses, which hold or fail for every arc of the system alike."""
+
     checks: tuple[ConditionCheck, ...]
     sglc_margin: float
+    hypotheses: tuple[ConditionCheck, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks + self.hypotheses)
 
     def as_dict(self) -> dict:
         return {
             "passed": bool(self.passed),
             "sglc_margin": float(self.sglc_margin),
-            "checks": {
-                c.name: {
-                    "passed": bool(c.passed),
-                    "residual": float(c.residual),
-                    **{k: v for k, v in c.detail.items()},
-                }
-                for c in self.checks
-            },
+            "checks": _check_table(self.checks),
+            "hypotheses": _check_table(self.hypotheses),
         }
+
+
+def _rank_check(name: str, mats: np.ndarray, expected: int) -> ConditionCheck:
+    rank = numerical_rank(mats.reshape(len(mats), -1))
+    return ConditionCheck(name, rank == expected, float(abs(rank - expected)),
+                          {"rank": rank, "expected_rank": expected})
+
+
+def verify_structure_properties(
+        system: MatrixGroupSystem) -> tuple[ConditionCheck, ...]:
+    """The structure the sufficiency theorem assumes of a Dubins-family
+    system, from its bracket tables alone: the controlled fields generate a
+    non-involutive distribution of constant dimension, and S is regular."""
+    N, m, n = system.N, system.m, system.n
+    tol = Tolerances()
+    a0 = system.drift
+    ai = np.array(system.controlled)
+    closure = np.array(system.lie_closure_basis)
+    upper_i, upper_j = np.triu_indices(m, 1)
+    derived = commutator(ai[upper_i], ai[upper_j])
+    drift_ai = commutator(a0, ai)
+
+    # (i) the closure is spanned at bracket depth 2 and is an so(N) inside
+    # so(N+1) with zero first column, of dimension N(N-1)/2
+    res_i = max(span_contains(np.concatenate([ai, derived]), closure),
+                so_residual(closure), float(np.max(np.abs(closure[:, :, 0]))))
+    dims = {"dimension": system.R, "expected_dimension": N * (N - 1) // 2}
+
+    # (iv) [A_i, [A_i, A0]] = -A0 and [A_i, [A_j, A0]] = 0 for i != j
+    res_iv = float(np.max(np.abs(commutator(ai[:, None], -drift_ai)
+                                 + np.eye(m)[:, :, None, None] * a0)))
+
+    # (v) A0 and the [A0, A_i] commute modulo the controlled algebra; on
+    # the flat form their brackets vanish outright
+    family = np.concatenate([a0[None], drift_ai])
+    pairs = commutator(family[:, None], family)
+    res_v = span_contains(closure, pairs) if system.epsilon \
+        else float(np.max(np.abs(pairs)))
+
+    # (vi) A0 commutes with every [A_i, A_j]
+    res_vi = float(np.max(np.abs(commutator(a0, derived))))
+
+    # regularity of S: [A0, B] stays in Lie(A_i) + span{[A0, A_i]} for
+    # every B in Lie(A_i), and the [A0, A_i] are independent modulo Lie(A_i)
+    reg_span = np.concatenate([closure, drift_ai])
+    reg_res = span_contains(reg_span, commutator(a0, closure))
+    reg_rank = numerical_rank(reg_span.reshape(len(reg_span), -1), tol.rank)
+
+    return (
+        ConditionCheck("closure_so_N", res_i <= STRUCTURE_TOL
+                       and dims["dimension"] == dims["expected_dimension"],
+                       res_i, dims),
+        # (ii) the [A_i, A_j] span a subalgebra of dimension (N-1)(N-2)/2
+        _rank_check("derived_dimension", derived, (N - 1) * (N - 2) // 2),
+        # (iii) A_i, [A_i, A_j], [A0, A_i] and A0 form a basis of Lie(G)
+        _rank_check("frame_basis_rank", np.array(system.full_algebra_basis()),
+                    n),
+        ConditionCheck("double_bracket_drift", res_iv <= STRUCTURE_TOL, res_iv),
+        ConditionCheck("drift_family_commutes", res_v <= STRUCTURE_TOL, res_v),
+        ConditionCheck("drift_commutes_derived", res_vi <= STRUCTURE_TOL,
+                       res_vi),
+        ConditionCheck("regularity_of_S", reg_res <= tol.equality
+                       and reg_rank == system.R + m, reg_res,
+                       {"rank": reg_rank, "expected_rank": system.R + m}),
+    )
 
 
 def condition_battery(trajectory: ExtremalTrajectory,
@@ -201,17 +278,6 @@ def condition_battery(trajectory: ExtremalTrajectory,
     feedback_res = float(np.max(np.abs(resid)))
     sglc_margin = -eig_high
 
-    # regularity of the singular surface: [f0, f] stays in
-    # Lie(f) + span{f_0i} for every f in Lie(f), and the drift brackets
-    # f_0i are independent modulo Lie(f).
-    closure = list(system.lie_closure_basis)
-    f0i_elems = [commutator(system.drift, a) for a in system.controlled]
-    reg_span = closure + f0i_elems
-    reg_res = max(
-        span_contains(reg_span, commutator(system.drift, b)) for b in closure)
-    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), tol.rank)
-    reg_ok = reg_res <= tol.equality and reg_rank == system.R + m
-
     checks = [
         ConditionCheck("pmp_switching", f_i_res <= tol.equality, f_i_res),
         ConditionCheck("normality", normality_res <= tol.equality, normality_res),
@@ -222,8 +288,6 @@ def condition_battery(trajectory: ExtremalTrajectory,
             float(-sglc_margin),
             {"margin": float(sglc_margin), "eig_low": float(eig_low),
              "eig_high": float(eig_high), "symmetry_residual": float(sym_res)}),
-        ConditionCheck("regularity_of_S", reg_ok, reg_res,
-                       {"rank": int(reg_rank), "expected_rank": system.R + m}),
         ConditionCheck("s_membership", f0i_res <= tol.equality, f0i_res),
         ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
                        feedback_res),
@@ -239,7 +303,8 @@ def condition_battery(trajectory: ExtremalTrajectory,
             "transversality", max(res0, resf) <= tol.equality,
             max(res0, resf),
             {"initial": float(res0), "final": float(resf)}))
-    return ConditionReport(tuple(checks), float(sglc_margin))
+    return ConditionReport(tuple(checks), float(sglc_margin),
+                           verify_structure_properties(system))
 
 
 def dubins_boundary_tangents(system: MatrixGroupSystem):
@@ -263,22 +328,15 @@ def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:
     """The unique covector annihilating {A_i, [A_i,A_j], [A0,A_i]} with
     <p0, A0> = 1, represented in the span of the full algebra basis."""
     basis = system.full_algebra_basis()
-    n = len(basis)
     annihilated = basis[:-1]  # everything except the drift
     rows = np.array([
         [pairing(a, b) for b in basis] for a in annihilated
     ])
-    _, s, vt = np.linalg.svd(rows)
-    null_dim = n - int(np.sum(s > 1e-10 * s[0]))
-    if null_dim != 1:
-        raise RuntimeError(
-            f"initial covector space has dimension {null_dim}, expected 1")
-    coeff = vt[-1]
+    # the basis has rank n (frame_basis_rank), so the rows' null space is
+    # one line, not orthogonal to the drift
+    coeff = np.linalg.svd(rows)[2][-1]
     p0 = sum(c * b for c, b in zip(coeff, basis))
-    scale = pairing(p0, system.drift)
-    if abs(scale) < 1e-12:
-        raise RuntimeError("covector candidate is orthogonal to the drift")
-    return p0 / scale
+    return p0 / pairing(p0, system.drift)
 
 
 def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:

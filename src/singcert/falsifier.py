@@ -87,19 +87,17 @@ class NeedleVariation:
 
 
 def needle_variation(s_bar: float, t_vec, eps: float, horizon: float, m: int,
-                     t_bar=None, channels=None) -> NeedleVariation:
+                     t_bar=None) -> NeedleVariation:
     """Build a needle variation; the window must fit inside the horizon."""
     t_vec = np.asarray(t_vec, dtype=float)
     if t_bar is None:
         t_bar = t_vec.copy()
     else:
         t_bar = np.asarray(t_bar, dtype=float)
-    if channels is None:
-        channels = tuple(k % m for k in range(t_vec.size))
     if s_bar + 2.0 * eps ** 2 > horizon + 1e-12:
         raise ValueError("needle window exceeds the horizon")
     return NeedleVariation(float(s_bar), t_vec, float(eps), t_bar,
-                           tuple(channels), m)
+                           tuple(k % m for k in range(t_vec.size)), m)
 
 
 @dataclass

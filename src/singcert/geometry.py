@@ -29,6 +29,9 @@ from .systems import MatrixGroupSystem, ProjectionError
 # spot-checks that the Lagrangian graph lies inside Sigma
 LAMBDA_RADIUS = 0.1
 
+# smallest singular value of the base projection the certificate accepts
+CERTIFICATE_MARGIN = 1e-3
+
 
 @dataclass
 class CertificateReport:
@@ -38,7 +41,6 @@ class CertificateReport:
     singular_values: np.ndarray
     n_samples: int
     max_sigma_residual: float
-    margin: float
     # the (T, d, d) covectors of the flow from the start of the arc, the
     # x = 0 member, on the certificate grid: written to flow.csv, not
     # emitted
@@ -53,7 +55,7 @@ class CertificateReport:
             "verdict": self.verdict,
             "rho": float(self.rho),
             "min_singular_value": float(self.min_singular_value),
-            "margin": float(self.margin),
+            "margin": CERTIFICATE_MARGIN,
             "lambda_radius": LAMBDA_RADIUS,
             "n_samples": int(self.n_samples),
             "max_sigma_residual": float(self.max_sigma_residual),
@@ -198,8 +200,7 @@ class GroupGeometry:
 def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                       chart: GroupChart, rho: float, grid=None,
                       n_samples: int = 128, seed: int = 0,
-                      fd_step: float = 1e-5,
-                      margin: float = 1e-3) -> CertificateReport:
+                      fd_step: float = 1e-5) -> CertificateReport:
     """Field-of-extremals certificate via the dominating Hamiltonian flow.
 
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart and
@@ -254,12 +255,12 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
             x_c, (offsets[0::2] - offsets[1::2]) / (2.0 * fd_step)).T
     svals = np.linalg.svd(bases, compute_uv=False)[:, -1]
     min_sv = float(np.min(svals))
-    verdict = "certified" if (min_sv >= margin and max_sigma <= 1e-10) else \
-        "not certified"
+    verdict = "certified" if (min_sv >= CERTIFICATE_MARGIN
+                              and max_sigma <= 1e-10) else "not certified"
     return CertificateReport(
         verdict=verdict, rho=float(rho), min_singular_value=min_sv,
         singular_values=svals, n_samples=int(n_samples),
-        max_sigma_residual=max_sigma, margin=float(margin),
+        max_sigma_residual=max_sigma,
         covectors=p[:, 0])
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
-from .algebra import commutator, lie_closure, numerical_rank, span_contains
+from .algebra import commutator, lie_closure
 
 
 class SpaceForm(str, enum.Enum):
@@ -30,10 +29,6 @@ EPSILON = {SpaceForm.EUCLIDEAN: 0, SpaceForm.SPHERE: 1, SpaceForm.HYPERBOLIC: -1
 # quadratically
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _POLAR_STEPS = 40
-
-
-class StructureError(ValueError):
-    """A system violates one of its construction invariants."""
 
 
 class ProjectionError(RuntimeError):
@@ -165,124 +160,17 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
     """Generalized Dubins system on R^N, S^N or H^N, embedded in GL(N+1).
 
     Requires N >= 3 so that the problem is genuinely multi-input (m >= 2).
+    The structure the paper assumes of it is checked, and reported, by
+    extremal.verify_structure_properties in the conditions stage.
     """
     space_form = SpaceForm(space_form)
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     drift, controlled = _dubins_generators(space_form, N)
-    basis, _, R = lie_closure(controlled)
-    expected_r = N * (N - 1) // 2
-    if R != expected_r:
-        raise StructureError(f"Lie closure dimension {R}, expected {expected_r}")
-    system = MatrixGroupSystem(
+    return MatrixGroupSystem(
         space_form=space_form,
         N=N,
         drift=drift,
         controlled=tuple(controlled),
-        lie_closure_basis=tuple(basis),
+        lie_closure_basis=tuple(lie_closure(controlled)[0]),
     )
-    stack = np.array([a.ravel() for a in controlled])
-    if numerical_rank(stack) != len(controlled):
-        raise StructureError("controlled generators are linearly dependent")
-    if R + system.m > system.n - 1:
-        raise StructureError("R + m exceeds n - 1")
-    return system
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            c.name: {"passed": bool(c.passed), "residual": float(c.residual)}
-            for c in self.checks
-        }
-
-
-def verify_structure_properties(
-    system: MatrixGroupSystem, tol: float = 1e-12
-) -> PropertyReport:
-    """Exact-arithmetic verification of the six Dubins structure properties."""
-    m, N = system.m, system.N
-    a0 = system.drift
-    ai = list(system.controlled)
-    checks = []
-
-    # (i) closure is 2-step bracket generating, dimension N(N-1)/2, so(N)-shaped.
-    depth2 = ai + [commutator(ai[i], ai[j]) for i in range(m) for j in range(i + 1, m)]
-    res_i = max(span_contains(depth2, b) for b in system.lie_closure_basis)
-    res_i = max(res_i, max(algebra.so_residual(b) for b in system.lie_closure_basis))
-    res_i = max(
-        res_i, max(float(np.max(np.abs(b[:, 0]))) for b in system.lie_closure_basis)
-    )
-    dim_ok = system.R == N * (N - 1) // 2
-    checks.append(PropertyCheck("closure_so_N", dim_ok and res_i <= tol, res_i))
-
-    # (ii) derived sub-algebra spanned by [A_i, A_j] has dimension (N-1)(N-2)/2.
-    derived = [commutator(ai[i], ai[j]) for i in range(m) for j in range(i + 1, m)]
-    rank = numerical_rank(np.array([b.ravel() for b in derived])) if derived else 0
-    checks.append(
-        PropertyCheck(
-            "derived_dimension",
-            rank == (N - 1) * (N - 2) // 2,
-            float(abs(rank - (N - 1) * (N - 2) // 2)),
-        )
-    )
-
-    # (iii) {A0, [A0,A_i], A_i, [A_i,A_j]} is a basis of Lie(G).
-    basis = system.full_algebra_basis()
-    rank3 = numerical_rank(np.array([b.ravel() for b in basis]))
-    checks.append(
-        PropertyCheck(
-            "frame_basis_rank", rank3 == system.n, float(abs(rank3 - system.n))
-        )
-    )
-
-    # (iv) [A_i,[A_i,A0]] = -A0 and [A_i,[A_j,A0]] = 0 for i != j.
-    res_iv = 0.0
-    for i in range(m):
-        for j in range(m):
-            val = commutator(ai[i], commutator(ai[j], a0))
-            target = -a0 if i == j else np.zeros_like(a0)
-            res_iv = max(res_iv, float(np.max(np.abs(val - target))))
-    checks.append(PropertyCheck("double_bracket_drift", res_iv <= tol, res_iv))
-
-    # (v) {A0, [A0, A_i]} mutually commute modulo the controlled algebra.
-    # On the flat form the commutators vanish identically; on the curved
-    # forms they equal -epsilon A_i or a depth-2 controlled bracket, so the
-    # residual modulo Lie closure is still exactly zero.
-    fam = [a0] + [commutator(a0, a) for a in ai]
-    closure = list(system.lie_closure_basis)
-    res_v = max(
-        span_contains(closure, commutator(x, y)) for x in fam for y in fam
-    )
-    if system.epsilon == 0:
-        res_v = max(
-            float(np.max(np.abs(commutator(x, y)))) for x in fam for y in fam
-        )
-    checks.append(PropertyCheck("drift_family_commutes", res_v <= tol, res_v))
-
-    # (vi) A0 commutes with every [A_i, A_j].
-    res_vi = 0.0
-    for i in range(m):
-        for j in range(m):
-            res_vi = max(
-                res_vi,
-                float(np.max(np.abs(commutator(a0, commutator(ai[i], ai[j]))))),
-            )
-    checks.append(PropertyCheck("drift_commutes_derived", res_vi <= tol, res_vi))
-
-    return PropertyReport(tuple(checks))
-

@@ -34,6 +34,18 @@ def test_commutator_self_is_zero():
 def test_commutator_rejects_mismatch():
     with pytest.raises(DimensionMismatchError):
         commutator(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        commutator(np.ones(3), np.ones(3))
+
+
+def test_commutator_broadcasts_over_stacks():
+    """A stack against one matrix, and a column of a stack against the
+    stack, give each member's commutator."""
+    e = np.array(so3_basis())
+    assert np.array_equal(commutator(e, e[0]),
+                          [commutator(a, e[0]) for a in e])
+    assert np.array_equal(commutator(e[:, None], e),
+                          [[commutator(a, b) for b in e] for a in e])
 
 
 def test_jacobi_identity_so3():
@@ -78,9 +90,19 @@ def test_span_contains_residual():
     assert span_contains([e1, e2], e3) > 0.5
 
 
+def test_span_contains_stack_takes_the_largest_residual():
+    """A (k, d, d) stack reports the largest residual of its members."""
+    e1, e2, e3 = so3_basis()
+    mats = np.array([e1 + 2 * e2, 0.5 * e3, e3 + e1])
+    assert span_contains([e1, e2], mats) == max(
+        span_contains([e1, e2], a) for a in mats)
+    assert span_contains([], mats) == float(np.max(np.abs(mats)))
+
+
 def test_structure_residuals():
     e1, _, _ = so3_basis()
     assert algebra.so_residual(e1) == 0.0
+    assert algebra.so_residual(np.array([e1, e1 + np.eye(3)])) == 2.0
 
 
 def test_trace_pairing():

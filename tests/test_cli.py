@@ -270,6 +270,17 @@ def test_flipped_drift_fails_conditions_and_skips(tmp_path):
     assert report["verdict"] == "not certified"
 
 
+def test_conditions_report_holds_the_structure_hypotheses():
+    """The seven structure hypotheses sit beside the arc checks, and
+    regularity_of_S is one of them."""
+    conditions = run_check({"checks": ["conditions"]})["stages"]["conditions"]
+    hypotheses = conditions["report"]["hypotheses"]
+    assert len(hypotheses) == 7
+    assert all(h["passed"] for h in hypotheses.values())
+    assert hypotheses["regularity_of_S"]["rank"] == 5
+    assert "regularity_of_S" not in conditions["report"]["checks"]
+
+
 def test_full_run_certified():
     report = run_check(FAST)
     assert report["verdict"] == "optimality certified"
@@ -467,6 +478,25 @@ def test_long_hyperbolic_certificate_is_an_error_without_warnings():
             "horizon": 20.0, "checks": ["certificate"]})
     assert report["verdict"] == "error"
     assert report["stages"]["certificate"]["error"]["type"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("horizon, dt", [(60.0, None), (355.0, 8.0)])
+def test_long_hyperbolic_certificate_logm_warnings_stay_inside(horizon, dt):
+    """At H = 60, and at H = 355 with dt 8, scipy's logm in the chart
+    inversion would warn (an inaccurate result, a nearly singular input):
+    the chart inversion keeps those warnings to itself, and the stage ends
+    in the series log's error as before."""
+    config = {"system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+              "horizon": horizon, "checks": ["certificate"]}
+    if dt is not None:
+        config["dt"] = dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_check(config)
+    assert report["verdict"] == "error"
+    assert report["stages"]["certificate"]["error"] == {
+        "type": "LinAlgError",
+        "message": "matrix logarithm series did not converge"}
 
 
 def test_sphere_run_ends_in_verdict():

@@ -1,15 +1,13 @@
 """Tests for the matrix-group system and the Dubins family construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from singcert.algebra import commutator, jacobi_residual, numerical_rank
-from singcert.systems import (
-    ProjectionError,
-    SpaceForm,
-    build_dubins_system,
-    verify_structure_properties,
-)
+from singcert.extremal import verify_structure_properties
+from singcert.systems import ProjectionError, SpaceForm, build_dubins_system
 
 SPACES = [SpaceForm.EUCLIDEAN, SpaceForm.SPHERE, SpaceForm.HYPERBOLIC]
 
@@ -59,9 +57,29 @@ def test_dubins_n5_closure_dimension():
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_structure_properties_all_forms(space, N):
     report = verify_structure_properties(build_dubins_system(space, N))
-    for check in report.checks:
+    assert len(report) == 7
+    for check in report:
         assert check.passed, f"{space} N={N}: {check.name} residual {check.residual}"
         assert check.residual <= 1e-12
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_structure_properties_name_a_broken_construction(space):
+    """A closure basis one short, and a repeated controlled field, are
+    each named by the hypothesis that covers them."""
+    sys_ = build_dubins_system(space, 4)
+    short = {c.name: c for c in verify_structure_properties(
+        dataclasses.replace(sys_, lie_closure_basis=sys_.lie_closure_basis[:-1]))}
+    assert not short["closure_so_N"].passed
+    assert short["closure_so_N"].detail == {"dimension": 5,
+                                            "expected_dimension": 6}
+    a1, _, a3 = sys_.controlled
+    repeated = {c.name: c for c in verify_structure_properties(
+        dataclasses.replace(sys_, controlled=(a1, a1, a3)))}
+    assert not repeated["frame_basis_rank"].passed
+    assert repeated["frame_basis_rank"].detail == {"rank": 6,
+                                                   "expected_rank": 10}
+    assert not repeated["derived_dimension"].passed
 
 
 def test_double_bracket_identity():
