@@ -8,7 +8,6 @@ functions x_{R+1}..x_n annihilate the controlled algebra exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +131,9 @@ class GroupChart:
         def direction(xv, e):
             return self.solve_in_frame(inside(xv), e)
 
-        # scipy's logm warns when its own error estimate is large or its
-        # input is near singular; the Newton stop test on the residual it
-        # returns decides convergence, so the warnings say nothing more
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "logm result may be inaccurate",
-                                    RuntimeWarning)
-            warnings.filterwarnings("ignore", "The logm input matrix",
-                                    UserWarning)
-            x, *_ = damped_newton(
-                residual, direction, x, tol, INVERSE_MAX_ITER, 30,
-                lambda msg: OutOfChartError(f"{msg} during chart inversion"))
+        x, *_ = damped_newton(
+            residual, direction, x, tol, INVERSE_MAX_ITER, 30,
+            lambda msg: OutOfChartError(f"{msg} during chart inversion"))
         return inside(x)
 
     def covector_from_chart(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ multiplier exponential is a single-plane rotation. Base points enter only
 the super-Hamiltonian flow, which carries (S, d, d) stacks of them beside
 their covectors: on Sigma every extremal of H_0 is a geodesic
 q0 exp(t a0), so the certificate takes all its seeds in closed form and
-inverts the chart once per grid point.
+reads their offsets from the reference arc, the chart's x_n axis, through
+the origin frame.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class CertificateReport:
     # x = 0 member, on the certificate grid: written to flow.csv, not
     # emitted
     covectors: np.ndarray
+    # why member 0 was found off the chart's x_n axis, or None
+    reason: str | None = None
 
     @property
     def certified(self) -> bool:
@@ -206,14 +209,20 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart and
     verifies it sits inside Sigma on a Sobol sample and at the seeds, the
     graph points over x = 0 and x = +-fd_step e_k. The seeds flow together
-    as one stacked closed-form super-Hamiltonian flow, exact on Sigma. At
-    each grid point one warm-started chart inversion locates the x = 0
-    member at x_c, and the exact series log of forward_inv(x_c) q+- gives
-    every other member's offset in the moving frame at x_c. The central
-    differences of those offsets are the columns of the base projection:
-    the chart's quadratic term cancels in them, and no chart-inversion
-    noise is divided by fd_step. Tracks the smallest singular value of the
-    base projection.
+    as one stacked closed-form super-Hamiltonian flow, exact on Sigma.
+    The x = 0 member is the reference arc, at x_c = t e_n on the chart's
+    x_n axis, where the moving frame is the origin frame: one stacked
+    series log of forward_inv(x_c) q+- and one product with chart.b_pinv
+    give the other members' offsets on the whole grid, and their central
+    differences the base projection, whose smallest singular value is
+    tracked. The logs come first, so an arc too long for the series ends
+    in its error before any chart inversion.
+
+    The closed form holds on Sigma, so chart.inverse stays as its check:
+    started at x_c, Newton takes no step there, and a step means member 0
+    left the axis: the stage is then `not certified`, with the offset as
+    its reason. (bench/ also times chart.inverse and project_to_group, the
+    band flow's guard.)
     """
     require_finite(extremal)
     geom = GroupGeometry(system)
@@ -246,22 +255,29 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         system, np.concatenate([lifts, seed_lifts]))))
     q, p = geom.super_hamiltonian_flow(chart.forward(seeds), seed_lifts, grid)
 
-    bases = np.zeros((grid.size, n, n))
-    x_c = np.zeros(n)
-    for idx, q_t in enumerate(q):
-        x_c = chart.inverse(q_t[0], x0=x_c)
-        offsets = series_log(chart.forward_inv(x_c) @ q_t[1:])
-        bases[idx] = chart.solve_in_frame(
-            x_c, (offsets[0::2] - offsets[1::2]) / (2.0 * fd_step)).T
+    x_c = np.zeros((grid.size, n))
+    x_c[:, -1] = grid
+    offsets = series_log(chart.forward_inv(x_c)[:, None] @ q[:, 1:])
+    diffs = (offsets[:, 0::2] - offsets[:, 1::2]) / (2.0 * fd_step)
+    bases = np.swapaxes(diffs.reshape(grid.size, n, -1) @ chart.b_pinv.T,
+                        -1, -2)
     svals = np.linalg.svd(bases, compute_uv=False)[:, -1]
     min_sv = float(np.min(svals))
+    reason = None
+    for t, x, q_t in zip(grid, x_c, q[:, 0]):
+        moved = float(np.max(np.abs(chart.inverse(q_t, x0=x) - x)))
+        if moved > 0.0:
+            reason = (f"member 0 left the chart's x_n axis: at t = {t:.6g} "
+                      f"chart inversion moved it by {moved:.3e}")
+            break
     verdict = "certified" if (min_sv >= CERTIFICATE_MARGIN
-                              and max_sigma <= 1e-10) else "not certified"
+                              and max_sigma <= 1e-10
+                              and reason is None) else "not certified"
     return CertificateReport(
         verdict=verdict, rho=float(rho), min_singular_value=min_sv,
         singular_values=svals, n_samples=int(n_samples),
         max_sigma_residual=max_sigma,
-        covectors=p[:, 0])
+        covectors=p[:, 0], reason=reason)
 
 
 def flow_samples_to_csv(system: MatrixGroupSystem, grid, p: np.ndarray,

@@ -40,14 +40,13 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, horizon, max(int(round(horizon / dt)), 8) + 1)
 
 
-def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> np.ndarray:
+def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
     """Classical RK4 for y' = f(t, y) on a strictly increasing (T,) grid.
 
     f(i, y) reads the time as row i of `rk4_stage_times(grid)`: step k
     calls it at 3k, 3k + 1 (twice) and 3k + 2. Returns the (T, ...) array
     of the states on the grid, y0 first; a stacked y0 steps all its
-    members at once. after_step(y), when given, sees each new state and
-    returns the state to keep (a projection).
+    members at once.
     """
     grid = np.asarray(grid, dtype=float)
     steps = np.diff(grid)
@@ -60,10 +59,7 @@ def rk4_flow(f, grid, y0: np.ndarray, after_step=None) -> np.ndarray:
         k2 = f(3 * k + 1, y + 0.5 * h * k1)
         k3 = f(3 * k + 1, y + 0.5 * h * k2)
         k4 = f(3 * k + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if after_step is not None:
-            y = after_step(y)
-        out[k + 1] = y
+        out[k + 1] = y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return out
 
 
@@ -193,15 +189,20 @@ def series_log(mat: np.ndarray) -> np.ndarray:
     summed until its terms fall below roundoff. The series converges when
     every eigenvalue of g has positive real part, as it has for
     ||g - I|| < 1; the callers stay inside radius 0.9. A series that does
-    not converge, or overflows to an infinite sum, raises LinAlgError with
-    no numpy warning.
+    not converge, overflows to an infinite sum, or cannot start because
+    g + I is singular (an eigenvalue at -1) raises LinAlgError, always with
+    the same message and no numpy warning.
     """
+    diverged = np.linalg.LinAlgError(
+        "matrix logarithm series did not converge")
     eye = np.eye(mat.shape[-1])
-    z = np.linalg.solve(mat + eye, mat - eye)
-    z2 = z @ z
-    power = z
-    out = z
+    try:
+        z = np.linalg.solve(mat + eye, mat - eye)
+    except np.linalg.LinAlgError:
+        raise diverged from None
     with np.errstate(over="ignore", invalid="ignore"):
+        z2 = z @ z
+        power = out = z
         for k in range(3, 2000, 2):
             power = power @ z2
             term = power / k
@@ -210,7 +211,7 @@ def series_log(mat: np.ndarray) -> np.ndarray:
                 if not np.isfinite(out).all():
                     break
                 return 2.0 * out
-    raise np.linalg.LinAlgError("matrix logarithm series did not converge")
+    raise diverged
 
 
 def write_csv(path, header, rows) -> None:

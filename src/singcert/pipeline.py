@@ -290,6 +290,8 @@ def run_check(config: dict) -> dict:
                 stages[stage] = {
                     "status": "passed" if report.certified else "failed",
                     "report": report.as_dict()}
+                if report.reason is not None:
+                    stages[stage]["reason"] = report.reason
                 hard_failure = not report.certified
                 if csv_dir:
                     flow_samples_to_csv(system, cert_grid, report.covectors,

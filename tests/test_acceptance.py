@@ -207,18 +207,20 @@ def test_criterion_9_determinism_and_convergence(dub3):
             "falsifier": {"n_samples": 8}, "galerkin_k": [8]}
     assert emit(run_check(fast)) == emit(run_check(fast))
 
-    # RK4 with group projection, the competitors' integrator, on a smooth
-    # non-zero control
+    # RK4 with group projection on a smooth non-zero control: one-step
+    # rk4_flow calls, each state projected before the next step
     def end(n_steps):
         grid = np.linspace(0, 1, n_steps + 1)
         times = rk4_stage_times(grid)
+        m = np.eye(dub3.d)
+        for k in range(n_steps):
+            def rhs(i, m, k=k):
+                t = times[3 * k + i]
+                return m @ (dub3.drift + np.sin(2 * t) * dub3.controlled[0]
+                            + np.cos(3 * t) * dub3.controlled[1])
 
-        def rhs(i, m):
-            t = times[i]
-            return m @ (dub3.drift + np.sin(2 * t) * dub3.controlled[0]
-                        + np.cos(3 * t) * dub3.controlled[1])
-
-        return rk4_flow(rhs, grid, np.eye(dub3.d), dub3.project_to_group)[-1]
+            m = dub3.project_to_group(rk4_flow(rhs, grid[k:k + 2], m)[-1])
+        return m
 
     finest = end(2 ** 12)
     steps = [2 ** k for k in (4, 5, 6, 7)]

@@ -482,10 +482,10 @@ def test_long_hyperbolic_certificate_is_an_error_without_warnings():
 
 @pytest.mark.parametrize("horizon, dt", [(60.0, None), (355.0, 8.0)])
 def test_long_hyperbolic_certificate_logm_warnings_stay_inside(horizon, dt):
-    """At H = 60, and at H = 355 with dt 8, scipy's logm in the chart
-    inversion would warn (an inaccurate result, a nearly singular input):
-    the chart inversion keeps those warnings to itself, and the stage ends
-    in the series log's error as before."""
+    """At H = 60, and at H = 355 with dt 8, scipy's logm would warn (an
+    inaccurate result, a nearly singular input) if the chart inversion
+    came first: the certificate takes its series logs first, and the
+    stage ends in the series log's error, with no warning."""
     config = {"system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
               "horizon": horizon, "checks": ["certificate"]}
     if dt is not None:

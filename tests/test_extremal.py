@@ -88,16 +88,19 @@ def test_covector_helpers_take_stacks(space):
 
 def controlled_flow_end(system, n_steps):
     """End of M' = M (A0 + sin(2t) A1 + cos(3t) A2), M(0) = I, on [0, 1] by
-    rk4_flow with group projection, as the falsifier integrates."""
+    one-step rk4_flow calls, each state projected onto the group before
+    the next step."""
     grid = np.linspace(0, 1, n_steps + 1)
     times = rk4_stage_times(grid)
+    m = np.eye(system.d)
+    for k in range(n_steps):
+        def rhs(i, m, k=k):
+            t = times[3 * k + i]
+            return m @ (system.drift + np.sin(2 * t) * system.controlled[0]
+                        + np.cos(3 * t) * system.controlled[1])
 
-    def rhs(i, m):
-        t = times[i]
-        return m @ (system.drift + np.sin(2 * t) * system.controlled[0]
-                    + np.cos(3 * t) * system.controlled[1])
-
-    return rk4_flow(rhs, grid, np.eye(system.d), system.project_to_group)[-1]
+        m = system.project_to_group(rk4_flow(rhs, grid[k:k + 2], m)[-1])
+    return m
 
 
 def test_reference_flow_fourth_order(dub3):
@@ -129,29 +132,35 @@ def test_rk4_flow_needs_increasing_time_grid():
 def test_rk4_flow_reads_stage_times_on_a_non_uniform_grid():
     """On a grid with an extra point, as the falsifier's grid has t_hat,
     step k reads the stage table at t_k, t_k + h/2 (twice) and t_k + h, in
-    order, and the flow holds exactly the states after_step returned."""
+    order, and each state is exactly one RK4 step from the one before."""
     grid = np.union1d(time_grid(1.1, 0.1), [1.0 / 3.0])
     times = rk4_stage_times(grid)
     h = np.diff(grid)
     assert times.shape == (3 * h.size,)
     assert np.array_equal(times.reshape(-1, 3), np.stack(
         [grid[:-1], grid[:-1] + 0.5 * h, grid[:-1] + h], axis=1))
-    read, kept = [], []
+    read = []
+
+    def g(i, y):
+        return np.cos(times[i]) * y[::-1] - 0.3 * y
 
     def f(i, y):
         read.append(i)
-        return np.cos(times[i]) * y[::-1] - 0.3 * y
-
-    def after_step(y):
-        kept.append(y / np.linalg.norm(y))
-        return kept[-1]
+        return g(i, y)
 
     y0 = np.array([1.0, 2.0])
-    flow = rk4_flow(f, grid, y0, after_step)
+    flow = rk4_flow(f, grid, y0)
     assert read == [3 * k + s for k in range(h.size) for s in (0, 1, 1, 2)]
     assert flow.shape == (grid.size, 2)
     assert np.array_equal(flow[0], y0)
-    assert np.array_equal(flow[1:], np.array(kept))
+    for k, step in enumerate(h):
+        y = flow[k]
+        k1 = g(3 * k, y)
+        k2 = g(3 * k + 1, y + 0.5 * step * k1)
+        k3 = g(3 * k + 1, y + 0.5 * step * k2)
+        k4 = g(3 * k + 2, y + step * k3)
+        assert np.array_equal(
+            flow[k + 1], y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 @pytest.mark.parametrize("horizon, dt", [(1.0, 0.01), (1.1, 0.02),

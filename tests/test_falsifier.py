@@ -268,30 +268,59 @@ def test_needle_states_match_fine_rk4(space, n):
         assert np.max(np.abs(exact_ref @ r - q)) <= 1e-12
 
 
+def rk4_band(system, c, t_hat, grid):
+    """One band with coefficients c (2 _BAND_MODES, m) flowed from I by
+    plain RK4 on the grid: the oracle for the Magnus band flow."""
+    times = rk4_stage_times(grid)
+
+    def rhs(row, q):
+        t = times[row]
+        u = sum(c[2 * k] * np.cos(2.0 * np.pi * (k + 1) * t / t_hat)
+                + c[2 * k + 1] * np.sin(2.0 * np.pi * (k + 1) * t / t_hat)
+                for k in range(len(c) // 2))
+        return q @ (system.drift + sum(u[i] * system.controlled[i]
+                                       for i in range(system.m)))
+
+    return rk4_flow(rhs, grid, np.eye(system.d))
+
+
+def refine(grid, sub):
+    """The grid with each step cut into sub equal steps."""
+    return np.concatenate([np.linspace(a, b, sub + 1)[:-1]
+                           for a, b in zip(grid[:-1], grid[1:])]
+                          + [grid[-1:]])
+
+
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
 def test_stacked_flows_match_serial(space):
-    """Each member of the stacked band flow equals its own control,
-    integrated alone on the base grid."""
+    """Each member of the stacked band flow equals its own band flowed
+    alone; the flow is within 1e-6 of RK4 at dt/32 on the falsifier's
+    grid, and halving its step shows fourth order."""
     sys_ = build_dubins_system(space, 4)
     t_hat = 1.0
     grid = np.union1d(time_grid(1.1, 0.02), [t_hat])
-    times = rk4_stage_times(grid)
     comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2)
     coeff = np.array([c.coeff for c in comps if c.coeff is not None])
     assert [c.family for c in comps] == ["needle", "band"] * 4 + ["needle"]
-    stacked = _band_flow(sys_, coeff, t_hat, np.eye(sys_.d), grid)
+    stacked, residual = _band_flow(sys_, coeff, t_hat, np.eye(sys_.d), grid)
     assert stacked.shape == (grid.size, 4, sys_.d, sys_.d)
+    assert residual == np.max(sys_.group_residual(stacked[-1]))
     for j, c in enumerate(coeff):
-        def rhs(row, q):
-            t = times[row]
-            u = sum(c[2 * k] * np.cos(2.0 * np.pi * (k + 1) * t / t_hat)
-                    + c[2 * k + 1] * np.sin(2.0 * np.pi * (k + 1) * t / t_hat)
-                    for k in range(len(c) // 2))
-            return q @ (sys_.drift + sum(u[i] * sys_.controlled[i]
-                                         for i in range(sys_.m)))
+        alone, _ = _band_flow(sys_, coeff[j:j + 1], t_hat, np.eye(sys_.d),
+                              grid)
+        assert np.array_equal(stacked[:, j], alone[:, 0])
+        fine = rk4_band(sys_, c, t_hat, refine(grid, 32))[::32]
+        assert np.max(np.abs(stacked[:, j] - fine)) <= 1e-6
 
-        alone = rk4_flow(rhs, grid, np.eye(sys_.d), sys_.project_to_group)
-        assert np.max(np.abs(stacked[:, j] - alone)) <= 1e-12
+    ends = [_band_flow(sys_, coeff, t_hat, np.eye(sys_.d),
+                       np.linspace(0.0, 1.1, steps + 1))[0][-1]
+            for steps in (8, 16, 32, 64)]
+    exact = np.array([rk4_band(sys_, c, t_hat,
+                               np.linspace(0.0, 1.1, 2 ** 12 + 1))[-1]
+                      for c in coeff])
+    errs = [np.max(np.abs(end - exact)) for end in ends]
+    order = -np.polyfit(np.log([8, 16, 32, 64]), np.log(errs), 1)[0]
+    assert order >= 3.7
 
 
 def test_target_residual_of_stack(dub3, extremal3):
@@ -381,7 +410,7 @@ def test_block_scores_match_member_scores():
     comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 16, 0.1, 3)
     needles = [c.needle for c in comps[::2]]
     bands = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
-                       t_hat, np.eye(system.d), grid)[:, 2:6].swapaxes(0, 1)
+                       t_hat, np.eye(system.d), grid)[0][:, 2:6].swapaxes(0, 1)
     blocks = [_needle_samples(needles, _needle_exponentials(system, needles),
                               grid, ref, ref_inv, np.eye(system.d)),
               (np.broadcast_to(grid, bands.shape[:2]), bands, ref_inv @ bands)]
@@ -414,8 +443,10 @@ def test_sweep_records_match_per_competitor_scoring(space):
     ref_inv = np.linalg.inv(ref)
     report = competitor_sweep(system, trajectory, target)
     comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 200, 0.1, 0)
-    flow = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
-                      t_hat, np.eye(system.d), grid)
+    flow, residual = _band_flow(
+        system, np.array([c.coeff for c in comps[1::2]]), t_hat,
+        np.eye(system.d), grid)
+    assert report.band_group_residual == residual
     records = []
     for idx, comp in enumerate(comps):
         if comp.needle is not None:
@@ -433,6 +464,33 @@ def test_sweep_records_match_per_competitor_scoring(space):
             "graph_distance": float(dist) if np.isfinite(dist) else None})
     assert report.records == records
     assert report.verdict == "no counterexample"
+
+
+@pytest.mark.parametrize("space, horizon", [("euclidean", 1.0),
+                                            ("sphere", 1.0),
+                                            ("hyperbolic", 1.0),
+                                            ("hyperbolic", 5.0)])
+def test_band_group_residual_is_rounding(space, horizon):
+    """The band flow's drift off the group, read before its guard, stays
+    under d u T max(1, max|g|)^2: u the unit roundoff, T the grid points
+    and g the flow's last row. Without bands the report holds None."""
+    config = load_config({"system": {"kind": "dubins", "space_form": space,
+                                     "N": 4}, "horizon": horizon})
+    system, chart, trajectory = _build_problem(config)
+    target = TargetSpec(trajectory.q[-1], chart)
+    grid = np.union1d(time_grid(1.1 * horizon, 0.02), [horizon])
+    comps = _sample_competitors(system, horizon, 1.1 * horizon, 200, 0.1, 0)
+    last = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
+                      horizon, np.eye(system.d), grid)[0][-1]
+    bound = (system.d * np.finfo(float).eps / 2 * grid.size
+             * max(1.0, np.max(np.abs(last))) ** 2)
+    report = competitor_sweep(system, trajectory, target)
+    assert 0.0 < report.band_group_residual <= bound
+    assert report.as_dict()["band_group_residual"] == \
+        report.band_group_residual
+    needles_only = competitor_sweep(system, trajectory, target, n_samples=1)
+    assert needles_only.band_group_residual is None
+    assert needles_only.as_dict()["band_group_residual"] is None
 
 
 def _at_distance(q_f, x, delta):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from singcert import chart as chart_module
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (
     adjoint_trajectory,
@@ -18,6 +19,7 @@ from singcert.geometry import (
     flow_samples_to_csv,
 )
 from singcert.numerics import rk4_flow
+from singcert.pipeline import run_check
 from singcert.systems import build_dubins_system
 
 
@@ -46,20 +48,23 @@ def hamiltonian_direction(p, a):
 
 
 def rk4_super_hamiltonian_flow(geom, q0, p0, grid):
-    """The canonical flow of H_0 by RK4 on the grid, g projected back onto
-    the group after every step, from (S, d, d) stacks q0 and p0: the
-    oracle for the closed-form flow, which holds only on Sigma."""
+    """The canonical flow of H_0 by RK4 on the grid, from (S, d, d) stacks
+    q0 and p0: one-step rk4_flow calls, g projected back onto the group
+    before the next step. The oracle for the closed-form flow, which holds
+    only on Sigma."""
 
     def rhs(i, y):
         mh = geom.grad_h0(y[:, 1])
         return np.stack([y[:, 0] @ mh, hamiltonian_direction(y[:, 1], mh)],
                         axis=1)
 
-    def after_step(y):
+    y = np.stack([q0, p0], axis=1)
+    states = [y]
+    for k in range(grid.size - 1):
+        y = rk4_flow(rhs, grid[k:k + 2], y)[-1]
         y[:, 0] = geom.system.project_to_group(y[:, 0])
-        return y
-
-    states = rk4_flow(rhs, grid, np.stack([q0, p0], axis=1), after_step)
+        states.append(y)
+    states = np.array(states)
     return states[:, :, 0], states[:, :, 1]
 
 
@@ -478,3 +483,51 @@ def test_near_focal_certificate_matches_fine_rk4(monkeypatch):
     assert min_sv() == pytest.approx(exact, rel=1e-8)
     monkeypatch.setattr(GroupGeometry, "super_hamiltonian_flow", rk4_every(1))
     assert abs(min_sv() - exact) >= 1e-5 * exact
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_certificate_takes_one_logm_per_grid_point(space, monkeypatch):
+    """On Sigma member 0 stays on the chart's x_n axis, so the check by
+    chart inversion started there takes no Newton step: one scipy logm
+    per grid point, and no reason."""
+    sys_, chart, traj = space_setup(space)
+    grid = np.linspace(0, 1, 33)
+    calls = []
+    original = chart_module.logm
+
+    def counted(mat):
+        calls.append(1)
+        return original(mat)
+
+    monkeypatch.setattr(chart_module, "logm", counted)
+    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                               n_samples=8)
+    assert len(calls) == grid.size
+    assert report.certified and report.reason is None
+
+
+def test_member_off_the_axis_is_not_certified(monkeypatch):
+    """Member 0 moved off the axis by exp(1e-6 A_1) is found by the chart
+    inversion at the first grid point: forward(t e_n + 1e-6 e_1) is that
+    state exactly, so Newton moves it by 1e-6, and the stage ends
+    `not certified` with that offset as its reason."""
+    original = GroupGeometry.super_hamiltonian_flow
+
+    def moved(self, q0, p0, grid):
+        q, p = original(self, q0, p0, grid)
+        q[:, 0] = q[:, 0] @ expm(1e-6 * self.system.controlled[0])
+        return q, p
+
+    monkeypatch.setattr(GroupGeometry, "super_hamiltonian_flow", moved)
+    sys_, chart, traj = space_setup("sphere")
+    report = certificate_check(sys_, traj, chart, rho=1.0,
+                               grid=np.linspace(0, 1, 9), n_samples=8)
+    assert report.verdict == "not certified"
+    assert report.min_singular_value >= 0.5
+    assert report.reason == ("member 0 left the chart's x_n axis: at t = 0 "
+                             "chart inversion moved it by 1.000e-06")
+    stage = run_check({"system": {"kind": "dubins", "space_form": "sphere",
+                                  "N": 3},
+                       "certificate": {"n_samples": 8, "grid_points": 9},
+                       "checks": ["certificate"]})["stages"]["certificate"]
+    assert stage["status"] == "failed" and stage["reason"] == report.reason

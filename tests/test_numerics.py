@@ -140,9 +140,16 @@ def test_log_head_bound_is_inf_outside_the_series_radius():
 
 def test_series_log_raises_where_the_series_diverges():
     """An eigenvalue -3 puts the Cayley series off its radius: its terms
-    overflow, and the infinite sum is an error, not a converged log, with
-    no numpy warning on the way."""
+    overflow, and the infinite sum is an error, not a converged log. A
+    rotation by pi has eigenvalue -1, so g + I is singular and the series
+    cannot start. Each raises the series' own error, for one matrix and
+    for a stack holding one such member, with no numpy warning."""
+    half_turn = np.diag([-1.0, -1.0, 1.0])
     with np.errstate(all="raise"):
-        with pytest.raises(np.linalg.LinAlgError):
-            series_log(np.diag([-3.0, 1.0, 1.0]))
+        for mat in (np.diag([-3.0, 1.0, 1.0]), half_turn,
+                    np.array([np.eye(3), half_turn])):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^matrix logarithm series did not "
+                                     "converge$"):
+                series_log(mat)
     assert np.all(np.isfinite(series_log(np.diag([0.5, 1.0, 2.0]))))
