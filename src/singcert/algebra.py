@@ -47,38 +47,28 @@ def numerical_rank(stack: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def lie_closure(
-    generators: list[np.ndarray], rtol: float = RANK_RTOL
-) -> tuple[list[np.ndarray], list, int]:
-    """Breadth-first bracket closure of a set of matrices.
+def lie_closure(generators: list[np.ndarray],
+                rtol: float = RANK_RTOL) -> list[np.ndarray]:
+    """Breadth-first bracket closure of a set of matrices: a linearly
+    independent spanning set of their Lie algebra.
 
-    Returns a linearly independent spanning set, the bracket words that
-    produced it (generator i carries the word ``i + 1``), and its size R.
     Ordering is deterministic: generators first, then new brackets in the
-    order the words are generated.
-
-    Parameters
-    ----------
-    generators : list of (d, d) arrays
-    rtol : relative singular-value threshold for independence decisions
+    order they are generated. rtol is the relative singular-value
+    threshold for independence decisions.
     """
     if not generators:
         raise ValueError("empty generator list")
     basis: list[np.ndarray] = []
-    words: list = []
-    stack_rows: list[np.ndarray] = []
 
-    def try_add(mat: np.ndarray, word) -> bool:
-        candidate = stack_rows + [mat.ravel()]
-        if numerical_rank(np.array(candidate), rtol) > len(basis):
+    def try_add(mat: np.ndarray) -> bool:
+        candidate = np.array([b.ravel() for b in basis] + [mat.ravel()])
+        if numerical_rank(candidate, rtol) > len(basis):
             basis.append(mat)
-            words.append(word)
-            stack_rows.append(mat.ravel())
             return True
         return False
 
-    for i, g in enumerate(generators):
-        try_add(np.asarray(g, dtype=float), i + 1)
+    for g in generators:
+        try_add(np.asarray(g, dtype=float))
 
     # Bracket every new element against the current basis until no growth.
     frontier = list(range(len(basis)))
@@ -86,13 +76,10 @@ def lie_closure(
         new_frontier = []
         for j in frontier:
             for k in range(len(basis)):
-                if k == j:
-                    continue
-                word = (words[k], words[j])
-                if try_add(commutator(basis[k], basis[j]), word):
+                if k != j and try_add(commutator(basis[k], basis[j])):
                     new_frontier.append(len(basis) - 1)
         frontier = new_frontier
-    return basis, words, len(basis)
+    return basis
 
 
 def span_contains(basis, mats) -> float:

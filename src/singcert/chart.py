@@ -23,7 +23,7 @@ INVERSE_MAX_ITER = 60
 
 
 class OutOfChartError(RuntimeError):
-    """Newton inversion failed to converge inside the chart radius."""
+    """Newton chart inversion failed to converge."""
 
 
 @dataclass
@@ -38,7 +38,7 @@ class GroupChart:
     covector_from_chart take one (n,) point or a (P, n) stack of them.
     """
 
-    frame_algebra: list[np.ndarray]
+    frame_algebra: np.ndarray
     R: int
     p_hat: np.ndarray
 
@@ -107,34 +107,24 @@ class GroupChart:
                                 rcond=None)
         return c.T.reshape(mat.shape[:-2] + (self.n,))
 
-    def inverse(self, q: np.ndarray, x0: np.ndarray | None = None,
-                radius: float = np.inf) -> np.ndarray:
+    def inverse(self, q: np.ndarray, x0: np.ndarray | None = None
+                ) -> np.ndarray:
         """Damped Newton solve of forward(x) = q.
 
         The residual log(forward(x)^-1 q) stops at INVERSE_TOL
         max(1, max|q|)^2: the conditioning of q on SO(1, N), and 1 on the
-        sphere and on Euclidean arcs of length up to 1. Iterates outside
-        the ball of the given radius, the start included, report
-        out-of-chart.
+        sphere and on Euclidean arcs of length up to 1.
         """
         x = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float).copy()
         tol = INVERSE_TOL * max(1.0, float(np.max(np.abs(q)))) ** 2
 
-        def inside(xv):
-            if np.linalg.norm(xv) > radius:
-                raise OutOfChartError("iterate left the chart validity radius")
-            return xv
-
         def residual(xv):
             return np.real(logm(self.forward_inv(xv) @ q))
 
-        def direction(xv, e):
-            return self.solve_in_frame(inside(xv), e)
-
         x, *_ = damped_newton(
-            residual, direction, x, tol, INVERSE_MAX_ITER, 30,
+            residual, self.solve_in_frame, x, tol, INVERSE_MAX_ITER, 30,
             lambda msg: OutOfChartError(f"{msg} during chart inversion"))
-        return inside(x)
+        return x
 
     def covector_from_chart(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Matrix covector with <p, v_j(x)> = y_j, minimal Frobenius norm;
@@ -155,5 +145,5 @@ def dubins_adapted_chart(system: MatrixGroupSystem) -> GroupChart:
     """
     p_hat = np.zeros(system.n)
     p_hat[-1] = 1.0
-    return GroupChart(system.full_algebra_basis(), system.R, p_hat)
+    return GroupChart(system.algebra_basis, system.R, p_hat)
 

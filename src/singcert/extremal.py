@@ -84,7 +84,8 @@ def _pairings(p: np.ndarray, mats) -> np.ndarray:
 
 def hamiltonian_bracket(system: MatrixGroupSystem, p: np.ndarray, word):
     """Value <p, B_word> of the iterated Poisson bracket at the covector p,
-    one value per covector of an (S, d, d) stack."""
+    one value per covector of an (S, d, d) stack: the word-by-word oracle
+    of the pairings the stages take with the system's bracket tables."""
     return _pairings(p, [system.bracket_matrix(word)])[..., 0]
 
 
@@ -97,19 +98,13 @@ def hogc_residual(system: MatrixGroupSystem, p: np.ndarray):
 def s_residual(system: MatrixGroupSystem, p: np.ndarray):
     """Max |<p, [A0, A_i]>| over the controlled fields, which vanishes on
     the singular surface S, one value per covector of an (S, d, d) stack."""
-    return np.max(np.abs(_pairings(
-        p, [system.bracket_matrix((0, i + 1)) for i in range(system.m)])),
-        axis=-1)
+    return np.max(np.abs(_pairings(p, system.drift_brackets)), axis=-1)
 
 
 def legendre_form(system: MatrixGroupSystem, p: np.ndarray) -> np.ndarray:
     """The m x m form with entries F_{ij0} at the covector p, an (S, m, m)
     stack for an (S, d, d) stack."""
-    m = system.m
-    words = [system.bracket_matrix((i + 1, (j + 1, 0)))
-             for i in range(m) for j in range(m)]
-    vals = _pairings(p, words)
-    return vals.reshape(vals.shape[:-1] + (m, m))
+    return _pairings(p, system.legendre_brackets)
 
 
 def singular_feedback(lforms: np.ndarray,
@@ -184,9 +179,7 @@ def verify_structure_properties(
     a0 = system.drift
     ai = np.array(system.controlled)
     closure = np.array(system.lie_closure_basis)
-    upper_i, upper_j = np.triu_indices(m, 1)
-    derived = commutator(ai[upper_i], ai[upper_j])
-    drift_ai = commutator(a0, ai)
+    derived, drift_ai = system.derived, system.drift_brackets
 
     # (i) the closure is spanned at bracket depth 2 and is an so(N) inside
     # so(N+1) with zero first column, of dimension N(N-1)/2
@@ -195,7 +188,7 @@ def verify_structure_properties(
     dims = {"dimension": system.R, "expected_dimension": N * (N - 1) // 2}
 
     # (iv) [A_i, [A_i, A0]] = -A0 and [A_i, [A_j, A0]] = 0 for i != j
-    res_iv = float(np.max(np.abs(commutator(ai[:, None], -drift_ai)
+    res_iv = float(np.max(np.abs(system.legendre_brackets
                                  + np.eye(m)[:, :, None, None] * a0)))
 
     # (v) A0 and the [A0, A_i] commute modulo the controlled algebra; on
@@ -221,8 +214,7 @@ def verify_structure_properties(
         # (ii) the [A_i, A_j] span a subalgebra of dimension (N-1)(N-2)/2
         _rank_check("derived_dimension", derived, (N - 1) * (N - 2) // 2),
         # (iii) A_i, [A_i, A_j], [A0, A_i] and A0 form a basis of Lie(G)
-        _rank_check("frame_basis_rank", np.array(system.full_algebra_basis()),
-                    n),
+        _rank_check("frame_basis_rank", system.algebra_basis, n),
         ConditionCheck("double_bracket_drift", res_iv <= STRUCTURE_TOL, res_iv),
         ConditionCheck("drift_family_commutes", res_v <= STRUCTURE_TOL, res_v),
         ConditionCheck("drift_commutes_derived", res_vi <= STRUCTURE_TOL,
@@ -233,40 +225,32 @@ def verify_structure_properties(
     )
 
 
-def condition_battery(trajectory: ExtremalTrajectory,
-                      boundary_data=None) -> ConditionReport:
+def condition_battery(trajectory: ExtremalTrajectory) -> ConditionReport:
     """Scan the full necessary-condition battery along the trajectory.
 
-    boundary_data, when given, is a pair of callables returning the
-    left-trivialized tangent bases of the initial and final constraint
-    manifolds at the endpoints. Raises LinAlgError, naming the first grid
-    time, where the trajectory is not finite.
+    Both Dubins endpoint manifolds are integral manifolds of the derived
+    sub-algebra, so transversality pairs p(0) and p(H) with the [A_i, A_j],
+    i < j. Raises LinAlgError, naming the first grid time, where the
+    trajectory is not finite.
     """
     require_finite(trajectory)
     system = trajectory.system
-    m = system.m
+    p = trajectory.p
     tol = Tolerances()
 
-    # every pairing the battery reads, at every point, in one product
-    words = ([(i + 1, j + 1) for i in range(m) for j in range(m)]
-             + [(i + 1, (j + 1, 0)) for i in range(m) for j in range(m)]
-             + [(0, (0, i + 1)) for i in range(m)]
-             + [(0, i + 1) for i in range(m)])
-    mats = (list(system.controlled) + [system.drift]
-            + [system.bracket_matrix(w) for w in words]
-            + list(system.lie_closure_basis))
-    vals = _pairings(trajectory.p, mats)
-    f_i, f_0, f_ij, lforms, f_00i, f_0i, closure = np.split(
-        vals, np.cumsum([m, 1, m * m, m * m, m, m]), axis=1)
-    f_ij = f_ij.reshape(-1, m, m)
-    lforms = lforms.reshape(-1, m, m)
+    f_i = _pairings(p, system.controlled)
+    f_0 = _pairings(p, system.drift)
+    f_ij = _pairings(p, system.pair_brackets)
+    lforms = legendre_form(system, p)
+    f_0i = _pairings(p, system.drift_brackets)
+    f_00i = _pairings(p, commutator(system.drift, system.drift_brackets))
 
     f_i_res = float(np.max(np.abs(f_i)))
     normality_res = float(np.max(np.abs(f_0 - 1.0)))
-    upper = np.triu_indices(m, 1)
-    goh_res = float(np.max(np.abs(f_ij[:, upper[0], upper[1]]))) \
-        if m > 1 else 0.0
-    hogc_res = float(np.max(np.abs(closure)))
+    # f_ij is antisymmetric with a zero diagonal: its largest entry is the
+    # largest over i < j
+    goh_res = float(np.max(np.abs(f_ij)))
+    hogc_res = float(np.max(hogc_residual(system, p)))
     sym_res = float(np.max(np.abs(lforms - lforms.transpose(0, 2, 1))))
     eigs = np.linalg.eigvalsh(0.5 * (lforms + lforms.transpose(0, 2, 1)))
     eig_low = float(np.min(eigs[:, 0]))
@@ -274,9 +258,11 @@ def condition_battery(trajectory: ExtremalTrajectory,
     f0i_res = float(np.max(np.abs(f_0i)))
     # residual of d/dt F_i = -(F_0i + sum u_j F_ji) under the feedback
     nu = singular_feedback(lforms, f_00i)
-    resid = f_0i + sum(nu[:, j, None] * f_ij[:, j] for j in range(m))
+    resid = f_0i + sum(nu[:, j, None] * f_ij[:, j] for j in range(system.m))
     feedback_res = float(np.max(np.abs(resid)))
     sglc_margin = -eig_high
+    res0, resf = (max((abs(pairing(end, b)) for b in system.derived),
+                      default=0.0) for end in (p[0], p[-1]))
 
     checks = [
         ConditionCheck("pmp_switching", f_i_res <= tol.equality, f_i_res),
@@ -291,43 +277,18 @@ def condition_battery(trajectory: ExtremalTrajectory,
         ConditionCheck("s_membership", f0i_res <= tol.equality, f0i_res),
         ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
                        feedback_res),
+        ConditionCheck("transversality", max(res0, resf) <= tol.equality,
+                       max(res0, resf),
+                       {"initial": float(res0), "final": float(resf)}),
     ]
-    if boundary_data is not None:
-        init_basis, final_basis = boundary_data
-        p, q = trajectory.p, trajectory.q
-        res0 = max((abs(pairing(p[0], a)) for a in init_basis(q[0])),
-                   default=0.0)
-        resf = max((abs(pairing(p[-1], a)) for a in final_basis(q[-1])),
-                   default=0.0)
-        checks.append(ConditionCheck(
-            "transversality", max(res0, resf) <= tol.equality,
-            max(res0, resf),
-            {"initial": float(res0), "final": float(resf)}))
     return ConditionReport(tuple(checks), float(sglc_margin),
                            verify_structure_properties(system))
-
-
-def dubins_boundary_tangents(system: MatrixGroupSystem):
-    """Left-trivialized tangent bases of the Dubins endpoint manifolds.
-
-    Both manifolds are integral manifolds of the derived sub-algebra, so
-    the basis is {[A_i, A_j] : i < j} at either endpoint.
-    """
-    derived = [
-        commutator(system.controlled[i], system.controlled[j])
-        for i in range(system.m) for j in range(i + 1, system.m)
-    ]
-
-    def basis(_q):
-        return derived
-
-    return basis, basis
 
 
 def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:
     """The unique covector annihilating {A_i, [A_i,A_j], [A0,A_i]} with
     <p0, A0> = 1, represented in the span of the full algebra basis."""
-    basis = system.full_algebra_basis()
+    basis = system.algebra_basis
     annihilated = basis[:-1]  # everything except the drift
     rows = np.array([
         [pairing(a, b) for b in basis] for a in annihilated

@@ -86,8 +86,7 @@ class GroupGeometry:
     - theta = atan2(|c_perp|, c_1) c_perp/|c_perp|, c_perp = (c_2..c_N),
       with theta = 0 where c_perp = 0 and c_1 > 0;
     - Theta = sum theta_i A_i is a single-plane generator, Theta^3 =
-      -|theta|^2 Theta, so e = I + sin|theta|/|theta| Theta
-      + (1 - cos|theta|)/|theta|^2 Theta^2 (Rodrigues).
+      -|theta|^2 Theta, so e = `plane_exp`(Theta), the Rodrigues formula.
 
     Every method takes one covector (d, d) or an (S, d, d) stack; the
     super-Hamiltonian flow takes (S, d, d) stacks.
@@ -136,10 +135,7 @@ class GroupGeometry:
                                                            1.0),
                         np.eye(self.m)[0])
         theta = angle * axis
-        gen = np.tensordot(theta, self.ai, axes=1)
-        half = angle[..., None] / (2.0 * np.pi)
-        e = np.eye(self.system.d) + np.sinc(2.0 * half) * gen \
-            + 0.5 * np.sinc(half) ** 2 * (gen @ gen)
+        e = plane_exp(np.tensordot(theta, self.ai, axes=1))
         return theta, e, 0, c / norm
 
     def project(self, p: np.ndarray):

@@ -27,7 +27,6 @@ from .chart import OutOfChartError, dubins_adapted_chart
 from .extremal import (
     adjoint_trajectory,
     condition_battery,
-    dubins_boundary_tangents,
     dubins_initial_covector,
     trajectory_to_csv,
 )
@@ -252,8 +251,7 @@ def run_check(config: dict) -> dict:
         started = time.perf_counter()
         try:
             if stage == "conditions":
-                report = condition_battery(trajectory,
-                                           dubins_boundary_tangents(system))
+                report = condition_battery(trajectory)
                 stages[stage] = {"status": "passed" if report.passed else "failed",
                                  "report": report.as_dict()}
                 hard_failure = not report.passed

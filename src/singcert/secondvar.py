@@ -114,8 +114,7 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     a0 = system.drift
     p0 = extremal.p[0]
-    ad = chart.solve_in_frame(
-        origin, np.array([commutator(a0, b) for b in frame])).T
+    ad = chart.solve_in_frame(origin, commutator(a0, frame)).T
     lam = 0.5 * np.trace(a0 @ a0)
     ad_sq = ad @ ad
     if not np.max(np.abs(ad_sq @ ad - lam * ad)) \
@@ -125,9 +124,7 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     z0 = ad[:, :m]
     rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
     pi0 = np.array([pairing(p0, b) for b in frame])
-    c0 = chart.solve_in_frame(origin, np.array(
-        [[system.bracket_matrix((i + 1, (j + 1, 0))) for j in range(m)]
-         for i in range(m)]))
+    c0 = chart.solve_in_frame(origin, system.legendre_brackets)
 
     def coefficients(ts):
         t = np.asarray(ts, dtype=float)

@@ -81,8 +81,41 @@ class MatrixGroupSystem:
         return EPSILON[self.space_form]
 
     def bracket_matrix(self, word) -> np.ndarray:
-        """Matrix of the bracket word."""
+        """Matrix of the bracket word, word by word: the oracle
+        hamiltonian_bracket reads it. The stages read the bracket tables
+        below, formed by stacked commutators of the current drift and
+        controlled fields on each access (a system built by
+        dataclasses.replace reads its own brackets)."""
         return resolve_word(word, self.drift, list(self.controlled))
+
+    @property
+    def pair_brackets(self) -> np.ndarray:
+        """[A_i, A_j] at [i - 1, j - 1], an (m, m, d, d) array."""
+        ai = np.array(self.controlled)
+        return commutator(ai[:, None], ai)
+
+    @property
+    def derived(self) -> np.ndarray:
+        """The [A_i, A_j] with i < j, row-major: an (m(m-1)/2, d, d) array."""
+        return self.pair_brackets[np.triu_indices(self.m, 1)]
+
+    @property
+    def drift_brackets(self) -> np.ndarray:
+        """[A0, A_i] at [i - 1], an (m, d, d) array."""
+        return commutator(self.drift, np.array(self.controlled))
+
+    @property
+    def legendre_brackets(self) -> np.ndarray:
+        """[A_i, [A_j, A0]] at [i - 1, j - 1], an (m, m, d, d) array."""
+        return commutator(np.array(self.controlled)[:, None],
+                          -self.drift_brackets)
+
+    @property
+    def algebra_basis(self) -> np.ndarray:
+        """Basis of Lie(G) ordered A_1..A_m, [A_i, A_j] (i < j), [A0, A_i],
+        A0: an (n, d, d) array."""
+        return np.concatenate([np.array(self.controlled), self.derived,
+                               self.drift_brackets, self.drift[None]])
 
     def group_residual(self, g: np.ndarray):
         """Distance of g, or of each member of a (..., d, d) stack, from the
@@ -127,18 +160,6 @@ class MatrixGroupSystem:
             x[active] = xa + 0.5 * np.outer(k * k, k * k) * (
                 np.outer(k, k) * np.swapaxes(np.linalg.inv(xa), -1, -2) - xa)
 
-    def full_algebra_basis(self) -> list[np.ndarray]:
-        """Basis of Lie(G) ordered A_1..A_m, [A_i,A_j] i<j, [A0,A_i], A0."""
-        out = list(self.controlled)
-        m = self.m
-        for i in range(1, m + 1):
-            for jj in range(i + 1, m + 1):
-                out.append(self.bracket_matrix((i, jj)))
-        for i in range(1, m + 1):
-            out.append(self.bracket_matrix((0, i)))
-        out.append(self.drift)
-        return out
-
 
 def _dubins_generators(space_form: SpaceForm, N: int) -> tuple[np.ndarray, list[np.ndarray]]:
     eps = EPSILON[space_form]
@@ -172,5 +193,5 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
         N=N,
         drift=drift,
         controlled=tuple(controlled),
-        lie_closure_basis=tuple(lie_closure(controlled)[0]),
+        lie_closure_basis=tuple(lie_closure(controlled)),
     )

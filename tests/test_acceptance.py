@@ -12,7 +12,6 @@ from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (
     adjoint_trajectory,
     condition_battery,
-    dubins_boundary_tangents,
     dubins_initial_covector,
     hamiltonian_bracket,
     legendre_form,
@@ -90,7 +89,7 @@ def test_criterion_2_singular_extremal_recovery():
 
 
 def test_criterion_3_condition_battery(dub3, extremal3):
-    report = condition_battery(extremal3, dubins_boundary_tangents(dub3))
+    report = condition_battery(extremal3)
     assert report.passed, report.as_dict()
     assert report.sglc_margin == pytest.approx(1.0, abs=1e-10)
     assert report.as_dict()["checks"]["transversality"]["passed"]

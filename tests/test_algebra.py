@@ -63,25 +63,20 @@ def test_numerical_rank_thresholding():
 def test_lie_closure_abelian_single_generator():
     """A single generator closes onto itself, R = 1."""
     a = np.diag([1.0, -1.0])
-    basis, words, r = lie_closure([a])
-    assert r == 1
-    assert words == [1]
+    assert len(lie_closure([a])) == 1
 
 
 def test_lie_closure_so3_from_two_generators():
-    e1, e2, _ = so3_basis()
-    basis, words, r = lie_closure([e1, e2])
-    assert r == 3
-    assert words[0] == 1 and words[1] == 2
-    # the third word is a depth-2 bracket of the generators
-    assert isinstance(words[2], tuple)
+    e1, e2, e3 = so3_basis()
+    basis = lie_closure([e1, e2])
+    assert len(basis) == 3
+    assert span_contains(basis, e3) <= 1e-12
 
 
 def test_lie_closure_idempotent():
     e1, e2, _ = so3_basis()
-    basis, _, r = lie_closure([e1, e2])
-    _, _, r2 = lie_closure(basis)
-    assert r2 == r
+    basis = lie_closure([e1, e2])
+    assert len(lie_closure(basis)) == len(basis)
 
 
 def test_span_contains_residual():

@@ -15,7 +15,6 @@ from singcert.extremal import (
     Tolerances,
     adjoint_trajectory,
     condition_battery,
-    dubins_boundary_tangents,
     dubins_initial_covector,
     hamiltonian_bracket,
     hogc_residual,
@@ -239,13 +238,13 @@ def test_singular_feedback_zero_and_scale_invariant(dub3, extremal3):
 
 def test_initial_covector_annihilation(dub3):
     p0 = dubins_initial_covector(dub3)
-    for a in list(dub3.controlled) + dub3.full_algebra_basis()[dub3.m:-1]:
+    for a in dub3.algebra_basis[:-1]:
         assert abs(pairing(p0, a)) <= 1e-12
     assert pairing(p0, dub3.drift) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_condition_battery_passes(dub3, extremal3):
-    report = condition_battery(extremal3, dubins_boundary_tangents(dub3))
+    report = condition_battery(extremal3)
     assert report.passed, report.as_dict()
     assert report.sglc_margin == pytest.approx(1.0, abs=1e-10)
 
@@ -259,6 +258,7 @@ def test_condition_battery_flags_broken_normality(dub3):
     assert not by_name["normality"].passed
     assert by_name["hogc"].passed
     assert by_name["goh"].passed
+    assert by_name["transversality"].passed
 
 
 def test_condition_battery_flags_random_covector(dub3):
@@ -270,6 +270,8 @@ def test_condition_battery_flags_random_covector(dub3):
     by_name = {c.name: c for c in report.checks}
     assert not by_name["hogc"].passed
     assert by_name["hogc"].residual > 0
+    # a random covector does not annihilate the [A_i, A_j] at the ends
+    assert not by_name["transversality"].passed
 
 
 def test_trajectory_csv(tmp_path, dub3, extremal3):
@@ -291,16 +293,22 @@ def test_sphere_extremal_recovery():
             <= 1e-12
 
 
-def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
+def direct_battery(trajectory, tol=Tolerances()):
     """The condition battery one grid point at a time, one pairing per
-    bracket word: the reference for the batched battery. Its one hypothesis
-    is regularity_of_S by one least-squares solve per bracket, the
-    reference for that entry of the batched hypotheses."""
+    bracket word, so it never reads the system's bracket tables: the
+    reference for the batched battery. Its one hypothesis is
+    regularity_of_S by one least-squares solve per bracket, the reference
+    for that entry of the batched hypotheses."""
     system = trajectory.system
     m = system.m
+    derived_words = [(i + 1, j + 1) for i in range(m) for j in range(i + 1, m)]
+
+    def legendre(p):
+        return np.array([[hamiltonian_bracket(system, p, (i + 1, (j + 1, 0)))
+                          for j in range(m)] for i in range(m)])
 
     def feedback(p):
-        lform = legendre_form(system, p)
+        lform = legendre(p)
         if np.linalg.cond(lform) > 1e8:
             raise np.linalg.LinAlgError(
                 "Legendre form is ill-conditioned; strengthened Legendre "
@@ -319,10 +327,10 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
         normality_res = max(normality_res,
                             abs(pairing(p, system.drift) - 1.0))
         goh_res = max(goh_res, max(
-            abs(hamiltonian_bracket(system, p, (i + 1, j + 1)))
-            for i in range(m) for j in range(i + 1, m)) if m > 1 else 0.0)
+            abs(hamiltonian_bracket(system, p, word))
+            for word in derived_words) if m > 1 else 0.0)
         hogc_res = max(hogc_res, hogc_residual(system, p))
-        lform = legendre_form(system, p)
+        lform = legendre(p)
         sym_res = max(sym_res, float(np.max(np.abs(lform - lform.T))))
         eigs = np.linalg.eigvalsh(0.5 * (lform + lform.T))
         eig_low = min(eig_low, eigs[0])
@@ -362,29 +370,26 @@ def direct_battery(trajectory, boundary_data=None, tol=Tolerances()):
         ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
                        feedback_res),
     ]
-    if boundary_data is not None:
-        init_basis, final_basis = boundary_data
-        p, q = trajectory.p, trajectory.q
-        res0 = max((abs(pairing(p[0], a)) for a in init_basis(q[0])),
-                   default=0.0)
-        resf = max((abs(pairing(p[-1], a))
-                    for a in final_basis(q[-1])), default=0.0)
-        checks.append(ConditionCheck(
-            "transversality", max(res0, resf) <= tol.equality,
-            max(res0, resf),
-            {"initial": float(res0), "final": float(resf)}))
+    # both Dubins endpoint manifolds are integral manifolds of the derived
+    # sub-algebra
+    res0, resf = (max((abs(hamiltonian_bracket(system, end, word))
+                       for word in derived_words), default=0.0)
+                  for end in (trajectory.p[0], trajectory.p[-1]))
+    checks.append(ConditionCheck(
+        "transversality", max(res0, resf) <= tol.equality, max(res0, resf),
+        {"initial": float(res0), "final": float(resf)}))
     regularity = ConditionCheck(
         "regularity_of_S", reg_ok, reg_res,
         {"rank": int(reg_rank), "expected_rank": system.R + m})
     return ConditionReport(tuple(checks), float(sglc_margin), (regularity,))
 
 
-def assert_battery_matches_direct(trajectory, boundary):
+def assert_battery_matches_direct(trajectory):
     """The batched battery's report equals the point-by-point one, save the
     hypotheses the direct battery does not compute: regularity_of_S is
     compared on its own, exactly. Returns the batched report."""
-    batched = condition_battery(trajectory, boundary).as_dict()
-    direct = direct_battery(trajectory, boundary).as_dict()
+    batched = condition_battery(trajectory).as_dict()
+    direct = direct_battery(trajectory).as_dict()
     assert set(batched["hypotheses"]) == {
         "closure_so_N", "derived_dimension", "frame_basis_rank",
         "double_bracket_drift", "drift_family_commutes",
@@ -406,8 +411,7 @@ def test_battery_matches_point_by_point(space, n, drift_sign):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": n, "drift_sign": drift_sign}})
     system, _, trajectory = _build_problem(config)
-    batched = assert_battery_matches_direct(
-        trajectory, dubins_boundary_tangents(system))
+    batched = assert_battery_matches_direct(trajectory)
     assert batched["passed"] == (drift_sign == 1)
     # the flipped drift keeps the structure: only the arc fails
     assert all(h["passed"] for h in batched["hypotheses"].values())
@@ -422,8 +426,7 @@ def test_battery_matches_point_by_point_off_the_arc(space):
     p0 = rng.standard_normal((system.d, system.d))
     trajectory = adjoint_trajectory(system, p0 / pairing(p0, system.drift),
                                     np.linspace(0.0, 1.0, 41))
-    batched = assert_battery_matches_direct(
-        trajectory, dubins_boundary_tangents(system))
+    batched = assert_battery_matches_direct(trajectory)
     for name in ("pmp_switching", "goh", "hogc", "s_membership",
                  "feedback_consistency", "transversality"):
         assert batched["checks"][name]["residual"] > 1e-3
@@ -442,8 +445,7 @@ def test_battery_fails_a_system_off_the_dubins_structure(space):
         system, drift=system.drift + 0.1 * commutator(ai[0], ai[1]))
     trajectory = adjoint_trajectory(bent, dubins_initial_covector(bent),
                                     np.linspace(0.0, 1.0, 41))
-    boundary = dubins_boundary_tangents(bent)
-    report = condition_battery(trajectory, boundary).as_dict()
+    report = condition_battery(trajectory).as_dict()
     assert not report["passed"]
     assert sorted(k for k, h in report["hypotheses"].items()
                   if not h["passed"]) == ["double_bracket_drift",
@@ -456,7 +458,7 @@ def test_battery_fails_a_system_off_the_dubins_structure(space):
         "feedback_consistency", "goh", "hogc", "normality", "pmp_switching",
         "s_membership", "sglc", "transversality"]
     assert all(c["passed"] for c in report["checks"].values())
-    direct = direct_battery(trajectory, boundary).as_dict()
+    direct = direct_battery(trajectory).as_dict()
     assert report["checks"] == direct["checks"]
     assert report["hypotheses"]["regularity_of_S"] \
         == direct["hypotheses"]["regularity_of_S"]
@@ -468,8 +470,7 @@ def test_battery_reports_arc_checks_beside_broken_hypotheses(dub3):
     bent = dataclasses.replace(dub3, drift=dub3.drift + 0.1 * dub3.controlled[0])
     trajectory = adjoint_trajectory(bent, dubins_initial_covector(bent),
                                     np.linspace(0.0, 1.0, 41))
-    report = condition_battery(trajectory,
-                               dubins_boundary_tangents(bent)).as_dict()
+    report = condition_battery(trajectory).as_dict()
     assert not report["passed"]
     assert sorted(k for k, c in report["checks"].items()
                   if not c["passed"]) == ["feedback_consistency", "hogc",
@@ -506,4 +507,4 @@ def test_non_finite_reference_arc_is_named():
                                   np.linspace(0.0, 800.0, 9))
         with pytest.raises(np.linalg.LinAlgError,
                            match="reference arc is not finite at t = 400,"):
-            condition_battery(traj, dubins_boundary_tangents(system))
+            condition_battery(traj)

@@ -207,7 +207,7 @@ def test_quick_log_matches_logm_near_radius(space):
     series log agrees with scipy's logm to roundoff, one matrix or a stack."""
     sys_ = build_dubins_system(space, 4)
     rng = np.random.default_rng(4)
-    basis = sys_.full_algebra_basis()
+    basis = sys_.algebra_basis
     stack = []
     for _ in range(3):
         x = sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
@@ -506,7 +506,7 @@ def _misranked_pair(system, b_pinv):
     ranks them opposite to the exact log: exp(r_p P) and exp(r_q Q) with
     P and Q unit directions whose third-order heads overshoot least and
     most."""
-    basis = system.full_algebra_basis()
+    basis = system.algebra_basis
     dirs = [system.drift, system.controlled[0], sum(basis),
             system.drift + system.controlled[0]]
     dirs = [x / np.linalg.norm(b_pinv @ x.ravel()) for x in dirs]
@@ -547,7 +547,7 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
     off = [q_f @ expm(a * a_c[c]) @ expm(sign * 2 * TARGET_TOL * a_0)
            for a in (0.0, 0.02, 0.4) for c in range(system.m)
            for sign in (1.0, -1.0)]
-    basis = system.full_algebra_basis()
+    basis = system.algebra_basis
     edge = [_at_distance(q_f, np.tensordot(rng.standard_normal(len(basis)),
                                            basis, 1), LOG_RADIUS + side)
             for side in (-1e-7, 1e-7) for _ in range(3)]

@@ -28,7 +28,7 @@ def assert_matches_expm(x, lam=None):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_plane_exp_matches_expm(space, n):
     system = build_dubins_system(space, n)
-    axes = np.array(system.full_algebra_basis())
+    axes = system.algebra_basis
     # every chart axis at |x| <= 1, with the Taylor switch |lam| = 1e-3
     # approached from both sides
     knot = np.sqrt(1e-3)
@@ -53,7 +53,7 @@ def test_plane_exp_near_zero_lam(space):
     """Stacks whose lam lies within 1e-10 of 0, on both sides: the Taylor
     branch and the closed form agree with expm there."""
     system = build_dubins_system(space, 4)
-    axes = np.array(system.full_algebra_basis())
+    axes = system.algebra_basis
     s = np.array([-9e-6, -3e-6, -1e-8, 0.0, 1e-8, 3e-6, 9e-6])
     x = s[:, None, None, None] * axes
     lam = 0.5 * np.trace(x @ x, axis1=-2, axis2=-1)
@@ -89,7 +89,7 @@ def test_plane_exp_long_rotation_does_not_overflow():
 def _near_identity(system, delta, rng):
     """exp(s X) for a random X of the full algebra, with s chosen so that
     ||exp(s X) - I||_F = delta."""
-    basis = np.array(system.full_algebra_basis())
+    basis = system.algebra_basis
     x = np.tensordot(rng.standard_normal(len(basis)), basis, 1)
     eye = np.eye(system.d)
     s = brentq(lambda a: np.linalg.norm(expm(a * x) - eye) - delta, 0.0,

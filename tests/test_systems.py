@@ -193,3 +193,50 @@ def test_projection_raises_when_unsettled(space):
     with pytest.raises(ProjectionError):
         sys_.project_to_group(np.array([g, far, g]))
     assert sys_.group_residual(sys_.project_to_group(g)) <= 1e-12
+
+
+def word_tables(sys_):
+    """The bracket tables resolved word by word through bracket_matrix."""
+    word, ids = sys_.bracket_matrix, range(1, sys_.m + 1)
+    derived = np.array([word((i, j)) for i in ids for j in ids if i < j])
+    drift = np.array([word((0, i)) for i in ids])
+    return {
+        "pair_brackets": np.array([[word((i, j)) for j in ids] for i in ids]),
+        "derived": derived,
+        "drift_brackets": drift,
+        "legendre_brackets": np.array([[word((i, (j, 0))) for j in ids]
+                                       for i in ids]),
+        "algebra_basis": np.concatenate([np.array(sys_.controlled), derived,
+                                         drift, sys_.drift[None]]),
+    }
+
+
+def assert_tables_equal_words(sys_):
+    for name, expect in word_tables(sys_).items():
+        assert np.array_equal(getattr(sys_, name), expect), name
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_bracket_tables_equal_their_words(space, N):
+    """Each bracket table equals bracket_matrix of its words, exactly."""
+    assert_tables_equal_words(build_dubins_system(space, N))
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_bracket_tables_follow_a_replaced_drift(space):
+    """The tables are formed from the current drift: after
+    dataclasses.replace with the flipped drift, or with the drift bent by
+    0.1 [A_1, A_2], they are the new drift's brackets."""
+    sys_ = build_dubins_system(space, 4)
+    a1, a2, _ = sys_.controlled
+    flipped = dataclasses.replace(sys_, drift=-sys_.drift)
+    assert_tables_equal_words(flipped)
+    assert np.array_equal(flipped.drift_brackets, -sys_.drift_brackets)
+    assert np.array_equal(flipped.legendre_brackets, -sys_.legendre_brackets)
+    assert np.array_equal(flipped.algebra_basis[-1], -sys_.drift)
+    bent = dataclasses.replace(sys_, drift=sys_.drift
+                               + 0.1 * commutator(a1, a2))
+    assert_tables_equal_words(bent)
+    assert not np.array_equal(bent.drift_brackets, sys_.drift_brackets)
+    assert np.array_equal(bent.pair_brackets, sys_.pair_brackets)
