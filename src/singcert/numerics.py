@@ -9,6 +9,9 @@ RK4 has one owner. `time_grid` holds the rule for a uniform grid (at least
 `rk4_flow` passes f the row of that table instead of a time, so a flow
 whose right-hand side depends on t evaluates it once on the whole table
 and indexes it; the flow comes back as one (T, ...) array.
+`rk4_linear_flow` takes the same steps for a linear system of low rank,
+y' = U(t) W(t) y, from U and W tabulated on that table: each step is a
+fixed linear map, formed for all steps at once before the recurrence.
 
 Every generator of the generalized Dubins family, in so(N+1), se(N) and
 so(1, N), is a single-plane element X with X^3 = lam X, lam = tr(X^2)/2,
@@ -40,6 +43,16 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, horizon, max(int(round(horizon / dt)), 8) + 1)
 
 
+def _grid_steps(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The (T,) grid of an RK4 flow as floats, and its steps; raises
+    ValueError unless it is a strictly increasing (T,) array."""
+    grid = np.asarray(grid, dtype=float)
+    steps = np.diff(grid)
+    if grid.ndim != 1 or np.any(steps <= 0):
+        raise ValueError("grid must be a strictly increasing (T,) array")
+    return grid, steps
+
+
 def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
     """Classical RK4 for y' = f(t, y) on a strictly increasing (T,) grid.
 
@@ -48,10 +61,7 @@ def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
     of the states on the grid, y0 first; a stacked y0 steps all its
     members at once.
     """
-    grid = np.asarray(grid, dtype=float)
-    steps = np.diff(grid)
-    if grid.ndim != 1 or np.any(steps <= 0):
-        raise ValueError("grid must be a strictly increasing (T,) array")
+    grid, steps = _grid_steps(grid)
     out = np.empty((grid.size, *np.shape(y0)))
     out[0] = y = y0
     for k, h in enumerate(steps):
@@ -60,6 +70,40 @@ def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
         k3 = f(3 * k + 1, y + 0.5 * h * k2)
         k4 = f(3 * k + 2, y + h * k3)
         out[k + 1] = y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return out
+
+
+def rk4_linear_flow(u: np.ndarray, w: np.ndarray, grid,
+                    y0: np.ndarray) -> np.ndarray:
+    """Classical RK4 for the linear y' = U(t) W(t) y, U of shape (p, m) and
+    W of shape (m, p), on a strictly increasing (T,) grid.
+
+    u and w hold U and W at the rows of `rk4_stage_times(grid)`, (3 (T -
+    1), p, m) and (3 (T - 1), m, p). With U1, U2, U4 and W1, W2, W4 the
+    tables at t_k, t_k + h/2 and t_k + h, the RK4 step is the map
+    y <- y + (h/6) [U1 | U2 | U4] [W1; 2 (X2 + X3); X4] y, where
+    X2 = W2 + (h/2) (W2 U1) W1, X3 = W2 + (h/2) (W2 U2) X2 and
+    X4 = W4 + h (W4 U2) X3: the stages of `rk4_flow`, reassociated. The
+    (p, 3m) and (3m, p) factors of every step come from a few stacked
+    products, and the recurrence takes two products a step; no dense
+    (p, p) step map is formed. Returns the (T, p, q) states of a (p, q)
+    y0, y0 first.
+    """
+    grid, steps = _grid_steps(grid)
+    u = u.reshape(steps.size, 3, *u.shape[1:])
+    w = w.reshape(steps.size, 3, *w.shape[1:])
+    h = steps[:, None, None]
+    u1, u2, u4 = u[:, 0], u[:, 1], u[:, 2]
+    w1, w2, w4 = w[:, 0], w[:, 1], w[:, 2]
+    x2 = w2 + (0.5 * h) * ((w2 @ u1) @ w1)
+    x3 = w2 + (0.5 * h) * ((w2 @ u2) @ x2)
+    x4 = w4 + h * ((w4 @ u2) @ x3)
+    left = np.concatenate([u1, u2, u4], axis=-1)
+    right = (h / 6.0) * np.concatenate([w1, 2.0 * (x2 + x3), x4], axis=-2)
+    out = np.empty((grid.size, *np.shape(y0)))
+    out[0] = y = y0
+    for k in range(steps.size):
+        out[k + 1] = y = y + left[k] @ (right[k] @ y)
     return out
 
 

@@ -19,7 +19,8 @@ from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
                        reference_flow, require_finite)
 from .geometry import GroupGeometry
-from .numerics import plane_exp, rk4_flow, rk4_stage_times, write_csv
+from .numerics import (plane_exp, rk4_linear_flow, rk4_stage_times,
+                       write_csv)
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -34,17 +35,17 @@ def chart_field_jacobian(chart: GroupChart, algebra_elem: np.ndarray) -> np.ndar
     (k, d, d) stack of algebra elements gives a (k, n, n) stack.
 
     With W = sum_j c_j(x) v_j(x) and dv_j/dx_k = [v_j, v_k], the partials
-    solve 0 = sum_j (dc_j/dx_k) B_j + sum_{j > k} c_j [B_j, B_k].
+    solve 0 = sum_j (dc_j/dx_k) B_j + sum_{j > k} c_j [B_j, B_k]; the
+    brackets [B_j, B_k] come from one stacked commutator of the frame,
+    masked to j > k.
     """
     origin = np.zeros(chart.n)
     frame = chart.frame_algebra
     c0 = chart.solve_in_frame(origin, algebra_elem)
-    # acc[..., k] = sum_{j > k} c0_j [B_j, B_k], in the order of j
-    acc = np.zeros(c0.shape + algebra_elem.shape[-2:])
-    for k in range(chart.n):
-        for j in range(k + 1, chart.n):
-            acc[..., k, :, :] += c0[..., j, None, None] * commutator(frame[j],
-                                                                     frame[k])
+    brackets = commutator(frame[:, None], frame[None, :])
+    brackets *= np.tri(chart.n, k=-1)[:, :, None, None]
+    # acc[..., k] = sum_{j > k} c0_j [B_j, B_k]
+    acc = np.einsum("...j,jkab->...kab", c0, brackets)
     return -np.swapaxes(chart.solve_in_frame(origin, acc), -1, -2)
 
 
@@ -291,38 +292,59 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
         metadata={"floor": float(floor)})
 
 
+def jacobi_flow(problem: SecondVariationProblem, n_steps: int = 200):
+    """The Jacobi flow of the L'' problem on an n_steps uniform grid: the
+    (T, 2n, 2n) states (Omega; X) of two initial blocks side by side,
+    (-P; 0) in columns :n, P the projection onto coordinates R..n-1, and
+    (0; I) in columns n:.
+
+    The system y' = U W y is linear of rank m, with U = [-a^T; Z] and
+    W = L^-1 [Z^T, a], L = -C, so `rk4_linear_flow` steps it from one
+    evaluation of the coefficients at every RK4 stage time. Columns :R of
+    the P-block start at 0 and stay exactly 0. A state that overflows
+    comes back non-finite, with no numpy warning.
+    """
+    n, r = problem.n, problem.R
+    grid = np.linspace(0.0, problem.horizon, n_steps + 1)
+    y0 = np.zeros((2 * n, 2 * n))
+    y0[r:n, r:n] = -np.eye(n - r)
+    y0[n:, n:] = np.eye(n)
+    z, c, a = problem.coefficients(rk4_stage_times(grid))
+    u = np.concatenate([-np.swapaxes(a, -1, -2), z], axis=-2)
+    w = np.linalg.inv(-c) @ np.concatenate([np.swapaxes(z, -1, -2), a],
+                                           axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return grid, rk4_linear_flow(u, w, grid, y0)
+
+
 def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
                           n_steps: int = 200):
     """Det of the base projection X_rho(t) of the transported L'' subspace,
     one row per rho.
 
-    The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I),
-    P the projection onto coordinates R..n-1, is X_rho = X_I + rho X_P: one
-    RK4 flow of the two initial blocks (0, I) and (-P, 0), side by side,
-    gives every rho.
+    The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I)
+    is X_rho = X_I + rho X_P: one `jacobi_flow` of the two initial blocks
+    gives every rho, its RK4 steps the rank-m step cores of
+    `rk4_linear_flow`. Columns :R of X_P are exactly 0, so columns :R of
+    X_rho do not depend on rho: one stacked complete QR of X_I[:, :R] = Q
+    R1 per time gives det X_rho = det Q prod diag R1
+    det(Q2^T (X_I + rho X_P)[:, R:]), Q2 = Q[:, R:], and the rho sweep
+    takes determinants of (n - R) x (n - R) blocks only. Where X is not
+    finite, no rho's det is finite.
     """
     n, r = problem.n, problem.R
-    grid = np.linspace(0.0, problem.horizon, n_steps + 1)
-    y0 = np.zeros((2, n, 2 * n))
-    y0[0, r:, r:n] = -np.eye(n - r)
-    y0[1, :, n:] = np.eye(n)
-
-    # the coefficients at every RK4 stage time from one evaluation; -C
-    # inverted as a stack
-    z, c, a = problem.coefficients(rk4_stage_times(grid))
-    l_inv = np.linalg.inv(-c)
-
-    def rhs(i, y):
-        om, xx = y
-        b = l_inv[i] @ (z[i].T @ om + a[i] @ xx)
-        return np.array([-a[i].T @ b, z[i] @ b])
-
-    x = rk4_flow(rhs, grid, y0)[:, 1]
+    grid, y = jacobi_flow(problem, n_steps)
+    x_p, x_i = y[:, n:, :n], y[:, n:, n:]
     rho = np.asarray(rho_grid, dtype=float)[:, None, None, None]
     # an overflowed det is a non-finite entry, which conjugate_point_test
     # refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return grid, np.linalg.det(x[:, :, n:] + rho * x[:, :, :n])
+        q, r1 = np.linalg.qr(x_i[:, :, :r], mode="complete")
+        head = np.linalg.det(q) * np.prod(
+            np.diagonal(r1, axis1=-2, axis2=-1), axis=-1)
+        q2t = np.swapaxes(q[:, :, r:], -1, -2)
+        block = q2t @ x_i[:, :, r:] + rho * (q2t @ x_p[:, :, r:])
+        return grid, head * np.linalg.det(block)
 
 
 def conjugate_point_test(problem: SecondVariationProblem,
@@ -336,21 +358,30 @@ def conjugate_point_test(problem: SecondVariationProblem,
     rho_grid whose ratio is at least det_floor, reported at that rho;
     otherwise not coercive, reported at the rho with the largest ratio.
     One Jacobi flow decides the whole sweep (see conjugate_point_trace).
+    When no rho has a ratio, as on a long hyperbolic arc whose Jacobi
+    flow outgrows the floats, the report's reason names the grid time by
+    which every rho's det has overflowed.
     """
     grid, dets = conjugate_point_trace(problem, rho_grid, n_steps)
-    ratios = np.where(np.all(np.isfinite(dets), axis=1),
-                      np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0]),
-                      np.nan)
+    lost = ~np.isfinite(dets)
+    ratios = np.where(lost.any(axis=1), np.nan,
+                      np.min(np.abs(dets), axis=1) / np.abs(dets[:, 0]))
     passing = np.flatnonzero(ratios >= det_floor)
     k = int(passing[0]) if passing.size else \
         int(np.argmax(np.nan_to_num(ratios, nan=-np.inf)))
+    metadata = {"det_floor": det_floor}
+    if np.isnan(ratios).all():
+        t_lost = grid[np.max(np.argmax(lost, axis=1))]
+        metadata["reason"] = (
+            f"every rho's det X_rho has overflowed by t = {t_lost:.6g}, the "
+            f"first grid time where that holds")
     return CoercivityReport(
         method="conjugate_point",
         verdict="coercive" if passing.size else "not coercive",
         margin=float(ratios[k]), rho=float(rho_grid[k]),
         refinements=[{"rho": float(rho), "min_det_ratio": float(ratio)}
                      for rho, ratio in zip(rho_grid, ratios)],
-        det_trace=dets[k], det_grid=grid, metadata={"det_floor": det_floor})
+        det_trace=dets[k], det_grid=grid, metadata=metadata)
 
 
 def lq_hamiltonian(problem: SecondVariationProblem, t: float,

@@ -480,6 +480,26 @@ def test_long_hyperbolic_certificate_is_an_error_without_warnings():
     assert report["stages"]["certificate"]["error"]["type"] == "LinAlgError"
 
 
+def test_overflowing_jacobi_flow_is_not_coercive_without_warnings():
+    """At H = 30 the hyperbolic arc is finite, but its Jacobi flow outgrows
+    the floats: the conjugate-point test says not coercive, with no ratio
+    and no numpy warning, and its reason names the grid time by which
+    every rho's det has overflowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = json.loads(emit(run_check({
+            "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+            "horizon": 30.0, "checks": ["coercivity"]})))
+    conj = report["stages"]["coercivity"]["conjugate_point"]
+    assert report["verdict"] == "not certified"
+    assert conj["verdict"] == "not coercive"
+    assert conj["margin"] is None
+    assert all(r["min_det_ratio"] is None for r in conj["refinements"])
+    assert conj["reason"] == ("every rho's det X_rho has overflowed by "
+                              "t = 22.35, the first grid time where that "
+                              "holds")
+
+
 @pytest.mark.parametrize("horizon, dt", [(60.0, None), (355.0, 8.0)])
 def test_long_hyperbolic_certificate_logm_warnings_stay_inside(horizon, dt):
     """At H = 60, and at H = 355 with dt 8, scipy's logm would warn (an

@@ -1,7 +1,7 @@
 """Tests for the closed-form plane exponential, with scipy's expm as the
 oracle on every generator family the package exponentiates, and for the
 log head's remainder bound, with the series log and scipy's logm as
-oracles."""
+oracles, and for the linear RK4 flow, with `rk4_flow` as its oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from scipy.linalg import expm, logm
 from scipy.optimize import brentq
 
 from singcert.falsifier import LOG_RADIUS
-from singcert.numerics import log_head, plane_exp, series_log
+from singcert.numerics import (log_head, plane_exp, rk4_flow, rk4_linear_flow,
+                               rk4_stage_times, series_log, time_grid)
 from singcert.systems import build_dubins_system
 
 SPACES = ("euclidean", "sphere", "hyperbolic")
@@ -153,3 +154,20 @@ def test_series_log_raises_where_the_series_diverges():
                                      "converge$"):
                 series_log(mat)
     assert np.all(np.isfinite(series_log(np.diag([0.5, 1.0, 2.0]))))
+
+
+def test_rk4_linear_flow_matches_rk4_flow():
+    """On a random rank-3 system y' = U W y in 12 dimensions, tabulated at
+    the stage times of a non-uniform grid, the step cores give the states
+    of rk4_flow stepping f(i, y) = U_i (W_i y) to 1e-13 relative."""
+    rng = np.random.default_rng(41)
+    grid = np.union1d(time_grid(2.0, 0.1), [1.0 / 3.0, 1.7])
+    rows = rk4_stage_times(grid).size
+    u = 0.5 * rng.standard_normal((rows, 12, 3))
+    w = 0.5 * rng.standard_normal((rows, 3, 12))
+    y0 = rng.standard_normal((12, 5))
+    want = rk4_flow(lambda i, y: u[i] @ (w[i] @ y), grid, y0)
+    got = rk4_linear_flow(u, w, grid, y0)
+    assert got.shape == (grid.size, 12, 5)
+    assert np.array_equal(got[0], y0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -21,6 +21,7 @@ from singcert.secondvar import (
     galerkin_assemble,
     galerkin_coercivity,
     iota_equivalence_check,
+    jacobi_flow,
     lq_hamiltonian,
 )
 from singcert.systems import build_dubins_system
@@ -353,6 +354,18 @@ def test_conjugate_trace_matches_per_rho_flows(case):
     for rho, row, want in zip(rho_grid, dets, direct_traces(prob, rho_grid)):
         assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want)), \
             (case, rho)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_jacobi_flow_keeps_the_p_block_head_at_zero(space):
+    """Columns :R of the P-block start at 0 and stay exactly 0, so columns
+    :R of X_rho do not depend on rho: the premise of the trace's QR
+    factoring. Its columns R: do move."""
+    prob = dubins_lq(space, 4, 3.0)
+    grid, y = jacobi_flow(prob)
+    assert y.shape == (grid.size, 2 * prob.n, 2 * prob.n)
+    assert not np.any(y[:, :, :prob.R])
+    assert np.all(np.any(y[1:, :, prob.R:prob.n] != 0.0, axis=(1, 2)))
 
 
 def test_non_coercive_report_holds_its_rho_row():
