@@ -1,17 +1,15 @@
-"""What every stage shares: classical RK4, damped Newton, the closed-form
-exponential of a single-plane generator and the exact series logarithm of
-a group element near the identity, with its third-order head and a
-certified bound on the head's remainder, so that a caller whose test the
-bound already decides takes no series; and the one CSV writer.
+"""What every stage shares: classical RK4, damped Newton, closed-form
+exponentials and the exact series logarithm of a group element near the
+identity, with its third-order head and a certified bound on the head's
+remainder, so that a caller whose test the bound already decides takes no
+series; and the one CSV writer.
 
 RK4 has one owner. `time_grid` holds the rule for a uniform grid (at least
 8 steps), `rk4_stage_times` forms the times the stages read, and
 `rk4_flow` passes f the row of that table instead of a time, so a flow
 whose right-hand side depends on t evaluates it once on the whole table
-and indexes it; the flow comes back as one (T, ...) array.
-`rk4_linear_flow` takes the same steps for a linear system of low rank,
-y' = U(t) W(t) y, from U and W tabulated on that table: each step is a
-fixed linear map, formed for all steps at once before the recurrence.
+and indexes it; the flow comes back as one (T, ...) array. No stage
+integrates with it: the tests keep it as their oracle.
 
 Every generator of the generalized Dubins family, in so(N+1), se(N) and
 so(1, N), is a single-plane element X with X^3 = lam X, lam = tr(X^2)/2,
@@ -19,7 +17,8 @@ and so is every combination t A_0 + a A_i: it acts on at most three
 coordinates, where it is a 3 x 3 matrix of zero trace and determinant.
 Its exponential is I + S1(lam) X + S2(lam) X^2 on all three space forms at
 once (Gallier & Xu, Int. J. Robotics and Automation 17, 2002); the linear
-map ad_A0 obeys the same identity with the lam of A_0.
+map ad_A0 obeys the same identity with the lam of A_0. `quartic_exp`
+exponentiates an X with X^4 = lam X^2, as the Jacobi flow's M is.
 """
 
 from __future__ import annotations
@@ -43,16 +42,6 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, horizon, max(int(round(horizon / dt)), 8) + 1)
 
 
-def _grid_steps(grid) -> tuple[np.ndarray, np.ndarray]:
-    """The (T,) grid of an RK4 flow as floats, and its steps; raises
-    ValueError unless it is a strictly increasing (T,) array."""
-    grid = np.asarray(grid, dtype=float)
-    steps = np.diff(grid)
-    if grid.ndim != 1 or np.any(steps <= 0):
-        raise ValueError("grid must be a strictly increasing (T,) array")
-    return grid, steps
-
-
 def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
     """Classical RK4 for y' = f(t, y) on a strictly increasing (T,) grid.
 
@@ -61,7 +50,10 @@ def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
     of the states on the grid, y0 first; a stacked y0 steps all its
     members at once.
     """
-    grid, steps = _grid_steps(grid)
+    grid = np.asarray(grid, dtype=float)
+    steps = np.diff(grid)
+    if grid.ndim != 1 or np.any(steps <= 0):
+        raise ValueError("grid must be a strictly increasing (T,) array")
     out = np.empty((grid.size, *np.shape(y0)))
     out[0] = y = y0
     for k, h in enumerate(steps):
@@ -70,40 +62,6 @@ def rk4_flow(f, grid, y0: np.ndarray) -> np.ndarray:
         k3 = f(3 * k + 1, y + 0.5 * h * k2)
         k4 = f(3 * k + 2, y + h * k3)
         out[k + 1] = y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
-
-
-def rk4_linear_flow(u: np.ndarray, w: np.ndarray, grid,
-                    y0: np.ndarray) -> np.ndarray:
-    """Classical RK4 for the linear y' = U(t) W(t) y, U of shape (p, m) and
-    W of shape (m, p), on a strictly increasing (T,) grid.
-
-    u and w hold U and W at the rows of `rk4_stage_times(grid)`, (3 (T -
-    1), p, m) and (3 (T - 1), m, p). With U1, U2, U4 and W1, W2, W4 the
-    tables at t_k, t_k + h/2 and t_k + h, the RK4 step is the map
-    y <- y + (h/6) [U1 | U2 | U4] [W1; 2 (X2 + X3); X4] y, where
-    X2 = W2 + (h/2) (W2 U1) W1, X3 = W2 + (h/2) (W2 U2) X2 and
-    X4 = W4 + h (W4 U2) X3: the stages of `rk4_flow`, reassociated. The
-    (p, 3m) and (3m, p) factors of every step come from a few stacked
-    products, and the recurrence takes two products a step; no dense
-    (p, p) step map is formed. Returns the (T, p, q) states of a (p, q)
-    y0, y0 first.
-    """
-    grid, steps = _grid_steps(grid)
-    u = u.reshape(steps.size, 3, *u.shape[1:])
-    w = w.reshape(steps.size, 3, *w.shape[1:])
-    h = steps[:, None, None]
-    u1, u2, u4 = u[:, 0], u[:, 1], u[:, 2]
-    w1, w2, w4 = w[:, 0], w[:, 1], w[:, 2]
-    x2 = w2 + (0.5 * h) * ((w2 @ u1) @ w1)
-    x3 = w2 + (0.5 * h) * ((w2 @ u2) @ x2)
-    x4 = w4 + h * ((w4 @ u2) @ x3)
-    left = np.concatenate([u1, u2, u4], axis=-1)
-    right = (h / 6.0) * np.concatenate([w1, 2.0 * (x2 + x3), x4], axis=-2)
-    out = np.empty((grid.size, *np.shape(y0)))
-    out[0] = y = y0
-    for k in range(steps.size):
-        out[k + 1] = y = y + left[k] @ (right[k] @ y)
     return out
 
 
@@ -139,28 +97,16 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
     return x, r, iters
 
 
-# below this |lam| the Taylor series of S1 and S2, to lam^3, is exact to
-# roundoff (the first term left out is lam^4 / 9! < 3e-18)
+# below this |lam| the Taylor series of S1, S2 and S3, to lam^3, are exact
+# to roundoff (the first term left out is at most lam^4 / 9! < 3e-18)
 _TAYLOR_LAM = 1e-3
 
 
-def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
-              ) -> np.ndarray:
-    """exp x = I + S1(lam) x + S2(lam) x^2 for x with x^3 = lam x, one
-    (d, d) matrix or a (..., d, d) stack of them.
-
-    lam, one value per matrix, defaults to tr(x^2)/2, which is the lam of
-    a single-plane generator; sq, when given, is x @ x. With r =
+def _plane_series(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S1 = sum_k lam^k/(2k+1)! and S2 = sum_k lam^k/(2k+2)!. With r =
     sqrt(|lam|), S1 = sinh(r)/r and S2 = 2 sinh(r/2)^2/r^2 for lam > 0,
     sin in place of sinh for lam < 0: neither cancels. Near lam = 0, where
-    both are 0/0, their Taylor series take over.
-    """
-    x = np.asarray(x, dtype=float)
-    if sq is None:
-        sq = x @ x
-    if lam is None:
-        lam = 0.5 * np.trace(sq, axis1=-2, axis2=-1)
-    lam = np.asarray(lam, dtype=float)
+    both are 0/0, their Taylor series take over."""
     small = np.abs(lam) < _TAYLOR_LAM
     r = np.sqrt(np.where(small, 1.0, np.abs(lam)))
     s1 = np.where(small, 1.0 + lam / 6.0 * (1.0 + lam / 20.0
@@ -170,10 +116,44 @@ def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
     s2 = np.where(small, 0.5 * (1.0 + lam / 12.0 * (1.0 + lam / 30.0
                                                    * (1.0 + lam / 56.0))),
                   2.0 * half * half)
+    return s1, s2
+
+
+def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
+              ) -> np.ndarray:
+    """exp x = I + S1(lam) x + S2(lam) x^2 for x with x^3 = lam x, one
+    (d, d) matrix or a (..., d, d) stack of them (`_plane_series`).
+
+    lam, one value per matrix, defaults to tr(x^2)/2, which is the lam of
+    a single-plane generator; sq, when given, is x @ x.
+    """
+    x = np.asarray(x, dtype=float)
+    if sq is None:
+        sq = x @ x
+    if lam is None:
+        lam = 0.5 * np.trace(sq, axis1=-2, axis2=-1)
+    s1, s2 = _plane_series(np.asarray(lam, dtype=float))
     out = s1[..., None, None] * x
     out += np.eye(x.shape[-1])
     out += s2[..., None, None] * sq
     return out
+
+
+def quartic_exp(x: np.ndarray, lam, sq: np.ndarray, cube: np.ndarray
+                ) -> np.ndarray:
+    """exp x = I + x + S2(lam) x^2 + S3(lam) x^3 for x with x^4 = lam x^2,
+    one (d, d) matrix or a (..., d, d) stack, given sq = x @ x and
+    cube = sq @ x: S2 is that of `plane_exp`, and S3 = sum_k
+    lam^k/(2k+3)! = (S1 - 1)/lam takes its Taylor series near lam = 0,
+    where that quotient cancels."""
+    lam = np.asarray(lam, dtype=float)
+    small = np.abs(lam) < _TAYLOR_LAM
+    s1, s2 = _plane_series(lam)
+    s3 = np.where(small, (1.0 + lam / 20.0 * (1.0 + lam / 42.0
+                                              * (1.0 + lam / 72.0))) / 6.0,
+                  (s1 - 1.0) / np.where(small, 1.0, lam))
+    return (np.eye(x.shape[-1]) + x + s2[..., None, None] * sq
+            + s3[..., None, None] * cube)
 
 
 def _sin_or_sinh(r: np.ndarray, hyperbolic: np.ndarray) -> np.ndarray:

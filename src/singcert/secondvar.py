@@ -19,8 +19,7 @@ from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
                        reference_flow, require_finite)
 from .geometry import GroupGeometry
-from .numerics import (plane_exp, rk4_linear_flow, rk4_stage_times,
-                       write_csv)
+from .numerics import plane_exp, quartic_exp, write_csv
 from .systems import MatrixGroupSystem
 
 GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -67,7 +66,9 @@ class SecondVariationProblem:
     """LQ data (Z, C, a, E) of the extended second variation.
 
     `coefficients` evaluates Z, C and a on a (T,) array of times at once;
-    z_fn, c_fn and a_fn are its views at a single time.
+    z_fn, c_fn and a_fn are its views at a single time. `jacobi` gives the
+    fundamental matrix Phi(t), Phi(0) = I, of the Jacobi system
+    (Omega; X)' = U W (Omega; X), U = [-a^T; Z], W = L^-1 [Z^T, a], L = -C.
     """
 
     horizon: float
@@ -75,6 +76,7 @@ class SecondVariationProblem:
     m: int
     R: int
     coefficients: object    # (T,) -> Z (T, n, m), C (T, m, m), a (T, m, n)
+    jacobi: object          # (T,) -> Phi (T, 2n, 2n)
     e_mat: np.ndarray       # (n, R)
 
     def z_fn(self, t) -> np.ndarray:
@@ -89,7 +91,8 @@ class SecondVariationProblem:
 
 def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 chart: GroupChart) -> SecondVariationProblem:
-    """Assemble the LQ second-variation data in the adapted chart.
+    """Assemble the LQ second-variation data in the adapted chart, and its
+    Jacobi flow in closed form.
 
     The reference arc is the drift orbit exp(t A_0). Every coefficient is
     linear in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra
@@ -98,33 +101,37 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     coordinates of [A_0, B_k] as columns, Z(0) is its first m columns, row
     k of `rows` is -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k>
     and c0 holds the coordinates of [A_i, [A_j, A_0]]. Each table comes
-    from one stacked solve in the frame at the origin. A_0 is a
-    single-plane generator, A_0^3 = lam A_0 with lam = tr(A_0^2)/2, and
-    then ad_A0^3 = lam ad_A0 (checked here; tr(ad^2)/2 is not lam), so
-    T(t) = exp(t ad) = I + S1(lam t^2) t ad + S2(lam t^2) t^2 ad^2 is a
-    closed-form plane_exp. Then Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and
-    a(t) = Z(t)^T rows. Raises LinAlgError where the arc is not finite.
+    from one stacked solve in the frame at the origin. With
+    T(t) = exp(t ad), Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and
+    a(t) = Z(t)^T rows.
+
+    The Jacobi generator A(t) = U W is then e^{t Gamma} A(0) e^{-t Gamma},
+    Gamma = [[-ad^T, -(ad^T rows^T + rows^T ad)], [0, ad]], so the flow is
+    Phi(t) = e^{t Gamma} e^{t M}, M = A(0) - Gamma, lam = tr(A_0^2)/2. Its
+    four premises are checked here against a rounding bound fixed in
+    advance: Gamma^3 = lam Gamma (A_0 single-plane, so ad^3 = lam ad, T(t)
+    and e^{t Gamma} are `plane_exp`s; tr(ad^2)/2 is not lam); pi0 ad = 0
+    (C constant: a relative equilibrium); ad^T D + D ad = 0 with
+    D = rows - rows^T (a(t) and the Omega-block of A(t) move with
+    e^{t Gamma}); and M^4 = lam M^2 (e^{t M} is a `quartic_exp`). A
+    failed premise raises LinAlgError naming it, as does an arc that is
+    not finite.
     """
     require_finite(extremal)
-    m = system.m
-    origin = np.zeros(chart.n)
+    m, n = system.m, chart.n
+    origin = np.zeros(n)
     frame = np.array(chart.frame_algebra)
     e_mat = chart.solve_in_frame(origin, frame[: chart.R]).T
     if np.linalg.cond(e_mat[: chart.R, :]) > 1e8:
         raise RuntimeError("controlled-algebra basis degenerate at basepoint")
 
     a0 = system.drift
-    p0 = extremal.p[0]
     ad = chart.solve_in_frame(origin, commutator(a0, frame)).T
     lam = 0.5 * np.trace(a0 @ a0)
     ad_sq = ad @ ad
-    if not np.max(np.abs(ad_sq @ ad - lam * ad)) \
-            <= 1e-12 * max(1.0, np.max(np.abs(ad))) ** 3:
-        raise np.linalg.LinAlgError(
-            "the drift is not a single-plane generator: ad_A0^3 != lam ad_A0")
     z0 = ad[:, :m]
     rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
-    pi0 = np.array([pairing(p0, b) for b in frame])
+    pi0 = np.array([pairing(extremal.p[0], b) for b in frame])
     c0 = chart.solve_in_frame(origin, system.legendre_brackets)
 
     def coefficients(ts):
@@ -136,9 +143,42 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         a = np.swapaxes(z, -1, -2) @ rows
         return z, c, a
 
+    z, c, a = (x[0] for x in coefficients(np.zeros(1)))
+    gen0 = np.concatenate([-a.T, z]) @ np.linalg.solve(
+        -c, np.concatenate([z.T, a], axis=1))
+    gamma = np.block([[-ad.T, -(ad.T @ rows.T + rows.T @ ad)],
+                      [np.zeros((n, n)), ad]])
+    m_gen = gen0 - gamma
+    gamma_sq, m_sq = gamma @ gamma, m_gen @ m_gen
+    m_cube = m_sq @ m_gen
+    d_mat = rows - rows.T
+
+    # (premise, residual, factors): the bound is 1e-12 times the product of
+    # max(1, max|f|) over the factors f of the residual's terms
+    for name, residual, factors in (
+            ("Gamma^3 = lam Gamma (a single-plane drift)",
+             gamma_sq @ gamma - lam * gamma, (gamma,) * 3),
+            ("pi0 ad = 0 (a constant C)", pi0 @ ad, (pi0, ad)),
+            ("ad^T D + D ad = 0 (D = rows - rows^T)",
+             ad.T @ d_mat + d_mat @ ad, (ad, d_mat)),
+            ("M^4 = lam M^2 (M = A(0) - Gamma)", m_sq @ m_sq - lam * m_sq,
+             (m_gen,) * 4)):
+        worst = np.max(np.abs(residual))
+        bound = 1e-12 * np.prod([max(1.0, np.max(np.abs(f))) for f in factors])
+        if not worst <= bound:
+            raise np.linalg.LinAlgError(
+                f"premise {name} fails: residual {worst:.3g} over its bound "
+                f"{bound:.3g}")
+
+    def jacobi(ts):
+        t = np.asarray(ts, dtype=float)[:, None, None]
+        lam_t = lam * t[:, 0, 0] ** 2
+        return plane_exp(t * gamma, lam_t, t * t * gamma_sq) @ quartic_exp(
+            t * m_gen, lam_t, t * t * m_sq, t ** 3 * m_cube)
+
     return SecondVariationProblem(
-        horizon=extremal.horizon, n=chart.n, m=m, R=chart.R,
-        coefficients=coefficients, e_mat=e_mat)
+        horizon=extremal.horizon, n=n, m=m, R=chart.R,
+        coefficients=coefficients, jacobi=jacobi, e_mat=e_mat)
 
 
 @dataclass
@@ -292,58 +332,34 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
         metadata={"floor": float(floor)})
 
 
-def jacobi_flow(problem: SecondVariationProblem, n_steps: int = 200):
-    """The Jacobi flow of the L'' problem on an n_steps uniform grid: the
-    (T, 2n, 2n) states (Omega; X) of two initial blocks side by side,
-    (-P; 0) in columns :n, P the projection onto coordinates R..n-1, and
-    (0; I) in columns n:.
+def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
+                          n_steps: int = 200):
+    """Det of the base projection X_rho(t) of the transported L'' subspace
+    on an n_steps uniform grid, one row per rho.
 
-    The system y' = U W y is linear of rank m, with U = [-a^T; Z] and
-    W = L^-1 [Z^T, a], L = -C, so `rk4_linear_flow` steps it from one
-    evaluation of the coefficients at every RK4 stage time. Columns :R of
-    the P-block start at 0 and stay exactly 0. A state that overflows
-    comes back non-finite, with no numpy warning.
+    The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I),
+    P the projection onto coordinates R..n-1, is X_rho = X_I + rho X_P:
+    X_I = Phi[n:, n:] and X_P = -Phi[n:, :n] P, read from the closed form
+    Phi = e^{t Gamma} e^{t M} of `problem.jacobi` (see assemble_lq).
+    Columns :R of X_P are 0, so one stacked complete QR of X_I[:, :R] =
+    Q R1 per time gives det X_rho = det Q prod diag R1 det(Q2^T (X_I +
+    rho X_P)[:, R:]), Q2 = Q[:, R:]: the rho sweep takes (n - R) x (n - R)
+    determinants only. An overflow comes back non-finite, with no numpy
+    warning, and then no rho's det is finite.
     """
     n, r = problem.n, problem.R
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
-    y0 = np.zeros((2 * n, 2 * n))
-    y0[r:n, r:n] = -np.eye(n - r)
-    y0[n:, n:] = np.eye(n)
-    z, c, a = problem.coefficients(rk4_stage_times(grid))
-    u = np.concatenate([-np.swapaxes(a, -1, -2), z], axis=-2)
-    w = np.linalg.inv(-c) @ np.concatenate([np.swapaxes(z, -1, -2), a],
-                                           axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return grid, rk4_linear_flow(u, w, grid, y0)
-
-
-def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
-                          n_steps: int = 200):
-    """Det of the base projection X_rho(t) of the transported L'' subspace,
-    one row per rho.
-
-    The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I)
-    is X_rho = X_I + rho X_P: one `jacobi_flow` of the two initial blocks
-    gives every rho, its RK4 steps the rank-m step cores of
-    `rk4_linear_flow`. Columns :R of X_P are exactly 0, so columns :R of
-    X_rho do not depend on rho: one stacked complete QR of X_I[:, :R] = Q
-    R1 per time gives det X_rho = det Q prod diag R1
-    det(Q2^T (X_I + rho X_P)[:, R:]), Q2 = Q[:, R:], and the rho sweep
-    takes determinants of (n - R) x (n - R) blocks only. Where X is not
-    finite, no rho's det is finite.
-    """
-    n, r = problem.n, problem.R
-    grid, y = jacobi_flow(problem, n_steps)
-    x_p, x_i = y[:, n:, :n], y[:, n:, n:]
     rho = np.asarray(rho_grid, dtype=float)[:, None, None, None]
     # an overflowed det is a non-finite entry, which conjugate_point_test
     # refuses
     with np.errstate(over="ignore", invalid="ignore"):
+        phi = problem.jacobi(grid)
+        x_i, x_p = phi[:, n:, n:], -phi[:, n:, r:n]
         q, r1 = np.linalg.qr(x_i[:, :, :r], mode="complete")
         head = np.linalg.det(q) * np.prod(
             np.diagonal(r1, axis1=-2, axis2=-1), axis=-1)
         q2t = np.swapaxes(q[:, :, r:], -1, -2)
-        block = q2t @ x_i[:, :, r:] + rho * (q2t @ x_p[:, :, r:])
+        block = q2t @ x_i[:, :, r:] + rho * (q2t @ x_p)
         return grid, head * np.linalg.det(block)
 
 

@@ -480,24 +480,72 @@ def test_long_hyperbolic_certificate_is_an_error_without_warnings():
     assert report["stages"]["certificate"]["error"]["type"] == "LinAlgError"
 
 
+def test_long_hyperbolic_jacobi_flow_is_coercive_without_warnings(
+        tmp_path, capsys):
+    """At H = 30 the closed-form Jacobi flow stays finite: the
+    conjugate-point test says coercive with margin 1 at rho 2^-6, beside a
+    Galerkin form lost to roundoff, so the deciders disagree; the run is
+    not certified, with exit status 2 and nothing on stderr."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+        "horizon": 30.0, "checks": ["coercivity"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    stage = report["stages"]["coercivity"]
+    conj, gal = stage["conjugate_point"], stage["galerkin"]
+    assert report["verdict"] == "not certified"
+    assert conj["verdict"] == "coercive"
+    assert conj["margin"] == 1.0 and conj["rho"] == 2.0 ** -6
+    assert "reason" not in conj
+    assert gal["verdict"] == "not coercive" and gal["margin"] < -1e6
+    assert not stage["verdicts_agree"]
+    assert stage["reason"].startswith("the deciders disagree: Galerkin says "
+                                      "not coercive")
+
+
 def test_overflowing_jacobi_flow_is_not_coercive_without_warnings():
-    """At H = 30 the hyperbolic arc is finite, but its Jacobi flow outgrows
-    the floats: the conjugate-point test says not coercive, with no ratio
-    and no numpy warning, and its reason names the grid time by which
-    every rho's det has overflowed."""
+    """At H = 100 the hyperbolic arc is finite, but the dets of its Jacobi
+    flow outgrow the floats: the conjugate-point test says not coercive,
+    with no ratio and no numpy warning, and its reason names the grid time
+    by which every rho's det has overflowed."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = json.loads(emit(run_check({
             "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
-            "horizon": 30.0, "checks": ["coercivity"]})))
+            "horizon": 100.0, "dt": 0.5, "checks": ["coercivity"]})))
     conj = report["stages"]["coercivity"]["conjugate_point"]
     assert report["verdict"] == "not certified"
     assert conj["verdict"] == "not coercive"
     assert conj["margin"] is None
     assert all(r["min_det_ratio"] is None for r in conj["refinements"])
     assert conj["reason"] == ("every rho's det X_rho has overflowed by "
-                              "t = 22.35, the first grid time where that "
+                              "t = 87.5, the first grid time where that "
                               "holds")
+
+
+@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
+def test_flipped_drift_coercivity_is_an_error(tmp_path, capsys, space):
+    """The flipped drift is not an extremal, and on the curved forms its
+    Jacobi generator breaks M^4 = lam M^2: a coercivity-only run ends in a
+    stage error naming that premise, exit status 1, nothing on stderr."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "system": {"kind": "dubins", "space_form": space, "N": 4,
+                   "drift_sign": -1},
+        "checks": ["coercivity"]}))
+    assert main(["check", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    error = report["stages"]["coercivity"]["error"]
+    assert error["type"] == "LinAlgError"
+    assert error["message"].startswith("premise M^4 = lam M^2 ")
 
 
 @pytest.mark.parametrize("horizon, dt", [(60.0, None), (355.0, 8.0)])

@@ -24,8 +24,7 @@ from singcert.extremal import (
     singular_feedback,
     trajectory_to_csv,
 )
-from singcert.numerics import (rk4_flow, rk4_linear_flow, rk4_stage_times,
-                               time_grid)
+from singcert.numerics import rk4_flow, rk4_stage_times, time_grid
 from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
@@ -116,7 +115,7 @@ def test_reference_flow_fourth_order(dub3):
 
 def test_rk4_flow_needs_increasing_time_grid():
     """rk4_flow steps on a strictly increasing (T,) grid and rejects any
-    other, as rk4_linear_flow does."""
+    other."""
     def f(i, y):
         return y[..., ::-1] - 0.3 * y
 
@@ -127,9 +126,6 @@ def test_rk4_flow_needs_increasing_time_grid():
                 np.stack([grid, grid], axis=1)):
         with pytest.raises(ValueError):
             rk4_flow(f, bad, y0)
-        with pytest.raises(ValueError):
-            rk4_linear_flow(np.zeros((24, 2, 1)), np.zeros((24, 1, 2)), bad,
-                            y0)
 
 
 def test_rk4_flow_reads_stage_times_on_a_non_uniform_grid():

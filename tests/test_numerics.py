@@ -1,7 +1,7 @@
-"""Tests for the closed-form plane exponential, with scipy's expm as the
-oracle on every generator family the package exponentiates, and for the
-log head's remainder bound, with the series log and scipy's logm as
-oracles, and for the linear RK4 flow, with `rk4_flow` as its oracle."""
+"""Tests for the closed-form plane and quartic exponentials, with scipy's
+expm as the oracle on every generator family the package exponentiates,
+and for the log head's remainder bound, with the series log and scipy's
+logm as oracles."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from scipy.linalg import expm, logm
 from scipy.optimize import brentq
 
 from singcert.falsifier import LOG_RADIUS
-from singcert.numerics import (log_head, plane_exp, rk4_flow, rk4_linear_flow,
-                               rk4_stage_times, series_log, time_grid)
+from singcert.numerics import log_head, plane_exp, quartic_exp, series_log
 from singcert.systems import build_dubins_system
 
 SPACES = ("euclidean", "sphere", "hyperbolic")
@@ -87,6 +86,41 @@ def test_plane_exp_long_rotation_does_not_overflow():
     assert np.max(np.abs(g @ g.T - np.eye(4))) <= 1e-12
 
 
+def quartic_generator(lam: float, seed: int) -> np.ndarray:
+    """A 5 x 5 matrix with x^4 = lam x^2 but x^3 != lam x, in a random
+    orthonormal basis: a plane generator (x^3 = lam x) beside a nilpotent
+    2 x 2 block, or at lam = 0 a nilpotent 4 x 4 Jordan block."""
+    block = np.zeros((5, 5))
+    if lam == 0.0:
+        block[0, 1] = block[1, 2] = block[2, 3] = 1.0
+    else:
+        block[0, 1], block[1, 0] = 1.0, np.sign(lam)
+        block[3, 4] = 1.0
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
+    return q @ block @ q.T
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
+def test_quartic_exp_matches_expm(lam):
+    """quartic_exp(t x) equals scipy's expm to 1e-12 max(1, max|expm|) for
+    |t| <= 5, and on both sides of the Taylor switch |lam t^2| = 1e-3."""
+    x = quartic_generator(lam, 7)
+    sq, cube = x @ x, x @ x @ x
+    assert np.max(np.abs(sq @ sq - lam * sq)) <= 1e-14
+    assert np.max(np.abs(cube - lam * x)) >= 0.1
+    knot = np.sqrt(1e-3)
+    ts = np.concatenate([np.linspace(-5.0, 5.0, 41),
+                         knot * np.array([1 - 1e-9, 1 + 1e-9]),
+                         [1e-8, 1e-4, 0.02, 0.05]])
+    got = quartic_exp(ts[:, None, None] * x, lam * ts ** 2,
+                      (ts ** 2)[:, None, None] * sq,
+                      (ts ** 3)[:, None, None] * cube)
+    ref = expm(ts[:, None, None] * x)
+    err = np.max(np.abs(got - ref), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+    assert np.all(err <= 1e-12 * scale), float(np.max(err / scale))
+
+
 def _near_identity(system, delta, rng):
     """exp(s X) for a random X of the full algebra, with s chosen so that
     ||exp(s X) - I||_F = delta."""
@@ -154,20 +188,3 @@ def test_series_log_raises_where_the_series_diverges():
                                      "converge$"):
                 series_log(mat)
     assert np.all(np.isfinite(series_log(np.diag([0.5, 1.0, 2.0]))))
-
-
-def test_rk4_linear_flow_matches_rk4_flow():
-    """On a random rank-3 system y' = U W y in 12 dimensions, tabulated at
-    the stage times of a non-uniform grid, the step cores give the states
-    of rk4_flow stepping f(i, y) = U_i (W_i y) to 1e-13 relative."""
-    rng = np.random.default_rng(41)
-    grid = np.union1d(time_grid(2.0, 0.1), [1.0 / 3.0, 1.7])
-    rows = rk4_stage_times(grid).size
-    u = 0.5 * rng.standard_normal((rows, 12, 3))
-    w = 0.5 * rng.standard_normal((rows, 3, 12))
-    y0 = rng.standard_normal((12, 5))
-    want = rk4_flow(lambda i, y: u[i] @ (w[i] @ y), grid, y0)
-    got = rk4_linear_flow(u, w, grid, y0)
-    assert got.shape == (grid.size, 12, 5)
-    assert np.array_equal(got[0], y0)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -21,7 +21,6 @@ from singcert.secondvar import (
     galerkin_assemble,
     galerkin_coercivity,
     iota_equivalence_check,
-    jacobi_flow,
     lq_hamiltonian,
 )
 from singcert.systems import build_dubins_system
@@ -47,20 +46,27 @@ def synthetic_lq(a1: float, c_val: float = 1.0) -> SecondVariationProblem:
 
     The initial variation enters along the same direction the control
     integrates, so coercivity on the constrained space fails for a1 > 1
-    while the fixed-initial-condition form stays positive.
+    while the fixed-initial-condition form stays positive. The data are
+    constant, so the Jacobi flow is scipy's expm of the constant
+    generator U W.
     """
     n, m, r = 2, 1, 1
     z = np.array([[1.0], [0.0]])
     a = np.array([[a1, 0.0]])
     c = np.array([[c_val]])
     e_mat = np.array([[1.0], [0.0]])
+    generator = np.vstack([-a.T, z]) @ np.linalg.inv(-c) @ np.hstack([z.T, a])
 
     def coefficients(ts):
         count = (np.size(ts),)
         return tuple(np.broadcast_to(x, count + x.shape) for x in (z, c, a))
 
+    def jacobi(ts):
+        return expm(np.asarray(ts, dtype=float)[:, None, None] * generator)
+
     return SecondVariationProblem(
-        horizon=1.0, n=n, m=m, R=r, coefficients=coefficients, e_mat=e_mat)
+        horizon=1.0, n=n, m=m, R=r, coefficients=coefficients, jacobi=jacobi,
+        e_mat=e_mat)
 
 
 def test_chart_jacobian_matches_fd(setup):
@@ -307,10 +313,11 @@ def test_conjugate_trace_closed_form(lq):
 
 
 def direct_traces(problem, rhos, n_steps=200):
-    """det X(t) of each rho by its own RK4 flow from (Omega0(rho), I), with
-    the scalar views read once per time and shared by the flows."""
+    """det X(t) of each rho on the n_steps grid, by its own RK4 flow from
+    (Omega0(rho), I) on a grid 8 times finer, the flows stacked in one
+    rk4_flow call, with the scalar views read once per time."""
     n = problem.n
-    grid = np.linspace(0.0, problem.horizon, n_steps + 1)
+    grid = np.linspace(0.0, problem.horizon, 8 * n_steps + 1)
     times = rk4_stage_times(grid)
     seen = {}
 
@@ -321,19 +328,18 @@ def direct_traces(problem, rhos, n_steps=200):
         return seen[t]
 
     def rhs(i, y):
-        om, xx = y
+        om, xx = y[:, 0], y[:, 1]
         z_t, a_t, l_inv = lq_at(times[i])
         b = l_inv @ (z_t.T @ om + a_t @ xx)
-        return np.array([-a_t.T @ b, z_t @ b])
+        return np.stack([-a_t.T @ b, z_t @ b], axis=1)
 
-    rows = []
-    for rho in rhos:
-        omega = np.zeros((n, n))
+    y0 = np.zeros((len(rhos), 2, n, n))
+    for k, rho in enumerate(rhos):
         for j in range(problem.R, n):
-            omega[j, j] = -rho
-        states = rk4_flow(rhs, grid, np.array([omega, np.eye(n)]))
-        rows.append(np.array([np.linalg.det(y[1]) for y in states]))
-    return rows
+            y0[k, 0, j, j] = -rho
+        y0[k, 1] = np.eye(n)
+    states = rk4_flow(rhs, grid, y0)[::8]
+    return list(np.linalg.det(states[:, :, 1]).T)
 
 
 def dubins_lq(space, n_dim, horizon):
@@ -356,16 +362,31 @@ def test_conjugate_trace_matches_per_rho_flows(case):
             (case, rho)
 
 
+def rk4_jacobi(problem, grid):
+    """The fundamental matrix of the Jacobi system on a grid, by rk4_flow
+    from I, with U W read from one evaluation of the coefficients at every
+    stage time."""
+    z, c, a = problem.coefficients(rk4_stage_times(grid))
+    gen = np.concatenate([-np.swapaxes(a, -1, -2), z], axis=-2) @ \
+        np.linalg.solve(-c, np.concatenate([np.swapaxes(z, -1, -2), a],
+                                           axis=-1))
+    return rk4_flow(lambda i, y: gen[i] @ y, grid, np.eye(2 * problem.n))
+
+
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
-def test_jacobi_flow_keeps_the_p_block_head_at_zero(space):
-    """Columns :R of the P-block start at 0 and stay exactly 0, so columns
-    :R of X_rho do not depend on rho: the premise of the trace's QR
-    factoring. Its columns R: do move."""
-    prob = dubins_lq(space, 4, 3.0)
-    grid, y = jacobi_flow(prob)
-    assert y.shape == (grid.size, 2 * prob.n, 2 * prob.n)
-    assert not np.any(y[:, :, :prob.R])
-    assert np.all(np.any(y[1:, :, prob.R:prob.n] != 0.0, axis=(1, 2)))
+@pytest.mark.parametrize("n_dim", [4, 5])
+@pytest.mark.parametrize("horizon", [1.0, 5.0])
+def test_closed_form_jacobi_flow_matches_rk4(space, n_dim, horizon):
+    """Phi(t) = e^{t Gamma} e^{t M} is the flow of the Jacobi system: it
+    agrees with RK4 on 1,600 steps to 1e-10 relative at every step."""
+    prob = dubins_lq(space, n_dim, horizon)
+    grid = np.linspace(0.0, horizon, 1601)
+    want = rk4_jacobi(prob, grid)
+    got = prob.jacobi(grid)
+    assert got.shape == (grid.size, 2 * prob.n, 2 * prob.n)
+    assert np.array_equal(got[0], np.eye(2 * prob.n))
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-10 * scale)
 
 
 def test_non_coercive_report_holds_its_rho_row():
@@ -499,13 +520,53 @@ def test_lq_transport_is_plane_exp(space, n):
     assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-12 * scale)
 
 
-def test_assemble_lq_rejects_two_plane_drift():
-    """A drift rotating two planes has no closed-form transport."""
-    sys_ = build_dubins_system("sphere", 3)
+def unit_arc(space="sphere"):
+    sys_ = build_dubins_system(space, 3)
     chart = dubins_adapted_chart(sys_)
     traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
                               np.linspace(0.0, 1.0, 11))
+    return sys_, chart, traj
+
+
+def test_assemble_lq_rejects_two_plane_drift():
+    """A drift rotating two planes has no closed-form transport: Gamma^3 =
+    lam Gamma fails. M^4 = lam M^2 fails with it, so this premise is not
+    broken alone; it is checked first."""
+    sys_, chart, traj = unit_arc()
     two_plane = dataclasses.replace(
         sys_, drift=sys_.drift + sys_.bracket_matrix((1, 2)))
     with pytest.raises(np.linalg.LinAlgError, match="single-plane"):
         assemble_lq(two_plane, traj, chart)
+
+
+def test_assemble_lq_rejects_a_moving_legendre_form():
+    """A covector whose pairings are not fixed by ad_A0 makes C move along
+    the arc: pi0 ad = 0 fails, and it alone."""
+    sys_, chart, traj = unit_arc()
+    moved = dataclasses.replace(traj, p=traj.p + 0.1 * chart.frame_algebra[0])
+    with pytest.raises(np.linalg.LinAlgError, match=r"premise pi0 ad = 0 "):
+        assemble_lq(sys_, moved, chart)
+
+
+def test_assemble_lq_rejects_rows_off_the_transport():
+    """A chart covector whose rows are not transported by ad breaks
+    ad^T D + D ad = 0; on the Euclidean form it breaks that premise
+    alone (M^4 = 0 still holds)."""
+    sys_, chart, traj = unit_arc("euclidean")
+    p_hat = chart.p_hat.copy()
+    p_hat[3] += 0.1
+    tilted = dataclasses.replace(chart, p_hat=p_hat)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"premise ad\^T D \+ D ad = 0 "):
+        assemble_lq(sys_, traj, tilted)
+
+
+def test_assemble_lq_rejects_a_flipped_drift():
+    """The flipped drift is not an extremal: its M has eigenvalues
+    +-sqrt(2 lam) beside +-sqrt(lam), so M^4 = lam M^2 fails, and it
+    alone."""
+    sys_, chart, traj = unit_arc()
+    flipped = dataclasses.replace(sys_, drift=-sys_.drift)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"premise M\^4 = lam M\^2 "):
+        assemble_lq(flipped, traj, dubins_adapted_chart(flipped))
