@@ -1,4 +1,4 @@
-"""Matrix Lie algebra primitives: commutators, bracket words, closures.
+"""Matrix Lie algebra primitives: commutators, bracket words, spans.
 
 Bracket words are nested tuples over generator indices. An ``int`` k refers
 to generator k (0 is reserved for the drift wherever a system supplies one),
@@ -45,41 +45,6 @@ def numerical_rank(stack: np.ndarray, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
-
-
-def lie_closure(generators: list[np.ndarray],
-                rtol: float = RANK_RTOL) -> list[np.ndarray]:
-    """Breadth-first bracket closure of a set of matrices: a linearly
-    independent spanning set of their Lie algebra.
-
-    Ordering is deterministic: generators first, then new brackets in the
-    order they are generated. rtol is the relative singular-value
-    threshold for independence decisions.
-    """
-    if not generators:
-        raise ValueError("empty generator list")
-    basis: list[np.ndarray] = []
-
-    def try_add(mat: np.ndarray) -> bool:
-        candidate = np.array([b.ravel() for b in basis] + [mat.ravel()])
-        if numerical_rank(candidate, rtol) > len(basis):
-            basis.append(mat)
-            return True
-        return False
-
-    for g in generators:
-        try_add(np.asarray(g, dtype=float))
-
-    # Bracket every new element against the current basis until no growth.
-    frontier = list(range(len(basis)))
-    while frontier:
-        new_frontier = []
-        for j in frontier:
-            for k in range(len(basis)):
-                if k != j and try_add(commutator(basis[k], basis[j])):
-                    new_frontier.append(len(basis) - 1)
-        frontier = new_frontier
-    return basis
 
 
 def span_contains(basis, mats) -> float:

@@ -177,15 +177,16 @@ def verify_structure_properties(
     N, m, n = system.N, system.m, system.n
     tol = Tolerances()
     a0 = system.drift
-    ai = np.array(system.controlled)
-    closure = np.array(system.lie_closure_basis)
+    closure = system.lie_closure_basis
     derived, drift_ai = system.derived, system.drift_brackets
 
-    # (i) the closure is spanned at bracket depth 2 and is an so(N) inside
-    # so(N+1) with zero first column, of dimension N(N-1)/2
-    res_i = max(span_contains(np.concatenate([ai, derived]), closure),
+    # (i) the depth-2 table is closed under brackets, so it spans Lie(A_i),
+    # and it is an so(N) inside so(N+1) with zero first column, of
+    # dimension N(N-1)/2
+    res_i = max(span_contains(closure, commutator(closure[:, None], closure)),
                 so_residual(closure), float(np.max(np.abs(closure[:, :, 0]))))
-    dims = {"dimension": system.R, "expected_dimension": N * (N - 1) // 2}
+    dims = {"dimension": numerical_rank(closure.reshape(len(closure), -1)),
+            "expected_dimension": N * (N - 1) // 2}
 
     # (iv) [A_i, [A_i, A0]] = -A0 and [A_i, [A_j, A0]] = 0 for i != j
     res_iv = float(np.max(np.abs(system.legendre_brackets

@@ -202,14 +202,16 @@ def _gauss_points(a, b):
     return mid + half * GAUSS_NODES, half * GAUSS_WEIGHTS
 
 
-def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
-                      final_subspace: np.ndarray | None = None) -> GalerkinAssembly:
+def galerkin_assemble(problem: SecondVariationProblem,
+                      k_pieces: int) -> GalerkinAssembly:
     """Assemble the quadratic form on (initial variation, piecewise-const w).
 
     The initial variation ranges over the R controlled directions e_mat.
-    The coefficients come from one evaluation at the 3K outer Gauss nodes
-    and the 9K inner ones, the nodes of the integral of Z from the left
-    edge of a piece to each of its outer nodes.
+    The end is fixed, with no free directions: the constraint is the map
+    to zeta(T), and the kernel spans its null space. The coefficients
+    come from one evaluation at the 3K outer Gauss nodes and the 9K inner
+    ones, the nodes of the integral of Z from the left edge of a piece to
+    each of its outer nodes.
     """
     n, m, n_init = problem.n, problem.m, problem.R
     dim = n_init + m * k_pieces
@@ -247,17 +249,10 @@ def galerkin_assemble(problem: SecondVariationProblem, k_pieces: int,
                                    np.full(dim - n_init, h)]))
 
     # zeta(T) as a linear map of the variables
-    final_map = np.hstack([problem.e_mat,
-                           g_int.transpose(1, 0, 2).reshape(n, -1)])
-    if final_subspace is not None and final_subspace.size:
-        u, s, _ = np.linalg.svd(final_subspace)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        comp = u[:, rank:]
-        constraint = comp.T @ final_map
-    else:
-        constraint = final_map
+    constraint = np.hstack([problem.e_mat,
+                            g_int.transpose(1, 0, 2).reshape(n, -1)])
     _, s_c, vt_c = np.linalg.svd(constraint)
-    c_rank = int(np.sum(s_c > 1e-10 * s_c[0])) if s_c.size else 0
+    c_rank = int(np.sum(s_c > 1e-10 * s_c[0]))
     kernel = vt_c[c_rank:].T
     return GalerkinAssembly(quad, gram, constraint, kernel, c_rank)
 
@@ -300,8 +295,8 @@ def coercivity_floor(problem: SecondVariationProblem) -> float:
     return 1e-4 * scale
 
 
-def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
-                        final_subspace: np.ndarray | None = None) -> CoercivityReport:
+def galerkin_coercivity(problem: SecondVariationProblem,
+                        k_pieces: int) -> CoercivityReport:
     """Galerkin eigenvalue decision on the constrained quadratic form."""
     if k_pieces < 4:
         raise ValueError("need at least 4 Galerkin pieces")
@@ -309,7 +304,7 @@ def galerkin_coercivity(problem: SecondVariationProblem, k_pieces: int,
     refinements = []
     margins = []
     for level in (k_pieces, 2 * k_pieces, 4 * k_pieces):
-        asm = galerkin_assemble(problem, level, final_subspace)
+        asm = galerkin_assemble(problem, level)
         v = asm.kernel
         if v.shape[1] == 0:
             margins.append(np.inf)

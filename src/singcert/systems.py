@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutator, lie_closure
+from .algebra import commutator
 
 
 class SpaceForm(str, enum.Enum):
@@ -58,7 +58,6 @@ class MatrixGroupSystem:
     N: int
     drift: np.ndarray
     controlled: tuple[np.ndarray, ...]
-    lie_closure_basis: tuple[np.ndarray, ...]
 
     @property
     def d(self) -> int:
@@ -70,7 +69,9 @@ class MatrixGroupSystem:
 
     @property
     def R(self) -> int:
-        return len(self.lie_closure_basis)
+        """len(lie_closure_basis), the m fields and m(m-1)/2 brackets,
+        without forming the table."""
+        return self.m * (self.m + 1) // 2
 
     @property
     def n(self) -> int:
@@ -111,11 +112,18 @@ class MatrixGroupSystem:
                           -self.drift_brackets)
 
     @property
+    def lie_closure_basis(self) -> np.ndarray:
+        """Lie(A_i) at bracket depth 2, A_1..A_m then [A_i, A_j] (i < j):
+        an (R, d, d) array, the first R rows of algebra_basis.
+        extremal.verify_structure_properties checks it closed."""
+        return np.concatenate([np.array(self.controlled), self.derived])
+
+    @property
     def algebra_basis(self) -> np.ndarray:
         """Basis of Lie(G) ordered A_1..A_m, [A_i, A_j] (i < j), [A0, A_i],
         A0: an (n, d, d) array."""
-        return np.concatenate([np.array(self.controlled), self.derived,
-                               self.drift_brackets, self.drift[None]])
+        return np.concatenate([self.lie_closure_basis, self.drift_brackets,
+                               self.drift[None]])
 
     def group_residual(self, g: np.ndarray):
         """Distance of g, or of each member of a (..., d, d) stack, from the
@@ -193,5 +201,4 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
         N=N,
         drift=drift,
         controlled=tuple(controlled),
-        lie_closure_basis=tuple(lie_closure(controlled)),
     )

@@ -107,7 +107,7 @@ def test_criterion_4_second_variation_exactness(lq3):
         assert value == pytest.approx(0.5 * h * np.sum(w ** 2), abs=1e-10)
 
 
-def test_criterion_5_coercivity_both_methods(dub3, chart3, lq3):
+def test_criterion_5_coercivity_both_methods(lq3):
     gal = galerkin_coercivity(lq3, 16)
     assert gal.coercive
     # the report's refinements keep their counts as ints
@@ -120,17 +120,6 @@ def test_criterion_5_coercivity_both_methods(dub3, chart3, lq3):
     assert conj.coercive
     assert conj.margin >= 0.1
     assert gal.verdict == conj.verdict
-    # extended problem: an initial direction in the derived subalgebra with
-    # w = 0 is admissible and annihilates the quadratic form
-    final = np.zeros((chart3.n, chart3.R - dub3.m))
-    for idx, j in enumerate(range(dub3.m, chart3.R)):
-        final[j, idx] = 1.0
-    asm = galerkin_assemble(lq3, 16, final_subspace=final)
-    direction = np.zeros(asm.quad.shape[0])
-    direction[dub3.m] = 1.0
-    assert np.max(np.abs(asm.constraint @ direction)) <= 1e-12
-    assert abs(asm.value(direction)) <= 1e-10
-    assert not galerkin_coercivity(lq3, 16, final_subspace=final).coercive
 
 
 def test_criterion_6_geometry_suite(dub3, chart3, extremal3):

@@ -8,7 +8,6 @@ from singcert.algebra import (
     DimensionMismatchError,
     commutator,
     jacobi_residual,
-    lie_closure,
     numerical_rank,
     pairing,
     span_contains,
@@ -58,25 +57,6 @@ def test_numerical_rank_thresholding():
     rows = np.array([[1.0, 0.0], [0.0, 1e-14], [1.0, 1e-14]])
     assert numerical_rank(rows) == 1
     assert numerical_rank(np.zeros((2, 4))) == 0
-
-
-def test_lie_closure_abelian_single_generator():
-    """A single generator closes onto itself, R = 1."""
-    a = np.diag([1.0, -1.0])
-    assert len(lie_closure([a])) == 1
-
-
-def test_lie_closure_so3_from_two_generators():
-    e1, e2, e3 = so3_basis()
-    basis = lie_closure([e1, e2])
-    assert len(basis) == 3
-    assert span_contains(basis, e3) <= 1e-12
-
-
-def test_lie_closure_idempotent():
-    e1, e2, _ = so3_basis()
-    basis = lie_closure([e1, e2])
-    assert len(lie_closure(basis)) == len(basis)
 
 
 def test_span_contains_residual():

@@ -179,7 +179,7 @@ def test_stacked_coefficients_match_scalar_views(space, n_dim):
         assert np.array_equal(a[k], lq.a_fn(t))
 
 
-def direct_galerkin_assemble(problem, k_pieces, final_subspace=None):
+def direct_galerkin_assemble(problem, k_pieces):
     """The quadratic form and the endpoint constraint by a loop over the
     Gauss nodes, one scalar-view evaluation per node."""
     def gauss(a, b):
@@ -208,36 +208,18 @@ def direct_galerkin_assemble(problem, k_pieces, final_subspace=None):
             block[:, w_slice(k)] += 0.5 * problem.c_fn(t)
             quad_raw[w_slice(k), :] += wgt * block
         zeta_prefix[:, w_slice(k)] += g_int
-    constraint = zeta_prefix
-    if final_subspace is not None:
-        u, s, _ = np.linalg.svd(final_subspace)
-        constraint = u[:, int(np.sum(s > 1e-10 * s[0])):].T @ zeta_prefix
-    return 0.5 * (quad_raw + quad_raw.T), constraint
-
-
-def depth2_final_subspace(problem):
-    """Endpoint freedom along the depth-2 bracket directions."""
-    final = np.zeros((problem.n, problem.R - problem.m))
-    for idx, j in enumerate(range(problem.m, problem.R)):
-        final[j, idx] = 1.0
-    return final
+    return 0.5 * (quad_raw + quad_raw.T), zeta_prefix
 
 
 @pytest.mark.parametrize("case", [("euclidean", 3), ("euclidean", 4),
                                   ("sphere", 3), ("sphere", 4),
                                   ("hyperbolic", 3), ("hyperbolic", 4),
                                   "synthetic"])
-@pytest.mark.parametrize("free_end", [False, True])
-def test_galerkin_assembly_matches_node_loop(case, free_end):
+def test_galerkin_assembly_matches_node_loop(case):
     """The einsum assembly gives the per-node loop's form and constraint."""
-    if case == "synthetic":
-        prob = synthetic_lq(0.5)
-        final = np.array([[0.0], [1.0]]) if free_end else None
-    else:
-        prob = dubins_lq(*case, 1.0)
-        final = depth2_final_subspace(prob) if free_end else None
-    asm = galerkin_assemble(prob, 8, final_subspace=final)
-    quad, constraint = direct_galerkin_assemble(prob, 8, final)
+    prob = synthetic_lq(0.5) if case == "synthetic" else dubins_lq(*case, 1.0)
+    asm = galerkin_assemble(prob, 8)
+    quad, constraint = direct_galerkin_assemble(prob, 8)
     assert np.max(np.abs(asm.quad - quad)) <= 1e-12 * np.max(np.abs(quad))
     assert np.max(np.abs(asm.constraint - constraint)) <= \
         1e-12 * np.max(np.abs(constraint))
@@ -423,22 +405,6 @@ def test_methods_agree_on_dubins(lq):
     gal = galerkin_coercivity(lq, 16)
     conj = conjugate_point_test(lq)
     assert gal.verdict == conj.verdict == "coercive"
-
-
-def test_dubins_nf_extended_zero_direction(setup, lq):
-    """Allowing the endpoint to move along [f_i, f_j] admits a variation
-    with J'' = 0, so the extended problem is not coercive."""
-    sys_, chart, _ = setup
-    final = np.zeros((chart.n, chart.R - sys_.m))
-    for idx, j in enumerate(range(sys_.m, chart.R)):
-        final[j, idx] = 1.0
-    asm = galerkin_assemble(lq, 16, final_subspace=final)
-    v = np.zeros(asm.quad.shape[0])
-    v[sys_.m] = 1.0    # epsilon along a depth-2 bracket direction, w = 0
-    assert np.max(np.abs(asm.constraint @ v)) <= 1e-12
-    assert abs(asm.value(v)) <= 1e-10
-    report = galerkin_coercivity(lq, 16, final_subspace=final)
-    assert not report.coercive
 
 
 def test_synthetic_coercive_case():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singcert.algebra import commutator, jacobi_residual, numerical_rank
+from singcert.chart import dubins_adapted_chart
 from singcert.extremal import verify_structure_properties
 from singcert.systems import ProjectionError, SpaceForm, build_dubins_system
 
@@ -65,21 +66,36 @@ def test_structure_properties_all_forms(space, N):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_structure_properties_name_a_broken_construction(space):
-    """A closure basis one short, and a repeated controlled field, are
-    each named by the hypothesis that covers them."""
+    """A repeated controlled field, and a depth-2 table that brackets
+    leave, are each named by the hypotheses that cover them: the closure
+    table follows dataclasses.replace, so it is never stale."""
     sys_ = build_dubins_system(space, 4)
-    short = {c.name: c for c in verify_structure_properties(
-        dataclasses.replace(sys_, lie_closure_basis=sys_.lie_closure_basis[:-1]))}
-    assert not short["closure_so_N"].passed
-    assert short["closure_so_N"].detail == {"dimension": 5,
-                                            "expected_dimension": 6}
-    a1, _, a3 = sys_.controlled
+    a1, a2, a3 = sys_.controlled
     repeated = {c.name: c for c in verify_structure_properties(
         dataclasses.replace(sys_, controlled=(a1, a1, a3)))}
+    assert not repeated["closure_so_N"].passed
+    assert repeated["closure_so_N"].detail == {"dimension": 3,
+                                               "expected_dimension": 6}
     assert not repeated["frame_basis_rank"].passed
     assert repeated["frame_basis_rank"].detail == {"rank": 6,
                                                    "expected_rank": 10}
     assert not repeated["derived_dimension"].passed
+    # [a1, [a1, a2 + [a2, a3]]] is a multiple of a2, outside the table
+    open_table = {c.name: c for c in verify_structure_properties(
+        dataclasses.replace(sys_, controlled=(a1, a2 + commutator(a2, a3))))}
+    assert not open_table["closure_so_N"].passed
+    assert open_table["closure_so_N"].residual >= 0.1
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_closure_table_is_the_chart_frame_head(space, N):
+    """The controlled algebra is one table: the first R axes of the chart."""
+    system = build_dubins_system(space, N)
+    chart = dubins_adapted_chart(system)
+    assert np.array_equal(system.lie_closure_basis,
+                          chart.frame_algebra[:chart.R])
+    assert len(system.lie_closure_basis) == system.R
 
 
 def test_double_bracket_identity():
