@@ -65,6 +65,8 @@ def so_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a + np.swapaxes(a, -1, -2))))
 
 
-def pairing(p: np.ndarray, a: np.ndarray) -> float:
-    """Trace pairing <p, A> = trace(p^T A) on the ambient matrix space."""
-    return float(np.tensordot(p, a, axes=2))
+def pairing(p: np.ndarray, mats) -> np.ndarray:
+    """Trace pairing <p, A> = trace(p^T A) on the ambient matrix space, of
+    one covector or an (S, d, d) stack against one matrix or a stack of
+    them: shape p.shape[:-2] + mats.shape[:-2], a 0-d array for one pair."""
+    return np.tensordot(p, np.asarray(mats), axes=([-2, -1], [-2, -1]))

@@ -75,36 +75,35 @@ LEGENDRE_COND_LIMIT = 1e8
 # the Dubins bracket tables are matrices of small integers
 STRUCTURE_TOL = 1e-12
 
-
-def _pairings(p: np.ndarray, mats) -> np.ndarray:
-    """<p, B_k> for a (k, d, d) stack of matrices B: shape (k,) for one
-    covector, (S, k) for an (S, d, d) stack."""
-    return np.tensordot(p, np.asarray(mats), axes=([-2, -1], [-2, -1]))
+# the battery's fixed tolerances: no config or keyword moves a verdict
+EQUALITY_TOL = 1e-9
+RANK_TOL = 1e-8
+SGLC_MIN_MARGIN = 1e-6
 
 
 def hamiltonian_bracket(system: MatrixGroupSystem, p: np.ndarray, word):
     """Value <p, B_word> of the iterated Poisson bracket at the covector p,
     one value per covector of an (S, d, d) stack: the word-by-word oracle
     of the pairings the stages take with the system's bracket tables."""
-    return _pairings(p, [system.bracket_matrix(word)])[..., 0]
+    return pairing(p, system.bracket_matrix(word))
 
 
 def hogc_residual(system: MatrixGroupSystem, p: np.ndarray):
     """Max |<p, B>| over the controlled Lie closure basis, one value per
     covector of an (S, d, d) stack."""
-    return np.max(np.abs(_pairings(p, system.lie_closure_basis)), axis=-1)
+    return np.max(np.abs(pairing(p, system.lie_closure_basis)), axis=-1)
 
 
 def s_residual(system: MatrixGroupSystem, p: np.ndarray):
     """Max |<p, [A0, A_i]>| over the controlled fields, which vanishes on
     the singular surface S, one value per covector of an (S, d, d) stack."""
-    return np.max(np.abs(_pairings(p, system.drift_brackets)), axis=-1)
+    return np.max(np.abs(pairing(p, system.drift_brackets)), axis=-1)
 
 
 def legendre_form(system: MatrixGroupSystem, p: np.ndarray) -> np.ndarray:
     """The m x m form with entries F_{ij0} at the covector p, an (S, m, m)
     stack for an (S, d, d) stack."""
-    return _pairings(p, system.legendre_brackets)
+    return pairing(p, system.legendre_brackets)
 
 
 def singular_feedback(lforms: np.ndarray,
@@ -118,14 +117,6 @@ def singular_feedback(lforms: np.ndarray,
             "condition fails at this point"
         )
     return np.linalg.solve(lforms, drift_terms[..., None])[..., 0]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # the battery's fixed tolerances: no config or keyword moves a verdict
-    equality: float = 1e-9
-    rank: float = 1e-8
-    sglc_min_margin: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,6 @@ def verify_structure_properties(
     system, from its bracket tables alone: the controlled fields generate a
     non-involutive distribution of constant dimension, and S is regular."""
     N, m, n = system.N, system.m, system.n
-    tol = Tolerances()
     a0 = system.drift
     closure = system.lie_closure_basis
     derived, drift_ai = system.derived, system.drift_brackets
@@ -206,7 +196,7 @@ def verify_structure_properties(
     # every B in Lie(A_i), and the [A0, A_i] are independent modulo Lie(A_i)
     reg_span = np.concatenate([closure, drift_ai])
     reg_res = span_contains(reg_span, commutator(a0, closure))
-    reg_rank = numerical_rank(reg_span.reshape(len(reg_span), -1), tol.rank)
+    reg_rank = numerical_rank(reg_span.reshape(len(reg_span), -1), RANK_TOL)
 
     return (
         ConditionCheck("closure_so_N", res_i <= STRUCTURE_TOL
@@ -220,7 +210,7 @@ def verify_structure_properties(
         ConditionCheck("drift_family_commutes", res_v <= STRUCTURE_TOL, res_v),
         ConditionCheck("drift_commutes_derived", res_vi <= STRUCTURE_TOL,
                        res_vi),
-        ConditionCheck("regularity_of_S", reg_res <= tol.equality
+        ConditionCheck("regularity_of_S", reg_res <= EQUALITY_TOL
                        and reg_rank == system.R + m, reg_res,
                        {"rank": reg_rank, "expected_rank": system.R + m}),
     )
@@ -229,29 +219,30 @@ def verify_structure_properties(
 def condition_battery(trajectory: ExtremalTrajectory) -> ConditionReport:
     """Scan the full necessary-condition battery along the trajectory.
 
+    The arc is paired once with the frame `algebra_basis`: the switching,
+    Goh, S-membership and normality checks read the (T, n) table's column
+    blocks F_i, F_ij (i < j), F_0i and F_0, and hogc, over the first R
+    columns (the controlled closure), is the larger of switching and Goh.
     Both Dubins endpoint manifolds are integral manifolds of the derived
-    sub-algebra, so transversality pairs p(0) and p(H) with the [A_i, A_j],
-    i < j. Raises LinAlgError, naming the first grid time, where the
+    sub-algebra, so transversality reads the F_ij columns at p(0) and
+    p(H). Raises LinAlgError, naming the first grid time, where the
     trajectory is not finite.
     """
     require_finite(trajectory)
     system = trajectory.system
     p = trajectory.p
-    tol = Tolerances()
+    m, r = system.m, system.R
 
-    f_i = _pairings(p, system.controlled)
-    f_0 = _pairings(p, system.drift)
-    f_ij = _pairings(p, system.pair_brackets)
+    frame = pairing(p, system.algebra_basis)
+    f_ij = pairing(p, system.pair_brackets)
     lforms = legendre_form(system, p)
-    f_0i = _pairings(p, system.drift_brackets)
-    f_00i = _pairings(p, commutator(system.drift, system.drift_brackets))
+    f_0i = frame[:, r:r + m]
+    f_00i = pairing(p, commutator(system.drift, system.drift_brackets))
 
-    f_i_res = float(np.max(np.abs(f_i)))
-    normality_res = float(np.max(np.abs(f_0 - 1.0)))
-    # f_ij is antisymmetric with a zero diagonal: its largest entry is the
-    # largest over i < j
-    goh_res = float(np.max(np.abs(f_ij)))
-    hogc_res = float(np.max(hogc_residual(system, p)))
+    f_i_res = float(np.max(np.abs(frame[:, :m])))
+    normality_res = float(np.max(np.abs(frame[:, -1] - 1.0)))
+    goh_res = float(np.max(np.abs(frame[:, m:r])))
+    hogc_res = max(f_i_res, goh_res)
     sym_res = float(np.max(np.abs(lforms - lforms.transpose(0, 2, 1))))
     eigs = np.linalg.eigvalsh(0.5 * (lforms + lforms.transpose(0, 2, 1)))
     eig_low = float(np.min(eigs[:, 0]))
@@ -259,28 +250,28 @@ def condition_battery(trajectory: ExtremalTrajectory) -> ConditionReport:
     f0i_res = float(np.max(np.abs(f_0i)))
     # residual of d/dt F_i = -(F_0i + sum u_j F_ji) under the feedback
     nu = singular_feedback(lforms, f_00i)
-    resid = f_0i + sum(nu[:, j, None] * f_ij[:, j] for j in range(system.m))
+    resid = f_0i + sum(nu[:, j, None] * f_ij[:, j] for j in range(m))
     feedback_res = float(np.max(np.abs(resid)))
     sglc_margin = -eig_high
-    res0, resf = (max((abs(pairing(end, b)) for b in system.derived),
-                      default=0.0) for end in (p[0], p[-1]))
+    res0, resf = (float(np.max(np.abs(frame[k, m:r]))) for k in (0, -1))
 
     checks = [
-        ConditionCheck("pmp_switching", f_i_res <= tol.equality, f_i_res),
-        ConditionCheck("normality", normality_res <= tol.equality, normality_res),
-        ConditionCheck("goh", goh_res <= tol.equality, goh_res),
-        ConditionCheck("hogc", hogc_res <= tol.equality, hogc_res),
+        ConditionCheck("pmp_switching", f_i_res <= EQUALITY_TOL, f_i_res),
+        ConditionCheck("normality", normality_res <= EQUALITY_TOL,
+                       normality_res),
+        ConditionCheck("goh", goh_res <= EQUALITY_TOL, goh_res),
+        ConditionCheck("hogc", hogc_res <= EQUALITY_TOL, hogc_res),
         ConditionCheck(
-            "sglc", sglc_margin >= tol.sglc_min_margin and sym_res <= 1e-12,
+            "sglc", sglc_margin >= SGLC_MIN_MARGIN and sym_res <= 1e-12,
             float(-sglc_margin),
             {"margin": float(sglc_margin), "eig_low": float(eig_low),
              "eig_high": float(eig_high), "symmetry_residual": float(sym_res)}),
-        ConditionCheck("s_membership", f0i_res <= tol.equality, f0i_res),
-        ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
+        ConditionCheck("s_membership", f0i_res <= EQUALITY_TOL, f0i_res),
+        ConditionCheck("feedback_consistency", feedback_res <= EQUALITY_TOL,
                        feedback_res),
-        ConditionCheck("transversality", max(res0, resf) <= tol.equality,
+        ConditionCheck("transversality", max(res0, resf) <= EQUALITY_TOL,
                        max(res0, resf),
-                       {"initial": float(res0), "final": float(resf)}),
+                       {"initial": res0, "final": resf}),
     ]
     return ConditionReport(tuple(checks), float(sglc_margin),
                            verify_structure_properties(system))
@@ -290,14 +281,12 @@ def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:
     """The unique covector annihilating {A_i, [A_i,A_j], [A0,A_i]} with
     <p0, A0> = 1, represented in the span of the full algebra basis."""
     basis = system.algebra_basis
-    annihilated = basis[:-1]  # everything except the drift
-    rows = np.array([
-        [pairing(a, b) for b in basis] for a in annihilated
-    ])
+    # everything except the drift, against the whole basis
+    rows = pairing(basis[:-1], basis)
     # the basis has rank n (frame_basis_rank), so the rows' null space is
     # one line, not orthogonal to the drift
     coeff = np.linalg.svd(rows)[2][-1]
-    p0 = sum(c * b for c, b in zip(coeff, basis))
+    p0 = np.tensordot(coeff, basis, 1)
     return p0 / pairing(p0, system.drift)
 
 
@@ -308,10 +297,10 @@ def trajectory_to_csv(trajectory: ExtremalTrajectory, path) -> None:
                        for j in range(d)]
               + [f"F_{i + 1}" for i in range(system.m)]
               + ["F0_minus_1", "hogc"])
-    f = _pairings(trajectory.p, list(system.controlled) + [system.drift])
-    f[:, -1] -= 1.0
+    frame = pairing(trajectory.p, system.algebra_basis)
     rows = np.concatenate([
-        trajectory.grid[:, None], trajectory.q.reshape(len(f), -1),
-        trajectory.p.reshape(len(f), -1), f,
-        hogc_residual(system, trajectory.p)[:, None]], axis=1)
+        trajectory.grid[:, None], trajectory.q.reshape(len(frame), -1),
+        trajectory.p.reshape(len(frame), -1), frame[:, :system.m],
+        frame[:, -1:] - 1.0,
+        np.max(np.abs(frame[:, :system.R]), axis=1)[:, None]], axis=1)
     write_csv(path, header, rows)

@@ -197,7 +197,7 @@ class GroupGeometry:
 
 
 def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
-                      chart: GroupChart, rho: float, grid=None,
+                      chart: GroupChart, rho: float, grid,
                       n_samples: int = 128, seed: int = 0,
                       fd_step: float = 1e-5) -> CertificateReport:
     """Field-of-extremals certificate via the dominating Hamiltonian flow.
@@ -224,7 +224,7 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     geom = GroupGeometry(system)
     n = chart.n
     r_dim = chart.R
-    grid = np.asarray(extremal.grid if grid is None else grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
 
     def lambda_lift(x):
         """Covector matrices of the graph points of d(alpha_rho) over the

@@ -374,7 +374,7 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+        return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
         return val if np.isfinite(val) else None

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from .algebra import commutator, pairing
 from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
-                       reference_flow, require_finite)
+                       legendre_form, reference_flow, require_finite)
 from .geometry import GroupGeometry
 from .numerics import plane_exp, quartic_exp, write_csv
 from .systems import MatrixGroupSystem
@@ -65,8 +65,9 @@ def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
 class SecondVariationProblem:
     """LQ data (Z, C, a, E) of the extended second variation.
 
-    `coefficients` evaluates Z, C and a on a (T,) array of times at once;
-    z_fn, c_fn and a_fn are its views at a single time. `jacobi` gives the
+    `coefficients` evaluates Z, C and a on a (T,) array of times at once,
+    C the one constant m x m matrix broadcast over the times; z_fn, c_fn
+    and a_fn are its views at a single time. `jacobi` gives the
     fundamental matrix Phi(t), Phi(0) = I, of the Jacobi system
     (Omega; X)' = U W (Omega; X), U = [-a^T; Z], W = L^-1 [Z^T, a], L = -C.
     """
@@ -98,12 +99,14 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     linear in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra
     element, so the linear maps are tabulated once, in the coordinates of
     the chart frame (a basis of the whole algebra): `ad` has the
-    coordinates of [A_0, B_k] as columns, Z(0) is its first m columns, row
-    k of `rows` is -p_hat^T chart_field_jacobian(B_k), pi_k = <p0, B_k>
-    and c0 holds the coordinates of [A_i, [A_j, A_0]]. Each table comes
-    from one stacked solve in the frame at the origin. With
-    T(t) = exp(t ad), Z(t) = T Z(0), C(t) = -(c0 . (pi T)) and
-    a(t) = Z(t)^T rows.
+    coordinates of [A_0, B_k] as columns, Z(0) is its first m columns and
+    row k of `rows` is -p_hat^T chart_field_jacobian(B_k), each table from
+    one stacked solve in the frame at the origin. With T(t) = exp(t ad),
+    Z(t) = T Z(0) and a(t) = Z(t)^T rows. C(t) = -(c0 . (pi T)), with c0
+    the frame coordinates of the [A_i, [A_j, A_0]] and pi_k = <p(0), B_k>,
+    and the premise pi0 ad = 0 gives pi T = pi: C is the constant
+    -legendre_form(p(0)), the Legendre form the conditions stage checks,
+    taken once.
 
     The Jacobi generator A(t) = U W is then e^{t Gamma} A(0) e^{-t Gamma},
     Gamma = [[-ad^T, -(ad^T rows^T + rows^T ad)], [0, ad]], so the flow is
@@ -131,19 +134,18 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     ad_sq = ad @ ad
     z0 = ad[:, :m]
     rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
-    pi0 = np.array([pairing(extremal.p[0], b) for b in frame])
-    c0 = chart.solve_in_frame(origin, system.legendre_brackets)
+    pi0 = pairing(extremal.p[0], frame)
+    c = -legendre_form(system, extremal.p[0])
 
     def coefficients(ts):
         t = np.asarray(ts, dtype=float)
         transport = plane_exp(t[:, None, None] * ad, lam * t * t,
                               (t * t)[:, None, None] * ad_sq)
         z = transport @ z0
-        c = -(c0 @ (pi0 @ transport)[:, None, :, None])[..., 0]
         a = np.swapaxes(z, -1, -2) @ rows
-        return z, c, a
+        return z, np.broadcast_to(c, (t.size, m, m)), a
 
-    z, c, a = (x[0] for x in coefficients(np.zeros(1)))
+    z, _, a = (x[0] for x in coefficients(np.zeros(1)))
     gen0 = np.concatenate([-a.T, z]) @ np.linalg.solve(
         -c, np.concatenate([z.T, a], axis=1))
     gamma = np.block([[-ad.T, -(ad.T @ rows.T + rows.T @ ad)],
@@ -289,10 +291,9 @@ class CoercivityReport:
 
 
 def coercivity_floor(problem: SecondVariationProblem) -> float:
-    """Margins below this scale-aware floor never support a verdict."""
-    scale = max(np.linalg.norm(problem.c_fn(t))
-                for t in np.linspace(0.0, problem.horizon, 17))
-    return 1e-4 * scale
+    """Margins below this scale-aware floor, 1e-4 times the Frobenius norm
+    of the constant C, never support a verdict."""
+    return 1e-4 * np.linalg.norm(problem.c_fn(0.0))
 
 
 def galerkin_coercivity(problem: SecondVariationProblem,

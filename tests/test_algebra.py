@@ -84,3 +84,10 @@ def test_trace_pairing():
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert pairing(p, a) == pytest.approx(np.trace(p.T @ a))
+    # an (S, d, d) stack against a (k, d, d) stack: the (S, k) table of
+    # the single-pair values
+    rng = np.random.default_rng(0)
+    ps, mats = rng.standard_normal((5, 3, 3)), rng.standard_normal((4, 3, 3))
+    table = pairing(ps, mats)
+    assert table.shape == (5, 4)
+    assert np.array_equal(table, [[pairing(q, b) for b in mats] for q in ps])

@@ -303,6 +303,14 @@ def test_emit_round_trip(tmp_path):
     assert json.loads(text) == json.loads(emit(report))
 
 
+def test_emit_arrays_of_any_rank():
+    """A 0-d array emits its scalar, and a non-finite entry of an n-d array
+    emits null."""
+    assert json.loads(emit({"x": np.array(1.5)})) == {"x": 1.5}
+    assert json.loads(emit({"x": np.array([[1.0, np.inf], [2.0, 3.0]])})) \
+        == {"x": [[1.0, None], [2.0, 3.0]]}
+
+
 def test_csv_artifacts(tmp_path):
     csv_dir = tmp_path / "csv"
     run_check({**FAST, "output": {"csv_dir": str(csv_dir)}})

@@ -11,8 +11,10 @@ from singcert.algebra import commutator, numerical_rank, pairing, span_contains
 from singcert.extremal import (
     ConditionCheck,
     ConditionReport,
+    EQUALITY_TOL,
     ExtremalTrajectory,
-    Tolerances,
+    RANK_TOL,
+    SGLC_MIN_MARGIN,
     adjoint_trajectory,
     condition_battery,
     dubins_initial_covector,
@@ -293,7 +295,7 @@ def test_sphere_extremal_recovery():
             <= 1e-12
 
 
-def direct_battery(trajectory, tol=Tolerances()):
+def direct_battery(trajectory):
     """The condition battery one grid point at a time, one pairing per
     bracket word, so it never reads the system's bracket tables: the
     reference for the batched battery. Its one hypothesis is
@@ -352,22 +354,22 @@ def direct_battery(trajectory, tol=Tolerances()):
     reg_span = closure + f0i_elems
     reg_res = max(
         span_contains(reg_span, commutator(system.drift, b)) for b in closure)
-    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), tol.rank)
-    reg_ok = reg_res <= tol.equality and reg_rank == system.R + m
+    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), RANK_TOL)
+    reg_ok = reg_res <= EQUALITY_TOL and reg_rank == system.R + m
 
     checks = [
-        ConditionCheck("pmp_switching", f_i_res <= tol.equality, f_i_res),
-        ConditionCheck("normality", normality_res <= tol.equality,
+        ConditionCheck("pmp_switching", f_i_res <= EQUALITY_TOL, f_i_res),
+        ConditionCheck("normality", normality_res <= EQUALITY_TOL,
                        normality_res),
-        ConditionCheck("goh", goh_res <= tol.equality, goh_res),
-        ConditionCheck("hogc", hogc_res <= tol.equality, hogc_res),
+        ConditionCheck("goh", goh_res <= EQUALITY_TOL, goh_res),
+        ConditionCheck("hogc", hogc_res <= EQUALITY_TOL, hogc_res),
         ConditionCheck(
-            "sglc", sglc_margin >= tol.sglc_min_margin and sym_res <= 1e-12,
+            "sglc", sglc_margin >= SGLC_MIN_MARGIN and sym_res <= 1e-12,
             float(-sglc_margin),
             {"margin": float(sglc_margin), "eig_low": float(eig_low),
              "eig_high": float(eig_high), "symmetry_residual": float(sym_res)}),
-        ConditionCheck("s_membership", f0i_res <= tol.equality, f0i_res),
-        ConditionCheck("feedback_consistency", feedback_res <= tol.equality,
+        ConditionCheck("s_membership", f0i_res <= EQUALITY_TOL, f0i_res),
+        ConditionCheck("feedback_consistency", feedback_res <= EQUALITY_TOL,
                        feedback_res),
     ]
     # both Dubins endpoint manifolds are integral manifolds of the derived
@@ -376,7 +378,7 @@ def direct_battery(trajectory, tol=Tolerances()):
                        for word in derived_words), default=0.0)
                   for end in (trajectory.p[0], trajectory.p[-1]))
     checks.append(ConditionCheck(
-        "transversality", max(res0, resf) <= tol.equality, max(res0, resf),
+        "transversality", max(res0, resf) <= EQUALITY_TOL, max(res0, resf),
         {"initial": float(res0), "final": float(resf)}))
     regularity = ConditionCheck(
         "regularity_of_S", reg_ok, reg_res,

@@ -8,13 +8,15 @@ from scipy.linalg import expm
 
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
-from singcert.extremal import adjoint_trajectory, dubins_initial_covector
+from singcert.extremal import (adjoint_trajectory, dubins_initial_covector,
+                               legendre_form)
 from singcert.numerics import plane_exp, rk4_flow, rk4_stage_times
 from singcert.secondvar import (
     SecondVariationProblem,
     assemble_lq,
     chart_field_jacobian,
     chart_field_jacobian_fd,
+    coercivity_floor,
     conjugate_point_test,
     conjugate_point_trace,
     det_trace_to_csv,
@@ -484,6 +486,22 @@ def test_lq_transport_is_plane_exp(space, n):
     got = plane_exp(ts[:, None, None] * ad, lam * ts ** 2)
     scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
     assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lq_weight_is_minus_the_legendre_form_at_p0(space, n):
+    """C is the constant -legendre_form(p(0)) (pi0 ad = 0), read exactly at
+    every time, and the coercivity floor is 1e-4 times its Frobenius norm."""
+    sys_ = build_dubins_system(space, n)
+    traj = adjoint_trajectory(sys_, dubins_initial_covector(sys_),
+                              np.linspace(0.0, 1.0, 101))
+    lq = assemble_lq(sys_, traj, dubins_adapted_chart(sys_))
+    want = -legendre_form(sys_, traj.p[0])
+    c = lq.coefficients(np.linspace(0.0, lq.horizon, 17))[1]
+    assert c.shape == (17, sys_.m, sys_.m)
+    assert np.array_equal(c, np.broadcast_to(want, c.shape))
+    assert coercivity_floor(lq) == 1e-4 * np.linalg.norm(want)
 
 
 def unit_arc(space="sphere"):
