@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import GroupChart
+from .chart import INVERSE_TOL, GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
                        hogc_residual, legendre_form, require_finite,
                        s_residual)
@@ -32,6 +32,9 @@ LAMBDA_RADIUS = 0.1
 
 # smallest singular value of the base projection the certificate accepts
 CERTIFICATE_MARGIN = 1e-3
+
+# largest hogc_residual of a sampled graph point the certificate accepts
+SIGMA_TOL = 1e-10
 
 
 @dataclass
@@ -46,7 +49,7 @@ class CertificateReport:
     # x = 0 member, on the certificate grid: written to flow.csv, not
     # emitted
     covectors: np.ndarray
-    # why member 0 was found off the chart's x_n axis, or None
+    # which check failed and by how much, or None
     reason: str | None = None
 
     @property
@@ -203,22 +206,23 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     """Field-of-extremals certificate via the dominating Hamiltonian flow.
 
     Builds the Lagrangian graph of d(alpha_rho) in the adapted chart and
-    verifies it sits inside Sigma on a Sobol sample and at the seeds, the
-    graph points over x = 0 and x = +-fd_step e_k. The seeds flow together
-    as one stacked closed-form super-Hamiltonian flow, exact on Sigma.
-    The x = 0 member is the reference arc, at x_c = t e_n on the chart's
-    x_n axis, where the moving frame is the origin frame: one stacked
-    series log of forward_inv(x_c) q+- and one product with chart.b_pinv
-    give the other members' offsets on the whole grid, and their central
-    differences the base projection, whose smallest singular value is
-    tracked. The logs come first, so an arc too long for the series ends
-    in its error before any chart inversion.
+    verifies it sits inside Sigma on a seeded uniform sample (a pointwise
+    identity needs no low discrepancy) and at the seeds, the graph points
+    over x = 0 and x = +-fd_step e_k. The seeds flow together as one
+    stacked closed-form super-Hamiltonian flow, exact on Sigma. The x = 0
+    member is the reference arc, at x_c = t e_n on the chart's x_n axis,
+    where the moving frame is the origin frame: one stacked series log of
+    forward_inv(x_c) q gives member 0's offset from the axis and, through
+    one product with chart.b_pinv, the other members' offsets on the whole
+    grid, whose central differences are the base projection.
 
-    The closed form holds on Sigma, so chart.inverse stays as its check:
-    started at x_c, Newton takes no step there, and a step means member 0
-    left the axis: the stage is then `not certified`, with the offset as
-    its reason. (bench/ also times chart.inverse and project_to_group, the
-    band flow's guard.)
+    Member 0 is on the axis where its offset passes the stop test of
+    chart.inverse, so Newton would take no step. One chart.inverse runs,
+    at the first grid time that fails the test (its step is the reason's
+    offset), or else at t = H as a check of the series log against
+    scipy's logm. The logs come first, so an arc too long for the series
+    ends in its error before the chart inversion. The reason names the
+    first failed check: member 0 off the axis, Sigma, the margin.
     """
     require_finite(extremal)
     geom = GroupGeometry(system)
@@ -233,12 +237,8 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         y[:, r_dim:] = chart.p_hat[r_dim:] + rho * x[:, r_dim:]
         return chart.covector_from_chart(x, y)
 
-    # only the certificate needs scipy.stats, which is slow to import
-    from scipy.stats import qmc
-
-    # spot-verify Lambda inside Sigma on a Sobol sample
-    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    lifts = lambda_lift(LAMBDA_RADIUS * (2.0 * sampler.random(n_samples)
+    rng = np.random.default_rng(seed)
+    lifts = lambda_lift(LAMBDA_RADIUS * (2.0 * rng.random((n_samples, n))
                                          - 1.0))
 
     # seeds x = 0, +fd_step e_0, -fd_step e_0, +fd_step e_1, ...
@@ -253,24 +253,34 @@ def certificate_check(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
 
     x_c = np.zeros((grid.size, n))
     x_c[:, -1] = grid
-    offsets = series_log(chart.forward_inv(x_c)[:, None] @ q[:, 1:])
-    diffs = (offsets[:, 0::2] - offsets[:, 1::2]) / (2.0 * fd_step)
+    offsets = series_log(chart.forward_inv(x_c)[:, None] @ q)
+    diffs = (offsets[:, 1::2] - offsets[:, 2::2]) / (2.0 * fd_step)
     bases = np.swapaxes(diffs.reshape(grid.size, n, -1) @ chart.b_pinv.T,
                         -1, -2)
     svals = np.linalg.svd(bases, compute_uv=False)[:, -1]
     min_sv = float(np.min(svals))
-    reason = None
-    for t, x, q_t in zip(grid, x_c, q[:, 0]):
-        moved = float(np.max(np.abs(chart.inverse(q_t, x0=x) - x)))
-        if moved > 0.0:
-            reason = (f"member 0 left the chart's x_n axis: at t = {t:.6g} "
-                      f"chart inversion moved it by {moved:.3e}")
-            break
-    verdict = "certified" if (min_sv >= CERTIFICATE_MARGIN
-                              and max_sigma <= 1e-10
-                              and reason is None) else "not certified"
+    tol = INVERSE_TOL * np.maximum(
+        1.0, np.max(np.abs(q[:, 0]), axis=(-2, -1))) ** 2
+    off_axis = np.flatnonzero(np.max(np.abs(offsets[:, 0]), axis=(-2, -1))
+                              > tol)
+    at = off_axis[0] if off_axis.size else grid.size - 1
+    moved = float(np.max(np.abs(chart.inverse(q[at, 0], x0=x_c[at])
+                                - x_c[at])))
+    if moved > 0.0:
+        reason = (f"member 0 left the chart's x_n axis: at t = {grid[at]:.6g} "
+                  f"chart inversion moved it by {moved:.3e}")
+    elif not max_sigma <= SIGMA_TOL:
+        reason = (f"the Lagrangian graph left Sigma: max sigma residual "
+                  f"{max_sigma:.3e} exceeds {SIGMA_TOL:g}")
+    elif not min_sv >= CERTIFICATE_MARGIN:
+        reason = (f"the base projection's smallest singular value "
+                  f"{min_sv:.3e} at t = {grid[np.argmin(svals)]:.6g} is "
+                  f"below the margin {CERTIFICATE_MARGIN:g}")
+    else:
+        reason = None
     return CertificateReport(
-        verdict=verdict, rho=float(rho), min_singular_value=min_sv,
+        verdict="certified" if reason is None else "not certified",
+        rho=float(rho), min_singular_value=min_sv,
         singular_values=svals, n_samples=int(n_samples),
         max_sigma_residual=max_sigma,
         covectors=p[:, 0], reason=reason)

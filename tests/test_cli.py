@@ -588,14 +588,34 @@ def test_sphere_run_ends_in_verdict():
 
 
 def test_pipeline_import_leaves_scipy_stats_unloaded():
-    """Only the certificate's Sobol sample needs scipy.stats, which takes
-    longer to import than the other stages take to run; importing the
-    pipeline must not load it."""
+    """scipy.stats takes longer to import than the stages take to run, and
+    no stage needs it: the certificate samples with numpy's seeded
+    generator. Neither importing the pipeline nor a default run_check,
+    certificate included, loads it."""
     src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
     path = [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, singcert.pipeline; "
-         "sys.exit('scipy.stats' in sys.modules)"],
+         "loaded = 'scipy.stats' in sys.modules; "
+         "report = singcert.pipeline.run_check({}); "
+         "assert report['stages']['certificate']['status'] == 'passed'; "
+         "sys.exit(loaded or 'scipy.stats' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
     assert done.returncode == 0
+
+
+def test_certificate_sample_of_any_size_leaves_stderr_empty(tmp_path,
+                                                           capsys):
+    """A certificate sample of 100 points, not a power of 2, runs to its
+    verdict with no warning and nothing on stderr."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**FAST, "certificate": {"n_samples": 100, "grid_points": 9}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(cfg_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["stages"]["certificate"]["report"][
+        "n_samples"] == 100

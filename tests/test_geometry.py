@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from singcert import chart as chart_module
+from singcert import geometry as geometry_module
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (
     adjoint_trajectory,
@@ -485,40 +486,54 @@ def test_near_focal_certificate_matches_fine_rk4(monkeypatch):
     assert abs(min_sv() - exact) >= 1e-5 * exact
 
 
-@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
-def test_certificate_takes_one_logm_per_grid_point(space, monkeypatch):
-    """On Sigma member 0 stays on the chart's x_n axis, so the check by
-    chart inversion started there takes no Newton step: one scipy logm
-    per grid point, and no reason."""
-    sys_, chart, traj = space_setup(space)
-    grid = np.linspace(0, 1, 33)
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends 1 to the returned
+    list per call."""
     calls = []
-    original = chart_module.logm
+    original = getattr(module, name)
 
-    def counted(mat):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(mat)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(chart_module, "logm", counted)
-    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
-                               n_samples=8)
-    assert len(calls) == grid.size
-    assert report.certified and report.reason is None
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
-def test_member_off_the_axis_is_not_certified(monkeypatch):
-    """Member 0 moved off the axis by exp(1e-6 A_1) is found by the chart
-    inversion at the first grid point: forward(t e_n + 1e-6 e_1) is that
-    state exactly, so Newton moves it by 1e-6, and the stage ends
-    `not certified` with that offset as its reason."""
+def push_member_zero_off(monkeypatch, after=-np.inf):
+    """Make the certificate's flow right-multiply member 0 by
+    exp(1e-6 A_1) at the grid times past `after`: forward(t e_n + 1e-6
+    e_1) is then that state exactly, 1e-6 off the chart's x_n axis."""
     original = GroupGeometry.super_hamiltonian_flow
 
     def moved(self, q0, p0, grid):
         q, p = original(self, q0, p0, grid)
-        q[:, 0] = q[:, 0] @ expm(1e-6 * self.system.controlled[0])
+        late = grid > after
+        q[late, 0] = q[late, 0] @ expm(1e-6 * self.system.controlled[0])
         return q, p
 
     monkeypatch.setattr(GroupGeometry, "super_hamiltonian_flow", moved)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_certificate_takes_one_logm(space, monkeypatch):
+    """On Sigma member 0 stays on the chart's x_n axis, so its series-log
+    offset passes Newton's stop test at every grid time, and the one
+    chart inversion, at t = H, takes no Newton step: one scipy logm per
+    certificate, and no reason."""
+    sys_, chart, traj = space_setup(space)
+    calls = counting(monkeypatch, chart_module, "logm")
+    report = certificate_check(sys_, traj, chart, rho=1.0,
+                               grid=np.linspace(0, 1, 33), n_samples=8)
+    assert len(calls) == 1
+    assert report.certified and report.reason is None
+
+
+def test_member_off_the_axis_is_not_certified(monkeypatch):
+    """Member 0 moved off the axis by exp(1e-6 A_1) is flagged at the
+    first grid point, where the chart inversion moves it by 1e-6, and the
+    stage ends `not certified` with that offset as its reason."""
+    push_member_zero_off(monkeypatch)
     sys_, chart, traj = space_setup("sphere")
     report = certificate_check(sys_, traj, chart, rho=1.0,
                                grid=np.linspace(0, 1, 9), n_samples=8)
@@ -529,5 +544,62 @@ def test_member_off_the_axis_is_not_certified(monkeypatch):
     stage = run_check({"system": {"kind": "dubins", "space_form": "sphere",
                                   "N": 3},
                        "certificate": {"n_samples": 8, "grid_points": 9},
+                       "checks": ["certificate"]})["stages"]["certificate"]
+    assert stage["status"] == "failed" and stage["reason"] == report.reason
+
+
+def test_member_off_the_axis_late_is_found_at_its_first_time(monkeypatch):
+    """Member 0 moved off the axis by exp(1e-6 A_1) only past t = 0.5 is
+    flagged by its series-log offset first at t = 0.625, the first grid
+    time past 0.5, and only there does chart.inverse run: Newton's one
+    step moves it by 1e-6, which takes two scipy logm (the start and the
+    accepted step)."""
+    push_member_zero_off(monkeypatch, after=0.5)
+    sys_, chart, traj = space_setup("sphere")
+    inversions = counting(monkeypatch, chart_module.GroupChart, "inverse")
+    logms = counting(monkeypatch, chart_module, "logm")
+    report = certificate_check(sys_, traj, chart, rho=1.0,
+                               grid=np.linspace(0, 1, 9), n_samples=8)
+    assert report.verdict == "not certified"
+    assert report.reason == ("member 0 left the chart's x_n axis: at "
+                             "t = 0.625 chart inversion moved it by 1.000e-06")
+    assert len(inversions) == 1 and len(logms) == 2
+
+
+def test_failed_sigma_check_gives_its_reason(monkeypatch):
+    """A graph point off Sigma names the residual and its bound; it
+    outranks a failed singular-value margin, and member 0 off the axis
+    outranks both."""
+    monkeypatch.setattr(geometry_module, "hogc_residual",
+                        lambda system, p: np.full(p.shape[:-2], 3e-10))
+    monkeypatch.setattr(geometry_module, "CERTIFICATE_MARGIN", 2.0)
+    sys_, chart, traj = space_setup("euclidean")
+    grid = np.linspace(0, 1, 9)
+    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                               n_samples=8)
+    assert report.verdict == "not certified"
+    assert report.reason == ("the Lagrangian graph left Sigma: max sigma "
+                             "residual 3.000e-10 exceeds 1e-10")
+    push_member_zero_off(monkeypatch)
+    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                               n_samples=8)
+    assert report.reason.startswith("member 0 left the chart's x_n axis")
+
+
+def test_failed_margin_gives_its_reason(monkeypatch):
+    """Below the singular-value margin, the stage's reason names the
+    smallest singular value, the margin and the grid time of the
+    minimum."""
+    monkeypatch.setattr(geometry_module, "CERTIFICATE_MARGIN", 2.0)
+    grid = np.linspace(0, 1, 9)
+    sys_, chart, traj = space_setup("euclidean")
+    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
+                               n_samples=8)
+    t_min = grid[np.argmin(report.singular_values)]
+    assert report.verdict == "not certified"
+    assert report.reason == (
+        f"the base projection's smallest singular value 1.000e+00 at "
+        f"t = {t_min:.6g} is below the margin 2")
+    stage = run_check({"certificate": {"n_samples": 8, "grid_points": 9},
                        "checks": ["certificate"]})["stages"]["certificate"]
     assert stage["status"] == "failed" and stage["reason"] == report.reason
