@@ -8,12 +8,14 @@ needle's states are exact products of piece exponentials; the bands run
 as one stacked commutator-free Magnus flow of exact exponentials. Each
 competitor's earliest arrival at the target manifold is recorded, and an
 arrival strictly earlier than the reference horizon is a counterexample.
-Competitors are scored in fixed blocks, each state compared with the
-reference at its own time. Both scores read the third-order head of each
-state's logarithm and its certified remainder bound first, and take the
-exact series logarithm only of the states the bound cannot decide: the
-arrival test of a state that may meet the target, and the graph distance
-of the samples that may hold a member's largest distance.
+The arrival test screens each state by its first column q e0, which
+bounds the annihilator coordinates exactly, and takes the series log
+only of the states the screen cannot reject. A needle is the reference
+before its window and Y ref(t) after it, so only its 2r + 1 window
+states are scored one by one; after the window its distance to the
+reference is read from log Y through the conjugation by ref(t), a linear
+map tabled once per sweep. The graph distance of the windows and bands
+reads each state's third-order log head and its certified bound first.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .systems import MatrixGroupSystem
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
-# competitors scored together: blocks of 16 ran no faster and held more
-# states at once
-_SCORE_BLOCK = 8
+# competitors the report lists by their smallest miss of the target
+_NEAREST = 5
 # a competitor arriving this much before the reference horizon refutes it
 TIME_TOLERANCE = 1e-6
 # the competitors are scanned this fraction of the horizon past it
@@ -44,6 +45,7 @@ TARGET_TOL = 1e-6
 # the series log of g; a state farther out counts as not arriving, or as
 # off the reference
 LOG_RADIUS = 0.9
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -106,9 +108,11 @@ class FalsificationReport:
     radius: float
     horizon: float
     verdict: str
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list)   # sweep.csv, not emitted
     witness: dict | None = None
     band_group_residual: float | None = None   # see _band_flow
+    tallies: dict = field(default_factory=dict)
+    nearest: list = field(default_factory=list)
 
     @property
     def refuted(self) -> bool:
@@ -117,15 +121,19 @@ class FalsificationReport:
     def as_dict(self) -> dict:
         return {
             "n_samples": self.n_samples,
-            "min_arrival": (float(self.min_arrival)
-                            if np.isfinite(self.min_arrival) else None),
+            "min_arrival": _finite(self.min_arrival),
             "radius": float(self.radius),
             "horizon": float(self.horizon),
             "verdict": self.verdict,
             "witness": self.witness,
             "band_group_residual": self.band_group_residual,
-            "records": self.records,
+            "tallies": self.tallies,
+            "nearest": self.nearest,
         }
+
+
+def _finite(value) -> float | None:
+    return float(value) if np.isfinite(value) else None
 
 
 class TargetSpec:
@@ -133,15 +141,34 @@ class TargetSpec:
 
     Membership is measured through the annihilator coordinates (indices
     above R) of the adapted chart centered at q_f; a state q with
-    ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving.
+    ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving. The screen's
+    premise, that those coordinates read the first column of an algebra
+    element isometrically (|x_ann(X)|_2 = |X e0|_2; on the Dubins charts a
+    signed permutation of (X e0)[1:]), is checked once on the chart's axes
+    against the rounding d^2 eps of b_pinv summed over the n axes.
     """
 
     def __init__(self, q_f: np.ndarray, chart: GroupChart):
         self.q_f_inv = np.linalg.inv(q_f)
         self.R = chart.R
         self.b_pinv = chart.b_pinv
-        # |x_i(log) - x_i(head)| <= ||row i|| ||log - head||_F
-        self._row_norms = np.linalg.norm(chart.b_pinv[chart.R:], axis=1)
+        axes = np.array(chart.frame_algebra)
+        ann = self.b_pinv[self.R:] @ axes.reshape(len(axes), -1).T
+        off = np.max(np.abs(ann.T @ ann - axes[:, :, 0] @ axes[:, :, 0].T))
+        if not off <= axes.size * _EPS:
+            raise ValueError(
+                "arrival screen premise fails: the annihilator rows of the "
+                "chart's b_pinv do not read the first column of an algebra "
+                f"element isometrically (residual {off:.3g})")
+        # `screen`'s bound. It allows 10^4 d eps of rounding on residual's
+        # coordinates: d eps per term of series_log's at most 2000, on logs
+        # of norm below -log(1 - LOG_RADIUS) < 5; and its columns
+        # q_f^-1 (Y (ref e0)) are off the first column of `residual`'s
+        # q_f^-1 (Y ref) by under 4 d eps ||q_f^-1||_F ||Y||_F |ref e0|_2
+        d = q_f.shape[-1]
+        self._reach = (np.sqrt(len(ann)) * (TARGET_TOL + 1e4 * d * _EPS)
+                       / (1.0 - LOG_RADIUS))
+        self._rounding = 4 * d * _EPS * np.linalg.norm(self.q_f_inv)
 
     def residual(self, q: np.ndarray):
         """Largest annihilator coordinate of q_f^-1 q (inf outside the log
@@ -158,24 +185,33 @@ class TargetSpec:
             out[near] = np.max(np.abs(x[:, self.R:]), axis=1)
         return float(out[0]) if rel.ndim == 2 else out.reshape(rel.shape[:-2])
 
+    def screen(self, cols: np.ndarray, width=None):
+        """Miss distances |q_f^-1 q e0 - e0|_2 of states given by their
+        first columns ``cols`` (..., d), and the mask of the states that may
+        arrive; ``width`` is |cols|_2, or ||Y||_F |ref e0|_2 for columns
+        formed as Y (ref e0). With g = q_f^-1 q = e^X, delta = ||g - I||_F,
+        g e0 - e0 = phi(X) X e0 with ||phi(X)||_2 <= (e^||X|| - 1) / ||X||
+        <= 1 / (1 - delta), as ||X||_2 <= -log(1 - delta); and |X e0|_2 =
+        |x_ann|_2 <= sqrt(N) ||x_ann||_inf. So an arriving state misses by
+        at most sqrt(N) TARGET_TOL / (1 - LOG_RADIUS), plus rounding."""
+        miss = np.linalg.norm(cols @ self.q_f_inv.T
+                              - np.eye(cols.shape[-1])[0], axis=-1)
+        if width is None:
+            width = np.linalg.norm(cols, axis=-1)
+        return miss, miss <= self._reach + self._rounding * width
+
     def arrival_time(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Earliest sample time at which each member meets the target, inf
         for a member that never does: ``states`` is an (S, n, d, d) block of
         members sampled at ``times`` (S, n), or (n,) shared by all, in any
         order; returns (S,) times.
 
-        A state whose log head (`log_head`) puts a lower bound above
-        TARGET_TOL on some annihilator coordinate does not arrive, and one
-        outside the series' radius neither; only the rest take the exact
-        path of `residual`."""
-        head, bound = log_head(self.q_f_inv @ states)
-        x = head.reshape(*bound.shape, -1) @ self.b_pinv[self.R:].T
-        lower = np.max(np.abs(x) - self._row_norms * bound[..., None],
-                       axis=-1)
-        undecided = np.isfinite(bound) & ~(lower > TARGET_TOL)
-        hit = np.zeros(bound.shape, dtype=bool)
-        hit[undecided] = self.residual(states[undecided]) <= TARGET_TOL
-        return np.min(np.where(hit, times, np.inf), axis=1)
+        The `screen` reads only each state's first column q e0 and rejects
+        the states whose miss rules arrival out; only the rest take the
+        exact path of `residual`."""
+        hit = self.screen(states[..., :, 0])[1]
+        hit[hit] = self.residual(states[hit]) <= TARGET_TOL
+        return np.min(np.where(hit, times, np.inf), axis=-1)
 
 
 def graph_distance(rel: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
@@ -191,7 +227,9 @@ def graph_distance(rel: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
     ||b_pinv||_2, bracket the sample's distance. Only the samples whose
     upper end reaches the member's largest lower end take the exact series
     log, and the member's distance is their largest: every other sample
-    lies below it.
+    lies below it. The sweep scores the needles' windows and the bands
+    here; after its window a needle's distance comes from log Y through
+    the conjugation tables of `_score_needles`.
     """
     far = np.linalg.norm(rel - np.eye(rel.shape[-1]),
                          axis=(2, 3)) >= LOG_RADIUS
@@ -254,32 +292,29 @@ def _needle_exponentials(system: MatrixGroupSystem,
     """exp(s_bar A0), exp(h A0) and the 2r piece exponentials
     E_j = exp(h A0 + a_j A_{c_j}) of each needle, h = eps^2 / r the piece
     length and a_j the control integral over piece j, in the order the
-    overlay plays them: one stacked plane_exp, (S, 2r + 2, d, d). Every
-    generator acts on the three coordinates 0, 1 and c_j + 1 only, so it is
-    a single-plane generator and the closed form is exact."""
+    overlay plays them: one stacked plane_exp, (S, 2r + 2, d, d). All
+    needles share r and the channel order. Every generator acts on the
+    three coordinates 0, 1 and c_j + 1 only, so it is a single-plane
+    generator and the closed form is exact."""
     a0 = system.drift
-    controlled = np.array(system.controlled)
-    gens = []
-    for needle in needles:
-        h = needle.eps ** 2 / len(needle.channels)
-        channels = list(needle.channels) + list(needle.channels[::-1])
-        a = needle.eps * np.concatenate([needle.t_vec, -needle.t_bar[::-1]])
-        gens.append(np.concatenate([[needle.s_bar * a0, h * a0],
-                                    h * a0 + a[:, None, None]
-                                    * controlled[channels]]))
-    return plane_exp(np.array(gens))
+    channels = list(needles[0].channels) + list(needles[0].channels[::-1])
+    eps = np.array([needle.eps for needle in needles])
+    h = (eps ** 2 / len(needles[0].channels))[:, None, None, None]
+    a = eps[:, None] * np.array([np.concatenate([n.t_vec, -n.t_bar[::-1]])
+                                 for n in needles])
+    s_bar = np.array([needle.s_bar for needle in needles])
+    return plane_exp(np.concatenate([
+        s_bar[:, None, None, None] * a0, h * a0,
+        h * a0 + a[..., None, None] * np.array(system.controlled)[channels]],
+        axis=1))
 
 
-def _needle_samples(needles: list[NeedleVariation], exps: np.ndarray,
-                    grid: np.ndarray, ref: np.ndarray, ref_inv: np.ndarray,
+def _needle_windows(needles: list[NeedleVariation], exps: np.ndarray,
                     q0: np.ndarray):
-    """Sample times (S, n), states q (S, n, d, d) and ref^-1 q of a block of
-    needles with their ``_needle_exponentials``, on the base grid plus the
-    2r + 1 piece boundaries s_bar + k h of each window. On its window a
-    needle is q0 exp(s_bar A0) E_1 ... E_k against the reference
-    q0 exp(s_bar A0) exp(k h A0); after it, Y ref(t) with
-    Y = q(t_end) ref(t_end)^-1; a grid time inside the window samples the
-    window start instead."""
+    """The 2r + 1 piece boundaries s_bar + k h (S, 2r + 1) of each needle's
+    window, its states there q0 exp(s_bar A0) E_1 ... E_k, those relative
+    to the reference q0 exp(s_bar A0) exp(k h A0), and the shift
+    Y = q(t_end) ref(t_end)^-1 (S, d, d): q(t) = Y ref(t) after the window."""
     s_bar = np.array([needle.s_bar for needle in needles])[:, None]
     h = np.array([needle.eps ** 2 / len(needle.channels)
                   for needle in needles])[:, None]
@@ -290,17 +325,65 @@ def _needle_samples(needles: list[NeedleVariation], exps: np.ndarray,
         ref_win.append(ref_win[-1] @ exps[:, 1])
     q_win = np.stack(q_win, axis=1)
     ref_win_inv = np.linalg.inv(np.stack(ref_win, axis=1))
-    win_times = s_bar + h * np.arange(q_win.shape[1])
-    before = grid < s_bar
-    outside = (before | (grid > win_times[:, -1:]))[..., None, None]
-    shift = q_win[:, -1:] @ ref_win_inv[:, -1:]
-    q_grid = np.where(outside, np.where(before[..., None, None], ref,
-                                        shift @ ref), q_win[:, :1])
-    rel_grid = np.where(outside, ref_inv, ref_win_inv[:, :1]) @ q_grid
-    return (np.concatenate([np.where(outside[..., 0, 0], grid, s_bar),
-                            win_times], axis=1),
-            np.concatenate([q_grid, q_win], axis=1),
-            np.concatenate([rel_grid, ref_win_inv @ q_win], axis=1))
+    return (s_bar + h * np.arange(q_win.shape[1]), q_win,
+            ref_win_inv @ q_win, q_win[:, -1] @ ref_win_inv[:, -1])
+
+
+def _score_needles(system: MatrixGroupSystem, needles: list[NeedleVariation],
+                   target: TargetSpec, grid: np.ndarray, ref: np.ndarray,
+                   ref_inv: np.ndarray, q0: np.ndarray):
+    """Arrival times and graph distances (S,) of needles sampled on the
+    base grid and their windows, and each one's nearest sample: its
+    smallest `TargetSpec.screen` miss, time and state.
+
+    Only the window states take `arrival_time` and `graph_distance`. Off
+    its window a needle is L ref(t), with L = I before it and L = Y after
+    it, so it is screened on L (ref(t) e0), and after it ref(t)^-1 q(t) has
+    the log ref(t)^-1 (log Y) ref(t): with K(t) vec X =
+    vec(ref(t)^-1 X ref(t)), tabled once, its log-radius test reads
+    ||K(t) vec(Y - I)|| and its distance ||b_pinv K(t) vec(log Y)||."""
+    d = ref.shape[-1]
+    times, q_win, rel_win, shift = _needle_windows(
+        needles, _needle_exponentials(system, needles), q0)
+    after = grid > times[:, -1:]
+    off = (grid < times[:, :1]) | after
+
+    def off_window(s, t):
+        return np.where(after[s, t, None, None], shift[s], np.eye(d)) @ ref[t]
+
+    grid_miss, hit = target.screen(
+        np.where(after[..., None], np.swapaxes(shift @ ref[:, :, 0].T, 1, 2),
+                 ref[:, :, 0]),
+        np.where(after, np.linalg.norm(shift, axis=(1, 2))[:, None], 1.0)
+        * np.linalg.norm(ref[:, :, 0], axis=1))
+    hit &= off
+    member, sample = np.nonzero(hit)
+    hit[member, sample] = target.residual(off_window(member, sample)) \
+        <= TARGET_TOL
+    arrivals = np.minimum(target.arrival_time(times, q_win),
+                          np.min(np.where(hit, grid, np.inf), axis=1))
+
+    dists = graph_distance(rel_win, target.b_pinv)
+    kron = (ref_inv[:, :, None, :, None] * np.swapaxes(ref, 1, 2)[
+        :, None, :, None, :]).reshape(len(grid), d * d, d * d)
+    spread = np.linalg.norm(kron @ (shift - np.eye(d)).reshape(-1, d * d).T,
+                            axis=1).T
+    near = ~np.any(after & (spread >= LOG_RADIUS), axis=1)
+    dists[~near] = np.inf
+    if np.any(near):
+        logs = _quick_log(shift[near]).reshape(-1, d * d)
+        size = np.linalg.norm((target.b_pinv @ kron) @ logs.T, axis=1).T
+        dists[near] = np.maximum(dists[near], np.max(
+            np.where(after[near], size, -np.inf), axis=1))
+
+    miss = np.concatenate([np.where(off, grid_miss, np.inf),
+                           target.screen(q_win[..., 0])[0]], axis=1)
+    s, j = np.arange(len(needles)), np.argmin(miss, axis=1)
+    g, k = np.minimum(j, grid.size - 1), np.maximum(j - grid.size, 0)
+    on_grid = j < grid.size
+    return arrivals, dists, (miss[s, j], np.where(
+        on_grid, grid[g], times[s, k]), np.where(
+        on_grid[:, None, None], off_window(s, g), q_win[s, k]))
 
 
 def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
@@ -354,55 +437,66 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     ref_inv = np.linalg.inv(ref)
     competitors = _sample_competitors(system, t_hat, scan_horizon,
                                       n_samples, radius, seed)
-    needles = [i for i, c in enumerate(competitors) if c.needle is not None]
-    bands = [i for i, c in enumerate(competitors) if c.coeff is not None]
+    families = np.array([c.family for c in competitors], dtype=str)
     arrivals = np.full(n_samples, np.inf)
     dists = np.full(n_samples, np.inf)
-
-    def score(block, times, states, rel):
-        arrivals[block] = target.arrival_time(times, states)
-        dists[block] = graph_distance(rel, target.b_pinv)
-
-    # memory stays flat: one block's needle states are alive at a time
-    if needles:
-        members = [competitors[i].needle for i in needles]
-        exps = _needle_exponentials(system, members)
-        for lo in range(0, len(needles), _SCORE_BLOCK):
-            hi = lo + _SCORE_BLOCK
-            score(needles[lo:hi], *_needle_samples(
-                members[lo:hi], exps[lo:hi], grid, ref, ref_inv, q0))
+    # each competitor's smallest miss (TargetSpec.screen), its time, state
+    miss = np.full(n_samples, np.inf)
+    miss_time = np.zeros(n_samples)
+    miss_state = np.zeros((n_samples, *q0.shape))
+    needles = np.flatnonzero(families == "needle")
+    if needles.size:
+        arrivals[needles], dists[needles], (
+            miss[needles], miss_time[needles], miss_state[needles]) = \
+            _score_needles(system, [competitors[i].needle for i in needles],
+                           target, grid, ref, ref_inv, q0)
+    bands = np.flatnonzero(families == "band")
     band_residual = None
-    if bands:
+    if bands.size:
         flow, band_residual = _band_flow(
             system, np.array([competitors[i].coeff for i in bands]), t_hat,
             q0, grid)
-        for lo in range(0, len(bands), _SCORE_BLOCK):
-            states = flow[:, lo:lo + _SCORE_BLOCK].swapaxes(0, 1)
-            score(bands[lo:lo + _SCORE_BLOCK], grid, states, ref_inv @ states)
+        states = flow.swapaxes(0, 1)
+        arrivals[bands] = target.arrival_time(grid, states)
+        dists[bands] = graph_distance(ref_inv @ states, target.b_pinv)
+        band_miss = target.screen(states[..., :, 0])[0]
+        j = np.argmin(band_miss, axis=1)
+        b = np.arange(bands.size)
+        miss[bands], miss_time[bands] = band_miss[b, j], grid[j]
+        miss_state[bands] = states[b, j]
 
-    records = []
-    min_arrival = np.inf
+    admissible = np.isfinite(dists) & ((radius == 0.0) | (dists <= 10 * radius))
+    early = arrivals < t_hat - TIME_TOLERANCE
+    arrived = admissible & np.isfinite(arrivals)
+    bins = {"outside_log_radius": ~np.isfinite(dists),
+            "inadmissible": np.isfinite(dists) & ~admissible,
+            "missed": admissible & ~arrived, "arrived": arrived,
+            "arrived_early": arrived & early}
+    tallies = {family: {"sampled": int(np.sum(families == family)),
+                        **{key: int(np.sum(mask & (families == family)))
+                           for key, mask in bins.items()}}
+               for family in ("needle", "band")}
+    records = [{"sample": idx, "family": comp.family, "seed": comp.seed,
+                "arrival": _finite(arrivals[idx]),
+                "graph_distance": _finite(dists[idx])}
+               for idx, comp in enumerate(competitors)]
+    min_arrival = float(np.min(arrivals[arrived], initial=np.inf))
     witness = None
-    for idx, comp in enumerate(competitors):
-        arrival, dist = arrivals[idx], dists[idx]
-        record = {
-            "sample": idx,
-            "family": comp.family,
-            "seed": comp.seed,
-            "arrival": float(arrival) if np.isfinite(arrival) else None,
-            "graph_distance": float(dist) if np.isfinite(dist) else None,
-        }
-        records.append(record)
-        admissible = np.isfinite(dist) and (radius == 0.0 or dist <= 10 * radius)
-        if np.isfinite(arrival) and admissible and arrival < min_arrival:
-            min_arrival = arrival
-            if arrival < t_hat - TIME_TOLERANCE:
-                witness = dict(record)
-    verdict = "refuted" if witness is not None else "no counterexample"
+    if min_arrival < t_hat - TIME_TOLERANCE:
+        witness = dict(records[int(np.flatnonzero(
+            arrived & (arrivals == min_arrival))[0])])
+    order = np.argsort(miss, kind="stable")[:_NEAREST]
+    nearest = [{"sample": int(idx), "family": str(families[idx]),
+                "time": float(miss_time[idx]), "miss": _finite(miss[idx]),
+                "residual": _finite(res),
+                "graph_distance": _finite(dists[idx])}
+               for idx, res in zip(order, target.residual(miss_state[order]))]
     return FalsificationReport(
         n_samples=n_samples, min_arrival=min_arrival, radius=radius,
-        horizon=t_hat, verdict=verdict, records=records, witness=witness,
-        band_group_residual=band_residual)
+        horizon=t_hat,
+        verdict="refuted" if witness is not None else "no counterexample",
+        records=records, witness=witness, band_group_residual=band_residual,
+        tallies=tallies, nearest=nearest)
 
 
 def report_to_csv(report: FalsificationReport, path) -> None:

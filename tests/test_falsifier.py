@@ -20,7 +20,7 @@ from singcert.falsifier import (
     TargetSpec,
     _band_flow,
     _needle_exponentials,
-    _needle_samples,
+    _needle_windows,
     _quick_log,
     _sample_competitors,
     competitor_sweep,
@@ -28,7 +28,13 @@ from singcert.falsifier import (
     needle_variation,
     report_to_csv,
 )
-from singcert.numerics import log_head, rk4_flow, rk4_stage_times, time_grid
+from singcert.numerics import (
+    log_head,
+    plane_exp,
+    rk4_flow,
+    rk4_stage_times,
+    time_grid,
+)
 from singcert.pipeline import _build_problem, load_config
 from singcert.systems import build_dubins_system
 
@@ -139,6 +145,11 @@ def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
                               radius=0.0, seed=5)
     assert report.verdict == "no counterexample"
     assert report.min_arrival == pytest.approx(extremal3.horizon, abs=1e-12)
+    tallies = report.as_dict()["tallies"]
+    assert tallies["needle"] == {"sampled": 3, "outside_log_radius": 0,
+                                 "inadmissible": 0, "missed": 0,
+                                 "arrived": 3, "arrived_early": 0}
+    assert tallies["band"]["sampled"] == 0
     for record in report.records:
         assert record["family"] == "needle"
         assert record["arrival"] == extremal3.horizon
@@ -247,8 +258,9 @@ def _fine_needle_flow(system, needle, times, horizon):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
 def test_needle_states_match_fine_rk4(space, n):
-    """A needle's samples equal a fine RK4 of its overlay, and each is
-    compared with the exact reference at its own sample time."""
+    """A needle's window states, and Y ref(t) on the grid after its window,
+    equal a fine RK4 of its overlay; each window state is compared with
+    the exact reference at its own sample time."""
     sys_ = build_dubins_system(space, n)
     t_hat, horizon = 1.0, 1.1
     grid = np.union1d(time_grid(horizon, 0.02), [t_hat])
@@ -256,16 +268,39 @@ def test_needle_states_match_fine_rk4(space, n):
     needles = [c.needle for c in _sample_competitors(sys_, t_hat, horizon,
                                                      6, 0.1, 2)
                if c.needle is not None]
-    times, states, rel = _needle_samples(
-        needles, _needle_exponentials(sys_, needles), grid, ref,
-        np.linalg.inv(ref), np.eye(sys_.d))
-    assert times.shape == (3, grid.size + 2 * sys_.R + 1)
-    for needle, t, q, r in zip(needles, times, states, rel):
-        assert np.all(np.isin(t, grid) | (t >= needle.s_bar))
-        expect = _fine_needle_flow(sys_, needle, t, horizon)
-        assert np.max(np.abs(q - expect)) <= 1e-12
+    times, states, rel, shift = _needle_windows(
+        needles, _needle_exponentials(sys_, needles), np.eye(sys_.d))
+    assert times.shape == (3, 2 * sys_.R + 1)
+    for needle, t, q, r, y in zip(needles, times, states, rel, shift):
+        assert t[0] == needle.s_bar
+        after = grid > t[-1]
+        expect = _fine_needle_flow(sys_, needle,
+                                   np.concatenate([t, grid[after]]), horizon)
+        assert np.max(np.abs(q - expect[:t.size])) <= 1e-12
+        assert np.max(np.abs(y @ ref[after] - expect[t.size:])) <= 1e-12
         exact_ref = reference_flow(sys_, t)
         assert np.max(np.abs(exact_ref @ r - q)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_needle_exponentials_match_per_needle_loop(space):
+    """The broadcast generator stack of _needle_exponentials equals, byte
+    for byte, the per-needle loop that built it one needle at a time."""
+    sys_ = build_dubins_system(space, 4)
+    needles = [c.needle for c in _sample_competitors(sys_, 1.0, 1.1, 12, 0.1,
+                                                     4)
+               if c.needle is not None]
+    a0, controlled = sys_.drift, np.array(sys_.controlled)
+    gens = []
+    for needle in needles:
+        h = needle.eps ** 2 / len(needle.channels)
+        channels = list(needle.channels) + list(needle.channels[::-1])
+        a = needle.eps * np.concatenate([needle.t_vec, -needle.t_bar[::-1]])
+        gens.append(np.concatenate([[needle.s_bar * a0, h * a0],
+                                    h * a0 + a[:, None, None]
+                                    * controlled[channels]]))
+    assert np.array_equal(_needle_exponentials(sys_, needles),
+                          plane_exp(np.array(gens)))
 
 
 def rk4_band(system, c, t_hat, grid):
@@ -388,9 +423,9 @@ def direct_graph_distance(rel, b_pinv):
     return float(np.max(np.linalg.norm(x, axis=1)))
 
 
-def _sweep_problem(space, n):
+def _sweep_problem(space, n, horizon=1.0):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
-                                     "N": n}})
+                                     "N": n}, "horizon": horizon})
     system, chart, trajectory = _build_problem(config)
     target = TargetSpec(trajectory.q[-1], chart)
     t_hat = trajectory.horizon
@@ -398,12 +433,31 @@ def _sweep_problem(space, n):
     return system, trajectory, target, grid, reference_flow(system, grid)
 
 
+def needle_samples(window, grid, ref):
+    """Every sample of one needle from its ``_needle_windows`` entry
+    (times, states, rel, shift): the reference on the grid before the
+    window, the window's 2r + 1 boundaries, and Y ref(t) on the grid after
+    it. Returns times, states, ref^-1 q at each sample, and the mask of
+    the window samples."""
+    times, states, rel, shift = window
+    before, after = grid < times[0], grid > times[-1]
+    ref_inv = np.linalg.inv(ref)
+    after_states = shift @ ref[after]
+    return (np.concatenate([grid[before], times, grid[after]]),
+            np.concatenate([ref[before], states, after_states]),
+            np.concatenate([ref_inv[before] @ ref[before], rel,
+                            ref_inv[after] @ after_states]),
+            np.concatenate([np.zeros(before.sum(), bool),
+                            np.ones(times.size, bool),
+                            np.zeros(after.sum(), bool)]))
+
+
 def test_block_scores_match_member_scores():
-    """arrival_time and graph_distance of a block of needles, and of a
-    slice of the band flow, equal the scores of its members one at a time;
-    a member far off the reference scores inf, and the reference itself
-    arrives at the horizon. The series log stops on a block-wide
-    criterion, so distances may move by roundoff."""
+    """arrival_time and graph_distance of a block of needle windows, and
+    of a slice of the band flow, equal the scores of its members one at a
+    time by their own series logs; a member far off the reference scores
+    inf, and the reference itself arrives at the horizon. The series log
+    stops on a block-wide criterion, so distances may move by roundoff."""
     system, trajectory, target, grid, ref = _sweep_problem("sphere", 4)
     t_hat = trajectory.horizon
     ref_inv = np.linalg.inv(ref)
@@ -411,13 +465,15 @@ def test_block_scores_match_member_scores():
     needles = [c.needle for c in comps[::2]]
     bands = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
                        t_hat, np.eye(system.d), grid)[0][:, 2:6].swapaxes(0, 1)
-    blocks = [_needle_samples(needles, _needle_exponentials(system, needles),
-                              grid, ref, ref_inv, np.eye(system.d)),
+    blocks = [_needle_windows(needles, _needle_exponentials(system, needles),
+                              np.eye(system.d))[:3],
               (np.broadcast_to(grid, bands.shape[:2]), bands, ref_inv @ bands)]
     for times, states, rel in blocks:
-        on_ref = reference_flow(system, times[0])
+        # the last n grid times hold the horizon
+        n = states.shape[1]
+        on_ref = reference_flow(system, grid[-n:])
         far = states[0] @ expm(2.0 * system.controlled[0])
-        times = np.concatenate([times, times[:2]])
+        times = np.concatenate([times, [times[0], grid[-n:]]])
         states = np.concatenate([states, [far, on_ref]])
         rel = np.concatenate([rel, np.linalg.inv([on_ref, on_ref])
                               @ [far, on_ref]])
@@ -433,12 +489,18 @@ def test_block_scores_match_member_scores():
                 r, target.b_pinv), rel=0, abs=1e-15)
 
 
-@pytest.mark.parametrize("space", ["sphere", "hyperbolic"])
-def test_sweep_records_match_per_competitor_scoring(space):
-    """competitor_sweep's records equal those of each needle sampled alone
+@pytest.mark.parametrize("space, horizon", [("sphere", 1.0),
+                                            ("hyperbolic", 1.0),
+                                            ("hyperbolic", 5.0)],
+                         ids=["sphere", "hyperbolic", "hyperbolic-5.0"])
+def test_sweep_records_match_per_competitor_scoring(space, horizon):
+    """competitor_sweep's records equal those of every state of each needle
     and each band's column of the band flow, scored one competitor at a
-    time."""
-    system, trajectory, target, grid, ref = _sweep_problem(space, 4)
+    time by the states' own series logs. A needle's distance is exact
+    where its window holds the maximum; after the window the sweep reads
+    ref(t)^-1 (log Y) ref(t) through its conjugation tables, within 1e-11
+    relative of the log of each state."""
+    system, trajectory, target, grid, ref = _sweep_problem(space, 4, horizon)
     t_hat = trajectory.horizon
     ref_inv = np.linalg.inv(ref)
     report = competitor_sweep(system, trajectory, target)
@@ -447,23 +509,47 @@ def test_sweep_records_match_per_competitor_scoring(space):
         system, np.array([c.coeff for c in comps[1::2]]), t_hat,
         np.eye(system.d), grid)
     assert report.band_group_residual == residual
-    records = []
-    for idx, comp in enumerate(comps):
+    after_window = 0
+    closest = []
+    for idx, (comp, record) in enumerate(zip(comps, report.records)):
         if comp.needle is not None:
-            times, states, rel = (a[0] for a in _needle_samples(
+            window = (a[0] for a in _needle_windows(
                 [comp.needle], _needle_exponentials(system, [comp.needle]),
-                grid, ref, ref_inv, np.eye(system.d)))
+                np.eye(system.d)))
+            times, states, rel, in_window = needle_samples(window, grid, ref)
         else:
             times, states = grid, flow[:, idx // 2]
-            rel = ref_inv @ states
+            rel, in_window = ref_inv @ states, np.ones(grid.size, bool)
         arrival = direct_arrival(target, times, states)
         dist = direct_graph_distance(rel, target.b_pinv)
-        records.append({
+        miss = np.linalg.norm((target.q_f_inv @ states)[:, :, 0]
+                              - np.eye(system.d)[0], axis=1)
+        closest.append((np.min(miss), times[np.argmin(miss)],
+                        target.residual(states[np.argmin(miss)]), dist))
+        assert {k: record[k] for k in ("sample", "family", "seed",
+                                       "arrival")} == {
             "sample": idx, "family": comp.family, "seed": comp.seed,
-            "arrival": float(arrival) if np.isfinite(arrival) else None,
-            "graph_distance": float(dist) if np.isfinite(dist) else None})
-    assert report.records == records
+            "arrival": float(arrival) if np.isfinite(arrival) else None}
+        if not np.isfinite(dist):
+            assert record["graph_distance"] is None
+            continue
+        sizes = np.linalg.norm(_quick_log(rel).reshape(len(rel), -1)
+                               @ target.b_pinv.T, axis=1)
+        if in_window[np.argmax(sizes)]:
+            assert record["graph_distance"] == dist
+        else:
+            after_window += 1
+            assert record["graph_distance"] == pytest.approx(dist, rel=1e-11)
     assert report.verdict == "no counterexample"
+    assert after_window > 0 or horizon == 1.0
+    order = np.argsort([c[0] for c in closest], kind="stable")[:5]
+    assert [e["sample"] for e in report.nearest] == order.tolist()
+    for entry, idx in zip(report.nearest, order):
+        miss, time, res, dist = closest[idx]
+        assert entry["family"] == comps[idx].family and entry["time"] == time
+        assert entry["miss"] == pytest.approx(miss, rel=1e-9)
+        assert entry["residual"] == pytest.approx(res, rel=1e-9)
+        assert entry["graph_distance"] == report.records[idx]["graph_distance"]
 
 
 @pytest.mark.parametrize("space, horizon", [("euclidean", 1.0),
@@ -531,11 +617,10 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
     """On blocks that mix states on the target, states 2 TARGET_TOL off it
     along A0, and states on either side of the log radius, arrival_time
     and graph_distance equal the oracle that logs every state, while the
-    log head decides part of the states without a series log. Two kinds
-    of state defeat a head without its bound: on-target states 0.99
-    TARGET_TOL along A0 from the orbit, at a displacement where the head
-    overshoots the tolerance, and a member whose two largest samples the
-    head ranks the wrong way round."""
+    arrival screen and the log head decide part of the states without a
+    series log. On-target states 0.99 TARGET_TOL along A0 from the orbit
+    still arrive, and a member whose two largest samples the log head
+    ranks the wrong way round keeps its exact distance."""
     system, trajectory, target, _, _ = _sweep_problem(space, 4)
     q_f = trajectory.q[-1]
     rng = np.random.default_rng(5)
@@ -581,7 +666,7 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
     monkeypatch.setattr("singcert.falsifier._quick_log", counting_log)
     assert target.arrival_time(times, states).tolist() == arrive_expect
     assert target.arrival_time(times[0], states).tolist() == shared_expect
-    # the head decides some of the states inside the log radius, and the
+    # the screen decides some of the states inside the log radius, and the
     # rest take the exact log
     inside = np.linalg.norm(rel - np.eye(system.d), axis=(2, 3)) < LOG_RADIUS
     assert logged[0] == logged[1] and 0 < logged[0] < inside[:-1].sum()
@@ -590,3 +675,97 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
     assert 0 < sum(logged) < inside.all(axis=1).sum() * n
     for dist, expect in zip(dists, dist_expect):
         assert dist == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
+def test_screen_premise_is_checked(dub3, extremal3):
+    """TargetSpec checks once that the annihilator rows of b_pinv read the
+    first column of an algebra element isometrically: a signed permutation
+    of those rows keeps the premise, and a b_pinv whose annihilator rows
+    take an orbit row breaks it."""
+    chart = dubins_adapted_chart(dub3)
+    rows = np.arange(chart.n)
+    kept = dataclasses.replace(chart)
+    kept.b_pinv = chart.b_pinv[np.r_[rows[:chart.R], rows[:chart.R - 1:-1]]]
+    kept.b_pinv[-1] *= -1.0
+    TargetSpec(extremal3.q[-1], kept)
+    swapped = rows.copy()
+    swapped[[chart.R - 1, chart.R]] = swapped[[chart.R, chart.R - 1]]
+    broken = dataclasses.replace(chart)
+    broken.b_pinv = chart.b_pinv[swapped]
+    with pytest.raises(ValueError, match="arrival screen premise fails"):
+        TargetSpec(extremal3.q[-1], broken)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_state_just_inside_target_tol_arrives(space):
+    """A state whose annihilator coordinates are all 0.999 TARGET_TOL in
+    size, pushed out to ||q_f^-1 q - I||_F = 0.89 along the orbit, misses
+    e0 by about sqrt(N) TARGET_TOL, more than a screen at TARGET_TOL would
+    let through; it passes the screen and arrives."""
+    system, trajectory, target, _, _ = _sweep_problem(space, 4)
+    q_f = trajectory.q[-1]
+    basis = system.algebra_basis
+    orbit = np.tensordot(np.ones(system.R), basis[:system.R], 1)
+    ann = np.tensordot(0.999 * TARGET_TOL * np.ones(len(basis) - system.R),
+                       basis[system.R:], 1)
+    s = brentq(lambda a: np.linalg.norm(expm(a * orbit + ann)
+                                        - np.eye(system.d)) - 0.89,
+               0.0, 3.0 / np.linalg.norm(orbit))
+    q = q_f @ expm(s * orbit + ann)
+    assert 0.99 * TARGET_TOL < target.residual(q) <= TARGET_TOL
+    assert target.screen(q[None, :, 0])[0] > 1.9 * TARGET_TOL
+    assert target.arrival_time(np.array([[0.5]]), q[None, None]) == [0.5]
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_state_outside_screen_takes_no_log(space, monkeypatch):
+    """A state whose first column misses e0 by just over sqrt(N)
+    TARGET_TOL / (1 - LOG_RADIUS) never reaches `residual`; one just inside
+    the bound does, and neither arrives."""
+    system, trajectory, target, _, _ = _sweep_problem(space, 4)
+    q_f = trajectory.q[-1]
+    bound = np.sqrt(system.N) * TARGET_TOL / (1.0 - LOG_RADIUS)
+    e0 = np.eye(system.d)[0]
+
+    def at_miss(miss):
+        s = brentq(lambda a: np.linalg.norm(expm(a * system.drift)[:, 0]
+                                            - e0) - miss, 0.0, 1.0,
+                   xtol=1e-300)
+        return q_f @ expm(s * system.drift)
+
+    reached = []
+    residual = TargetSpec.residual
+
+    def counting_residual(self, q):
+        reached.append(len(q))
+        return residual(self, q)
+
+    monkeypatch.setattr(TargetSpec, "residual", counting_residual)
+    for scale, states in ((1.0 + 1e-3, 0), (1.0 - 1e-3, 1)):
+        reached.clear()
+        q = at_miss(scale * bound)
+        assert target.screen(q[None, :, 0])[0] == pytest.approx(
+            scale * bound, rel=1e-9)
+        assert target.arrival_time(np.array([[0.5]]), q[None, None]) == \
+            [np.inf]
+        assert sum(reached) == states
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_tallies_sum_to_n_samples(space):
+    """Each family's tallies split its samples into outside the log radius,
+    inadmissible, missed and arrived, with the early arrivals among the
+    arrived; the families sum to n_samples. The emitted section has no
+    records, and lists the competitors nearest the target in order."""
+    system, trajectory, target, _, _ = _sweep_problem(space, 4)
+    report = competitor_sweep(system, trajectory, target, n_samples=40)
+    out = report.as_dict()
+    assert "records" not in out and len(report.records) == 40
+    tallies = out["tallies"]
+    assert sum(t["sampled"] for t in tallies.values()) == 40
+    for t in tallies.values():
+        assert t["sampled"] == (t["outside_log_radius"] + t["inadmissible"]
+                                + t["missed"] + t["arrived"])
+        assert t["arrived_early"] <= t["arrived"]
+    misses = [entry["miss"] for entry in out["nearest"]]
+    assert len(misses) == 5 and misses == sorted(misses)
