@@ -44,14 +44,15 @@ def coadjoint_transport(p0: np.ndarray, m: np.ndarray,
 
 def adjoint_trajectory(system: MatrixGroupSystem, p0: np.ndarray,
                        grid) -> ExtremalTrajectory:
-    """Extremal lift along the reference flow by exact coadjoint transport."""
+    """Extremal lift along the reference flow by exact coadjoint transport,
+    with q(t)^-1 in the group's closed form: one exponential per arc."""
     grid = np.asarray(grid, dtype=float)
     if np.max(np.abs(p0)) == 0.0:
         raise ValueError("covector must be nonzero")
     # a long hyperbolic arc overflows; require_finite names where
     with np.errstate(over="ignore", invalid="ignore"):
         q = reference_flow(system, grid)
-        p = coadjoint_transport(p0, q, reference_flow(system, -grid))
+        p = coadjoint_transport(p0, q, system.inverse(q))
     return ExtremalTrajectory(system, grid, q, p)
 
 

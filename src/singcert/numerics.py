@@ -97,32 +97,41 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
     return x, r, iters
 
 
-# below this |lam| the Taylor series of S1, S2 and S3, to lam^3, are exact
-# to roundoff (the first term left out is at most lam^4 / 9! < 3e-18)
+# below this |lam| the Taylor series of S1 .. S4, to lam^3, are exact to
+# roundoff (the first term left out is at most lam^4 / 9! < 3e-18)
 _TAYLOR_LAM = 1e-3
 
 
-def _plane_series(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S1 = sum_k lam^k/(2k+1)! and S2 = sum_k lam^k/(2k+2)!. With r =
-    sqrt(|lam|), S1 = sinh(r)/r and S2 = 2 sinh(r/2)^2/r^2 for lam > 0,
-    sin in place of sinh for lam < 0: neither cancels. Near lam = 0, where
-    both are 0/0, their Taylor series take over."""
+def plane_series(lam, tails: bool = False) -> list[np.ndarray]:
+    """S1 = sum_k lam^k/(2k+1)! and S2 = sum_k lam^k/(2k+2)!, and with
+    tails S3 = sum_k lam^k/(2k+3)! = (S1 - 1)/lam and S4 = sum_k
+    lam^k/(2k+4)! = (S2 - 1/2)/lam as well. With r = sqrt(|lam|),
+    S1 = sinh(r)/r and S2 = 2 sinh(r/2)^2/r^2 for lam > 0, sin in place of
+    sinh for lam < 0: neither cancels. Near lam = 0, where S1 and S2 are
+    0/0 and the quotients cancel, the Taylor series take over."""
+    lam = np.asarray(lam, dtype=float)
     small = np.abs(lam) < _TAYLOR_LAM
     r = np.sqrt(np.where(small, 1.0, np.abs(lam)))
-    s1 = np.where(small, 1.0 + lam / 6.0 * (1.0 + lam / 20.0
-                                            * (1.0 + lam / 42.0)),
-                  _sin_or_sinh(r, lam > 0.0) / r)
     half = _sin_or_sinh(0.5 * r, lam > 0.0) / r
-    s2 = np.where(small, 0.5 * (1.0 + lam / 12.0 * (1.0 + lam / 30.0
-                                                   * (1.0 + lam / 56.0))),
-                  2.0 * half * half)
-    return s1, s2
+    out = [np.where(small, 1.0 + lam / 6.0 * (1.0 + lam / 20.0
+                                              * (1.0 + lam / 42.0)),
+                    _sin_or_sinh(r, lam > 0.0) / r),
+           np.where(small, 0.5 * (1.0 + lam / 12.0 * (1.0 + lam / 30.0
+                                                     * (1.0 + lam / 56.0))),
+                    2.0 * half * half)]
+    if tails:
+        div = np.where(small, 1.0, lam)
+        out += [np.where(small, (1.0 + lam / 20.0 * (1.0 + lam / 42.0 * (
+                    1.0 + lam / 72.0))) / 6.0, (out[0] - 1.0) / div),
+                np.where(small, (1.0 + lam / 30.0 * (1.0 + lam / 56.0 * (
+                    1.0 + lam / 90.0))) / 24.0, (out[1] - 0.5) / div)]
+    return out
 
 
 def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
               ) -> np.ndarray:
     """exp x = I + S1(lam) x + S2(lam) x^2 for x with x^3 = lam x, one
-    (d, d) matrix or a (..., d, d) stack of them (`_plane_series`).
+    (d, d) matrix or a (..., d, d) stack of them (`plane_series`).
 
     lam, one value per matrix, defaults to tr(x^2)/2, which is the lam of
     a single-plane generator; sq, when given, is x @ x.
@@ -132,28 +141,23 @@ def plane_exp(x: np.ndarray, lam=None, sq: np.ndarray | None = None
         sq = x @ x
     if lam is None:
         lam = 0.5 * np.trace(sq, axis1=-2, axis2=-1)
-    s1, s2 = _plane_series(np.asarray(lam, dtype=float))
+    s1, s2 = plane_series(lam)
     out = s1[..., None, None] * x
     out += np.eye(x.shape[-1])
     out += s2[..., None, None] * sq
     return out
 
 
-def quartic_exp(x: np.ndarray, lam, sq: np.ndarray, cube: np.ndarray
-                ) -> np.ndarray:
+def quartic_exp(x: np.ndarray, lam, sq: np.ndarray, cube: np.ndarray,
+                eye: np.ndarray | None = None) -> np.ndarray:
     """exp x = I + x + S2(lam) x^2 + S3(lam) x^3 for x with x^4 = lam x^2,
     one (d, d) matrix or a (..., d, d) stack, given sq = x @ x and
-    cube = sq @ x: S2 is that of `plane_exp`, and S3 = sum_k
-    lam^k/(2k+3)! = (S1 - 1)/lam takes its Taylor series near lam = 0,
-    where that quotient cancels."""
-    lam = np.asarray(lam, dtype=float)
-    small = np.abs(lam) < _TAYLOR_LAM
-    s1, s2 = _plane_series(lam)
-    s3 = np.where(small, (1.0 + lam / 20.0 * (1.0 + lam / 42.0
-                                              * (1.0 + lam / 72.0))) / 6.0,
-                  (s1 - 1.0) / np.where(small, 1.0, lam))
-    return (np.eye(x.shape[-1]) + x + s2[..., None, None] * sq
-            + s3[..., None, None] * cube)
+    cube = sq @ x (`plane_series`). Given the same rows and columns of x,
+    sq, cube and of the identity (eye), it returns those of exp x."""
+    s2, s3 = plane_series(lam, tails=True)[1:3]
+    if eye is None:
+        eye = np.eye(x.shape[-1])
+    return eye + x + s2[..., None, None] * sq + s3[..., None, None] * cube
 
 
 def _sin_or_sinh(r: np.ndarray, hyperbolic: np.ndarray) -> np.ndarray:

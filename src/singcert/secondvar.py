@@ -12,18 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qr
+from scipy.linalg.lapack import dormqr
 
 from .algebra import commutator, pairing
 from .chart import GroupChart
 from .extremal import (ExtremalTrajectory, coadjoint_transport,
-                       legendre_form, reference_flow, require_finite)
+                       legendre_form, require_finite)
 from .geometry import GroupGeometry
-from .numerics import plane_exp, quartic_exp, write_csv
+from .numerics import plane_exp, plane_series, quartic_exp, write_csv
 from .systems import MatrixGroupSystem
-
-GAUSS_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 # the logarithmic rho sweep of the conjugate-point test, 2^-6 .. 2^6
 DEFAULT_RHO_GRID = tuple(2.0 ** k for k in range(-6, 7))
@@ -63,22 +61,41 @@ def chart_field_jacobian_fd(chart: GroupChart, algebra_elem: np.ndarray,
 
 @dataclass
 class SecondVariationProblem:
-    """LQ data (Z, C, a, E) of the extended second variation.
+    """LQ data (Z, C, a, E) of the extended second variation, held as the
+    constant tables of its moving frame.
 
-    `coefficients` evaluates Z, C and a on a (T,) array of times at once,
-    C the one constant m x m matrix broadcast over the times; z_fn, c_fn
-    and a_fn are its views at a single time. `jacobi` gives the
-    fundamental matrix Phi(t), Phi(0) = I, of the Jacobi system
-    (Omega; X)' = U W (Omega; X), U = [-a^T; Z], W = L^-1 [Z^T, a], L = -C.
+    With T(t) = exp(t ad), ad^3 = lam ad: Z(t) = T(t) z0, a(t) = Z(t)^T rows
+    and C is the constant c. `coefficients` evaluates Z, C and a on a (T,)
+    array of times at once; z_fn, c_fn and a_fn are its views at a single
+    time. The Jacobi system (Omega; X)' = U W (Omega; X), U = [-a^T; Z],
+    W = L^-1 [Z^T, a], L = -C, has the flow Phi(t) = e^{t Gamma} e^{t M}
+    (see assemble_lq); flow_rows holds rows n: and columns R: of M, M^2
+    and M^3, all that `base_rows` reads.
     """
 
     horizon: float
     n: int
     m: int
     R: int
-    coefficients: object    # (T,) -> Z (T, n, m), C (T, m, m), a (T, m, n)
-    jacobi: object          # (T,) -> Phi (T, 2n, 2n)
     e_mat: np.ndarray       # (n, R)
+    ad: np.ndarray          # (n, n)
+    z0: np.ndarray          # (n, m)
+    rows: np.ndarray        # (n, n)
+    c: np.ndarray           # (m, m)
+    lam: float
+    flow_rows: np.ndarray   # (3, n, 2n - R)
+
+    def transport(self, ts) -> np.ndarray:
+        """T(t) = exp(t ad) on a (T,) array of times, a `plane_exp`."""
+        t = np.asarray(ts, dtype=float)
+        return plane_exp(t[:, None, None] * self.ad, self.lam * t * t,
+                         (t * t)[:, None, None] * (self.ad @ self.ad))
+
+    def coefficients(self, ts):
+        """Z (T, n, m), C (T, m, m) and a (T, m, n) on a (T,) array."""
+        z = self.transport(ts) @ self.z0
+        a = np.swapaxes(z, -1, -2) @ self.rows
+        return z, np.broadcast_to(self.c, (len(z), self.m, self.m)), a
 
     def z_fn(self, t) -> np.ndarray:
         return self.coefficients(np.array([t]))[0][0]
@@ -89,24 +106,35 @@ class SecondVariationProblem:
     def a_fn(self, t) -> np.ndarray:
         return self.coefficients(np.array([t]))[2][0]
 
+    def base_rows(self, ts) -> np.ndarray:
+        """Rows n: and columns R: of Phi(t) on a (T,) array of times, a
+        (T, n, 2n - R) array. e^{t Gamma} is block upper triangular with
+        lower block T(t), so they are T(t) times those of the
+        `quartic_exp` e^{t M}."""
+        t = np.asarray(ts, dtype=float)
+        tt, (m1, m2, m3) = t[:, None, None], self.flow_rows
+        n, r = self.n, self.R
+        head = quartic_exp(tt * m1, self.lam * t * t, tt * tt * m2,
+                           tt ** 3 * m3, np.eye(n, 2 * n - r, n - r))
+        return self.transport(t) @ head
+
 
 def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 chart: GroupChart) -> SecondVariationProblem:
-    """Assemble the LQ second-variation data in the adapted chart, and its
-    Jacobi flow in closed form.
+    """Tabulate the LQ second-variation data in the adapted chart, and
+    check the premises of its closed forms.
 
     The reference arc is the drift orbit exp(t A_0). Every coefficient is
     linear in Ad_exp(t A_0) = exp(t ad_A0) applied to a fixed algebra
     element, so the linear maps are tabulated once, in the coordinates of
     the chart frame (a basis of the whole algebra): `ad` has the
-    coordinates of [A_0, B_k] as columns, Z(0) is its first m columns and
-    row k of `rows` is -p_hat^T chart_field_jacobian(B_k), each table from
-    one stacked solve in the frame at the origin. With T(t) = exp(t ad),
-    Z(t) = T Z(0) and a(t) = Z(t)^T rows. C(t) = -(c0 . (pi T)), with c0
-    the frame coordinates of the [A_i, [A_j, A_0]] and pi_k = <p(0), B_k>,
-    and the premise pi0 ad = 0 gives pi T = pi: C is the constant
-    -legendre_form(p(0)), the Legendre form the conditions stage checks,
-    taken once.
+    coordinates of [A_0, B_k] as columns, z0 = Z(0) is its first m columns
+    and row k of `rows` is -p_hat^T chart_field_jacobian(B_k), each table
+    from one stacked solve in the frame at the origin. C(t) =
+    -(c0 . (pi T)), with c0 the frame coordinates of the [A_i, [A_j, A_0]]
+    and pi_k = <p(0), B_k>, and the premise pi0 ad = 0 gives pi T = pi: C is
+    the constant -legendre_form(p(0)), the Legendre form the conditions
+    stage checks, taken once.
 
     The Jacobi generator A(t) = U W is then e^{t Gamma} A(0) e^{-t Gamma},
     Gamma = [[-ad^T, -(ad^T rows^T + rows^T ad)], [0, ad]], so the flow is
@@ -116,50 +144,40 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     and e^{t Gamma} are `plane_exp`s; tr(ad^2)/2 is not lam); pi0 ad = 0
     (C constant: a relative equilibrium); ad^T D + D ad = 0 with
     D = rows - rows^T (a(t) and the Omega-block of A(t) move with
-    e^{t Gamma}); and M^4 = lam M^2 (e^{t M} is a `quartic_exp`). A
-    failed premise raises LinAlgError naming it, as does an arc that is
-    not finite.
+    e^{t Gamma}, and T^T D T = D); and M^4 = lam M^2 (e^{t M} is a
+    `quartic_exp`). A failed premise raises LinAlgError naming it, as does
+    an arc that is not finite.
     """
     require_finite(extremal)
-    m, n = system.m, chart.n
+    m, n, r = system.m, chart.n, chart.R
     origin = np.zeros(n)
     frame = np.array(chart.frame_algebra)
-    e_mat = chart.solve_in_frame(origin, frame[: chart.R]).T
-    if np.linalg.cond(e_mat[: chart.R, :]) > 1e8:
+    e_mat = chart.solve_in_frame(origin, frame[:r]).T
+    if np.linalg.cond(e_mat[:r, :]) > 1e8:
         raise RuntimeError("controlled-algebra basis degenerate at basepoint")
 
     a0 = system.drift
     ad = chart.solve_in_frame(origin, commutator(a0, frame)).T
     lam = 0.5 * np.trace(a0 @ a0)
-    ad_sq = ad @ ad
     z0 = ad[:, :m]
     rows = -(chart.p_hat @ chart_field_jacobian(chart, frame))
     pi0 = pairing(extremal.p[0], frame)
     c = -legendre_form(system, extremal.p[0])
 
-    def coefficients(ts):
-        t = np.asarray(ts, dtype=float)
-        transport = plane_exp(t[:, None, None] * ad, lam * t * t,
-                              (t * t)[:, None, None] * ad_sq)
-        z = transport @ z0
-        a = np.swapaxes(z, -1, -2) @ rows
-        return z, np.broadcast_to(c, (t.size, m, m)), a
-
-    z, _, a = (x[0] for x in coefficients(np.zeros(1)))
-    gen0 = np.concatenate([-a.T, z]) @ np.linalg.solve(
-        -c, np.concatenate([z.T, a], axis=1))
+    a = z0.T @ rows
+    gen0 = np.concatenate([-a.T, z0]) @ np.linalg.solve(
+        -c, np.concatenate([z0.T, a], axis=1))
     gamma = np.block([[-ad.T, -(ad.T @ rows.T + rows.T @ ad)],
                       [np.zeros((n, n)), ad]])
     m_gen = gen0 - gamma
-    gamma_sq, m_sq = gamma @ gamma, m_gen @ m_gen
-    m_cube = m_sq @ m_gen
+    m_sq = m_gen @ m_gen
     d_mat = rows - rows.T
 
     # (premise, residual, factors): the bound is 1e-12 times the product of
     # max(1, max|f|) over the factors f of the residual's terms
     for name, residual, factors in (
             ("Gamma^3 = lam Gamma (a single-plane drift)",
-             gamma_sq @ gamma - lam * gamma, (gamma,) * 3),
+             gamma @ gamma @ gamma - lam * gamma, (gamma,) * 3),
             ("pi0 ad = 0 (a constant C)", pi0 @ ad, (pi0, ad)),
             ("ad^T D + D ad = 0 (D = rows - rows^T)",
              ad.T @ d_mat + d_mat @ ad, (ad, d_mat)),
@@ -172,91 +190,88 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 f"premise {name} fails: residual {worst:.3g} over its bound "
                 f"{bound:.3g}")
 
-    def jacobi(ts):
-        t = np.asarray(ts, dtype=float)[:, None, None]
-        lam_t = lam * t[:, 0, 0] ** 2
-        return plane_exp(t * gamma, lam_t, t * t * gamma_sq) @ quartic_exp(
-            t * m_gen, lam_t, t * t * m_sq, t ** 3 * m_cube)
-
     return SecondVariationProblem(
-        horizon=extremal.horizon, n=n, m=m, R=chart.R,
-        coefficients=coefficients, jacobi=jacobi, e_mat=e_mat)
+        horizon=extremal.horizon, n=n, m=m, R=r, e_mat=e_mat, ad=ad, z0=z0,
+        rows=rows, c=c, lam=lam,
+        flow_rows=np.stack([m_gen, m_sq, m_sq @ m_gen])[:, n:, r:])
 
 
 @dataclass
 class GalerkinAssembly:
-    """Dense quadratic form and constraint data for one mesh level."""
+    """Quadratic form, the diagonal of its gram matrix and the endpoint
+    constraint, for one mesh level."""
 
     quad: np.ndarray
     gram: np.ndarray
     constraint: np.ndarray
-    kernel: np.ndarray
-    constraint_rank: int
 
     def value(self, vars_vec: np.ndarray) -> float:
         v = np.asarray(vars_vec, dtype=float)
         return float(v @ self.quad @ v)
 
 
-def _gauss_points(a, b):
-    """3-point Gauss nodes and weights on [a, b], broadcast over arrays."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * GAUSS_NODES, half * GAUSS_WEIGHTS
-
-
 def galerkin_assemble(problem: SecondVariationProblem,
                       k_pieces: int) -> GalerkinAssembly:
-    """Assemble the quadratic form on (initial variation, piecewise-const w).
+    """Assemble the quadratic form on the initial variation eps and a
+    piecewise-constant w exactly, in the moving frame zeta~ = T(t)^-1 zeta.
 
-    The initial variation ranges over the R controlled directions e_mat.
-    The end is fixed, with no free directions: the constraint is the map
-    to zeta(T), and the kernel spans its null space. The coefficients
-    come from one evaluation at the 3K outer Gauss nodes and the 9K inner
-    ones, the nodes of the integral of Z from the left edge of a piece to
-    each of its outer nodes.
+    There zeta~' = -ad zeta~ + z0 w, zeta~(0) = e_mat eps, and the cross
+    term w^T a zeta = zeta'^T rows zeta splits into the boundary term
+    1/2 [zeta^T rows_s zeta]_0^H of rows_s = (rows + rows^T)/2 and
+    1/2 w^T z0^T D zeta~ (T^T D T = D), so J'' = int 1/2 w^T C w +
+    1/2 w^T z0^T D zeta~ dt + 1/2 [zeta^T rows_s zeta]_0^H has constant
+    coefficients. With h = H/K, E = e^{-h ad}, F = int_0^h e^{-s ad} ds and
+    G = int_0^h F(s) ds, piece k starts at zeta~_k = E^k e_mat eps +
+    sum_{j<k} E^{k-1-j} F z0 w_j, and adds 1/2 h w_k^T C w_k +
+    1/2 w_k^T z0^T D (F zeta~_k + G z0 w_k). So block (k, j < k) of the w
+    part is 1/2 z0^T D F E^{k-1-j} F z0, lower-block-Toeplitz. The
+    constraint is zeta~(H) = 0, and there the boundary term at H vanishes,
+    so it is left out: `value` is J'' on the constraint set. The E^k come
+    from one stacked `plane_exp`; F and G are series in h ad (ad^3 =
+    lam ad).
     """
-    n, m, n_init = problem.n, problem.m, problem.R
-    dim = n_init + m * k_pieces
-    edges = np.linspace(0.0, problem.horizon, k_pieces + 1)
-    h = edges[1] - edges[0]
-    tg, wg = _gauss_points(edges[:-1, None], edges[1:, None])       # (K, 3)
-    tg2, wg2 = _gauss_points(edges[:-1, None, None], tg[..., None])  # (K, 3, 3)
-    z, c_t, a_t = problem.coefficients(np.concatenate([tg.ravel(),
-                                                       tg2.ravel()]))
-    outer = tg.size
-    shape = (k_pieces, 3)
-    z_inner = z[outer:].reshape(shape + (3, n, m))
-    z = z[:outer].reshape(shape + (n, m))
-    c_t = c_t[:outer].reshape(shape + (m, m))
-    a_t = a_t[:outer].reshape(shape + (m, n))
-
-    g_int = np.einsum("kq,kqij->kij", wg, z)     # per-piece integrals of Z
-    # the integral of Z from the left edge of piece k to its node q
-    z_head = np.einsum("kqr,kqrij->kqij", wg2, z_inner)
-    a_w = np.einsum("kq,kqij->kij", wg, a_t)
-    # zeta at a node of piece k is e_mat eps + the integrals of Z over the
-    # earlier pieces + z_head on piece k; block row k is the weighted sum
-    # over the nodes of 0.5 C on piece k plus a times that map
-    blocks = np.einsum("kin,jnl->kijl", a_w, g_int)
-    blocks *= np.tri(k_pieces, k=-1)[:, None, :, None]
+    n, m, r = problem.n, problem.m, problem.R
+    h = problem.horizon / k_pieces
+    ad, z0, rows, e_mat = problem.ad, problem.z0, problem.rows, problem.e_mat
+    ad_sq, eye = ad @ ad, np.eye(n)
+    _, s2, s3, s4 = plane_series(problem.lam * h * h, tails=True)
+    f = h * eye - h ** 2 * s2 * ad + h ** 3 * s3 * ad_sq
+    g = 0.5 * h ** 2 * eye - h ** 3 * s3 * ad + h ** 4 * s4 * ad_sq
+    powers = problem.transport(-h * np.arange(k_pieces + 1))   # E^k
+    left = 0.5 * z0.T @ (rows - rows.T)
+    steps = powers[:-1] @ (f @ z0)              # E^l F z0, l = 0 .. K-1
+    # block (k, j) of the w part is table[k - j], and zero above k = j
+    table = np.concatenate([[0.5 * h * problem.c + left @ g @ z0],
+                            (left @ f @ steps)[:-1], np.zeros((1, m, m))])
     pieces = np.arange(k_pieces)
-    blocks[pieces, :, pieces] = np.einsum("kq,kqij->kij", wg,
-                                          0.5 * c_t + a_t @ z_head)
+    blocks = table[np.maximum(np.subtract.outer(pieces, pieces), -1)]
+    dim = r + m * k_pieces
     quad_raw = np.zeros((dim, dim))
-    quad_raw[n_init:, :n_init] = (a_w @ problem.e_mat).reshape(-1, n_init)
-    quad_raw[n_init:, n_init:] = blocks.reshape(dim - n_init, dim - n_init)
-    quad = 0.5 * (quad_raw + quad_raw.T)
+    quad_raw[:r, :r] = -0.25 * e_mat.T @ (rows + rows.T) @ e_mat
+    quad_raw[r:, :r] = (left @ f @ powers[:-1] @ e_mat).reshape(-1, r)
+    quad_raw[r:, r:] = blocks.transpose(0, 2, 1, 3).reshape(dim - r, dim - r)
+    constraint = np.hstack([powers[-1] @ e_mat,
+                            steps[::-1].transpose(1, 0, 2).reshape(n, -1)])
+    gram = np.concatenate([np.ones(r), np.full(dim - r, h)])
+    return GalerkinAssembly(0.5 * (quad_raw + quad_raw.T), gram, constraint)
 
-    gram = np.diag(np.concatenate([np.ones(n_init),
-                                   np.full(dim - n_init, h)]))
 
-    # zeta(T) as a linear map of the variables
-    constraint = np.hstack([problem.e_mat,
-                            g_int.transpose(1, 0, 2).reshape(n, -1)])
-    _, s_c, vt_c = np.linalg.svd(constraint)
-    c_rank = int(np.sum(s_c > 1e-10 * s_c[0]))
-    kernel = vt_c[c_rank:].T
-    return GalerkinAssembly(quad, gram, constraint, kernel, c_rank)
+def _constrained_minimum(asm: GalerkinAssembly) -> tuple[float, int]:
+    """Least eigenvalue of the form on the constraint's null space, in the
+    gram inner product, and the constraint's rank. Scaled by gram^-1/2 the
+    gram matrix is I; the rank comes from a thin SVD of the scaled
+    constraint, and the Householder reflectors of its row space, applied to
+    both sides of the scaled form, leave the null space as the trailing
+    block, one standard symmetric eigenproblem."""
+    scale = 1.0 / np.sqrt(asm.gram)
+    _, sing, vt = np.linalg.svd(asm.constraint * scale, full_matrices=False)
+    rank = int(np.sum(sing > 1e-10 * sing[0]))
+    (refl, tau), _ = qr(vt[:rank].T, mode="raw")
+    quad = asm.quad * np.outer(scale, scale)
+    for side, trans in (("L", "T"), ("R", "N")):
+        quad = dormqr(side, trans, refl, tau, quad, scale.size)[0]
+    return float(eigh(quad[rank:, rank:], eigvals_only=True,
+                      subset_by_index=[0, 0])[0]), rank
 
 
 @dataclass
@@ -298,34 +313,35 @@ def coercivity_floor(problem: SecondVariationProblem) -> float:
 
 def galerkin_coercivity(problem: SecondVariationProblem,
                         k_pieces: int) -> CoercivityReport:
-    """Galerkin eigenvalue decision on the constrained quadratic form."""
+    """Galerkin eigenvalue decision on the constrained quadratic form, at
+    K, 2K and 4K pieces: coercive when every level's margin is at least
+    the floor and the last is at least half the first. Otherwise the
+    report's reason names the first of these inequalities that fails."""
     if k_pieces < 4:
         raise ValueError("need at least 4 Galerkin pieces")
     floor = coercivity_floor(problem)
     refinements = []
-    margins = []
     for level in (k_pieces, 2 * k_pieces, 4 * k_pieces):
-        asm = galerkin_assemble(problem, level)
-        v = asm.kernel
-        if v.shape[1] == 0:
-            margins.append(np.inf)
-            refinements.append({"K": level, "margin": np.inf,
-                                "constraint_rank": asm.constraint_rank})
-            continue
-        q_r = v.T @ asm.quad @ v
-        g_r = v.T @ asm.gram @ v
-        eigs = eigh(q_r, g_r, eigvals_only=True)
-        margins.append(float(eigs[0]))
-        refinements.append({"K": level, "margin": float(eigs[0]),
-                            "constraint_rank": asm.constraint_rank})
-    ok = all(mg >= floor for mg in margins)
-    if ok and np.isfinite(margins[0]):
-        ok = margins[-1] >= 0.5 * margins[0]
+        margin, rank = _constrained_minimum(galerkin_assemble(problem, level))
+        refinements.append({"K": level, "margin": margin,
+                            "constraint_rank": rank})
+    first, last = refinements[0], refinements[-1]
+    metadata = {"floor": float(floor)}
+    low = [lv for lv in refinements if not lv["margin"] >= floor]
+    if low:
+        metadata["reason"] = (
+            f"the margin {low[0]['margin']:.6g} at K = {low[0]['K']} is "
+            f"under the floor {floor:.6g}")
+    elif not last["margin"] >= 0.5 * first["margin"]:
+        metadata["reason"] = (
+            f"the margins do not settle: {last['margin']:.6g} at "
+            f"K = {last['K']} is under half the {first['margin']:.6g} at "
+            f"K = {first['K']}")
     return CoercivityReport(
         method="galerkin",
-        verdict="coercive" if ok else "not coercive",
-        margin=float(margins[-1]), refinements=refinements,
-        metadata={"floor": float(floor)})
+        verdict="not coercive" if "reason" in metadata else "coercive",
+        margin=float(last["margin"]), refinements=refinements,
+        metadata=metadata)
 
 
 def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
@@ -335,8 +351,9 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
 
     The Jacobi system is linear, so the flow from (Omega, X) = (-rho P, I),
     P the projection onto coordinates R..n-1, is X_rho = X_I + rho X_P:
-    X_I = Phi[n:, n:] and X_P = -Phi[n:, :n] P, read from the closed form
-    Phi = e^{t Gamma} e^{t M} of `problem.jacobi` (see assemble_lq).
+    X_I = Phi[n:, n:] and X_P = -Phi[n:, :n] P, read from the base rows
+    Phi[n:, R:] of the closed form Phi = e^{t Gamma} e^{t M}
+    (`problem.base_rows`).
     Columns :R of X_P are 0, so one stacked complete QR of X_I[:, :R] =
     Q R1 per time gives det X_rho = det Q prod diag R1 det(Q2^T (X_I +
     rho X_P)[:, R:]), Q2 = Q[:, R:]: the rho sweep takes (n - R) x (n - R)
@@ -349,8 +366,8 @@ def conjugate_point_trace(problem: SecondVariationProblem, rho_grid,
     # an overflowed det is a non-finite entry, which conjugate_point_test
     # refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = problem.jacobi(grid)
-        x_i, x_p = phi[:, n:, n:], -phi[:, n:, r:n]
+        base = problem.base_rows(grid)
+        x_i, x_p = base[:, :, n - r:], -base[:, :, :n - r]
         q, r1 = np.linalg.qr(x_i[:, :, :r], mode="complete")
         head = np.linalg.det(q) * np.prod(
             np.diagonal(r1, axis1=-2, axis2=-1), axis=-1)
@@ -420,11 +437,12 @@ def iota_equivalence_check(problem: SecondVariationProblem,
         omega = rng.standard_normal(problem.n)
         delta_x = rng.standard_normal(problem.n)
         h_val = lq_hamiltonian(problem, t, omega, delta_x)
-        m_t, m_t_inv = extremal.q[idx], reference_flow(system, [-t])[0]
+        m_t = extremal.q[idx]
 
         def g_second(step):
             vals = [geom.chi(coadjoint_transport(chart.covector_from_chart(
-                        s * delta_x, chart.p_hat - s * omega), m_t, m_t_inv))
+                        s * delta_x, chart.p_hat - s * omega), m_t,
+                        system.inverse(m_t)))
                     for s in (step, -step)]
             base = geom.chi(extremal.p[idx])
             return 0.5 * (vals[0] - 2.0 * base + vals[1]) / step ** 2

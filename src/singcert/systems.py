@@ -135,6 +135,20 @@ class MatrixGroupSystem:
         res = np.max(np.abs(forms - np.diag(k)), axis=(0, -2, -1))
         return res if self.epsilon else np.maximum(res, abs(g[..., 0, 0] - 1))
 
+    def inverse(self, g: np.ndarray) -> np.ndarray:
+        """Inverse of a group element, or of each member of a (..., d, d)
+        stack, in closed form: K g^T K (K = diag(eps, 1, ..., 1)) on
+        SO(N+1) and SO(1, N), and [[1, 0], [-R^T b, R^T]] for
+        g = [[1, 0], [b, R]] on SE(N)."""
+        gt = np.swapaxes(g, -1, -2)
+        if self.epsilon:
+            k = np.array([self.epsilon] + [1.0] * (g.shape[-1] - 1))
+            return k[:, None] * gt * k
+        out = gt.copy()
+        out[..., 0, 1:] = 0.0
+        out[..., 1:, 0] = -(gt[..., 1:, 1:] @ g[..., 1:, :1])[..., 0]
+        return out
+
     def project_to_group(self, g: np.ndarray) -> np.ndarray:
         """Project a near-group matrix, or a (..., d, d) stack, onto the group
         by Newton's generalized polar iteration x <- x + P (K x^-T K - x) P / 2:

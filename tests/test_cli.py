@@ -492,8 +492,11 @@ def test_long_hyperbolic_jacobi_flow_is_coercive_without_warnings(
         tmp_path, capsys):
     """At H = 30 the closed-form Jacobi flow stays finite: the
     conjugate-point test says coercive with margin 1 at rho 2^-6, beside a
-    Galerkin form lost to roundoff, so the deciders disagree; the run is
-    not certified, with exit status 2 and nothing on stderr."""
+    Galerkin form lost to roundoff: its endpoint constraint carries
+    e^{-H ad}, whose entries reach e^30, and its margins sit at roundoff
+    size under the floor, which its reason names. So the deciders
+    disagree; the run is not certified, with exit status 2 and nothing on
+    stderr."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
@@ -510,10 +513,37 @@ def test_long_hyperbolic_jacobi_flow_is_coercive_without_warnings(
     assert conj["verdict"] == "coercive"
     assert conj["margin"] == 1.0 and conj["rho"] == 2.0 ** -6
     assert "reason" not in conj
-    assert gal["verdict"] == "not coercive" and gal["margin"] < -1e6
+    assert gal["verdict"] == "not coercive" and abs(gal["margin"]) < 1e-9
+    assert gal["reason"].startswith("the margin ")
+    assert gal["reason"].endswith(
+        f" at K = 16 is under the floor {gal['floor']:.6g}")
     assert not stage["verdicts_agree"]
     assert stage["reason"].startswith("the deciders disagree: Galerkin says "
                                       "not coercive")
+
+
+@pytest.mark.parametrize("horizon", [15.0, 20.0])
+def test_long_hyperbolic_arcs_are_coercive_by_both_deciders(horizon):
+    """At H = 15 and 20 the exact moving-frame Galerkin form settles
+    (H^2 times each level is 1.2 to 1.4, over the floor) and agrees with the
+    conjugate-point test: a coercivity-only run says checks passed, not
+    certified, with no warning and no reason. The Gauss-quadrature form
+    these arcs had before lost its levels to roundoff and failed the
+    settle test, so the verdict was not certified: an arithmetic fix, with
+    no floor or tolerance moved."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = json.loads(emit(run_check({
+            "system": {"kind": "dubins", "space_form": "hyperbolic", "N": 3},
+            "horizon": horizon, "checks": ["coercivity"]})))
+    stage = report["stages"]["coercivity"]
+    gal, conj = stage["galerkin"], stage["conjugate_point"]
+    assert report["verdict"] == "checks passed, not certified"
+    assert gal["verdict"] == conj["verdict"] == "coercive"
+    assert stage["verdicts_agree"] and "reason" not in stage
+    assert "reason" not in gal
+    margins = [level["margin"] for level in gal["refinements"]]
+    assert all(1.0 < mg * horizon ** 2 < 1.5 for mg in margins)
 
 
 def test_overflowing_jacobi_flow_is_not_coercive_without_warnings():

@@ -59,7 +59,8 @@ def test_reference_flow_sphere_orthogonal():
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
 def test_adjoint_trajectory_matches_each_point_alone(space):
     """The stacked exponential and transport are the per-point ones, bit
-    for bit."""
+    for bit, and the closed-form inverse transports as expm(-t A0) does,
+    to rounding."""
     system = build_dubins_system(space, 4)
     p0 = dubins_initial_covector(system)
     grid = np.linspace(0.0, 1.0, 41)
@@ -68,7 +69,9 @@ def test_adjoint_trajectory_matches_each_point_alone(space):
     for t, q, p in zip(grid, traj.q, traj.p):
         m = expm(t * system.drift)
         assert np.array_equal(q, m)
-        assert np.array_equal(p, m.T @ p0 @ expm(-t * system.drift).T)
+        assert np.array_equal(p, m.T @ p0 @ system.inverse(m).T)
+        assert np.max(np.abs(p - m.T @ p0 @ expm(-t * system.drift).T)) \
+            <= 1e-15 * np.max(np.abs(p))
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from singcert import secondvar
 from singcert.algebra import commutator, pairing
 from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (adjoint_trajectory, dubins_initial_covector,
@@ -43,32 +45,26 @@ def lq(setup):
     return assemble_lq(sys_, traj, chart)
 
 
-def synthetic_lq(a1: float, c_val: float = 1.0) -> SecondVariationProblem:
+def synthetic_lq(a1: float, c_val: float = 1.0,
+                 horizon: float = 1.0) -> SecondVariationProblem:
     """Minimal LQ family: one control, two states, flat direction at a1 = 1.
 
     The initial variation enters along the same direction the control
     integrates, so coercivity on the constrained space fails for a1 > 1
-    while the fixed-initial-condition form stays positive. The data are
-    constant, so the Jacobi flow is scipy's expm of the constant
-    generator U W.
+    while the fixed-initial-condition form stays positive. Its tables are
+    ad = 0 (the data are constant), z0 = e_1 and rows = [[a1, 0], [0, 0]],
+    so a = z0^T rows = (a1, 0). Gamma = 0, so the Jacobi flow is e^{t M}
+    with M = U W, and M^2 = 0.
     """
-    n, m, r = 2, 1, 1
-    z = np.array([[1.0], [0.0]])
-    a = np.array([[a1, 0.0]])
+    z0 = np.array([[1.0], [0.0]])
+    rows = np.array([[a1, 0.0], [0.0, 0.0]])
     c = np.array([[c_val]])
-    e_mat = np.array([[1.0], [0.0]])
-    generator = np.vstack([-a.T, z]) @ np.linalg.inv(-c) @ np.hstack([z.T, a])
-
-    def coefficients(ts):
-        count = (np.size(ts),)
-        return tuple(np.broadcast_to(x, count + x.shape) for x in (z, c, a))
-
-    def jacobi(ts):
-        return expm(np.asarray(ts, dtype=float)[:, None, None] * generator)
-
+    a = z0.T @ rows
+    gen = np.vstack([-a.T, z0]) @ np.linalg.inv(-c) @ np.hstack([z0.T, a])
     return SecondVariationProblem(
-        horizon=1.0, n=n, m=m, R=r, coefficients=coefficients, jacobi=jacobi,
-        e_mat=e_mat)
+        horizon=horizon, n=2, m=1, R=1, e_mat=np.array([[1.0], [0.0]]),
+        ad=np.zeros((2, 2)), z0=z0, rows=rows, c=c, lam=0.0,
+        flow_rows=np.stack([gen, gen @ gen, gen @ gen @ gen])[:, 2:, 1:])
 
 
 def test_chart_jacobian_matches_fd(setup):
@@ -181,57 +177,59 @@ def test_stacked_coefficients_match_scalar_views(space, n_dim):
         assert np.array_equal(a[k], lq.a_fn(t))
 
 
-def direct_galerkin_assemble(problem, k_pieces):
-    """The quadratic form and the endpoint constraint by a loop over the
-    Gauss nodes, one scalar-view evaluation per node."""
-    def gauss(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return (mid + half * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]),
-                half * np.array([5.0, 8.0, 5.0]) / 9.0)
+def ivp_form_values(problem, eps, w):
+    """J'' = int_0^H 1/2 w^T C w + w^T a zeta dt with zeta' = Z w and
+    zeta(0) = e_mat eps, the integral of the integrand's magnitude, and
+    zeta(H), in the original frame: solve_ivp (DOP853, rtol 1e-13) piece
+    by piece, for a stack of S variations eps (S, R) and piecewise-constant
+    w (S, K, m) at once."""
+    n, count = problem.n, len(eps)
+    edges = np.linspace(0.0, problem.horizon, w.shape[1] + 1)
+    y = np.concatenate([eps @ problem.e_mat.T, np.zeros((count, 2))], axis=1)
+    for k in range(w.shape[1]):
+        wk = w[:, k]
 
-    n, m, n_init = problem.n, problem.m, problem.R
-    dim = n_init + m * k_pieces
-    edges = np.linspace(0.0, problem.horizon, k_pieces + 1)
+        def rhs(t, flat, wk=wk):
+            z, c, a = (x[0] for x in problem.coefficients(np.array([t])))
+            zeta = flat.reshape(count, n + 2)[:, :n]
+            cost = 0.5 * np.einsum("si,ij,sj->s", wk, c, wk) + \
+                np.einsum("si,ij,sj->s", wk, a, zeta)
+            return np.concatenate([wk @ z.T, cost[:, None],
+                                   np.abs(cost)[:, None]], axis=1).ravel()
 
-    def w_slice(k):
-        return slice(n_init + m * k, n_init + m * (k + 1))
-
-    quad_raw = np.zeros((dim, dim))
-    zeta_prefix = np.zeros((n, dim))
-    zeta_prefix[:, :n_init] = problem.e_mat
-    for k in range(k_pieces):
-        g_int = np.zeros((n, m))
-        for t, wgt in zip(*gauss(edges[k], edges[k + 1])):
-            g_int += wgt * problem.z_fn(t)
-            zeta_map = zeta_prefix.copy()
-            for t2, wgt2 in zip(*gauss(edges[k], t)):
-                zeta_map[:, w_slice(k)] += wgt2 * problem.z_fn(t2)
-            block = problem.a_fn(t) @ zeta_map
-            block[:, w_slice(k)] += 0.5 * problem.c_fn(t)
-            quad_raw[w_slice(k), :] += wgt * block
-        zeta_prefix[:, w_slice(k)] += g_int
-    return 0.5 * (quad_raw + quad_raw.T), zeta_prefix
+        y = solve_ivp(rhs, edges[k:k + 2], y.ravel(), method="DOP853",
+                      rtol=1e-13, atol=1e-15).y[:, -1].reshape(count, n + 2)
+    return y[:, n], y[:, n + 1], y[:, :n]
 
 
 @pytest.mark.parametrize("case", [("euclidean", 3), ("euclidean", 4),
                                   ("sphere", 3), ("sphere", 4),
                                   ("hyperbolic", 3), ("hyperbolic", 4),
                                   "synthetic"])
-def test_galerkin_assembly_matches_node_loop(case):
-    """The einsum assembly gives the per-node loop's form and constraint."""
-    prob = synthetic_lq(0.5) if case == "synthetic" else dubins_lq(*case, 1.0)
-    asm = galerkin_assemble(prob, 8)
-    quad, constraint = direct_galerkin_assemble(prob, 8)
-    assert np.max(np.abs(asm.quad - quad)) <= 1e-12 * np.max(np.abs(quad))
-    assert np.max(np.abs(asm.constraint - constraint)) <= \
-        1e-12 * np.max(np.abs(constraint))
-    h = prob.horizon / 8
-    assert np.array_equal(np.diag(asm.gram),
-                          [1.0] * prob.R + [h] * (asm.gram.shape[0] - prob.R))
-    assert np.count_nonzero(asm.gram - np.diag(np.diag(asm.gram))) == 0
-    # the kernel spans the null space of the constraint
-    assert np.max(np.abs(asm.constraint @ asm.kernel)) <= 1e-12
-    assert asm.kernel.shape[1] == asm.quad.shape[0] - asm.constraint_rank
+def test_galerkin_form_matches_ivp_oracle(case):
+    """On random (eps, w) with zeta(H) = 0 the exact moving-frame form is
+    J'' of the original frame, at H = 1 and 5, to 1e-12 relative to the
+    integral of the integrand's magnitude. The oracle sums that integrand,
+    which on the hyperbolic form at H = 5 cancels down to about a
+    thousandth of it, so the oracle's own error scales with that integral,
+    not with |J''|. The gram matrix is diag(1, .., 1, h, .., h)."""
+    rng = np.random.default_rng(36)
+    for horizon in (1.0, 5.0):
+        prob = synthetic_lq(0.5, horizon=horizon) if case == "synthetic" \
+            else dubins_lq(*case, horizon)
+        k_pieces, r = 8, prob.R
+        asm = galerkin_assemble(prob, k_pieces)
+        assert np.array_equal(asm.gram, [1.0] * r + [horizon / k_pieces]
+                              * (asm.gram.size - r))
+        _, sing, vt = np.linalg.svd(asm.constraint)
+        kernel = vt[int(np.sum(sing > 1e-10 * sing[0])):].T
+        v = rng.standard_normal((3, kernel.shape[1])) @ kernel.T
+        want, scale, zeta_end = ivp_form_values(
+            prob, v[:, :r], v[:, r:].reshape(3, k_pieces, -1))
+        assert np.max(np.abs(zeta_end)) <= 1e-10 * np.max(np.abs(v))
+        got = np.array([asm.value(x) for x in v])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), \
+            (case, horizon, got, want)
 
 
 def test_lq_data_dubins(lq, setup):
@@ -260,6 +258,46 @@ def test_j_equals_half_norm_on_constrained_space(lq):
         v = np.concatenate([np.zeros(lq.R), w.ravel()])
         expect = 0.5 * h * np.sum(w ** 2)
         assert asm.value(v) == pytest.approx(expect, abs=1e-10)
+
+
+def test_long_hyperbolic_galerkin_level_matches_mpmath():
+    """The K = 16 level at hyperbolic N = 3, H = 15 is the 60-digit value
+    0.00588873777289651.. to 1e-8 relative.
+
+    That value came from mpmath (not a dependency) at mp.dps = 60: the
+    exact tables of assemble_lq, rounded to their integers (ad, z0 =
+    ad[:, :m], rows, C = I, e_mat = I[:, :R]); E, F and G as the top block
+    row of mp.expm(h [[-ad, I, 0], [0, 0, I], [0, 0, 0]]), h = H/16; the
+    form and constraint assembled block by block as galerkin_assemble
+    describes, with E^k as powers of E; and the least eigenvalue, by
+    mp.eigsy, of the gram-scaled form on the null space of the scaled
+    constraint from mp.svd_r (rank 5).
+    """
+    report = galerkin_coercivity(dubins_lq("hyperbolic", 3, 15.0), 16)
+    level = report.refinements[0]
+    assert level["K"] == 16 and level["constraint_rank"] == 5
+    assert level["margin"] == pytest.approx(0.0058887377728965113, rel=1e-8)
+
+
+def test_galerkin_reason_names_the_failed_inequality(monkeypatch):
+    """A not-coercive Galerkin report names the first inequality that
+    failed, with its value and threshold: a level under the floor, or
+    else the settle test (the last level under half the first); a
+    coercive report has no reason."""
+    low = galerkin_coercivity(synthetic_lq(1.05), 16)
+    assert not low.coercive
+    assert low.metadata["reason"] == (
+        f"the margin {low.refinements[0]['margin']:.6g} at K = 16 is under "
+        f"the floor {low.metadata['floor']:.6g}")
+    assert "reason" not in galerkin_coercivity(synthetic_lq(0.5), 16).metadata
+    levels = iter([(0.4, 1), (0.3, 1), (0.19, 1)])
+    monkeypatch.setattr(secondvar, "_constrained_minimum",
+                        lambda asm: next(levels))
+    unsettled = galerkin_coercivity(synthetic_lq(0.5), 8)
+    assert not unsettled.coercive and unsettled.margin == 0.19
+    assert unsettled.metadata["reason"] == (
+        "the margins do not settle: 0.19 at K = 32 is under half the 0.4 "
+        "at K = 8")
 
 
 def test_galerkin_dubins_margin_half(lq):
@@ -361,14 +399,16 @@ def rk4_jacobi(problem, grid):
 @pytest.mark.parametrize("n_dim", [4, 5])
 @pytest.mark.parametrize("horizon", [1.0, 5.0])
 def test_closed_form_jacobi_flow_matches_rk4(space, n_dim, horizon):
-    """Phi(t) = e^{t Gamma} e^{t M} is the flow of the Jacobi system: it
-    agrees with RK4 on 1,600 steps to 1e-10 relative at every step."""
+    """Phi(t) = e^{t Gamma} e^{t M} is the flow of the Jacobi system: its
+    base rows n: and columns R:, all the conjugate-point test reads, agree
+    with RK4 on 1,600 steps to 1e-10 relative at every step."""
     prob = dubins_lq(space, n_dim, horizon)
+    n, r = prob.n, prob.R
     grid = np.linspace(0.0, horizon, 1601)
-    want = rk4_jacobi(prob, grid)
-    got = prob.jacobi(grid)
-    assert got.shape == (grid.size, 2 * prob.n, 2 * prob.n)
-    assert np.array_equal(got[0], np.eye(2 * prob.n))
+    want = rk4_jacobi(prob, grid)[:, n:, r:]
+    got = prob.base_rows(grid)
+    assert got.shape == (grid.size, n, 2 * n - r)
+    assert np.array_equal(got[0], np.eye(2 * n)[n:, r:])
     scale = np.max(np.abs(want), axis=(1, 2))
     assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-10 * scale)
 

@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from singcert.algebra import commutator, jacobi_residual, numerical_rank
 from singcert.chart import dubins_adapted_chart
-from singcert.extremal import verify_structure_properties
+from singcert.extremal import reference_flow, verify_structure_properties
 from singcert.systems import ProjectionError, SpaceForm, build_dubins_system
 
 SPACES = [SpaceForm.EUCLIDEAN, SpaceForm.SPHERE, SpaceForm.HYPERBOLIC]
@@ -256,3 +257,28 @@ def test_bracket_tables_follow_a_replaced_drift(space):
     assert_tables_equal_words(bent)
     assert not np.array_equal(bent.drift_brackets, sys_.drift_brackets)
     assert np.array_equal(bent.pair_brackets, sys_.pair_brackets)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_inverse_is_the_group_inverse(space, N):
+    """inverse(q) q = I for q on the reference arc and on the flows of six
+    random constant controls, at t = 0, 1, .., 5, once projected onto the
+    group: to 2 (d+1)^2 u max(1, max|q|)^2. On the curved forms
+    inverse(q) q - I = K (q^T K q - K), the second form of the group
+    residual, which project_to_group leaves under half that, and the
+    product's rounding takes less than the other half; on SE(N) the
+    rotation block is the same and the translation column is rounding."""
+    system = build_dubins_system(space, N)
+    d = system.d
+    rng = np.random.default_rng(N)
+    gens = system.drift + np.tensordot(rng.uniform(-1.0, 1.0, (6, system.m)),
+                                       np.array(system.controlled), 1)
+    ts = np.linspace(0.0, 5.0, 6)
+    q = system.project_to_group(np.concatenate([
+        reference_flow(system, ts),
+        expm(ts[:, None, None, None] * gens).reshape(-1, d, d)]))
+    err = np.max(np.abs(system.inverse(q) @ q - np.eye(d)), axis=(1, 2))
+    bound = 2 * (d + 1) ** 2 * np.finfo(float).eps / 2 * np.maximum(
+        1.0, np.max(np.abs(q), axis=(1, 2))) ** 2
+    assert np.all(err <= bound)
