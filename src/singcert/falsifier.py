@@ -16,6 +16,7 @@ states are scored one by one; after the window its distance to the
 reference is read from log Y through the conjugation by ref(t), a linear
 map tabled once per sweep. The graph distance of the windows and bands
 reads each state's third-order log head and its certified bound first.
+Group elements are inverted in closed form (`MatrixGroupSystem.inverse`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 
 from .chart import GroupChart
 from .extremal import ExtremalTrajectory, reference_flow, require_finite
-from .numerics import log_head, plane_exp, time_grid, write_csv
+from .numerics import log_head, plane_exp, plane_series, time_grid, write_csv
 # the tracer in bench/ times the shared log under this name
 from .numerics import series_log as _quick_log
-from .systems import MatrixGroupSystem
+from .systems import MatrixGroupSystem, ProjectionError
 
 # cos/sin mode pairs of a band-limited competitor
 _BAND_MODES = 4
@@ -55,12 +56,13 @@ class NeedleVariation:
     The overlay compresses a piecewise-constant word control (R pieces
     realizing exp(t_R f_{i_R}) o ... o exp(t_1 f_1), then the reversal of
     the base word) into the window [s_bar, s_bar + 2 eps^2], with
-    amplitude scaled by 1/eps.
+    amplitude scaled by 1/eps. With (S,) s_bar and eps and (S, R) t_vec it
+    is a stack of needles sharing t_bar, as the sweep holds them.
     """
 
-    s_bar: float
+    s_bar: np.ndarray
     t_vec: np.ndarray
-    eps: float
+    eps: np.ndarray
     t_bar: np.ndarray
     channels: tuple
     m: int
@@ -87,18 +89,20 @@ class NeedleVariation:
         return self.overlay_base(local / self.eps ** 2) / self.eps
 
 
-def needle_variation(s_bar: float, t_vec, eps: float, horizon: float, m: int,
+def needle_variation(s_bar, t_vec, eps, horizon: float, m: int,
                      t_bar=None) -> NeedleVariation:
-    """Build a needle variation; the window must fit inside the horizon."""
+    """Build a needle variation, or a stack of them; every window must fit
+    inside the horizon."""
+    s_bar, eps = np.asarray(s_bar, dtype=float), np.asarray(eps, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
     if t_bar is None:
         t_bar = t_vec.copy()
     else:
         t_bar = np.asarray(t_bar, dtype=float)
-    if s_bar + 2.0 * eps ** 2 > horizon + 1e-12:
+    if np.any(s_bar + 2.0 * eps ** 2 > horizon + 1e-12):
         raise ValueError("needle window exceeds the horizon")
-    return NeedleVariation(float(s_bar), t_vec, float(eps), t_bar,
-                           tuple(k % m for k in range(t_vec.size)), m)
+    return NeedleVariation(s_bar, t_vec, eps, t_bar,
+                           tuple(k % m for k in range(t_vec.shape[-1])), m)
 
 
 @dataclass
@@ -132,8 +136,9 @@ class FalsificationReport:
         }
 
 
-def _finite(value) -> float | None:
-    return float(value) if np.isfinite(value) else None
+def _finite(value):
+    """A float, None where not finite; a list of them for an array."""
+    return np.where(np.isfinite(value), value, None).tolist()
 
 
 class TargetSpec:
@@ -148,8 +153,9 @@ class TargetSpec:
     against the rounding d^2 eps of b_pinv summed over the n axes.
     """
 
-    def __init__(self, q_f: np.ndarray, chart: GroupChart):
-        self.q_f_inv = np.linalg.inv(q_f)
+    def __init__(self, system: MatrixGroupSystem, q_f: np.ndarray,
+                 chart: GroupChart):
+        self.q_f_inv = system.inverse(q_f)
         self.R = chart.R
         self.b_pinv = chart.b_pinv
         axes = np.array(chart.frame_algebra)
@@ -214,122 +220,128 @@ class TargetSpec:
         return np.min(np.where(hit, times, np.inf), axis=-1)
 
 
-def graph_distance(rel: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
+def graph_distance(states: np.ndarray, b_pinv: np.ndarray,
+                   ref_inv: np.ndarray) -> np.ndarray:
     """Max over samples of the left-invariant chart distance to the reference.
 
-    ``rel`` is an (S, n, d, d) block of ref(t)^-1 q(t), each member's state
-    relative to the reference at the state's own sample time t. ``b_pinv``
-    maps a flattened algebra element to its chart components at the origin
-    (``GroupChart.b_pinv``). Returns (S,) distances, inf for a member that
-    leaves the log radius LOG_RADIUS of the reference.
+    ``states`` is an (S, n, d, d) block of members sampled at n times each,
+    and ``ref_inv`` the inverse of the reference at those times, (n, d, d)
+    or (S, n, d, d): sample j is scored by ref_inv[j] q, its state relative
+    to the reference at its own time. ``b_pinv`` maps a flattened algebra
+    element to its chart components at the origin (``GroupChart.b_pinv``).
+    Returns (S,) distances, inf for a member that leaves the log radius
+    LOG_RADIUS of the reference.
 
     The log head of each sample (`log_head`) and its bound, times
-    ||b_pinv||_2, bracket the sample's distance. Only the samples whose
-    upper end reaches the member's largest lower end take the exact series
-    log, and the member's distance is their largest: every other sample
-    lies below it. The sweep scores the needles' windows and the bands
-    here; after its window a needle's distance comes from log Y through
-    the conjugation tables of `_score_needles`.
+    ||b_pinv||_2, bracket the sample's distance; they are formed one sample
+    time at a time. Only the samples whose upper end reaches the member's
+    largest lower end take the exact series log, and the member's distance
+    is their largest: every other sample lies below it. The sweep scores
+    the needles' windows and the bands here; after its window a needle's
+    distance comes from log Y through the tables of `_score_needles`.
     """
-    far = np.linalg.norm(rel - np.eye(rel.shape[-1]),
-                         axis=(2, 3)) >= LOG_RADIUS
-    near = ~np.any(far, axis=1)
-    out = np.full(len(rel), np.inf)
-    if np.any(near):
-        rel = rel[near]
-        head, bound = log_head(rel)
-        size = np.linalg.norm(head.reshape(*bound.shape, -1) @ b_pinv.T,
-                              axis=2)
-        reach = np.linalg.norm(b_pinv, 2) * bound
-        member, sample = np.nonzero(
-            size + reach >= np.max(size - reach, axis=1, keepdims=True))
-        x = _quick_log(rel[member, sample]).reshape(len(member), -1)
-        dist = np.full(len(rel), -np.inf)
-        np.maximum.at(dist, member, np.linalg.norm(x @ b_pinv.T, axis=1))
-        out[near] = dist
+    count, n, d = states.shape[:3]
+    size, reach = np.empty((2, n, count))
+    for j in range(n):
+        head, reach[j] = log_head(ref_inv[..., j, :, :] @ states[:, j],
+                                  LOG_RADIUS)
+        size[j] = _column_norms(b_pinv @ head.reshape(count, -1).T)
+    reach *= np.linalg.norm(b_pinv, 2)
+    near = np.all(np.isfinite(reach), axis=0)
+    sample, member = np.nonzero(near & (size + reach >= np.max(size - reach,
+                                                               axis=0)))
+    x = _quick_log(np.broadcast_to(ref_inv, states.shape)[member, sample]
+                   @ states[member, sample]).reshape(len(member), d * d)
+    out = np.full(count, -np.inf)
+    np.maximum.at(out, member, np.linalg.norm(x @ b_pinv.T, axis=1))
+    out[~near] = np.inf
     return out
 
 
-@dataclass(frozen=True)
-class _Competitor:
-    """One sampled competitor: a needle, or a band that plays the cos/sin
-    modes of the horizon with coefficients ``coeff`` (2 _BAND_MODES, m)."""
+def _column_norms(mat: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of a matrix."""
+    return np.sqrt(np.einsum("ij,ij->j", mat, mat))
 
-    family: str
-    seed: list
-    needle: NeedleVariation | None
-    coeff: np.ndarray | None
+
+@dataclass(frozen=True)
+class _Competitors:
+    """The competitors' families and seeds (SeedSequence spawn keys) in draw
+    order, the needles as one stack, and the bands' cos/sin mode
+    coefficients ``coeff`` (B, 2 _BAND_MODES, m)."""
+
+    family: np.ndarray
+    seeds: list
+    needles: NeedleVariation
+    coeff: np.ndarray
 
 
 def _sample_competitors(system: MatrixGroupSystem, t_hat: float,
                         scan_horizon: float, n_samples: int, radius: float,
-                        seed: int) -> list[_Competitor]:
+                        seed: int) -> _Competitors:
     """Draw the competitors in order, needles and bands alternating, each
     from its own SeedSequence child. At radius 0 every competitor is a
     needle of length 0: the reference itself."""
     t_bar = 0.05 * np.ones(system.R)
-    out = []
-    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    is_needle = (np.arange(n_samples) % 2 == 0) | (radius == 0.0)
+    eps, s_bar, noise, coeff = [], [], [], []
+    for child, needle in zip(children, is_needle):
         rng = np.random.default_rng(child)
-        needle = coeff = None
-        if idx % 2 == 0 or radius == 0.0:
-            eps = radius * rng.uniform(0.3, 1.0)
-            s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
-            t_vec = t_bar + 0.3 * t_bar[0] * rng.standard_normal(system.R)
-            needle = needle_variation(s_bar, t_vec, eps, scan_horizon,
-                                      system.m, t_bar=t_bar)
+        if needle:
+            eps.append(radius * rng.uniform(0.3, 1.0))
+            s_bar.append(rng.uniform(0.0, t_hat - 2.0 * eps[-1] ** 2))
+            noise.append(rng.standard_normal(system.R))
         else:
-            coeff = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
-            coeff /= max(1.0, np.linalg.norm(coeff))
-        out.append(_Competitor("band" if needle is None else "needle",
-                               [int(v) for v in child.spawn_key], needle,
-                               coeff))
-    return out
+            band = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
+            coeff.append(band / max(1.0, np.linalg.norm(band)))
+    needles = needle_variation(
+        s_bar, t_bar + 0.3 * t_bar[0] * np.reshape(noise, (-1, system.R)),
+        eps, scan_horizon, system.m, t_bar=t_bar)
+    return _Competitors(
+        np.where(is_needle, "needle", "band"),
+        [list(child.spawn_key) for child in children], needles,
+        np.reshape(coeff, (-1, 2 * _BAND_MODES, system.m)))
 
 
 def _needle_exponentials(system: MatrixGroupSystem,
-                         needles: list[NeedleVariation]) -> np.ndarray:
+                         needles: NeedleVariation) -> np.ndarray:
     """exp(s_bar A0), exp(h A0) and the 2r piece exponentials
-    E_j = exp(h A0 + a_j A_{c_j}) of each needle, h = eps^2 / r the piece
-    length and a_j the control integral over piece j, in the order the
-    overlay plays them: one stacked plane_exp, (S, 2r + 2, d, d). All
-    needles share r and the channel order. Every generator acts on the
-    three coordinates 0, 1 and c_j + 1 only, so it is a single-plane
-    generator and the closed form is exact."""
+    E_j = exp(h A0 + a_j A_{c_j}) of each needle of a stack, h = eps^2 / r
+    the piece length and a_j the control integral over piece j, in the
+    order the overlay plays them: one stacked plane_exp, (S, 2r + 2, d, d).
+    Every generator acts on the three coordinates 0, 1 and c_j + 1 only,
+    so it is a single-plane generator and the closed form is exact."""
     a0 = system.drift
-    channels = list(needles[0].channels) + list(needles[0].channels[::-1])
-    eps = np.array([needle.eps for needle in needles])
-    h = (eps ** 2 / len(needles[0].channels))[:, None, None, None]
-    a = eps[:, None] * np.array([np.concatenate([n.t_vec, -n.t_bar[::-1]])
-                                 for n in needles])
-    s_bar = np.array([needle.s_bar for needle in needles])
+    channels = list(needles.channels) + list(needles.channels[::-1])
+    eps = needles.eps
+    h = (eps ** 2 / len(needles.channels))[:, None, None, None]
+    a = eps[:, None] * np.concatenate([needles.t_vec, np.broadcast_to(
+        -needles.t_bar[..., ::-1], needles.t_vec.shape)], axis=1)
     return plane_exp(np.concatenate([
-        s_bar[:, None, None, None] * a0, h * a0,
+        needles.s_bar[:, None, None, None] * a0, h * a0,
         h * a0 + a[..., None, None] * np.array(system.controlled)[channels]],
         axis=1))
 
 
-def _needle_windows(needles: list[NeedleVariation], exps: np.ndarray,
-                    q0: np.ndarray):
+def _needle_windows(system: MatrixGroupSystem, needles: NeedleVariation,
+                    exps: np.ndarray, q0: np.ndarray):
     """The 2r + 1 piece boundaries s_bar + k h (S, 2r + 1) of each needle's
-    window, its states there q0 exp(s_bar A0) E_1 ... E_k, those relative
-    to the reference q0 exp(s_bar A0) exp(k h A0), and the shift
+    window, its states there q0 exp(s_bar A0) E_1 ... E_k, the inverses of
+    the reference q0 exp(s_bar A0) exp(k h A0) at them, and the shift
     Y = q(t_end) ref(t_end)^-1 (S, d, d): q(t) = Y ref(t) after the window."""
-    s_bar = np.array([needle.s_bar for needle in needles])[:, None]
-    h = np.array([needle.eps ** 2 / len(needle.channels)
-                  for needle in needles])[:, None]
+    h = needles.eps ** 2 / len(needles.channels)
     start = q0 @ exps[:, 0]
     q_win, ref_win = [start], [start]
     for k in range(2, exps.shape[1]):
         q_win.append(q_win[-1] @ exps[:, k])
         ref_win.append(ref_win[-1] @ exps[:, 1])
     q_win = np.stack(q_win, axis=1)
-    ref_win_inv = np.linalg.inv(np.stack(ref_win, axis=1))
-    return (s_bar + h * np.arange(q_win.shape[1]), q_win,
-            ref_win_inv @ q_win, q_win[:, -1] @ ref_win_inv[:, -1])
+    ref_win_inv = system.inverse(np.stack(ref_win, axis=1))
+    return (needles.s_bar[:, None] + h[:, None] * np.arange(q_win.shape[1]),
+            q_win, ref_win_inv, q_win[:, -1] @ ref_win_inv[:, -1])
 
 
-def _score_needles(system: MatrixGroupSystem, needles: list[NeedleVariation],
+def _score_needles(system: MatrixGroupSystem, needles: NeedleVariation,
                    target: TargetSpec, grid: np.ndarray, ref: np.ndarray,
                    ref_inv: np.ndarray, q0: np.ndarray):
     """Arrival times and graph distances (S,) of needles sampled on the
@@ -343,8 +355,8 @@ def _score_needles(system: MatrixGroupSystem, needles: list[NeedleVariation],
     vec(ref(t)^-1 X ref(t)), tabled once, its log-radius test reads
     ||K(t) vec(Y - I)|| and its distance ||b_pinv K(t) vec(log Y)||."""
     d = ref.shape[-1]
-    times, q_win, rel_win, shift = _needle_windows(
-        needles, _needle_exponentials(system, needles), q0)
+    times, q_win, ref_win_inv, shift = _needle_windows(
+        system, needles, _needle_exponentials(system, needles), q0)
     after = grid > times[:, -1:]
     off = (grid < times[:, :1]) | after
 
@@ -363,27 +375,42 @@ def _score_needles(system: MatrixGroupSystem, needles: list[NeedleVariation],
     arrivals = np.minimum(target.arrival_time(times, q_win),
                           np.min(np.where(hit, grid, np.inf), axis=1))
 
-    dists = graph_distance(rel_win, target.b_pinv)
+    dists = graph_distance(q_win, target.b_pinv, ref_win_inv)
     kron = (ref_inv[:, :, None, :, None] * np.swapaxes(ref, 1, 2)[
         :, None, :, None, :]).reshape(len(grid), d * d, d * d)
-    spread = np.linalg.norm(kron @ (shift - np.eye(d)).reshape(-1, d * d).T,
-                            axis=1).T
+    gap = (shift - np.eye(d)).reshape(-1, d * d).T
+    spread = np.array([_column_norms(k @ gap) for k in kron]).T
     near = ~np.any(after & (spread >= LOG_RADIUS), axis=1)
     dists[~near] = np.inf
     if np.any(near):
-        logs = _quick_log(shift[near]).reshape(-1, d * d)
-        size = np.linalg.norm((target.b_pinv @ kron) @ logs.T, axis=1).T
+        logs = _quick_log(shift[near]).reshape(-1, d * d).T
+        size = np.array([_column_norms(k @ logs)
+                         for k in target.b_pinv @ kron]).T
         dists[near] = np.maximum(dists[near], np.max(
             np.where(after[near], size, -np.inf), axis=1))
 
     miss = np.concatenate([np.where(off, grid_miss, np.inf),
                            target.screen(q_win[..., 0])[0]], axis=1)
-    s, j = np.arange(len(needles)), np.argmin(miss, axis=1)
+    s, j = np.arange(len(times)), np.argmin(miss, axis=1)
     g, k = np.minimum(j, grid.size - 1), np.maximum(j - grid.size, 0)
     on_grid = j < grid.size
     return arrivals, dists, (miss[s, j], np.where(
         on_grid, grid[g], times[s, k]), np.where(
         on_grid[:, None, None], off_window(s, g), q_win[s, k]))
+
+
+def _wedges(system: MatrixGroupSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Columns c = x[:, 1] and rows r = x[1, :], (m + 1, d), of the drift and
+    each controlled field x, once the band factors' premise is checked on
+    the system: x = c e1^T + e1 r^T, c_1 = r_1 = 0, as are their sums."""
+    fields = np.concatenate([system.drift[None], np.array(system.controlled)])
+    wedge = np.zeros_like(fields)
+    wedge[:, :, 1], wedge[:, 1, :] = fields[:, :, 1], fields[:, 1, :]
+    if not np.array_equal(fields, wedge) or np.any(fields[:, 1, 1]):
+        raise ValueError(
+            "band factor premise fails: the drift and every controlled "
+            "field must be a wedge c e1^T + e1 r^T with c_1 = r_1 = 0")
+    return fields[:, :, 1], fields[:, 1, :]
 
 
 def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
@@ -393,27 +420,47 @@ def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
     the fourth-order commutator-free Magnus step q <- q exp(h (w1 A(t1) +
     w2 A(t2))) exp(h (w2 A(t1) + w1 A(t2))) at the Gauss nodes t1,2 = t +
     (1/2 -+ r) h, w1,2 = 1/4 +- r, r = sqrt(3)/6 (Blanes & Moan, Appl.
-    Numer. Math. 56, 2006). Each factor is single-plane, so an exact
-    `plane_exp`, formed one step at a time. Also returns the drift off the
-    group, the largest `group_residual` of the last row before
-    `project_to_group` guards it."""
+    Numer. Math. 56, 2006). Each factor is a wedge x = c e1^T + e1 r^T
+    (`_wedges`), x^2 = c r^T + (r.c) e1 e1^T, so its exact exponential
+    I + S1 x + S2 x^2 is formed from c and r, with S1 and S2 of all steps
+    from one `plane_series`. Also returns the drift off the group, the
+    largest `group_residual` of the last row before `project_to_group`
+    guards it; a row it cannot guard raises ProjectionError."""
     h, r = np.diff(grid), np.sqrt(3.0) / 6.0
     nodes = grid[:-1, None] + (0.5 + np.array([-r, r])) * h[:, None]
-    u = np.zeros((*nodes.shape, len(coeff), system.m))
-    for k in range(_BAND_MODES):
-        phase = (2.0 * np.pi * (k + 1) * nodes / t_hat)[..., None, None]
-        u += coeff[:, 2 * k] * np.cos(phase)
-        u += coeff[:, 2 * k + 1] * np.sin(phase)
-    controlled = np.array(system.controlled)
+    phase = 2.0 * np.pi * np.arange(1, _BAND_MODES + 1) * nodes[..., None] \
+        / t_hat
+    # the cos/sin modes at the nodes, and the drift as a constant mode
+    modes = np.concatenate([np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+                            .reshape(*nodes.shape, -1),
+                            np.ones((*nodes.shape, 1))], axis=2)
+    mix = h[:, None, None] * ((0.25 + np.array([[r, -r], [-r, r]])) @ modes)
+    # c and r of each factor: its mode weights times each mode's c and r
+    col, row = (np.tensordot(mix, np.concatenate(
+        [coeff @ vec[1:], np.tile(vec[0], (len(coeff), 1, 1))], axis=1),
+        (2, 1)) for vec in _wedges(system))
+    lam = np.einsum("...i,...i->...", col, row)
+    s1, s2 = plane_series(lam)
+    # S1 x + S2 x^2 = (S2 c + S1 e1) r^T + (S1 c + S2 lam e1) e1^T
+    left = s2[..., None] * col
+    col *= s1[..., None]
+    left[..., 1], col[..., 1] = s1, s2 * lam
+    eye = np.eye(q0.shape[-1])
     out = np.empty((grid.size, len(coeff), *q0.shape))
     out[0] = q = q0
-    weights = 0.25 + np.array([[r, -r], [-r, r]])
-    for k, step in enumerate(h):
-        a = system.drift + np.tensordot(u[k], controlled, 1)
-        factors = plane_exp(step * np.tensordot(weights, a, 1))
+    for k in range(h.size):
+        factors = left[k, ..., None] * row[k, ..., None, :]
+        factors[..., 1] += col[k]
+        factors += eye
         out[k + 1] = q = q @ factors[0] @ factors[1]
     residual = float(np.max(system.group_residual(out[-1])))
-    out[-1] = system.project_to_group(out[-1])
+    try:
+        out[-1] = system.project_to_group(out[-1])
+    except (np.linalg.LinAlgError, ProjectionError) as exc:
+        raise ProjectionError(
+            f"the band flow's last row is {residual:.3g} off the group at "
+            f"horizon {t_hat:g} and cannot be projected back: {exc}"
+        ) from None
     return out, residual
 
 
@@ -426,7 +473,8 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     Unreachable samples are recorded as non-competing; the verdict is
     "refuted" only when an admissible competitor arrives earlier than the
     reference horizon minus the time tolerance. Raises LinAlgError where
-    the arc is not finite.
+    the arc is not finite, and ProjectionError where the band flow cannot
+    be guarded back onto the group.
     """
     require_finite(extremal)
     t_hat = extremal.horizon
@@ -434,10 +482,10 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     scan_horizon = t_hat * (1.0 + HORIZON_PAD)
     grid = np.union1d(time_grid(scan_horizon, dt), [t_hat])
     ref = q0 @ reference_flow(system, grid)
-    ref_inv = np.linalg.inv(ref)
+    ref_inv = system.inverse(ref)
     competitors = _sample_competitors(system, t_hat, scan_horizon,
                                       n_samples, radius, seed)
-    families = np.array([c.family for c in competitors], dtype=str)
+    families = competitors.family
     arrivals = np.full(n_samples, np.inf)
     dists = np.full(n_samples, np.inf)
     # each competitor's smallest miss (TargetSpec.screen), its time, state
@@ -448,17 +496,16 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     if needles.size:
         arrivals[needles], dists[needles], (
             miss[needles], miss_time[needles], miss_state[needles]) = \
-            _score_needles(system, [competitors[i].needle for i in needles],
-                           target, grid, ref, ref_inv, q0)
+            _score_needles(system, competitors.needles, target, grid, ref,
+                           ref_inv, q0)
     bands = np.flatnonzero(families == "band")
     band_residual = None
     if bands.size:
-        flow, band_residual = _band_flow(
-            system, np.array([competitors[i].coeff for i in bands]), t_hat,
-            q0, grid)
+        flow, band_residual = _band_flow(system, competitors.coeff, t_hat,
+                                         q0, grid)
         states = flow.swapaxes(0, 1)
         arrivals[bands] = target.arrival_time(grid, states)
-        dists[bands] = graph_distance(ref_inv @ states, target.b_pinv)
+        dists[bands] = graph_distance(states, target.b_pinv, ref_inv)
         band_miss = target.screen(states[..., :, 0])[0]
         j = np.argmin(band_miss, axis=1)
         b = np.arange(bands.size)
@@ -476,10 +523,11 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                         **{key: int(np.sum(mask & (families == family)))
                            for key, mask in bins.items()}}
                for family in ("needle", "band")}
-    records = [{"sample": idx, "family": comp.family, "seed": comp.seed,
-                "arrival": _finite(arrivals[idx]),
-                "graph_distance": _finite(dists[idx])}
-               for idx, comp in enumerate(competitors)]
+    records = [{"sample": idx, "family": family, "seed": seed_key,
+                "arrival": arrival, "graph_distance": dist}
+               for idx, (family, seed_key, arrival, dist) in enumerate(zip(
+                   families.tolist(), competitors.seeds, _finite(arrivals),
+                   _finite(dists)))]
     min_arrival = float(np.min(arrivals[arrived], initial=np.inf))
     witness = None
     if min_arrival < t_hat - TIME_TOLERANCE:

@@ -23,6 +23,8 @@ exponentiates an X with X^4 = lam X^2, as the Jacobi flow's M is.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = np.finfo(float).eps
@@ -97,9 +99,21 @@ def damped_newton(residual, direction, x: np.ndarray, tol: float,
     return x, r, iters
 
 
-# below this |lam| the Taylor series of S1 .. S4, to lam^3, are exact to
+# below this |lam| the Taylor series of S1 and S2, to lam^3, are exact to
 # roundoff (the first term left out is at most lam^4 / 9! < 3e-18)
 _TAYLOR_LAM = 1e-3
+# below this |lam| S3 and S4 take their Taylor series, to lam^7 (leaving
+# out at most lam^8 / 19! < 1e-17), for the quotients (S1 - 1)/lam and
+# (S2 - 1/2)/lam, which cancel: they lose about 10 eps / |lam| relative
+_TAYLOR_TAILS = 1.0
+
+
+def _taylor(lam: np.ndarray, j: int, terms: int) -> np.ndarray:
+    """sum_{k < terms} lam^k / (2k + j)!, nested from its last term."""
+    out = 1.0
+    for k in range(terms - 1, 0, -1):
+        out = 1.0 + lam / float((2 * k + j - 1) * (2 * k + j)) * out
+    return out / math.factorial(j)
 
 
 def plane_series(lam, tails: bool = False) -> list[np.ndarray]:
@@ -108,23 +122,19 @@ def plane_series(lam, tails: bool = False) -> list[np.ndarray]:
     lam^k/(2k+4)! = (S2 - 1/2)/lam as well. With r = sqrt(|lam|),
     S1 = sinh(r)/r and S2 = 2 sinh(r/2)^2/r^2 for lam > 0, sin in place of
     sinh for lam < 0: neither cancels. Near lam = 0, where S1 and S2 are
-    0/0 and the quotients cancel, the Taylor series take over."""
+    0/0 and the quotients cancel, the Taylor series take over, for the
+    quotients on |lam| < 1."""
     lam = np.asarray(lam, dtype=float)
     small = np.abs(lam) < _TAYLOR_LAM
     r = np.sqrt(np.where(small, 1.0, np.abs(lam)))
     half = _sin_or_sinh(0.5 * r, lam > 0.0) / r
-    out = [np.where(small, 1.0 + lam / 6.0 * (1.0 + lam / 20.0
-                                              * (1.0 + lam / 42.0)),
-                    _sin_or_sinh(r, lam > 0.0) / r),
-           np.where(small, 0.5 * (1.0 + lam / 12.0 * (1.0 + lam / 30.0
-                                                     * (1.0 + lam / 56.0))),
-                    2.0 * half * half)]
+    out = [np.where(small, _taylor(lam, 1, 4), _sin_or_sinh(r, lam > 0.0) / r),
+           np.where(small, _taylor(lam, 2, 4), 2.0 * half * half)]
     if tails:
+        small = np.abs(lam) < _TAYLOR_TAILS
         div = np.where(small, 1.0, lam)
-        out += [np.where(small, (1.0 + lam / 20.0 * (1.0 + lam / 42.0 * (
-                    1.0 + lam / 72.0))) / 6.0, (out[0] - 1.0) / div),
-                np.where(small, (1.0 + lam / 30.0 * (1.0 + lam / 56.0 * (
-                    1.0 + lam / 90.0))) / 24.0, (out[1] - 0.5) / div)]
+        out += [np.where(small, _taylor(lam, 3, 8), (out[0] - 1.0) / div),
+                np.where(small, _taylor(lam, 4, 8), (out[1] - 0.5) / div)]
     return out
 
 
@@ -167,7 +177,7 @@ def _sin_or_sinh(r: np.ndarray, hyperbolic: np.ndarray) -> np.ndarray:
                     np.sin(np.where(hyperbolic, 0.0, r)))
 
 
-def log_head(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def log_head(mat: np.ndarray, radius=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Third-order head of the logarithm of a (..., d, d) stack, and a
     Frobenius bound on the distance of each head from the exact log.
 
@@ -192,7 +202,8 @@ def log_head(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     term's slack below that.
 
     Returns (head, bound): bound has the leading shape and is inf where
-    delta >= 1, where the series does not converge.
+    delta >= radius, which is at most 1, where the series does not
+    converge.
     """
     d = mat.shape[-1]
     e = mat - np.eye(d)
@@ -202,8 +213,8 @@ def log_head(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sq *= 0.5
     head -= sq
     head += e
-    delta = np.linalg.norm(e, axis=(-2, -1))
-    inside = delta < 1.0
+    delta = np.sqrt(np.einsum("...ij,...ij->...", e, e))
+    inside = delta < radius
     delta = np.where(inside, delta, 0.0)
     bound = (delta ** 4 / (4.0 * (1.0 - delta))
              + (d + 3) * _EPS / 2 * (1.0 + delta) ** 3)
@@ -216,10 +227,11 @@ def series_log(mat: np.ndarray) -> np.ndarray:
     log g = 2 artanh(Z) with Z = (g - I)(g + I)^-1, the odd power series
     summed until its terms fall below roundoff. The series converges when
     every eigenvalue of g has positive real part, as it has for
-    ||g - I|| < 1; the callers stay inside radius 0.9. A series that does
-    not converge, overflows to an infinite sum, or cannot start because
-    g + I is singular (an eigenvalue at -1) raises LinAlgError, always with
-    the same message and no numpy warning.
+    ||g - I|| < 1; the callers stay inside radius 0.9. Each matrix stops
+    on its own terms, so its log does not depend on the other members of
+    its stack. A series that does not converge, overflows to an infinite
+    sum, or cannot start because g + I is singular (an eigenvalue at -1)
+    raises LinAlgError, always with the same message and no numpy warning.
     """
     diverged = np.linalg.LinAlgError(
         "matrix logarithm series did not converge")
@@ -228,17 +240,24 @@ def series_log(mat: np.ndarray) -> np.ndarray:
         z = np.linalg.solve(mat + eye, mat - eye)
     except np.linalg.LinAlgError:
         raise diverged from None
+    power = out = z.reshape(-1, *eye.shape)
+    logs = np.empty_like(out)
+    done = np.zeros(len(out), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        z2 = z @ z
-        power = out = z
+        z2 = power @ power
         for k in range(3, 2000, 2):
             power = power @ z2
             term = power / k
             out = out + term
-            if np.max(np.abs(term)) <= _EPS * np.max(np.abs(out)):
-                if not np.isfinite(out).all():
+            stop = ~done & (np.max(np.abs(term), axis=(1, 2))
+                            <= _EPS * np.max(np.abs(out), axis=(1, 2)))
+            if stop.any():
+                if not np.isfinite(out[stop]).all():
                     break
-                return 2.0 * out
+                logs[stop] = 2.0 * out[stop]
+                done |= stop
+            if done.all():
+                return logs.reshape(mat.shape)
     raise diverged
 
 

@@ -296,7 +296,7 @@ def run_check(config: dict) -> dict:
                                         os.path.join(csv_dir, "flow.csv"))
             elif stage == "falsifier":
                 fals_cfg = config["falsifier"]
-                target = TargetSpec(trajectory.q[-1], chart)
+                target = TargetSpec(system, trajectory.q[-1], chart)
                 report = competitor_sweep(
                     system, trajectory, target,
                     n_samples=fals_cfg["n_samples"], radius=fals_cfg["radius"],

@@ -155,7 +155,7 @@ def test_criterion_7_certificate(dub3, chart3, extremal3, lq3):
 
 
 def test_criterion_8_falsifier(dub3, chart3, extremal3):
-    target = TargetSpec(extremal3.q[-1], chart3)
+    target = TargetSpec(dub3, extremal3.q[-1], chart3)
     sweep = competitor_sweep(dub3, extremal3, target, n_samples=200,
                              radius=0.1, seed=0)
     assert sweep.verdict == "no counterexample"
@@ -166,7 +166,7 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     loop = adjoint_trajectory(sph3, dubins_initial_covector(sph3),
                               np.linspace(0.0, 2.0 * np.pi, 129))
     assert np.max(np.abs(loop.q[-1] - np.eye(sph3.d))) <= 1e-12
-    loop_target = TargetSpec(loop.q[-1], dubins_adapted_chart(sph3))
+    loop_target = TargetSpec(sph3, loop.q[-1], dubins_adapted_chart(sph3))
     refutation = competitor_sweep(sph3, loop, loop_target, n_samples=9,
                                   radius=0.1, seed=1)
     assert refutation.refuted
@@ -178,13 +178,14 @@ def test_criterion_8_falsifier(dub3, chart3, extremal3):
     driftless = dataclasses.replace(dub3, drift=np.zeros_like(dub3.drift))
     eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
     t_vec, t_bar = np.array([0.05, 0.05, 0.04]), np.array([0.02, 0.03, 0.02])
-    needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=dub3.m,
-                                t_bar=t_bar) for eps in eps_grid]
+    needles = needle_variation(np.zeros(eps_grid.size),
+                               np.tile(t_vec, (eps_grid.size, 1)), eps_grid,
+                               horizon=np.inf, m=dub3.m, t_bar=t_bar)
     ends = functools.reduce(
         np.matmul, _needle_exponentials(driftless, needles).swapaxes(0, 1))
     x_1 = chart3.solve_in_frame(np.zeros(chart3.n), sum(
         (a - b) * dub3.controlled[c]
-        for a, b, c in zip(t_vec, t_bar, needles[0].channels)))
+        for a, b, c in zip(t_vec, t_bar, needles.channels)))
     discs = [np.linalg.norm(chart3.inverse(end) - eps * x_1)
              for eps, end in zip(eps_grid, ends)]
     assert np.polyfit(np.log(eps_grid), np.log(discs), 1)[0] >= 1.8

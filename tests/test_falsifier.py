@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from singcert.numerics import (
     rk4_stage_times,
     time_grid,
 )
-from singcert.pipeline import _build_problem, load_config
+from singcert.pipeline import _build_problem, load_config, run_check
 from singcert.systems import build_dubins_system
 
 
@@ -94,13 +95,14 @@ def driftless_needle_discrepancies(system, t_vec, t_bar,
     zeroed, and eps x_1 its eps-linear part, the weighted sum of the word's
     generators in the adapted frame."""
     driftless = dataclasses.replace(system, drift=np.zeros_like(system.drift))
-    needles = [needle_variation(0.0, t_vec, eps, horizon=np.inf, m=system.m,
-                                t_bar=t_bar) for eps in eps_grid]
+    needles = needle_variation(np.zeros(len(eps_grid)),
+                               np.tile(t_vec, (len(eps_grid), 1)), eps_grid,
+                               horizon=np.inf, m=system.m, t_bar=t_bar)
     ends = functools.reduce(
         np.matmul, _needle_exponentials(driftless, needles).swapaxes(0, 1))
     chart = dubins_adapted_chart(system)
     lin = sum((a - b) * system.controlled[c] for a, b, c in
-              zip(t_vec, t_bar, needles[0].channels))
+              zip(t_vec, t_bar, needles.channels))
     x_1 = chart.solve_in_frame(np.zeros(chart.n), lin)
     return np.array([np.linalg.norm(chart.inverse(end) - eps * x_1)
                      for eps, end in zip(eps_grid, ends)])
@@ -127,7 +129,7 @@ def test_scaling_check_abelian_exact(dub3):
 
 def test_target_spec_reference_endpoint(dub3, extremal3):
     q_f = extremal3.q[-1]
-    target = TargetSpec(q_f, dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, q_f, dubins_adapted_chart(dub3))
     assert target.residual(q_f) <= 1e-14
     # displacing along a controlled direction stays on the orbit
     moved = q_f @ expm(0.2 * dub3.controlled[0])
@@ -140,7 +142,7 @@ def test_target_spec_reference_endpoint(dub3, extremal3):
 def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
     """At radius 0 every competitor is a needle of length 0, the reference
     itself: each arrives at the horizon, on the reference."""
-    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=3,
                               radius=0.0, seed=5)
     assert report.verdict == "no counterexample"
@@ -160,7 +162,7 @@ def test_sweep_radius_zero_arrives_at_horizon(dub3, extremal3):
 def test_sweep_of_needles_only_runs(dub3, extremal3, n_samples):
     """Zero competitors, or a single needle and no band, still give a
     report; no needle arrives."""
-    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=n_samples)
     assert report.verdict == "no counterexample"
     assert report.as_dict()["min_arrival"] is None
@@ -169,7 +171,7 @@ def test_sweep_of_needles_only_runs(dub3, extremal3, n_samples):
 
 
 def test_sweep_certified_arc_not_falsified(dub3, extremal3):
-    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=60,
                               radius=0.1, seed=7)
     assert report.verdict == "no counterexample"
@@ -177,7 +179,7 @@ def test_sweep_certified_arc_not_falsified(dub3, extremal3):
 
 
 def test_sweep_deterministic(dub3, extremal3):
-    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, extremal3.q[-1], dubins_adapted_chart(dub3))
     a = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
                          seed=9)
     b = competitor_sweep(dub3, extremal3, target, n_samples=12, radius=0.1,
@@ -193,7 +195,7 @@ def test_sweep_refutes_manufactured_loop():
     grid = np.linspace(0.0, 2.0 * np.pi, 129)
     traj = adjoint_trajectory(sph3, dubins_initial_covector(sph3), grid)
     assert np.max(np.abs(traj.q[-1] - np.eye(sph3.d))) <= 1e-12
-    target = TargetSpec(traj.q[-1], dubins_adapted_chart(sph3))
+    target = TargetSpec(sph3, traj.q[-1], dubins_adapted_chart(sph3))
     report = competitor_sweep(sph3, traj, target, n_samples=9, radius=0.1,
                               seed=11)
     assert report.refuted
@@ -202,7 +204,7 @@ def test_sweep_refutes_manufactured_loop():
 
 
 def test_report_csv(tmp_path, dub3, extremal3):
-    target = TargetSpec(extremal3.q[-1], dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, extremal3.q[-1], dubins_adapted_chart(dub3))
     report = competitor_sweep(dub3, extremal3, target, n_samples=6,
                               radius=0.05, seed=3)
     path = tmp_path / "sweep.csv"
@@ -231,6 +233,19 @@ def test_quick_log_matches_logm_near_radius(space):
         assert np.max(np.abs(_quick_log(g) - logm(g).real)) <= 1e-12
     each = np.array([_quick_log(g) for g in stack])
     assert np.max(np.abs(_quick_log(stack) - each)) <= 1e-14
+
+
+def needle_list(needles):
+    """The needles of a stack, one NeedleVariation each."""
+    return [needle_variation(s, t, e, np.inf, needles.m, needles.t_bar)
+            for s, t, e in zip(needles.s_bar, needles.t_vec, needles.eps)]
+
+
+def needle_at(needles, k):
+    """Needle k of a stack, as a stack of one."""
+    return dataclasses.replace(needles, s_bar=needles.s_bar[k:k + 1],
+                               t_vec=needles.t_vec[k:k + 1],
+                               eps=needles.eps[k:k + 1])
 
 
 def _fine_needle_flow(system, needle, times, horizon):
@@ -265,13 +280,12 @@ def test_needle_states_match_fine_rk4(space, n):
     t_hat, horizon = 1.0, 1.1
     grid = np.union1d(time_grid(horizon, 0.02), [t_hat])
     ref = reference_flow(sys_, grid)
-    needles = [c.needle for c in _sample_competitors(sys_, t_hat, horizon,
-                                                     6, 0.1, 2)
-               if c.needle is not None]
-    times, states, rel, shift = _needle_windows(
-        needles, _needle_exponentials(sys_, needles), np.eye(sys_.d))
+    needles = _sample_competitors(sys_, t_hat, horizon, 6, 0.1, 2).needles
+    times, states, ref_inv, shift = _needle_windows(
+        sys_, needles, _needle_exponentials(sys_, needles), np.eye(sys_.d))
     assert times.shape == (3, 2 * sys_.R + 1)
-    for needle, t, q, r, y in zip(needles, times, states, rel, shift):
+    for needle, t, q, r, y in zip(needle_list(needles), times, states,
+                                  ref_inv @ states, shift):
         assert t[0] == needle.s_bar
         after = grid > t[-1]
         expect = _fine_needle_flow(sys_, needle,
@@ -287,12 +301,10 @@ def test_needle_exponentials_match_per_needle_loop(space):
     """The broadcast generator stack of _needle_exponentials equals, byte
     for byte, the per-needle loop that built it one needle at a time."""
     sys_ = build_dubins_system(space, 4)
-    needles = [c.needle for c in _sample_competitors(sys_, 1.0, 1.1, 12, 0.1,
-                                                     4)
-               if c.needle is not None]
+    needles = _sample_competitors(sys_, 1.0, 1.1, 12, 0.1, 4).needles
     a0, controlled = sys_.drift, np.array(sys_.controlled)
     gens = []
-    for needle in needles:
+    for needle in needle_list(needles):
         h = needle.eps ** 2 / len(needle.channels)
         channels = list(needle.channels) + list(needle.channels[::-1])
         a = needle.eps * np.concatenate([needle.t_vec, -needle.t_bar[::-1]])
@@ -335,8 +347,8 @@ def test_stacked_flows_match_serial(space):
     t_hat = 1.0
     grid = np.union1d(time_grid(1.1, 0.02), [t_hat])
     comps = _sample_competitors(sys_, t_hat, 1.1, 9, 0.1, 2)
-    coeff = np.array([c.coeff for c in comps if c.coeff is not None])
-    assert [c.family for c in comps] == ["needle", "band"] * 4 + ["needle"]
+    coeff = comps.coeff
+    assert comps.family.tolist() == ["needle", "band"] * 4 + ["needle"]
     stacked, residual = _band_flow(sys_, coeff, t_hat, np.eye(sys_.d), grid)
     assert stacked.shape == (grid.size, 4, sys_.d, sys_.d)
     assert residual == np.max(sys_.group_residual(stacked[-1]))
@@ -358,10 +370,84 @@ def test_stacked_flows_match_serial(space):
     assert order >= 3.7
 
 
+def magnus_generators(system, coeff, t_hat, grid):
+    """The generators h (w1 A(t1) + w2 A(t2)) and h (w2 A(t1) + w1 A(t2))
+    of every Magnus step of the bands ``coeff``, as dense matrices
+    (T - 1, 2, B, d, d): the controls summed mode by mode at the Gauss
+    nodes, and A(t) = A0 + sum u_i(t) A_i."""
+    h, r = np.diff(grid), np.sqrt(3.0) / 6.0
+    nodes = grid[:-1, None] + (0.5 + np.array([-r, r])) * h[:, None]
+    u = 0.0
+    for k in range(coeff.shape[1] // 2):
+        phase = (2.0 * np.pi * (k + 1) * nodes / t_hat)[..., None, None]
+        u = u + (coeff[:, 2 * k] * np.cos(phase)
+                 + coeff[:, 2 * k + 1] * np.sin(phase))
+    a = system.drift + np.tensordot(u, np.array(system.controlled), 1)
+    weights = 0.25 + np.array([[r, -r], [-r, r]])
+    return h[:, None, None, None, None] * np.einsum("ji,kibxy->kjbxy",
+                                                    weights, a)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["drift", "flipped"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_band_factors_match_plane_exp(space, n, sign):
+    """Every step of the band flow, whose two factors are formed from the
+    columns and rows of wedge generators, equals the state before it
+    times the plane_exp of the two dense generators, to a few ulp of the
+    state: on each form, with the drift as built and flipped. The last
+    row is left out: `project_to_group` guards it."""
+    base = build_dubins_system(space, n)
+    system = dataclasses.replace(base, drift=sign * base.drift)
+    grid = np.union1d(time_grid(1.1, 0.02), [1.0])
+    coeff = np.random.default_rng(n).standard_normal((6, 8, system.m)) / 3
+    flow, _ = _band_flow(system, coeff, 1.0, np.eye(system.d), grid)
+    factors = plane_exp(magnus_generators(system, coeff, 1.0, grid)[:-1])
+    expect = flow[:-2] @ factors[:, 0] @ factors[:, 1]
+    scale = np.maximum(1.0, np.max(np.abs(expect), axis=(-2, -1),
+                                   keepdims=True))
+    assert np.max(np.abs(flow[1:-1] - expect) / scale) \
+        <= 4 * np.finfo(float).eps
+
+
+def test_band_flow_premise_is_checked():
+    """The band factors read each field as a wedge c e1^T + e1 r^T: a drift
+    with an entry off row and column 1, or a controlled field with a (1, 1)
+    entry, is refused by name."""
+    system = build_dubins_system("sphere", 3)
+    off_plane = system.drift.copy()
+    off_plane[0, 2] = 0.1
+    diagonal = np.array(system.controlled)
+    diagonal[0, 1, 1] = 0.1
+    for broken in (dataclasses.replace(system, drift=off_plane),
+                   dataclasses.replace(system, controlled=tuple(diagonal))):
+        with pytest.raises(ValueError, match="band factor premise fails"):
+            _band_flow(broken, np.zeros((1, 8, system.m)), 1.0,
+                       np.eye(system.d), time_grid(1.0, 0.1))
+
+
+@pytest.mark.parametrize("horizon", [20.0, 30.0])
+def test_long_hyperbolic_band_flow_is_a_projection_error(horizon):
+    """On hyperbolic N = 3 at H = 20 and 30 the target and the reference
+    invert in closed form, and the band flow's last row drifts too far off
+    the group for its guard: the falsifier ends in a ProjectionError that
+    names the row's group residual and the horizon."""
+    report = run_check({"system": {"kind": "dubins",
+                                   "space_form": "hyperbolic", "N": 3},
+                        "horizon": horizon, "checks": ["falsifier"]})
+    stage = report["stages"]["falsifier"]
+    assert stage["status"] == "error"
+    assert stage["error"]["type"] == "ProjectionError"
+    assert re.fullmatch(
+        r"the band flow's last row is \S+ off the group at horizon "
+        rf"{horizon:g} and cannot be projected back: .+",
+        stage["error"]["message"])
+
+
 def test_target_residual_of_stack(dub3, extremal3):
     """residual() of a (T, d, d) stack is the residual of each matrix."""
     q_f = extremal3.q[-1]
-    target = TargetSpec(q_f, dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, q_f, dubins_adapted_chart(dub3))
     stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
                       for a in (-2.0, -0.05, 0.0, 0.3)])
     res = target.residual(stack)
@@ -379,7 +465,7 @@ def test_arrival_time_of_unsorted_samples(dub3, extremal3):
     """The earliest hitting sample time, whatever the order of the
     samples, for per-member and for shared times."""
     q_f = extremal3.q[-1]
-    target = TargetSpec(q_f, dubins_adapted_chart(dub3))
+    target = TargetSpec(dub3, q_f, dubins_adapted_chart(dub3))
     stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
                       for a in (0.0, -0.05, 0.0, 0.3)])
     times = np.array([0.5, 0.1, 0.3, 0.2])
@@ -401,8 +487,7 @@ def test_graph_distance_at_own_time(dub3):
     states = np.array([ref, ref @ expm(0.04 * unit),
                        ref @ expm(np.array([0, 0, 0, 0, 2.0])[:, None, None]
                                   * unit)])
-    rel = np.linalg.inv(ref) @ states
-    dist = graph_distance(rel, chart.b_pinv)
+    dist = graph_distance(states, chart.b_pinv, np.linalg.inv(ref))
     assert dist[0] <= 1e-15
     assert dist[1] == pytest.approx(0.04, abs=1e-15)
     assert dist[2] == np.inf
@@ -412,6 +497,12 @@ def direct_arrival(target, times, states):
     """Earliest arrival of one member's (n, d, d) states at its times."""
     hits = target.residual(states) <= TARGET_TOL
     return float(np.min(times[hits])) if hits.any() else np.inf
+
+
+def relative_distance(rel, b_pinv):
+    """graph_distance of states given relative to the reference."""
+    return graph_distance(rel, b_pinv, np.broadcast_to(
+        np.eye(rel.shape[-1]), rel.shape[1:]))
 
 
 def direct_graph_distance(rel, b_pinv):
@@ -427,25 +518,24 @@ def _sweep_problem(space, n, horizon=1.0):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": n}, "horizon": horizon})
     system, chart, trajectory = _build_problem(config)
-    target = TargetSpec(trajectory.q[-1], chart)
+    target = TargetSpec(system, trajectory.q[-1], chart)
     t_hat = trajectory.horizon
     grid = np.union1d(time_grid(1.1 * t_hat, 0.02), [t_hat])
     return system, trajectory, target, grid, reference_flow(system, grid)
 
 
-def needle_samples(window, grid, ref):
+def needle_samples(window, grid, ref, ref_inv):
     """Every sample of one needle from its ``_needle_windows`` entry
-    (times, states, rel, shift): the reference on the grid before the
-    window, the window's 2r + 1 boundaries, and Y ref(t) on the grid after
-    it. Returns times, states, ref^-1 q at each sample, and the mask of
-    the window samples."""
-    times, states, rel, shift = window
+    (times, states, the reference's inverses there, shift): the reference
+    on the grid before the window, the window's 2r + 1 boundaries, and
+    Y ref(t) on the grid after it. Returns times, states, ref^-1 q at each
+    sample, and the mask of the window samples."""
+    times, states, win_inv, shift = window
     before, after = grid < times[0], grid > times[-1]
-    ref_inv = np.linalg.inv(ref)
     after_states = shift @ ref[after]
     return (np.concatenate([grid[before], times, grid[after]]),
             np.concatenate([ref[before], states, after_states]),
-            np.concatenate([ref_inv[before] @ ref[before], rel,
+            np.concatenate([ref_inv[before] @ ref[before], win_inv @ states,
                             ref_inv[after] @ after_states]),
             np.concatenate([np.zeros(before.sum(), bool),
                             np.ones(times.size, bool),
@@ -455,18 +545,25 @@ def needle_samples(window, grid, ref):
 def test_block_scores_match_member_scores():
     """arrival_time and graph_distance of a block of needle windows, and
     of a slice of the band flow, equal the scores of its members one at a
-    time by their own series logs; a member far off the reference scores
-    inf, and the reference itself arrives at the horizon. The series log
-    stops on a block-wide criterion, so distances may move by roundoff."""
+    time by their own series logs, whether given the states and the
+    reference's inverses or the relative states; a member far off the
+    reference scores inf, and the reference itself arrives at the
+    horizon."""
     system, trajectory, target, grid, ref = _sweep_problem("sphere", 4)
     t_hat = trajectory.horizon
     ref_inv = np.linalg.inv(ref)
     comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 16, 0.1, 3)
-    needles = [c.needle for c in comps[::2]]
-    bands = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
-                       t_hat, np.eye(system.d), grid)[0][:, 2:6].swapaxes(0, 1)
-    blocks = [_needle_windows(needles, _needle_exponentials(system, needles),
-                              np.eye(system.d))[:3],
+    needles = comps.needles
+    bands = _band_flow(system, comps.coeff, t_hat, np.eye(system.d),
+                       grid)[0][:, 2:6].swapaxes(0, 1)
+    times, states, win_inv, _ = _needle_windows(
+        system, needles, _needle_exponentials(system, needles),
+        np.eye(system.d))
+    assert np.array_equal(graph_distance(states, target.b_pinv, win_inv),
+                          relative_distance(win_inv @ states, target.b_pinv))
+    assert np.array_equal(graph_distance(bands, target.b_pinv, ref_inv),
+                          relative_distance(ref_inv @ bands, target.b_pinv))
+    blocks = [(times, states, win_inv @ states),
               (np.broadcast_to(grid, bands.shape[:2]), bands, ref_inv @ bands)]
     for times, states, rel in blocks:
         # the last n grid times hold the horizon
@@ -478,15 +575,14 @@ def test_block_scores_match_member_scores():
         rel = np.concatenate([rel, np.linalg.inv([on_ref, on_ref])
                               @ [far, on_ref]])
         arrivals = target.arrival_time(times, states)
-        dists = graph_distance(rel, target.b_pinv)
+        dists = relative_distance(rel, target.b_pinv)
         assert arrivals.shape == dists.shape == (len(states),)
         assert dists[-2] == np.inf and arrivals[-2] == np.inf
         assert arrivals[-1] == t_hat
         for t, s, r, arrival, dist in zip(times, states, rel, arrivals,
                                           dists):
             assert arrival == direct_arrival(target, t, s)
-            assert dist == pytest.approx(direct_graph_distance(
-                r, target.b_pinv), rel=0, abs=1e-15)
+            assert dist == direct_graph_distance(r, target.b_pinv)
 
 
 @pytest.mark.parametrize("space, horizon", [("sphere", 1.0),
@@ -502,21 +598,23 @@ def test_sweep_records_match_per_competitor_scoring(space, horizon):
     relative of the log of each state."""
     system, trajectory, target, grid, ref = _sweep_problem(space, 4, horizon)
     t_hat = trajectory.horizon
-    ref_inv = np.linalg.inv(ref)
+    ref_inv = system.inverse(ref)
     report = competitor_sweep(system, trajectory, target)
     comps = _sample_competitors(system, t_hat, 1.1 * t_hat, 200, 0.1, 0)
-    flow, residual = _band_flow(
-        system, np.array([c.coeff for c in comps[1::2]]), t_hat,
-        np.eye(system.d), grid)
+    flow, residual = _band_flow(system, comps.coeff, t_hat,
+                                np.eye(system.d), grid)
     assert report.band_group_residual == residual
     after_window = 0
     closest = []
-    for idx, (comp, record) in enumerate(zip(comps, report.records)):
-        if comp.needle is not None:
+    for idx, (family, seed, record) in enumerate(zip(
+            comps.family, comps.seeds, report.records)):
+        if family == "needle":
+            needle = needle_at(comps.needles, idx // 2)
             window = (a[0] for a in _needle_windows(
-                [comp.needle], _needle_exponentials(system, [comp.needle]),
+                system, needle, _needle_exponentials(system, needle),
                 np.eye(system.d)))
-            times, states, rel, in_window = needle_samples(window, grid, ref)
+            times, states, rel, in_window = needle_samples(window, grid, ref,
+                                                           ref_inv)
         else:
             times, states = grid, flow[:, idx // 2]
             rel, in_window = ref_inv @ states, np.ones(grid.size, bool)
@@ -528,7 +626,7 @@ def test_sweep_records_match_per_competitor_scoring(space, horizon):
                         target.residual(states[np.argmin(miss)]), dist))
         assert {k: record[k] for k in ("sample", "family", "seed",
                                        "arrival")} == {
-            "sample": idx, "family": comp.family, "seed": comp.seed,
+            "sample": idx, "family": family, "seed": seed,
             "arrival": float(arrival) if np.isfinite(arrival) else None}
         if not np.isfinite(dist):
             assert record["graph_distance"] is None
@@ -546,7 +644,7 @@ def test_sweep_records_match_per_competitor_scoring(space, horizon):
     assert [e["sample"] for e in report.nearest] == order.tolist()
     for entry, idx in zip(report.nearest, order):
         miss, time, res, dist = closest[idx]
-        assert entry["family"] == comps[idx].family and entry["time"] == time
+        assert entry["family"] == comps.family[idx] and entry["time"] == time
         assert entry["miss"] == pytest.approx(miss, rel=1e-9)
         assert entry["residual"] == pytest.approx(res, rel=1e-9)
         assert entry["graph_distance"] == report.records[idx]["graph_distance"]
@@ -563,11 +661,11 @@ def test_band_group_residual_is_rounding(space, horizon):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": 4}, "horizon": horizon})
     system, chart, trajectory = _build_problem(config)
-    target = TargetSpec(trajectory.q[-1], chart)
+    target = TargetSpec(system, trajectory.q[-1], chart)
     grid = np.union1d(time_grid(1.1 * horizon, 0.02), [horizon])
     comps = _sample_competitors(system, horizon, 1.1 * horizon, 200, 0.1, 0)
-    last = _band_flow(system, np.array([c.coeff for c in comps[1::2]]),
-                      horizon, np.eye(system.d), grid)[0][-1]
+    last = _band_flow(system, comps.coeff, horizon, np.eye(system.d),
+                      grid)[0][-1]
     bound = (system.d * np.finfo(float).eps / 2 * grid.size
              * max(1.0, np.max(np.abs(last))) ** 2)
     report = competitor_sweep(system, trajectory, target)
@@ -671,7 +769,7 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
     inside = np.linalg.norm(rel - np.eye(system.d), axis=(2, 3)) < LOG_RADIUS
     assert logged[0] == logged[1] and 0 < logged[0] < inside[:-1].sum()
     logged.clear()
-    dists = graph_distance(rel, target.b_pinv)
+    dists = relative_distance(rel, target.b_pinv)
     assert 0 < sum(logged) < inside.all(axis=1).sum() * n
     for dist, expect in zip(dists, dist_expect):
         assert dist == pytest.approx(expect, rel=1e-15, abs=0.0)
@@ -687,13 +785,13 @@ def test_screen_premise_is_checked(dub3, extremal3):
     kept = dataclasses.replace(chart)
     kept.b_pinv = chart.b_pinv[np.r_[rows[:chart.R], rows[:chart.R - 1:-1]]]
     kept.b_pinv[-1] *= -1.0
-    TargetSpec(extremal3.q[-1], kept)
+    TargetSpec(dub3, extremal3.q[-1], kept)
     swapped = rows.copy()
     swapped[[chart.R - 1, chart.R]] = swapped[[chart.R, chart.R - 1]]
     broken = dataclasses.replace(chart)
     broken.b_pinv = chart.b_pinv[swapped]
     with pytest.raises(ValueError, match="arrival screen premise fails"):
-        TargetSpec(extremal3.q[-1], broken)
+        TargetSpec(dub3, extremal3.q[-1], broken)
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])

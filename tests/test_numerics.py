@@ -3,13 +3,22 @@ expm as the oracle on every generator family the package exponentiates,
 and for the log head's remainder bound, with the series log and scipy's
 logm as oracles."""
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 from scipy.optimize import brentq
 
 from singcert.falsifier import LOG_RADIUS
-from singcert.numerics import log_head, plane_exp, quartic_exp, series_log
+from singcert.numerics import (
+    log_head,
+    plane_exp,
+    plane_series,
+    quartic_exp,
+    series_log,
+)
 from singcert.systems import build_dubins_system
 
 SPACES = ("euclidean", "sphere", "hyperbolic")
@@ -84,6 +93,22 @@ def test_plane_exp_long_rotation_does_not_overflow():
     with np.errstate(all="raise"):
         g = plane_exp(1e3 * system.drift)
     assert np.max(np.abs(g @ g.T - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("lam, ulps", [
+    (s * lam, ulps) for s in (1.0, -1.0)
+    for lam, ulps in ((1.0001e-3, 2), (2e-3, 2), (9e-3, 2), (0.5, 2),
+                      (0.999, 2), (1.0, 8), (1.01, 8), (3.0, 8))])
+def test_plane_series_matches_exact_sums(lam, ulps):
+    """S1 .. S4 agree with their series summed exactly in rationals at the
+    float lam: within 2 ulp where S3 and S4 take their Taylor series,
+    |lam| < 1, whose quotients (S1 - 1)/lam and (S2 - 1/2)/lam cancel
+    there, and within 8 ulp at and past that switch."""
+    exact = Fraction(lam)
+    for j, got in enumerate(plane_series(np.array(lam), tails=True), 1):
+        value = sum(exact ** k / factorial(2 * k + j) for k in range(40))
+        off = abs(Fraction(float(got)) - value)
+        assert off <= ulps * Fraction(np.spacing(float(value))), (j, lam)
 
 
 def quartic_generator(lam: float, seed: int) -> np.ndarray:
@@ -171,6 +196,24 @@ def test_log_head_bound_is_inf_outside_the_series_radius():
                       plane_exp(1.5 * system.drift)])
     _, bound = log_head(stack)
     assert bound[0] == bound[2] == np.inf and np.isfinite(bound[1])
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_series_log_members_match_their_own_calls(space):
+    """Each member of a stack that mixes states near I with states near
+    the log radius has, bit for bit, the log of its own call: a state's
+    log does not depend on what shares its stack."""
+    system = build_dubins_system(space, 4)
+    rng = np.random.default_rng(11)
+    stack = np.array([_near_identity(system, delta, rng)
+                      for delta in (1e-12, 1e-6, 0.01, 0.3, 0.6, 0.85)
+                      for _ in range(3)])[rng.permutation(18)]
+    logs = series_log(stack)
+    for g, log in zip(stack, logs):
+        assert np.array_equal(log, series_log(g))
+    assert np.array_equal(series_log(stack[3:7]), logs[3:7])
+    assert np.array_equal(series_log(stack.reshape(3, 6, system.d, system.d)),
+                          logs.reshape(3, 6, system.d, system.d))
 
 
 def test_series_log_raises_where_the_series_diverges():
