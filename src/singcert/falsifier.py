@@ -206,18 +206,18 @@ class TargetSpec:
             width = np.linalg.norm(cols, axis=-1)
         return miss, miss <= self._reach + self._rounding * width
 
-    def arrival_time(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Earliest sample time at which each member meets the target, inf
-        for a member that never does: ``states`` is an (S, n, d, d) block of
-        members sampled at ``times`` (S, n), or (n,) shared by all, in any
-        order; returns (S,) times.
+    def arrival_time(self, times: np.ndarray, states: np.ndarray):
+        """Earliest sample time (S,) at which each member meets the target,
+        inf for a member that never does, and each state's `screen` miss
+        (S, n): ``states`` is an (S, n, d, d) block of members sampled at
+        ``times`` (S, n), or (n,) shared by all, in any order.
 
         The `screen` reads only each state's first column q e0 and rejects
         the states whose miss rules arrival out; only the rest take the
         exact path of `residual`."""
-        hit = self.screen(states[..., :, 0])[1]
+        miss, hit = self.screen(states[..., :, 0])
         hit[hit] = self.residual(states[hit]) <= TARGET_TOL
-        return np.min(np.where(hit, times, np.inf), axis=-1)
+        return np.min(np.where(hit, times, np.inf), axis=-1), miss
 
 
 def graph_distance(states: np.ndarray, b_pinv: np.ndarray,
@@ -372,7 +372,8 @@ def _score_needles(system: MatrixGroupSystem, needles: NeedleVariation,
     member, sample = np.nonzero(hit)
     hit[member, sample] = target.residual(off_window(member, sample)) \
         <= TARGET_TOL
-    arrivals = np.minimum(target.arrival_time(times, q_win),
+    win_arrivals, win_miss = target.arrival_time(times, q_win)
+    arrivals = np.minimum(win_arrivals,
                           np.min(np.where(hit, grid, np.inf), axis=1))
 
     dists = graph_distance(q_win, target.b_pinv, ref_win_inv)
@@ -389,8 +390,7 @@ def _score_needles(system: MatrixGroupSystem, needles: NeedleVariation,
         dists[near] = np.maximum(dists[near], np.max(
             np.where(after[near], size, -np.inf), axis=1))
 
-    miss = np.concatenate([np.where(off, grid_miss, np.inf),
-                           target.screen(q_win[..., 0])[0]], axis=1)
+    miss = np.hstack([np.where(off, grid_miss, np.inf), win_miss])
     s, j = np.arange(len(times)), np.argmin(miss, axis=1)
     g, k = np.minimum(j, grid.size - 1), np.maximum(j - grid.size, 0)
     on_grid = j < grid.size
@@ -504,9 +504,8 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
         flow, band_residual = _band_flow(system, competitors.coeff, t_hat,
                                          q0, grid)
         states = flow.swapaxes(0, 1)
-        arrivals[bands] = target.arrival_time(grid, states)
+        arrivals[bands], band_miss = target.arrival_time(grid, states)
         dists[bands] = graph_distance(states, target.b_pinv, ref_inv)
-        band_miss = target.screen(states[..., :, 0])[0]
         j = np.argmin(band_miss, axis=1)
         b = np.arange(bands.size)
         miss[bands], miss_time[bands] = band_miss[b, j], grid[j]

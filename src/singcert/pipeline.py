@@ -62,7 +62,6 @@ STAGES = ("conditions", "coercivity", "certificate", "falsifier")
 # from one sweep value and the path of keys to that value in the config
 SWEEP_PARAMETERS = {"N": (int, ("system", "N")),
                     "horizon": (float, ("horizon",)),
-                    "rho": (float, ("certificate", "rho")),
                     "K": (lambda v: [int(v)], ("galerkin_k",))}
 
 # numerical breakdowns a stage reports as status "error" instead of raising
@@ -98,7 +97,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "rho": {"type": "number"},
                 "n_samples": {"type": "integer", "minimum": 1,
                               "maximum": MAX_GRID_STEPS},
                 "seed": {"type": "integer", "minimum": 0},
@@ -143,8 +141,7 @@ DEFAULT_CONFIG = {
     "dt": 0.01,
     "rho_grid": list(DEFAULT_RHO_GRID),
     "galerkin_k": [16],
-    "certificate": {"rho": 1.0, "n_samples": 128, "seed": 0,
-                    "grid_points": 33},
+    "certificate": {"n_samples": 128, "seed": 0, "grid_points": 33},
     "falsifier": {"n_samples": 200, "radius": 0.1, "seed": 0, "dt": 0.02},
     "checks": ["conditions", "coercivity", "certificate", "falsifier"],
     "record_timings": False,
@@ -242,6 +239,8 @@ def run_check(config: dict) -> dict:
     csv_dir = config["output"]["csv_dir"]
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
+    # the conjugate-point report whose rho the certificate's field takes
+    conj = None
 
     for stage in (s for s in STAGES if s in config["checks"]):
         if hard_failure:
@@ -278,11 +277,15 @@ def run_check(config: dict) -> dict:
                 if csv_dir:
                     det_trace_to_csv(conj, os.path.join(csv_dir, "det_trace.csv"))
             elif stage == "certificate":
+                if conj is None:
+                    conj = conjugate_point_test(
+                        assemble_lq(system, trajectory, chart),
+                        rho_grid=config["rho_grid"])
                 cert_cfg = config["certificate"]
                 cert_grid = np.linspace(0.0, config["horizon"],
                                         cert_cfg["grid_points"])
                 report = certificate_check(
-                    system, trajectory, chart, rho=cert_cfg["rho"],
+                    system, trajectory, chart, rho=conj.rho,
                     grid=cert_grid, n_samples=cert_cfg["n_samples"],
                     seed=cert_cfg["seed"])
                 stages[stage] = {

@@ -77,7 +77,6 @@ class SecondVariationProblem:
     n: int
     m: int
     R: int
-    e_mat: np.ndarray       # (n, R)
     ad: np.ndarray          # (n, n)
     z0: np.ndarray          # (n, m)
     rows: np.ndarray        # (n, n)
@@ -152,10 +151,6 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     m, n, r = system.m, chart.n, chart.R
     origin = np.zeros(n)
     frame = np.array(chart.frame_algebra)
-    e_mat = chart.solve_in_frame(origin, frame[:r]).T
-    if np.linalg.cond(e_mat[:r, :]) > 1e8:
-        raise RuntimeError("controlled-algebra basis degenerate at basepoint")
-
     a0 = system.drift
     ad = chart.solve_in_frame(origin, commutator(a0, frame)).T
     lam = 0.5 * np.trace(a0 @ a0)
@@ -191,7 +186,7 @@ def assemble_lq(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                 f"{bound:.3g}")
 
     return SecondVariationProblem(
-        horizon=extremal.horizon, n=n, m=m, R=r, e_mat=e_mat, ad=ad, z0=z0,
+        horizon=extremal.horizon, n=n, m=m, R=r, ad=ad, z0=z0,
         rows=rows, c=c, lam=lam,
         flow_rows=np.stack([m_gen, m_sq, m_sq @ m_gen])[:, n:, r:])
 
@@ -215,13 +210,13 @@ def galerkin_assemble(problem: SecondVariationProblem,
     """Assemble the quadratic form on the initial variation eps and a
     piecewise-constant w exactly, in the moving frame zeta~ = T(t)^-1 zeta.
 
-    There zeta~' = -ad zeta~ + z0 w, zeta~(0) = e_mat eps, and the cross
+    There zeta~' = -ad zeta~ + z0 w, zeta~(0) = (eps, 0), and the cross
     term w^T a zeta = zeta'^T rows zeta splits into the boundary term
     1/2 [zeta^T rows_s zeta]_0^H of rows_s = (rows + rows^T)/2 and
     1/2 w^T z0^T D zeta~ (T^T D T = D), so J'' = int 1/2 w^T C w +
     1/2 w^T z0^T D zeta~ dt + 1/2 [zeta^T rows_s zeta]_0^H has constant
     coefficients. With h = H/K, E = e^{-h ad}, F = int_0^h e^{-s ad} ds and
-    G = int_0^h F(s) ds, piece k starts at zeta~_k = E^k e_mat eps +
+    G = int_0^h F(s) ds, piece k starts at zeta~_k = E^k zeta~(0) +
     sum_{j<k} E^{k-1-j} F z0 w_j, and adds 1/2 h w_k^T C w_k +
     1/2 w_k^T z0^T D (F zeta~_k + G z0 w_k). So block (k, j < k) of the w
     part is 1/2 z0^T D F E^{k-1-j} F z0, lower-block-Toeplitz. The
@@ -232,7 +227,7 @@ def galerkin_assemble(problem: SecondVariationProblem,
     """
     n, m, r = problem.n, problem.m, problem.R
     h = problem.horizon / k_pieces
-    ad, z0, rows, e_mat = problem.ad, problem.z0, problem.rows, problem.e_mat
+    ad, z0, rows = problem.ad, problem.z0, problem.rows
     ad_sq, eye = ad @ ad, np.eye(n)
     _, s2, s3, s4 = plane_series(problem.lam * h * h, tails=True)
     f = h * eye - h ** 2 * s2 * ad + h ** 3 * s3 * ad_sq
@@ -247,10 +242,10 @@ def galerkin_assemble(problem: SecondVariationProblem,
     blocks = table[np.maximum(np.subtract.outer(pieces, pieces), -1)]
     dim = r + m * k_pieces
     quad_raw = np.zeros((dim, dim))
-    quad_raw[:r, :r] = -0.25 * e_mat.T @ (rows + rows.T) @ e_mat
-    quad_raw[r:, :r] = (left @ f @ powers[:-1] @ e_mat).reshape(-1, r)
+    quad_raw[:r, :r] = -0.25 * (rows + rows.T)[:r, :r]
+    quad_raw[r:, :r] = (left @ f @ powers[:-1])[..., :r].reshape(-1, r)
     quad_raw[r:, r:] = blocks.transpose(0, 2, 1, 3).reshape(dim - r, dim - r)
-    constraint = np.hstack([powers[-1] @ e_mat,
+    constraint = np.hstack([powers[-1][:, :r],
                             steps[::-1].transpose(1, 0, 2).reshape(n, -1)])
     gram = np.concatenate([np.ones(r), np.full(dim - r, h)])
     return GalerkinAssembly(0.5 * (quad_raw + quad_raw.T), gram, constraint)

@@ -26,6 +26,7 @@ from singcert.pipeline import (
     run_check,
     run_sweep,
 )
+from singcert.secondvar import assemble_lq, conjugate_point_test
 
 FAST = {
     "certificate": {"n_samples": 16, "grid_points": 9},
@@ -60,6 +61,9 @@ def test_unknown_keys_rejected():
         load_config({"system": {"kind": "dubins", "frobnicate": 1}})
     with pytest.raises(ConfigError):
         load_config({"falsifier": {"samples": 10}})
+    # the certificate's rho is the conjugate-point test's, not a setting
+    with pytest.raises(ConfigError, match="rho"):
+        load_config({"certificate": {"rho": 1.0}})
 
 
 def test_bad_values_rejected():
@@ -320,17 +324,22 @@ def test_csv_artifacts(tmp_path):
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere"])
 def test_flow_csv_is_the_certificate_flow(tmp_path, space):
-    """flow.csv holds the covectors of the certificate's x = 0 member."""
+    """flow.csv holds the covectors of the certificate's x = 0 member. A
+    certificate-only run takes its rho from its own conjugate-point test."""
     config = {**FAST, "system": {"kind": "dubins", "space_form": space},
               "checks": ["certificate"],
               "output": {"csv_dir": str(tmp_path)}}
-    run_check(config)
+    report = run_check(config)
     config = load_config(config)
     system, chart, trajectory = pipeline._build_problem(config)
+    rho = conjugate_point_test(assemble_lq(system, trajectory, chart),
+                               rho_grid=config["rho_grid"]).rho
+    assert report["stages"]["certificate"]["report"]["rho"] == rho
+    assert report["verdict"] == "checks passed, not certified"
     cert = config["certificate"]
     grid = np.linspace(0.0, config["horizon"], cert["grid_points"])
     p = certificate_check(
-        system, trajectory, chart, rho=cert["rho"], grid=grid,
+        system, trajectory, chart, rho=rho, grid=grid,
         n_samples=cert["n_samples"], seed=cert["seed"]).covectors
     rows = np.loadtxt(tmp_path / "flow.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 0], grid)
@@ -356,6 +365,12 @@ def test_sweep_horizon():
 def test_sweep_unknown_parameter():
     with pytest.raises(ConfigError):
         run_sweep({}, "coolness", [1])
+    # rho is measured by the conjugate-point test, so no sweep sets it
+    with pytest.raises(ConfigError):
+        run_sweep({}, "rho", [1])
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "config.json", "--param", "rho", "--values", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_dubins_emit_config(capsys):

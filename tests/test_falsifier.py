@@ -457,8 +457,11 @@ def test_target_residual_of_stack(dub3, extremal3):
     # a block of two members: the stack, and one that never arrives
     block = np.array([stack, stack[[0, 1, 0, 1]]])
     assert target.residual(block).shape == (2, 4)
-    arrivals = target.arrival_time(np.array([np.arange(4.0)] * 2), block)
+    arrivals, miss = target.arrival_time(np.array([np.arange(4.0)] * 2),
+                                         block)
     assert arrivals.tolist() == [2.0, np.inf]
+    # the misses are the screen's, of every state of the block
+    assert np.array_equal(miss, target.screen(block[..., :, 0])[0])
 
 
 def test_arrival_time_of_unsorted_samples(dub3, extremal3):
@@ -469,9 +472,9 @@ def test_arrival_time_of_unsorted_samples(dub3, extremal3):
     stack = np.array([q_f @ expm(a * dub3.drift + 0.1 * dub3.controlled[1])
                       for a in (0.0, -0.05, 0.0, 0.3)])
     times = np.array([0.5, 0.1, 0.3, 0.2])
-    assert target.arrival_time(times[None], stack[None]).tolist() == [0.3]
+    assert target.arrival_time(times[None], stack[None])[0].tolist() == [0.3]
     block = np.array([stack, stack[[1, 3, 0, 1]]])
-    assert target.arrival_time(times, block).tolist() == [0.3, 0.3]
+    assert target.arrival_time(times, block)[0].tolist() == [0.3, 0.3]
 
 
 def test_graph_distance_at_own_time(dub3):
@@ -574,7 +577,7 @@ def test_block_scores_match_member_scores():
         states = np.concatenate([states, [far, on_ref]])
         rel = np.concatenate([rel, np.linalg.inv([on_ref, on_ref])
                               @ [far, on_ref]])
-        arrivals = target.arrival_time(times, states)
+        arrivals = target.arrival_time(times, states)[0]
         dists = relative_distance(rel, target.b_pinv)
         assert arrivals.shape == dists.shape == (len(states),)
         assert dists[-2] == np.inf and arrivals[-2] == np.inf
@@ -762,8 +765,8 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
         return _quick_log(mat)
 
     monkeypatch.setattr("singcert.falsifier._quick_log", counting_log)
-    assert target.arrival_time(times, states).tolist() == arrive_expect
-    assert target.arrival_time(times[0], states).tolist() == shared_expect
+    assert target.arrival_time(times, states)[0].tolist() == arrive_expect
+    assert target.arrival_time(times[0], states)[0].tolist() == shared_expect
     # the screen decides some of the states inside the log radius, and the
     # rest take the exact log
     inside = np.linalg.norm(rel - np.eye(system.d), axis=(2, 3)) < LOG_RADIUS
@@ -812,7 +815,7 @@ def test_state_just_inside_target_tol_arrives(space):
     q = q_f @ expm(s * orbit + ann)
     assert 0.99 * TARGET_TOL < target.residual(q) <= TARGET_TOL
     assert target.screen(q[None, :, 0])[0] > 1.9 * TARGET_TOL
-    assert target.arrival_time(np.array([[0.5]]), q[None, None]) == [0.5]
+    assert target.arrival_time(np.array([[0.5]]), q[None, None])[0] == [0.5]
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
@@ -844,8 +847,8 @@ def test_state_outside_screen_takes_no_log(space, monkeypatch):
         q = at_miss(scale * bound)
         assert target.screen(q[None, :, 0])[0] == pytest.approx(
             scale * bound, rel=1e-9)
-        assert target.arrival_time(np.array([[0.5]]), q[None, None]) == \
-            [np.inf]
+        assert target.arrival_time(np.array([[0.5]]), q[None, None])[0] \
+            == [np.inf]
         assert sum(reached) == states
 
 

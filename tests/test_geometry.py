@@ -591,15 +591,15 @@ def test_failed_margin_gives_its_reason(monkeypatch):
     smallest singular value, the margin and the grid time of the
     minimum."""
     monkeypatch.setattr(geometry_module, "CERTIFICATE_MARGIN", 2.0)
+    stage = run_check({"certificate": {"n_samples": 8, "grid_points": 9},
+                       "checks": ["certificate"]})["stages"]["certificate"]
     grid = np.linspace(0, 1, 9)
     sys_, chart, traj = space_setup("euclidean")
-    report = certificate_check(sys_, traj, chart, rho=1.0, grid=grid,
-                               n_samples=8)
+    report = certificate_check(sys_, traj, chart, rho=stage["report"]["rho"],
+                               grid=grid, n_samples=8)
     t_min = grid[np.argmin(report.singular_values)]
     assert report.verdict == "not certified"
     assert report.reason == (
         f"the base projection's smallest singular value 1.000e+00 at "
         f"t = {t_min:.6g} is below the margin 2")
-    stage = run_check({"certificate": {"n_samples": 8, "grid_points": 9},
-                       "checks": ["certificate"]})["stages"]["certificate"]
     assert stage["status"] == "failed" and stage["reason"] == report.reason

@@ -62,8 +62,7 @@ def synthetic_lq(a1: float, c_val: float = 1.0,
     a = z0.T @ rows
     gen = np.vstack([-a.T, z0]) @ np.linalg.inv(-c) @ np.hstack([z0.T, a])
     return SecondVariationProblem(
-        horizon=horizon, n=2, m=1, R=1, e_mat=np.array([[1.0], [0.0]]),
-        ad=np.zeros((2, 2)), z0=z0, rows=rows, c=c, lam=0.0,
+        horizon=horizon, n=2, m=1, R=1, ad=np.zeros((2, 2)), z0=z0, rows=rows, c=c, lam=0.0,
         flow_rows=np.stack([gen, gen @ gen, gen @ gen @ gen])[:, 2:, 1:])
 
 
@@ -179,13 +178,13 @@ def test_stacked_coefficients_match_scalar_views(space, n_dim):
 
 def ivp_form_values(problem, eps, w):
     """J'' = int_0^H 1/2 w^T C w + w^T a zeta dt with zeta' = Z w and
-    zeta(0) = e_mat eps, the integral of the integrand's magnitude, and
+    zeta(0) = (eps, 0), the integral of the integrand's magnitude, and
     zeta(H), in the original frame: solve_ivp (DOP853, rtol 1e-13) piece
     by piece, for a stack of S variations eps (S, R) and piecewise-constant
     w (S, K, m) at once."""
     n, count = problem.n, len(eps)
     edges = np.linspace(0.0, problem.horizon, w.shape[1] + 1)
-    y = np.concatenate([eps @ problem.e_mat.T, np.zeros((count, 2))], axis=1)
+    y = np.concatenate([eps, np.zeros((count, n - problem.R + 2))], axis=1)
     for k in range(w.shape[1]):
         wk = w[:, k]
 
@@ -266,7 +265,7 @@ def test_long_hyperbolic_galerkin_level_matches_mpmath():
 
     That value came from mpmath (not a dependency) at mp.dps = 60: the
     exact tables of assemble_lq, rounded to their integers (ad, z0 =
-    ad[:, :m], rows, C = I, e_mat = I[:, :R]); E, F and G as the top block
+    ad[:, :m], rows, C = I, eps in the first R coordinates); E, F and G as the top block
     row of mp.expm(h [[-ad, I, 0], [0, 0, I], [0, 0, 0]]), h = H/16; the
     form and constraint assembled block by block as galerkin_assemble
     describes, with E^k as powers of E; and the least eigenvalue, by
