@@ -32,10 +32,9 @@ class GroupChart:
 
     Forward map: x -> exp(x_n B_n) @ ... @ exp(x_1 B_1), so the chart is
     the composition exp(x_1 f_1) o ... o exp(x_n f_n) applied to the
-    identity, with f_j the left-invariant field of B_j. Every axis B_j is
-    a single-plane generator, B_j^3 = lam_j B_j, so each factor is a
-    closed-form plane_exp. forward, forward_inv, frame and
-    covector_from_chart take one (n,) point or a (P, n) stack of them.
+    identity, with f_j the left-invariant field of B_j. Each factor is a
+    closed-form plane_exp (chart_axes_single_plane). forward, forward_inv,
+    frame and covector_from_chart take one (n,) point or a (P, n) stack.
     """
 
     frame_algebra: np.ndarray
@@ -48,22 +47,17 @@ class GroupChart:
         # components of an algebra element, used by the falsifier
         self.b_pinv = np.linalg.pinv(
             np.array([b.ravel() for b in self.frame_algebra]).T)
-        self._axes = np.array(self.frame_algebra)
-        self._axes_sq = self._axes @ self._axes
-        self._axes_lam = 0.5 * np.trace(self._axes_sq, axis1=-2, axis2=-1)
-        if not np.allclose(self._axes_sq @ self._axes,
-                           self._axes_lam[:, None, None] * self._axes,
-                           rtol=0.0, atol=1e-12):
-            raise ValueError("every chart axis must be a single-plane "
-                             "generator, B^3 = lam B")
+        self.axes = np.array(self.frame_algebra)
+        self.axes_sq = self.axes @ self.axes
+        self.axes_lam = 0.5 * np.trace(self.axes_sq, axis1=-2, axis2=-1)
 
     def _factors(self, x: np.ndarray) -> np.ndarray:
         """The axis factors exp(x_j B_j), (..., n, d, d) for x (..., n);
         the factors of -x are their inverses."""
         x = np.asarray(x, dtype=float)
-        return plane_exp(x[..., None, None] * self._axes,
-                         self._axes_lam * x * x,
-                         (x * x)[..., None, None] * self._axes_sq)
+        return plane_exp(x[..., None, None] * self.axes,
+                         self.axes_lam * x * x,
+                         (x * x)[..., None, None] * self.axes_sq)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         factors = self._factors(x)
@@ -89,10 +83,10 @@ class GroupChart:
         """
         x = np.asarray(x, dtype=float)
         factors, inv_factors = self._factors(x), self._factors(-x)
-        out = np.empty(x.shape + self._axes.shape[-2:])
-        c = c_inv = np.eye(self._axes.shape[-1])
+        out = np.empty(x.shape + self.axes.shape[-2:])
+        c = c_inv = np.eye(self.axes.shape[-1])
         for j in range(self.n):
-            out[..., j, :, :] = c_inv @ self._axes[j] @ c
+            out[..., j, :, :] = c_inv @ self.axes[j] @ c
             c = factors[..., j, :, :] @ c
             c_inv = c_inv @ inv_factors[..., j, :, :]
         return out
@@ -139,8 +133,8 @@ def dubins_adapted_chart(system: MatrixGroupSystem) -> GroupChart:
     """Adapted chart for a Dubins-family system.
 
     Frame order: A_1..A_m, [A_i,A_j] (i < j), [A_0,A_i], A_0. The first
-    R = m + m(m-1)/2 fields span the controlled algebra (the hypotheses
-    closure_so_N and frame_basis_rank of the conditions stage) and the
+    R = m + m(m-1)/2 fields span the controlled algebra (the run's
+    hypotheses closure_so_N and frame_basis_rank) and the
     reference trajectory is the x_n coordinate axis.
     """
     p_hat = np.zeros(system.n)

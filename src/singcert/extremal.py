@@ -72,8 +72,8 @@ def require_finite(trajectory: ExtremalTrajectory) -> None:
 # largest condition number of a Legendre form the singular feedback solves
 LEGENDRE_COND_LIMIT = 1e8
 
-# bound on the residuals of the structure hypotheses, which hold exactly:
-# the Dubins bracket tables are matrices of small integers
+# bound on the residuals of the structure hypotheses and of the chart's
+# single-plane axes, which hold exactly: the tables are small integers
 STRUCTURE_TOL = 1e-12
 
 # the battery's fixed tolerances: no config or keyword moves a verdict
@@ -128,44 +128,48 @@ class ConditionCheck:
     detail: dict = field(default_factory=dict)
 
 
-def _check_table(checks) -> dict:
+def check_table(checks) -> dict:
     return {c.name: {"passed": bool(c.passed), "residual": float(c.residual),
                      **c.detail} for c in checks}
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """The arc's necessary conditions (checks) and the system's structure
-    hypotheses, which hold or fail for every arc of the system alike."""
+    """The arc's necessary conditions."""
 
     checks: tuple[ConditionCheck, ...]
     sglc_margin: float
-    hypotheses: tuple[ConditionCheck, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks + self.hypotheses)
+        return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
         return {
             "passed": bool(self.passed),
             "sglc_margin": float(self.sglc_margin),
-            "checks": _check_table(self.checks),
-            "hypotheses": _check_table(self.hypotheses),
+            "checks": check_table(self.checks),
         }
+
+
+def _hypothesis(name: str, residual: float, bound: float, holds: bool = True,
+                **detail) -> ConditionCheck:
+    return ConditionCheck(name, bool(holds and residual <= bound), residual,
+                          {"bound": bound, **detail})
 
 
 def _rank_check(name: str, mats: np.ndarray, expected: int) -> ConditionCheck:
     rank = numerical_rank(mats.reshape(len(mats), -1))
-    return ConditionCheck(name, rank == expected, float(abs(rank - expected)),
-                          {"rank": rank, "expected_rank": expected})
+    return _hypothesis(name, float(abs(rank - expected)), 0.0, rank=rank,
+                       expected_rank=expected)
 
 
-def verify_structure_properties(
-        system: MatrixGroupSystem) -> tuple[ConditionCheck, ...]:
-    """The structure the sufficiency theorem assumes of a Dubins-family
-    system, from its bracket tables alone: the controlled fields generate a
-    non-involutive distribution of constant dimension, and S is regular."""
+def verify_structure_properties(system: MatrixGroupSystem,
+                                chart) -> tuple[ConditionCheck, ...]:
+    """A run's hypotheses with their bounds: the sufficiency theorem's (a
+    non-involutive distribution of constant dimension, S regular) and the
+    closed forms' (single-plane chart axes, fields that are wedges with e1,
+    annihilator coordinates that read X e0 isometrically)."""
     N, m, n = system.N, system.m, system.n
     a0 = system.drift
     closure = system.lie_closure_basis
@@ -176,8 +180,7 @@ def verify_structure_properties(
     # dimension N(N-1)/2
     res_i = max(span_contains(closure, commutator(closure[:, None], closure)),
                 so_residual(closure), float(np.max(np.abs(closure[:, :, 0]))))
-    dims = {"dimension": numerical_rank(closure.reshape(len(closure), -1)),
-            "expected_dimension": N * (N - 1) // 2}
+    dim = numerical_rank(closure.reshape(len(closure), -1))
 
     # (iv) [A_i, [A_i, A0]] = -A0 and [A_i, [A_j, A0]] = 0 for i != j
     res_iv = float(np.max(np.abs(system.legendre_brackets
@@ -199,21 +202,38 @@ def verify_structure_properties(
     reg_res = span_contains(reg_span, commutator(a0, closure))
     reg_rank = numerical_rank(reg_span.reshape(len(reg_span), -1), RANK_TOL)
 
+    # x - c e1^T - e1 r^T (c = x[:, 1], r = x[1, :]) is 0 on a wedge with e1
+    fields = np.concatenate([a0[None], np.array(system.controlled)])
+    e1 = np.eye(len(a0))[1]
+    res_wedge = float(np.max(np.abs(fields - fields[:, :, 1, None] * e1
+                                    - e1[:, None] * fields[:, 1, None])))
+
+    # on each chart axis B: B^3 = lam B, |x_ann(B)|_2 = |B e0|_2 (to d^2 eps)
+    axes = chart.axes
+    res_axes = float(np.max(np.abs(chart.axes_sq @ axes
+                                   - chart.axes_lam[:, None, None] * axes)))
+    ann = chart.b_pinv[chart.R:] @ axes.reshape(len(axes), -1).T
+    res_ann = float(np.max(np.abs(ann.T @ ann
+                                  - axes[:, :, 0] @ axes[:, :, 0].T)))
+
     return (
-        ConditionCheck("closure_so_N", res_i <= STRUCTURE_TOL
-                       and dims["dimension"] == dims["expected_dimension"],
-                       res_i, dims),
+        _hypothesis("closure_so_N", res_i, STRUCTURE_TOL,
+                    dim == N * (N - 1) // 2, dimension=dim,
+                    expected_dimension=N * (N - 1) // 2),
         # (ii) the [A_i, A_j] span a subalgebra of dimension (N-1)(N-2)/2
         _rank_check("derived_dimension", derived, (N - 1) * (N - 2) // 2),
         # (iii) A_i, [A_i, A_j], [A0, A_i] and A0 form a basis of Lie(G)
         _rank_check("frame_basis_rank", system.algebra_basis, n),
-        ConditionCheck("double_bracket_drift", res_iv <= STRUCTURE_TOL, res_iv),
-        ConditionCheck("drift_family_commutes", res_v <= STRUCTURE_TOL, res_v),
-        ConditionCheck("drift_commutes_derived", res_vi <= STRUCTURE_TOL,
-                       res_vi),
-        ConditionCheck("regularity_of_S", reg_res <= EQUALITY_TOL
-                       and reg_rank == system.R + m, reg_res,
-                       {"rank": reg_rank, "expected_rank": system.R + m}),
+        _hypothesis("double_bracket_drift", res_iv, STRUCTURE_TOL),
+        _hypothesis("drift_family_commutes", res_v, STRUCTURE_TOL),
+        _hypothesis("drift_commutes_derived", res_vi, STRUCTURE_TOL),
+        _hypothesis("regularity_of_S", reg_res, EQUALITY_TOL,
+                    reg_rank == system.R + m, rank=reg_rank,
+                    expected_rank=system.R + m),
+        _hypothesis("chart_axes_single_plane", res_axes, STRUCTURE_TOL),
+        _hypothesis("fields_are_e1_wedges", res_wedge, 0.0),
+        _hypothesis("annihilator_reads_first_column", res_ann,
+                    axes.size * np.finfo(float).eps),
     )
 
 
@@ -274,8 +294,7 @@ def condition_battery(trajectory: ExtremalTrajectory) -> ConditionReport:
                        max(res0, resf),
                        {"initial": res0, "final": resf}),
     ]
-    return ConditionReport(tuple(checks), float(sglc_margin),
-                           verify_structure_properties(system))
+    return ConditionReport(tuple(checks), float(sglc_margin))
 
 
 def dubins_initial_covector(system: MatrixGroupSystem) -> np.ndarray:

@@ -146,11 +146,8 @@ class TargetSpec:
 
     Membership is measured through the annihilator coordinates (indices
     above R) of the adapted chart centered at q_f; a state q with
-    ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving. The screen's
-    premise, that those coordinates read the first column of an algebra
-    element isometrically (|x_ann(X)|_2 = |X e0|_2; on the Dubins charts a
-    signed permutation of (X e0)[1:]), is checked once on the chart's axes
-    against the rounding d^2 eps of b_pinv summed over the n axes.
+    ||q_f^-1 q - I|| >= LOG_RADIUS is treated as non-arriving. The screen
+    reads them from q e0 (the hypothesis annihilator_reads_first_column).
     """
 
     def __init__(self, system: MatrixGroupSystem, q_f: np.ndarray,
@@ -158,21 +155,14 @@ class TargetSpec:
         self.q_f_inv = system.inverse(q_f)
         self.R = chart.R
         self.b_pinv = chart.b_pinv
-        axes = np.array(chart.frame_algebra)
-        ann = self.b_pinv[self.R:] @ axes.reshape(len(axes), -1).T
-        off = np.max(np.abs(ann.T @ ann - axes[:, :, 0] @ axes[:, :, 0].T))
-        if not off <= axes.size * _EPS:
-            raise ValueError(
-                "arrival screen premise fails: the annihilator rows of the "
-                "chart's b_pinv do not read the first column of an algebra "
-                f"element isometrically (residual {off:.3g})")
         # `screen`'s bound. It allows 10^4 d eps of rounding on residual's
         # coordinates: d eps per term of series_log's at most 2000, on logs
         # of norm below -log(1 - LOG_RADIUS) < 5; and its columns
         # q_f^-1 (Y (ref e0)) are off the first column of `residual`'s
         # q_f^-1 (Y ref) by under 4 d eps ||q_f^-1||_F ||Y||_F |ref e0|_2
         d = q_f.shape[-1]
-        self._reach = (np.sqrt(len(ann)) * (TARGET_TOL + 1e4 * d * _EPS)
+        self._reach = (np.sqrt(chart.n - chart.R)
+                       * (TARGET_TOL + 1e4 * d * _EPS)
                        / (1.0 - LOG_RADIUS))
         self._rounding = 4 * d * _EPS * np.linalg.norm(self.q_f_inv)
 
@@ -399,20 +389,6 @@ def _score_needles(system: MatrixGroupSystem, needles: NeedleVariation,
         on_grid[:, None, None], off_window(s, g), q_win[s, k]))
 
 
-def _wedges(system: MatrixGroupSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Columns c = x[:, 1] and rows r = x[1, :], (m + 1, d), of the drift and
-    each controlled field x, once the band factors' premise is checked on
-    the system: x = c e1^T + e1 r^T, c_1 = r_1 = 0, as are their sums."""
-    fields = np.concatenate([system.drift[None], np.array(system.controlled)])
-    wedge = np.zeros_like(fields)
-    wedge[:, :, 1], wedge[:, 1, :] = fields[:, :, 1], fields[:, 1, :]
-    if not np.array_equal(fields, wedge) or np.any(fields[:, 1, 1]):
-        raise ValueError(
-            "band factor premise fails: the drift and every controlled "
-            "field must be a wedge c e1^T + e1 r^T with c_1 = r_1 = 0")
-    return fields[:, :, 1], fields[:, 1, :]
-
-
 def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
                q0: np.ndarray, grid: np.ndarray):
     """q' = q (A0 + sum u_i A_i), q(0) = q0, for bands with coefficients
@@ -421,11 +397,11 @@ def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
     w2 A(t2))) exp(h (w2 A(t1) + w1 A(t2))) at the Gauss nodes t1,2 = t +
     (1/2 -+ r) h, w1,2 = 1/4 +- r, r = sqrt(3)/6 (Blanes & Moan, Appl.
     Numer. Math. 56, 2006). Each factor is a wedge x = c e1^T + e1 r^T
-    (`_wedges`), x^2 = c r^T + (r.c) e1 e1^T, so its exact exponential
-    I + S1 x + S2 x^2 is formed from c and r, with S1 and S2 of all steps
-    from one `plane_series`. Also returns the drift off the group, the
-    largest `group_residual` of the last row before `project_to_group`
-    guards it; a row it cannot guard raises ProjectionError."""
+    (fields_are_e1_wedges), x^2 = c r^T + (r.c) e1 e1^T, so its exact
+    exponential I + S1 x + S2 x^2 is formed from c and r, with S1 and S2
+    of all steps from one `plane_series`. Also returns the drift off the
+    group, the largest `group_residual` of the last row before the guard
+    `project_to_group`; a row it cannot guard raises ProjectionError."""
     h, r = np.diff(grid), np.sqrt(3.0) / 6.0
     nodes = grid[:-1, None] + (0.5 + np.array([-r, r])) * h[:, None]
     phase = 2.0 * np.pi * np.arange(1, _BAND_MODES + 1) * nodes[..., None] \
@@ -435,10 +411,11 @@ def _band_flow(system: MatrixGroupSystem, coeff: np.ndarray, t_hat: float,
                             .reshape(*nodes.shape, -1),
                             np.ones((*nodes.shape, 1))], axis=2)
     mix = h[:, None, None] * ((0.25 + np.array([[r, -r], [-r, r]])) @ modes)
-    # c and r of each factor: its mode weights times each mode's c and r
+    # c and r of each factor: its mode weights times each x[:, 1], x[1, :]
+    fields = np.concatenate([system.drift[None], np.array(system.controlled)])
     col, row = (np.tensordot(mix, np.concatenate(
         [coeff @ vec[1:], np.tile(vec[0], (len(coeff), 1, 1))], axis=1),
-        (2, 1)) for vec in _wedges(system))
+        (2, 1)) for vec in (fields[:, :, 1], fields[:, 1]))
     lam = np.einsum("...i,...i->...", col, row)
     s1, s2 = plane_series(lam)
     # S1 x + S2 x^2 = (S2 c + S1 e1) r^T + (S1 c + S2 lam e1) e1^T

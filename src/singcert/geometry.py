@@ -106,9 +106,9 @@ class GroupGeometry:
         """c(p) = p[1:, 0] - eps p[0, 1:], (N,) or (S, N), and |c| with a
         trailing axis. Raises ProjectionError where |c| is zero or not
         finite: there the projection onto S is undefined."""
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             c = p[..., 1:, 0] - self.system.epsilon * p[..., 0, 1:]
-        norm = np.linalg.norm(c, axis=-1, keepdims=True)
+            norm = np.linalg.norm(c, axis=-1, keepdims=True)
         if not np.all((norm > 0.0) & np.isfinite(norm)):
             raise ProjectionError(
                 "projection onto S undefined: c(p) is zero or not finite")

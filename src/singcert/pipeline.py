@@ -7,7 +7,8 @@ empirical falsifier. A hard failure skips the remaining stages; a
 falsifier counterexample overrides every other verdict. A stage that
 breaks down numerically (chart inversion, projection onto Sigma, a
 singular linear solve) is recorded with status "error", the remaining
-stages are skipped, and the overall verdict is "error".
+stages are skipped, and the overall verdict is "error". A system that
+breaks a hypothesis runs no stage; each requested stage is an "error".
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from . import __version__
 from .chart import OutOfChartError, dubins_adapted_chart
 from .extremal import (
     adjoint_trajectory,
+    check_table,
     condition_battery,
     dubins_initial_covector,
     trajectory_to_csv,
+    verify_structure_properties,
 )
 from .falsifier import TargetSpec, competitor_sweep, report_to_csv
 from .geometry import ProjectionError, certificate_check, flow_samples_to_csv
@@ -226,16 +229,21 @@ def _build_problem(config: dict):
     chart = dubins_adapted_chart(system)
     trajectory = adjoint_trajectory(system, p0,
                                     time_grid(config["horizon"], config["dt"]))
-    return system, chart, trajectory
+    return system, chart, trajectory, verify_structure_properties(system, chart)
 
 
 def run_check(config: dict) -> dict:
     """Run the staged pipeline and assemble the machine-readable report."""
     config = load_config(config)
-    system, chart, trajectory = _build_problem(config)
+    system, chart, trajectory, hypotheses = _build_problem(config)
     stages: dict = {}
     timings: dict = {}
-    hard_failure = False
+    # a system that breaks a hypothesis runs no stage
+    table = check_table(hypotheses)
+    broken = "; ".join(name + " (" + ", ".join(
+        f"{k} {v:.6g}" for k, v in entry.items() if k != "passed") + ")"
+        for name, entry in table.items() if not entry["passed"])
+    hard_failure = bool(broken)
     csv_dir = config["output"]["csv_dir"]
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
@@ -244,7 +252,8 @@ def run_check(config: dict) -> dict:
 
     for stage in (s for s in STAGES if s in config["checks"]):
         if hard_failure:
-            stages[stage] = {"status": "skipped"}
+            stages[stage] = {"status": "error", "reason": "broken hypotheses: "
+                             + broken} if broken else {"status": "skipped"}
             timings[stage] = 0.0
             continue
         started = time.perf_counter()
@@ -324,6 +333,7 @@ def run_check(config: dict) -> dict:
         "versions": {"singcert": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "thread_pool_size": thread_pool_size(),
+        "hypotheses": table,
         "stages": stages,
         "timings_s": timings,
         "verdict": verdict,

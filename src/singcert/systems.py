@@ -204,7 +204,7 @@ def build_dubins_system(space_form: SpaceForm | str, N: int) -> MatrixGroupSyste
 
     Requires N >= 3 so that the problem is genuinely multi-input (m >= 2).
     The structure the paper assumes of it is checked, and reported, by
-    extremal.verify_structure_properties in the conditions stage.
+    extremal.verify_structure_properties once per run.
     """
     space_form = SpaceForm(space_form)
     if N < 3:

@@ -62,7 +62,8 @@ def test_criterion_1_structure_properties():
     for n in (3, 4, 5):
         for form in ("euclidean", "sphere", "hyperbolic"):
             system = build_dubins_system(form, n)
-            report = verify_structure_properties(system)
+            report = verify_structure_properties(
+                system, dubins_adapted_chart(system))
             assert all(c.passed for c in report), (form, n, report)
             assert max(c.residual for c in report) <= 1e-12
             assert system.R == n * (n - 1) // 2

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from singcert.algebra import pairing
-from singcert.chart import dubins_adapted_chart
+from singcert.algebra import commutator, pairing
+from singcert.chart import GroupChart, dubins_adapted_chart
+from singcert.extremal import verify_structure_properties
 from singcert.systems import build_dubins_system
 
 
@@ -142,3 +143,24 @@ def test_stacked_calls_equal_per_point_calls(space):
             ref = ref @ expm(x[j] * chart.frame_algebra[j])
         assert np.max(np.abs(g - ref)) <= 1e-13
         assert np.max(np.abs(g_inv @ g - np.eye(sys_.d))) <= 1e-14
+
+
+@pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
+def test_axis_premise_is_a_hypothesis(space):
+    """An axis B = A_1 + [A_2, A_3] on N = 4 rotates the disjoint planes of
+    e1, e2 and of e3, e4, so B^2 = -(both projections), lam = -2 and
+    B^3 - lam B = B: the chart takes it, and the hypothesis
+    chart_axes_single_plane fails with residual max|B| = 1 over its bound
+    1e-12, which the Dubins chart meets."""
+    system = build_dubins_system(space, 4)
+    chart = dubins_adapted_chart(system)
+    a1, a2, a3 = system.controlled
+    frame = chart.frame_algebra.copy()
+    frame[0] = a1 + commutator(a2, a3)
+    for axes, residual in ((chart, 0.0), (GroupChart(frame, chart.R,
+                                                     chart.p_hat), 1.0)):
+        check = {h.name: h for h in verify_structure_properties(
+            system, axes)}["chart_axes_single_plane"]
+        assert check.residual == residual
+        assert check.passed == (residual == 0.0)
+        assert check.detail == {"bound": 1e-12}

@@ -1,5 +1,6 @@
 """Tests for configuration handling, orchestration, and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from singcert.pipeline import (
     run_sweep,
 )
 from singcert.secondvar import assemble_lq, conjugate_point_test
+from singcert.systems import build_dubins_system
 
 FAST = {
     "certificate": {"n_samples": 16, "grid_points": 9},
@@ -274,15 +276,61 @@ def test_flipped_drift_fails_conditions_and_skips(tmp_path):
     assert report["verdict"] == "not certified"
 
 
-def test_conditions_report_holds_the_structure_hypotheses():
-    """The seven structure hypotheses sit beside the arc checks, and
-    regularity_of_S is one of them."""
+def test_report_holds_the_hypotheses_whatever_the_checks():
+    """Every run reports its ten hypotheses at the top level, each with its
+    bound, whichever stages it asks for; the conditions stage reports the
+    arc's checks alone."""
+    bounds = {"closure_so_N": 1e-12, "derived_dimension": 0.0,
+              "frame_basis_rank": 0.0, "double_bracket_drift": 1e-12,
+              "drift_family_commutes": 1e-12, "drift_commutes_derived": 1e-12,
+              "regularity_of_S": 1e-9, "chart_axes_single_plane": 1e-12,
+              "fields_are_e1_wedges": 0.0,
+              "annihilator_reads_first_column": 6 * 16 * np.finfo(float).eps}
+    for checks in (["conditions"], ["certificate"], ["falsifier"], []):
+        report = run_check({**FAST, "checks": checks})
+        hypotheses = report["hypotheses"]
+        assert {k: h["bound"] for k, h in hypotheses.items()} == bounds
+        assert all(h["passed"] for h in hypotheses.values())
+        assert hypotheses["regularity_of_S"]["rank"] == 5
     conditions = run_check({"checks": ["conditions"]})["stages"]["conditions"]
-    hypotheses = conditions["report"]["hypotheses"]
-    assert len(hypotheses) == 7
-    assert all(h["passed"] for h in hypotheses.values())
-    assert hypotheses["regularity_of_S"]["rank"] == 5
-    assert "regularity_of_S" not in conditions["report"]["checks"]
+    assert set(conditions["report"]) == {"passed", "sglc_margin", "checks"}
+
+
+def test_broken_hypothesis_runs_no_stage(monkeypatch, tmp_path, capsys):
+    """A system whose A_1 has a (1, 1) entry is no wedge with e1: the run
+    reports the broken hypotheses, and every requested stage ends in an
+    error whose reason names each with its residual, bound and any rank
+    or dimension, in a report the CLI writes with exit status 1."""
+    def bent(space_form, n):
+        system = build_dubins_system(space_form, n)
+        a1 = system.controlled[0].copy()
+        a1[1, 1] = 0.1
+        return dataclasses.replace(
+            system, controlled=(a1, *system.controlled[1:]))
+
+    monkeypatch.setattr(pipeline, "build_dubins_system", bent)
+    report = run_check(FAST)
+    broken = {k: h for k, h in report["hypotheses"].items()
+              if not h["passed"]}
+    assert broken["fields_are_e1_wedges"]["residual"] == 0.1
+    reason = "broken hypotheses: " + "; ".join(
+        name + " (" + ", ".join(f"{k} {v:.6g}" for k, v in h.items()
+                                if k != "passed") + ")"
+        for name, h in broken.items())
+    assert "fields_are_e1_wedges (residual 0.1, bound 0)" in reason
+    assert "closure_so_N (residual 0.2, bound 1e-12, dimension 3, " \
+        "expected_dimension 3)" in reason
+    assert report["stages"] == {stage: {"status": "error", "reason": reason}
+                                for stage in pipeline.STAGES}
+    assert report["verdict"] == "error"
+    assert set(report["timings_s"].values()) == {0.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FAST, "checks": ["falsifier"]}))
+    assert main(["check", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["stages"] == {
+        "falsifier": {"status": "error", "reason": reason}}
 
 
 def test_full_run_certified():
@@ -331,7 +379,7 @@ def test_flow_csv_is_the_certificate_flow(tmp_path, space):
               "output": {"csv_dir": str(tmp_path)}}
     report = run_check(config)
     config = load_config(config)
-    system, chart, trajectory = pipeline._build_problem(config)
+    system, chart, trajectory, _ = pipeline._build_problem(config)
     rho = conjugate_point_test(assemble_lq(system, trajectory, chart),
                                rho_grid=config["rho_grid"]).rho
     assert report["stages"]["certificate"]["report"]["rho"] == rho
@@ -489,6 +537,25 @@ def test_non_finite_reference_arc_is_an_error_in_every_stage(stage):
     error = report["stages"][stage]["error"]
     assert error["type"] == "LinAlgError"
     assert error["message"].startswith("reference arc is not finite at t =")
+
+
+def test_huge_rho_certificate_is_a_projection_error_without_warnings(
+        tmp_path, capsys):
+    """A certificate-only run at rho 1e308 lifts its seeds past the float
+    range: the stage ends in the ProjectionError that names c(p), exit
+    status 1, with no numpy warning and nothing on stderr."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rho_grid": [1e308],
+                                    "checks": ["certificate"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["stages"]["certificate"]["error"] == {
+        "type": "ProjectionError",
+        "message": "projection onto S undefined: c(p) is zero or not finite"}
 
 
 def test_long_hyperbolic_certificate_is_an_error_without_warnings():

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from singcert.algebra import commutator, numerical_rank, pairing, span_contains
+from singcert.chart import dubins_adapted_chart
 from singcert.extremal import (
     ConditionCheck,
     ConditionReport,
@@ -16,6 +17,7 @@ from singcert.extremal import (
     RANK_TOL,
     SGLC_MIN_MARGIN,
     adjoint_trajectory,
+    check_table,
     condition_battery,
     dubins_initial_covector,
     hamiltonian_bracket,
@@ -25,6 +27,7 @@ from singcert.extremal import (
     s_residual,
     singular_feedback,
     trajectory_to_csv,
+    verify_structure_properties,
 )
 from singcert.numerics import rk4_flow, rk4_stage_times, time_grid
 from singcert.pipeline import _build_problem, load_config
@@ -301,9 +304,7 @@ def test_sphere_extremal_recovery():
 def direct_battery(trajectory):
     """The condition battery one grid point at a time, one pairing per
     bracket word, so it never reads the system's bracket tables: the
-    reference for the batched battery. Its one hypothesis is
-    regularity_of_S by one least-squares solve per bracket, the reference
-    for that entry of the batched hypotheses."""
+    reference for the batched battery."""
     system = trajectory.system
     m = system.m
     derived_words = [(i + 1, j + 1) for i in range(m) for j in range(i + 1, m)]
@@ -352,14 +353,6 @@ def direct_battery(trajectory):
         feedback_res = max(feedback_res, float(np.max(np.abs(resid))))
     sglc_margin = -eig_high
 
-    closure = list(system.lie_closure_basis)
-    f0i_elems = [commutator(system.drift, a) for a in system.controlled]
-    reg_span = closure + f0i_elems
-    reg_res = max(
-        span_contains(reg_span, commutator(system.drift, b)) for b in closure)
-    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), RANK_TOL)
-    reg_ok = reg_res <= EQUALITY_TOL and reg_rank == system.R + m
-
     checks = [
         ConditionCheck("pmp_switching", f_i_res <= EQUALITY_TOL, f_i_res),
         ConditionCheck("normality", normality_res <= EQUALITY_TOL,
@@ -383,26 +376,39 @@ def direct_battery(trajectory):
     checks.append(ConditionCheck(
         "transversality", max(res0, resf) <= EQUALITY_TOL, max(res0, resf),
         {"initial": float(res0), "final": float(resf)}))
-    regularity = ConditionCheck(
-        "regularity_of_S", reg_ok, reg_res,
-        {"rank": int(reg_rank), "expected_rank": system.R + m})
-    return ConditionReport(tuple(checks), float(sglc_margin), (regularity,))
+    return ConditionReport(tuple(checks), float(sglc_margin))
+
+
+def direct_regularity(system):
+    """regularity_of_S by one least-squares solve per bracket: the
+    reference for that entry of the run's hypotheses."""
+    closure = list(system.lie_closure_basis)
+    f0i_elems = [commutator(system.drift, a) for a in system.controlled]
+    reg_span = closure + f0i_elems
+    reg_res = max(
+        span_contains(reg_span, commutator(system.drift, b)) for b in closure)
+    reg_rank = numerical_rank(np.array([b.ravel() for b in reg_span]), RANK_TOL)
+    expected = system.R + system.m
+    return check_table([ConditionCheck(
+        "regularity_of_S", reg_res <= EQUALITY_TOL and reg_rank == expected,
+        reg_res, {"rank": int(reg_rank), "expected_rank": expected,
+                  "bound": EQUALITY_TOL})])["regularity_of_S"]
+
+
+def structure_hypotheses(system):
+    """The run's hypotheses of a system, on its adapted chart, as reported."""
+    return check_table(verify_structure_properties(
+        system, dubins_adapted_chart(system)))
 
 
 def assert_battery_matches_direct(trajectory):
-    """The batched battery's report equals the point-by-point one, save the
-    hypotheses the direct battery does not compute: regularity_of_S is
-    compared on its own, exactly. Returns the batched report."""
+    """The batched battery's report equals the point-by-point one, and the
+    regularity_of_S hypothesis equals the direct solve's, exactly. Returns
+    the batched report."""
     batched = condition_battery(trajectory).as_dict()
-    direct = direct_battery(trajectory).as_dict()
-    assert set(batched["hypotheses"]) == {
-        "closure_so_N", "derived_dimension", "frame_basis_rank",
-        "double_bracket_drift", "drift_family_commutes",
-        "drift_commutes_derived", "regularity_of_S"}
-    assert batched["hypotheses"]["regularity_of_S"] \
-        == direct["hypotheses"]["regularity_of_S"]
-    assert {k: v for k, v in batched.items() if k != "hypotheses"} \
-        == {k: v for k, v in direct.items() if k != "hypotheses"}
+    assert batched == direct_battery(trajectory).as_dict()
+    assert structure_hypotheses(trajectory.system)["regularity_of_S"] \
+        == direct_regularity(trajectory.system)
     return batched
 
 
@@ -415,11 +421,11 @@ def test_battery_matches_point_by_point(space, n, drift_sign):
     points reports, on the default arcs and on the flipped drift."""
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": n, "drift_sign": drift_sign}})
-    system, _, trajectory = _build_problem(config)
+    system, _, trajectory, hypotheses = _build_problem(config)
     batched = assert_battery_matches_direct(trajectory)
     assert batched["passed"] == (drift_sign == 1)
     # the flipped drift keeps the structure: only the arc fails
-    assert all(h["passed"] for h in batched["hypotheses"].values())
+    assert len(hypotheses) == 10 and all(h.passed for h in hypotheses)
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])
@@ -441,37 +447,38 @@ def test_battery_matches_point_by_point_off_the_arc(space):
 def test_battery_fails_a_system_off_the_dubins_structure(space):
     """A drift bent by 0.1 [A_1, A_2] on N = 4 keeps every arc check
     passing on its own singular arc, but A0 no longer commutes with the
-    derived algebra: the battery fails, naming the broken hypotheses, and
-    still reports every arc check. regularity_of_S matches the direct
-    battery's."""
+    derived algebra, and it is neither a wedge with e1 nor a single-plane
+    chart axis (the sum of two plane generators in disjoint planes): the
+    hypotheses name each broken one, with the bent entry 0.1 as the wedge
+    residual, while the battery passes every arc check. regularity_of_S
+    matches the direct solve."""
     system = build_dubins_system(space, 4)
     ai = system.controlled
     bent = dataclasses.replace(
         system, drift=system.drift + 0.1 * commutator(ai[0], ai[1]))
     trajectory = adjoint_trajectory(bent, dubins_initial_covector(bent),
                                     np.linspace(0.0, 1.0, 41))
-    report = condition_battery(trajectory).as_dict()
-    assert not report["passed"]
-    assert sorted(k for k, h in report["hypotheses"].items()
-                  if not h["passed"]) == ["double_bracket_drift",
-                                          "drift_commutes_derived",
-                                          "drift_family_commutes"]
+    hypotheses = structure_hypotheses(bent)
+    assert sorted(k for k, h in hypotheses.items() if not h["passed"]) == [
+        "chart_axes_single_plane", "double_bracket_drift",
+        "drift_commutes_derived", "drift_family_commutes",
+        "fields_are_e1_wedges"]
     for name in ("double_bracket_drift", "drift_commutes_derived",
-                 "drift_family_commutes"):
-        assert report["hypotheses"][name]["residual"] > 1e-3
+                 "drift_family_commutes", "chart_axes_single_plane"):
+        assert hypotheses[name]["residual"] > 1e-3
+    assert hypotheses["fields_are_e1_wedges"]["residual"] == 0.1
+    report = assert_battery_matches_direct(trajectory)
+    assert report["passed"]
     assert sorted(report["checks"]) == [
         "feedback_consistency", "goh", "hogc", "normality", "pmp_switching",
         "s_membership", "sglc", "transversality"]
-    assert all(c["passed"] for c in report["checks"].values())
-    direct = direct_battery(trajectory).as_dict()
-    assert report["checks"] == direct["checks"]
-    assert report["hypotheses"]["regularity_of_S"] \
-        == direct["hypotheses"]["regularity_of_S"]
 
 
 def test_battery_reports_arc_checks_beside_broken_hypotheses(dub3):
     """A drift bent along A_1 breaks the arc and the structure at once:
-    both sets of failures are reported."""
+    the battery names the arc's failures and the hypotheses the
+    structure's. The bent drift is still a wedge with e1, so the closed
+    forms' premises hold."""
     bent = dataclasses.replace(dub3, drift=dub3.drift + 0.1 * dub3.controlled[0])
     trajectory = adjoint_trajectory(bent, dubins_initial_covector(bent),
                                     np.linspace(0.0, 1.0, 41))
@@ -480,7 +487,7 @@ def test_battery_reports_arc_checks_beside_broken_hypotheses(dub3):
     assert sorted(k for k, c in report["checks"].items()
                   if not c["passed"]) == ["feedback_consistency", "hogc",
                                           "pmp_switching", "s_membership"]
-    assert sorted(k for k, h in report["hypotheses"].items()
+    assert sorted(k for k, h in structure_hypotheses(bent).items()
                   if not h["passed"]) == ["double_bracket_drift",
                                           "drift_commutes_derived",
                                           "drift_family_commutes"]

@@ -14,6 +14,7 @@ from singcert.extremal import (
     adjoint_trajectory,
     dubins_initial_covector,
     reference_flow,
+    verify_structure_properties,
 )
 from singcert.falsifier import (
     LOG_RADIUS,
@@ -410,20 +411,30 @@ def test_band_factors_match_plane_exp(space, n, sign):
         <= 4 * np.finfo(float).eps
 
 
+def hypothesis(system, chart, name):
+    """The named entry of the run's hypotheses on a system and chart."""
+    return {h.name: h for h in verify_structure_properties(
+        system, chart)}[name]
+
+
 def test_band_flow_premise_is_checked():
     """The band factors read each field as a wedge c e1^T + e1 r^T: a drift
     with an entry off row and column 1, or a controlled field with a (1, 1)
-    entry, is refused by name."""
+    entry, fails the hypothesis fields_are_e1_wedges by that entry, which
+    holds with residual 0 on the system as built."""
     system = build_dubins_system("sphere", 3)
+    chart = dubins_adapted_chart(system)
+    held = hypothesis(system, chart, "fields_are_e1_wedges")
+    assert held.passed and held.residual == 0.0
     off_plane = system.drift.copy()
     off_plane[0, 2] = 0.1
     diagonal = np.array(system.controlled)
     diagonal[0, 1, 1] = 0.1
     for broken in (dataclasses.replace(system, drift=off_plane),
                    dataclasses.replace(system, controlled=tuple(diagonal))):
-        with pytest.raises(ValueError, match="band factor premise fails"):
-            _band_flow(broken, np.zeros((1, 8, system.m)), 1.0,
-                       np.eye(system.d), time_grid(1.0, 0.1))
+        check = hypothesis(broken, chart, "fields_are_e1_wedges")
+        assert not check.passed
+        assert check.residual == 0.1 and check.detail == {"bound": 0.0}
 
 
 @pytest.mark.parametrize("horizon", [20.0, 30.0])
@@ -520,7 +531,7 @@ def direct_graph_distance(rel, b_pinv):
 def _sweep_problem(space, n, horizon=1.0):
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": n}, "horizon": horizon})
-    system, chart, trajectory = _build_problem(config)
+    system, chart, trajectory, _ = _build_problem(config)
     target = TargetSpec(system, trajectory.q[-1], chart)
     t_hat = trajectory.horizon
     grid = np.union1d(time_grid(1.1 * t_hat, 0.02), [t_hat])
@@ -663,7 +674,7 @@ def test_band_group_residual_is_rounding(space, horizon):
     and g the flow's last row. Without bands the report holds None."""
     config = load_config({"system": {"kind": "dubins", "space_form": space,
                                      "N": 4}, "horizon": horizon})
-    system, chart, trajectory = _build_problem(config)
+    system, chart, trajectory, _ = _build_problem(config)
     target = TargetSpec(system, trajectory.q[-1], chart)
     grid = np.union1d(time_grid(1.1 * horizon, 0.02), [horizon])
     comps = _sample_competitors(system, horizon, 1.1 * horizon, 200, 0.1, 0)
@@ -778,23 +789,27 @@ def test_scores_match_all_log_oracle(space, monkeypatch):
         assert dist == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
-def test_screen_premise_is_checked(dub3, extremal3):
-    """TargetSpec checks once that the annihilator rows of b_pinv read the
-    first column of an algebra element isometrically: a signed permutation
-    of those rows keeps the premise, and a b_pinv whose annihilator rows
-    take an orbit row breaks it."""
+def test_screen_premise_is_checked(dub3):
+    """The hypothesis annihilator_reads_first_column checks that the
+    annihilator rows of b_pinv read the first column of an algebra element
+    isometrically, against the rounding d^2 eps per axis: a signed
+    permutation of those rows keeps the premise, and a b_pinv whose
+    annihilator rows take an orbit row breaks it."""
     chart = dubins_adapted_chart(dub3)
+    bound = chart.n * dub3.d ** 2 * np.finfo(float).eps
     rows = np.arange(chart.n)
     kept = dataclasses.replace(chart)
     kept.b_pinv = chart.b_pinv[np.r_[rows[:chart.R], rows[:chart.R - 1:-1]]]
     kept.b_pinv[-1] *= -1.0
-    TargetSpec(dub3, extremal3.q[-1], kept)
+    for held in (chart, kept):
+        check = hypothesis(dub3, held, "annihilator_reads_first_column")
+        assert check.passed and check.detail == {"bound": bound}
     swapped = rows.copy()
     swapped[[chart.R - 1, chart.R]] = swapped[[chart.R, chart.R - 1]]
     broken = dataclasses.replace(chart)
     broken.b_pinv = chart.b_pinv[swapped]
-    with pytest.raises(ValueError, match="arrival screen premise fails"):
-        TargetSpec(dub3, extremal3.q[-1], broken)
+    check = hypothesis(dub3, broken, "annihilator_reads_first_column")
+    assert not check.passed and check.residual > 0.5
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere", "hyperbolic"])

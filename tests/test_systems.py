@@ -58,8 +58,9 @@ def test_dubins_n5_closure_dimension():
 @pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_structure_properties_all_forms(space, N):
-    report = verify_structure_properties(build_dubins_system(space, N))
-    assert len(report) == 7
+    system = build_dubins_system(space, N)
+    report = verify_structure_properties(system, dubins_adapted_chart(system))
+    assert len(report) == 10
     for check in report:
         assert check.passed, f"{space} N={N}: {check.name} residual {check.residual}"
         assert check.residual <= 1e-12
@@ -72,18 +73,22 @@ def test_structure_properties_name_a_broken_construction(space):
     table follows dataclasses.replace, so it is never stale."""
     sys_ = build_dubins_system(space, 4)
     a1, a2, a3 = sys_.controlled
-    repeated = {c.name: c for c in verify_structure_properties(
-        dataclasses.replace(sys_, controlled=(a1, a1, a3)))}
+
+    def hypotheses(system):
+        return {c.name: c for c in verify_structure_properties(
+            system, dubins_adapted_chart(system))}
+
+    repeated = hypotheses(dataclasses.replace(sys_, controlled=(a1, a1, a3)))
     assert not repeated["closure_so_N"].passed
-    assert repeated["closure_so_N"].detail == {"dimension": 3,
-                                               "expected_dimension": 6}
+    assert repeated["closure_so_N"].detail == {
+        "dimension": 3, "expected_dimension": 6, "bound": 1e-12}
     assert not repeated["frame_basis_rank"].passed
-    assert repeated["frame_basis_rank"].detail == {"rank": 6,
-                                                   "expected_rank": 10}
+    assert repeated["frame_basis_rank"].detail == {
+        "rank": 6, "expected_rank": 10, "bound": 0.0}
     assert not repeated["derived_dimension"].passed
     # [a1, [a1, a2 + [a2, a3]]] is a multiple of a2, outside the table
-    open_table = {c.name: c for c in verify_structure_properties(
-        dataclasses.replace(sys_, controlled=(a1, a2 + commutator(a2, a3))))}
+    open_table = hypotheses(
+        dataclasses.replace(sys_, controlled=(a1, a2 + commutator(a2, a3))))
     assert not open_table["closure_so_N"].passed
     assert open_table["closure_so_N"].residual >= 0.1
 
