@@ -3,9 +3,11 @@
 The reference arc is the drift orbit with control u = 0. Competitors
 alternate between needle variations, which realize displacements inside
 the controlled-algebra orbit with a piecewise-constant word control of
-size 1/eps on a window of 2 eps^2, and band-limited random controls. A
-needle's states are exact products of piece exponentials; the bands run
-as one stacked commutator-free Magnus flow of exact exponentials. Each
+size 1/eps on a window of 2 eps^2, and band-limited random controls,
+all drawn from one generator. A needle's states are exact products of
+piece exponentials, and the reference on the grid is the same closed
+form of exp(t A0) (`plane_exp`); the bands run as one stacked
+commutator-free Magnus flow of exact exponentials. Each
 competitor's earliest arrival at the target manifold is recorded, and an
 arrival strictly earlier than the reference horizon is a counterexample.
 The arrival test screens each state by its first column q e0, which
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import GroupChart
-from .extremal import ExtremalTrajectory, reference_flow, require_finite
+from .extremal import ExtremalTrajectory, require_finite
 from .numerics import log_head, plane_exp, plane_series, time_grid, write_csv
 # the tracer in bench/ times the shared log under this name
 from .numerics import series_log as _quick_log
@@ -255,12 +257,10 @@ def _column_norms(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Competitors:
-    """The competitors' families and seeds (SeedSequence spawn keys) in draw
-    order, the needles as one stack, and the bands' cos/sin mode
-    coefficients ``coeff`` (B, 2 _BAND_MODES, m)."""
+    """The competitors' families in sample order, the needles as one stack,
+    and the bands' cos/sin mode coefficients ``coeff`` (B, 2 _BAND_MODES, m)."""
 
     family: np.ndarray
-    seeds: list
     needles: NeedleVariation
     coeff: np.ndarray
 
@@ -268,29 +268,24 @@ class _Competitors:
 def _sample_competitors(system: MatrixGroupSystem, t_hat: float,
                         scan_horizon: float, n_samples: int, radius: float,
                         seed: int) -> _Competitors:
-    """Draw the competitors in order, needles and bands alternating, each
-    from its own SeedSequence child. At radius 0 every competitor is a
-    needle of length 0: the reference itself."""
-    t_bar = 0.05 * np.ones(system.R)
-    children = np.random.SeedSequence(seed).spawn(n_samples)
+    """Draw the competitors, needles and bands alternating by sample index,
+    from one generator: all needles' eps, then their s_bar, their word
+    noise, and last the bands' coefficients, so seed and n_samples
+    reproduce sample k. At radius 0 every competitor is a needle of length
+    0: the reference itself."""
+    rng = np.random.default_rng(seed)
     is_needle = (np.arange(n_samples) % 2 == 0) | (radius == 0.0)
-    eps, s_bar, noise, coeff = [], [], [], []
-    for child, needle in zip(children, is_needle):
-        rng = np.random.default_rng(child)
-        if needle:
-            eps.append(radius * rng.uniform(0.3, 1.0))
-            s_bar.append(rng.uniform(0.0, t_hat - 2.0 * eps[-1] ** 2))
-            noise.append(rng.standard_normal(system.R))
-        else:
-            band = radius * rng.standard_normal((2 * _BAND_MODES, system.m))
-            coeff.append(band / max(1.0, np.linalg.norm(band)))
-    needles = needle_variation(
-        s_bar, t_bar + 0.3 * t_bar[0] * np.reshape(noise, (-1, system.R)),
-        eps, scan_horizon, system.m, t_bar=t_bar)
-    return _Competitors(
-        np.where(is_needle, "needle", "band"),
-        [list(child.spawn_key) for child in children], needles,
-        np.reshape(coeff, (-1, 2 * _BAND_MODES, system.m)))
+    count = int(np.sum(is_needle))
+    eps = radius * rng.uniform(0.3, 1.0, count)
+    s_bar = rng.uniform(0.0, t_hat - 2.0 * eps ** 2)
+    noise = rng.standard_normal((count, system.R))
+    coeff = radius * rng.standard_normal(
+        (n_samples - count, 2 * _BAND_MODES, system.m))
+    coeff /= np.maximum(1.0, np.linalg.norm(coeff, axis=(1, 2)))[:, None, None]
+    t_bar = 0.05 * np.ones(system.R)
+    needles = needle_variation(s_bar, t_bar + 0.3 * t_bar[0] * noise, eps,
+                               scan_horizon, system.m, t_bar=t_bar)
+    return _Competitors(np.where(is_needle, "needle", "band"), needles, coeff)
 
 
 def _needle_exponentials(system: MatrixGroupSystem,
@@ -458,7 +453,7 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
     q0 = extremal.q[0]
     scan_horizon = t_hat * (1.0 + HORIZON_PAD)
     grid = np.union1d(time_grid(scan_horizon, dt), [t_hat])
-    ref = q0 @ reference_flow(system, grid)
+    ref = q0 @ plane_exp(grid[:, None, None] * system.drift)
     ref_inv = system.inverse(ref)
     competitors = _sample_competitors(system, t_hat, scan_horizon,
                                       n_samples, radius, seed)
@@ -499,11 +494,10 @@ def competitor_sweep(system: MatrixGroupSystem, extremal: ExtremalTrajectory,
                         **{key: int(np.sum(mask & (families == family)))
                            for key, mask in bins.items()}}
                for family in ("needle", "band")}
-    records = [{"sample": idx, "family": family, "seed": seed_key,
-                "arrival": arrival, "graph_distance": dist}
-               for idx, (family, seed_key, arrival, dist) in enumerate(zip(
-                   families.tolist(), competitors.seeds, _finite(arrivals),
-                   _finite(dists)))]
+    records = [{"sample": idx, "family": family, "arrival": arrival,
+                "graph_distance": dist}
+               for idx, (family, arrival, dist) in enumerate(zip(
+                   families.tolist(), _finite(arrivals), _finite(dists)))]
     min_arrival = float(np.min(arrivals[arrived], initial=np.inf))
     witness = None
     if min_arrival < t_hat - TIME_TOLERANCE:

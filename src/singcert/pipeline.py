@@ -218,18 +218,23 @@ def thread_pool_size() -> int:
 
 
 def _build_problem(config: dict):
+    """The system, its chart, the reference arc and the hypotheses block.
+    The hypotheses come first: where one fails, the arc is None, and no
+    covector is formed from a system it does not fit."""
     spec = config["system"]
-    system = build_dubins_system(spec["space_form"], spec["N"])
+    built = build_dubins_system(spec["space_form"], spec["N"])
     # the covector is normalized against the unflipped drift, so a flipped
     # drift sign yields F_0 = -1 and a positive-definite Legendre form: a
     # deliberately broken reference for exercising the failure path
-    p0 = dubins_initial_covector(system)
-    if spec.get("drift_sign", 1) == -1:
-        system = dataclasses.replace(system, drift=-system.drift)
+    system = (dataclasses.replace(built, drift=-built.drift)
+              if spec.get("drift_sign", 1) == -1 else built)
     chart = dubins_adapted_chart(system)
-    trajectory = adjoint_trajectory(system, p0,
+    hypotheses = verify_structure_properties(system, chart)
+    if not all(check.passed for check in hypotheses):
+        return system, chart, None, hypotheses
+    trajectory = adjoint_trajectory(system, dubins_initial_covector(built),
                                     time_grid(config["horizon"], config["dt"]))
-    return system, chart, trajectory, verify_structure_properties(system, chart)
+    return system, chart, trajectory, hypotheses
 
 
 def run_check(config: dict) -> dict:

@@ -277,7 +277,7 @@ class CoercivityReport:
     # the conjugate-point rho the verdict rests on; no rho enters Galerkin
     rho: float | None = None
     refinements: list = field(default_factory=list)
-    det_trace: np.ndarray = None
+    det_trace: np.ndarray = None   # det_trace.csv, not emitted
     det_grid: np.ndarray = None
     metadata: dict = field(default_factory=dict)
 
@@ -294,8 +294,6 @@ class CoercivityReport:
         }
         if self.rho is not None:
             out["rho"] = float(self.rho)
-        if self.det_trace is not None:
-            out["det_trace"] = [float(v) for v in self.det_trace]
         out.update(self.metadata)
         return out
 

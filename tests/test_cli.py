@@ -333,6 +333,24 @@ def test_broken_hypothesis_runs_no_stage(monkeypatch, tmp_path, capsys):
         "falsifier": {"status": "error", "reason": reason}}
 
 
+def test_broken_hypothesis_forms_no_arc(monkeypatch):
+    """A zero drift breaks frame_basis_rank. The hypotheses are read before
+    the covector and the arc, which would divide by the drift's zero
+    pairing, so the run ends in the named error with no warning."""
+    def still(space_form, n):
+        system = build_dubins_system(space_form, n)
+        return dataclasses.replace(system, drift=np.zeros_like(system.drift))
+
+    monkeypatch.setattr(pipeline, "build_dubins_system", still)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_check({"checks": ["conditions"]})
+    assert report["verdict"] == "error"
+    assert report["stages"]["conditions"]["reason"].startswith(
+        "broken hypotheses: frame_basis_rank (")
+    assert not report["hypotheses"]["frame_basis_rank"]["passed"]
+
+
 def test_full_run_certified():
     report = run_check(FAST)
     assert report["verdict"] == "optimality certified"
@@ -368,6 +386,22 @@ def test_csv_artifacts(tmp_path):
     run_check({**FAST, "output": {"csv_dir": str(csv_dir)}})
     for name in ("trajectory.csv", "det_trace.csv", "flow.csv", "sweep.csv"):
         assert (csv_dir / name).exists(), name
+
+
+def test_det_trace_is_emitted_only_as_csv(tmp_path):
+    """The emitted conjugate-point report has no det trace; det_trace.csv
+    holds it, one row per time of the test's grid."""
+    config = {**FAST, "checks": ["coercivity"],
+              "output": {"csv_dir": str(tmp_path)}}
+    emitted = json.loads(emit(run_check(config)))
+    assert "det_trace" not in emitted["stages"]["coercivity"]["conjugate_point"]
+    config = load_config(config)
+    system, chart, trajectory, _ = pipeline._build_problem(config)
+    conj = conjugate_point_test(assemble_lq(system, trajectory, chart),
+                                rho_grid=config["rho_grid"])
+    rows = np.loadtxt(tmp_path / "det_trace.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], conj.det_grid)
+    assert np.array_equal(rows[:, 1], conj.det_trace)
 
 
 @pytest.mark.parametrize("space", ["euclidean", "sphere"])
